@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "colstore/bytes.hpp"
 #include "colstore/format.hpp"
 #include "obs/metrics_export.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 
 namespace hpcem::colstore {
 
@@ -347,11 +347,9 @@ std::vector<ShardScenario> read_shard_bytes(std::string_view bytes,
 }
 
 std::vector<ShardScenario> read_shard_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("hcaf: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return read_shard_bytes(buf.str(), path);
+  const auto bytes = read_text_file(path);
+  if (!bytes) throw ParseError("hcaf: cannot open " + path);
+  return read_shard_bytes(*bytes, path);
 }
 
 RunArtifact to_artifact(const ShardScenario& s) {

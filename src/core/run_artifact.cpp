@@ -1,6 +1,9 @@
 #include "core/run_artifact.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 #include "obs/metrics_export.hpp"
@@ -14,51 +17,221 @@ namespace {
 
 constexpr const char* kSchemaName = "hpcem.run_artifact";
 
-JsonValue time_json(SimTime t) {
-  JsonValue v = JsonValue::object();
-  v.set("epoch_s", t.sec());
-  v.set("iso", iso_date_time(t));
-  return v;
+// ---------------------------------------------------------------------------
+// Encode: the document goes straight through a JsonWriter.
+
+void write_number(JsonWriter& w, std::string_view key, double v) {
+  w.key(key);
+  w.number(v);
+}
+
+void write_string(JsonWriter& w, std::string_view key, std::string_view v) {
+  w.key(key);
+  w.string(v);
+}
+
+void write_time(JsonWriter& w, std::string_view key, SimTime t) {
+  w.key(key);
+  w.begin_object();
+  write_number(w, "epoch_s", t.sec());
+  write_string(w, "iso", iso_date_time(t));
+  w.end_object();
+}
+
+void write_channel(JsonWriter& w, const ChannelAggregate& c) {
+  w.begin_object();
+  write_string(w, "name", c.name);
+  write_string(w, "unit", c.unit);
+  write_number(w, "samples", static_cast<double>(c.samples));
+  write_number(w, "mean", c.mean);
+  write_number(w, "min", c.min);
+  write_number(w, "max", c.max);
+  write_number(w, "integral", c.integral);
+  write_time(w, "first_time", c.first_time);
+  write_time(w, "last_time", c.last_time);
+  // v3: parallel times/values arrays, written only when the producer opted
+  // into carrying the raw samples (aggregate-only artifacts keep the v1/v2
+  // channel shape).
+  if (!c.series.empty()) {
+    w.key("series");
+    w.begin_object();
+    w.key("times");
+    w.begin_array();
+    for (const Sample& s : c.series) w.number(s.time.sec());
+    w.end_array();
+    w.key("values");
+    w.begin_array();
+    for (const Sample& s : c.series) w.number(s.value);
+    w.end_array();
+    w.end_object();
+  }
+  w.end_object();
+}
+
+void write_change_point(JsonWriter& w, const ArtifactChangePoint& cp) {
+  w.begin_object();
+  write_time(w, "at", cp.at);
+  write_number(w, "mean_before_kw", cp.mean_before_kw);
+  write_number(w, "mean_after_kw", cp.mean_after_kw);
+  w.key("detected");
+  w.boolean(cp.detected);
+  w.end_object();
+}
+
+// ---------------------------------------------------------------------------
+// Decode.  The reader pulls the document once.  Each series' times/values
+// numbers go straight into the channel's sample vector; every other member
+// is small and is kept as a DOM subtree.  Syntax errors throw as they are
+// met.  The schema rules run only after the whole document has parsed, in
+// a fixed member order, so members may come in any order, the last of a
+// duplicated member wins and unknown members are ignored.
+
+/// What decode needs to know of one streamed "times" or "values" member.
+/// Elements are counted; numbers are stored up to the first element that
+/// is not a number, since decode rejects the series at that index.
+struct Column {
+  bool is_array = false;
+  std::size_t size = 0;
+  std::size_t first_non_number = std::string::npos;
+};
+
+/// A channel's "series" member as read.  Both columns fill one sample
+/// vector, times into .time and values into .value, in whichever order
+/// they come; decode checks the columns and trims the vector to their
+/// common length.  A value that is not an object reads as an object
+/// without members, as JsonValue::at sees it.
+struct SeriesText {
+  std::optional<Column> times;
+  std::optional<Column> values;
+  std::vector<Sample> samples;
+};
+
+/// One element of "channels": every member but "series" as DOM.
+struct ChannelText {
+  JsonValue fields;
+  std::optional<SeriesText> series;
+};
+
+template <typename Store>
+Column read_column(JsonReader& r, std::vector<Sample>& samples, Store store) {
+  Column col;
+  if (r.peek() != JsonValue::Type::kArray) {
+    (void)r.value();
+    return col;
+  }
+  col.is_array = true;
+  r.begin_array();
+  while (r.next_element()) {
+    if (col.first_non_number == std::string::npos &&
+        r.peek() == JsonValue::Type::kNumber) {
+      if (col.size == samples.size()) samples.emplace_back();
+      store(samples[col.size], r.number());
+    } else {
+      if (col.first_non_number == std::string::npos) {
+        col.first_non_number = col.size;
+      }
+      (void)r.value();
+    }
+    ++col.size;
+  }
+  return col;
+}
+
+SeriesText read_series(JsonReader& r) {
+  SeriesText s;
+  if (r.peek() != JsonValue::Type::kObject) {
+    (void)r.value();
+    return s;
+  }
+  r.begin_object();
+  std::string key;
+  while (r.next_member(key)) {
+    if (key == "times") {
+      s.times = read_column(r, s.samples,
+                            [](Sample& x, double t) { x.time = SimTime(t); });
+    } else if (key == "values") {
+      s.values = read_column(r, s.samples,
+                             [](Sample& x, double v) { x.value = v; });
+    } else {
+      (void)r.value();
+    }
+  }
+  return s;
+}
+
+ChannelText read_channel(JsonReader& r) {
+  ChannelText c;
+  if (r.peek() != JsonValue::Type::kObject) {
+    c.fields = r.value();
+    return c;
+  }
+  c.fields = JsonValue::object();
+  r.begin_object();
+  std::string key;
+  while (r.next_member(key)) {
+    if (key == "series") {
+      c.series = read_series(r);
+    } else {
+      c.fields.set(std::move(key), r.value());
+    }
+  }
+  return c;
+}
+
+/// A count member: a non-negative integer no larger than 2^53, the range
+/// in which every integer is an exact double.
+std::uint64_t count_from_json(const JsonValue& v, const std::string& member,
+                              const std::string& label) {
+  const double x = v.at(member).as_number();
+  if (!(x >= 0.0 && x <= 0x1p53 && x == std::floor(x))) {
+    throw ParseError("RunArtifact: " + label +
+                     " must be a non-negative integer <= 2^53, got " +
+                     json_number(x));
+  }
+  return static_cast<std::uint64_t>(x);
 }
 
 SimTime time_from_json(const JsonValue& v) {
   return SimTime(v.at("epoch_s").as_number());
 }
 
-JsonValue channel_json(const ChannelAggregate& c) {
-  JsonValue v = JsonValue::object();
-  v.set("name", c.name);
-  v.set("unit", c.unit);
-  v.set("samples", c.samples);
-  v.set("mean", c.mean);
-  v.set("min", c.min);
-  v.set("max", c.max);
-  v.set("integral", c.integral);
-  v.set("first_time", time_json(c.first_time));
-  v.set("last_time", time_json(c.last_time));
-  // v3: parallel times/values arrays, written only when the producer opted
-  // into carrying the raw samples (aggregate-only artifacts keep the v1/v2
-  // channel shape).
-  if (!c.series.empty()) {
-    JsonValue times = JsonValue::array();
-    JsonValue values = JsonValue::array();
-    for (const Sample& s : c.series) {
-      times.push_back(s.time.sec());
-      values.push_back(s.value);
-    }
-    JsonValue series = JsonValue::object();
-    series.set("times", std::move(times));
-    series.set("values", std::move(values));
-    v.set("series", std::move(series));
-  }
-  return v;
+const Column& column_of(const std::optional<Column>& col,
+                        const std::string& key) {
+  // The same texts JsonValue::at and JsonValue::as_array throw.
+  if (!col) throw ParseError("JsonValue: missing member: " + key);
+  if (!col->is_array) throw ParseError("JsonValue: not an array");
+  return *col;
 }
 
-ChannelAggregate channel_from_json(const JsonValue& v) {
+std::vector<Sample> series_from_text(SeriesText& s,
+                                     const std::string& channel) {
+  const Column& times = column_of(s.times, "times");
+  const Column& values = column_of(s.values, "values");
+  require(times.size == values.size,
+          "RunArtifact: channel '" + channel +
+              "' series times/values length mismatch");
+  for (std::size_t i = 0; i < times.size; ++i) {
+    if (i == times.first_non_number) {
+      throw ParseError("JsonValue: not a number");
+    }
+    if (i > 0 && s.samples[i].time < s.samples[i - 1].time) {
+      throw InvalidArgument("RunArtifact: channel '" + channel +
+                            "' series times must be non-decreasing");
+    }
+    if (i == values.first_non_number) {
+      throw ParseError("JsonValue: not a number");
+    }
+  }
+  s.samples.resize(times.size);
+  return std::move(s.samples);
+}
+
+ChannelAggregate channel_from_text(ChannelText& text) {
+  const JsonValue& v = text.fields;
   ChannelAggregate c;
   c.name = v.at("name").as_string();
   c.unit = v.at("unit").as_string();
-  c.samples = static_cast<std::size_t>(v.at("samples").as_number());
+  c.samples = count_from_json(v, "samples", "channel '" + c.name + "' samples");
   c.mean = v.at("mean").as_number();
   c.min = v.at("min").as_number();
   c.max = v.at("max").as_number();
@@ -66,33 +239,8 @@ ChannelAggregate channel_from_json(const JsonValue& v) {
   c.first_time = time_from_json(v.at("first_time"));
   c.last_time = time_from_json(v.at("last_time"));
   // Optional from v3 on.
-  if (const JsonValue* series = v.get("series")) {
-    const auto& times = series->at("times").as_array();
-    const auto& values = series->at("values").as_array();
-    require(times.size() == values.size(),
-            "RunArtifact: channel '" + c.name +
-                "' series times/values length mismatch");
-    c.series.reserve(times.size());
-    SimTime prev{};
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      const SimTime t(times[i].as_number());
-      require(i == 0 || t >= prev,
-              "RunArtifact: channel '" + c.name +
-                  "' series times must be non-decreasing");
-      c.series.push_back({t, values[i].as_number()});
-      prev = t;
-    }
-  }
+  if (text.series) c.series = series_from_text(*text.series, c.name);
   return c;
-}
-
-JsonValue change_point_json(const ArtifactChangePoint& cp) {
-  JsonValue v = JsonValue::object();
-  v.set("at", time_json(cp.at));
-  v.set("mean_before_kw", cp.mean_before_kw);
-  v.set("mean_after_kw", cp.mean_after_kw);
-  v.set("detected", cp.detected);
-  return v;
 }
 
 ArtifactChangePoint change_point_from_json(const JsonValue& v) {
@@ -104,43 +252,100 @@ ArtifactChangePoint change_point_from_json(const JsonValue& v) {
   return cp;
 }
 
+/// The schema rules over a read document.  `v` holds every top-level
+/// member; a streamed "channels" array is an empty placeholder there and
+/// its elements are `channels`.
+RunArtifact decode(const JsonValue& v, std::vector<ChannelText>& channels) {
+  require(v.at("schema").as_string() == kSchemaName,
+          "RunArtifact: not a run-artifact document");
+  const std::uint64_t version =
+      count_from_json(v, "schema_version", "schema_version");
+  require(version >= RunArtifact::kMinSchemaVersion &&
+              version <= RunArtifact::kSchemaVersion,
+          "RunArtifact: unsupported schema version " +
+              std::to_string(version));
+
+  RunArtifact a;
+  a.scenario = v.at("scenario").as_string();
+  a.source = v.at("source").as_string();
+  a.machine = v.at("machine").as_string();
+  a.window_start = time_from_json(v.at("window_start"));
+  a.window_end = time_from_json(v.at("window_end"));
+  a.replicates = count_from_json(v, "replicates", "replicates");
+
+  const JsonValue& h = v.at("headline");
+  a.headline.mean_kw = h.at("mean_kw").as_number();
+  a.headline.mean_before_kw = h.at("mean_before_kw").as_number();
+  a.headline.mean_after_kw = h.at("mean_after_kw").as_number();
+  a.headline.mean_utilisation = h.at("mean_utilisation").as_number();
+  a.headline.window_energy_kwh = h.at("window_energy_kwh").as_number();
+  a.headline.completed_jobs = h.at("completed_jobs").as_number();
+
+  for (const auto& cp : v.at("change_points").as_array()) {
+    a.change_points.push_back(change_point_from_json(cp));
+  }
+  (void)v.at("channels").as_array();
+  a.channels.reserve(channels.size());
+  for (ChannelText& c : channels) {
+    a.channels.push_back(channel_from_text(c));
+  }
+  // Optional from v2 on; absent in v1 documents and in runs that did not
+  // collect metrics.
+  if (const JsonValue* o = v.get("obs")) {
+    (void)obs::metrics_from_json(*o);  // validate before carrying it along
+    a.obs = *o;
+  }
+  return a;
+}
+
 }  // namespace
 
-JsonValue RunArtifact::to_json() const {
-  JsonValue v = JsonValue::object();
-  v.set("schema", kSchemaName);
-  v.set("schema_version", kSchemaVersion);
-  v.set("scenario", scenario);
-  v.set("source", source);
-  v.set("machine", machine);
-  v.set("window_start", time_json(window_start));
-  v.set("window_end", time_json(window_end));
-  v.set("replicates", replicates);
+std::string RunArtifact::to_json_text() const {
+  JsonWriter w(2);
+  // Series samples are nearly all of a large document: two indented
+  // numbers of up to ~30 bytes each.
+  std::size_t samples = 0;
+  for (const auto& c : channels) samples += c.series.size();
+  w.reserve(4096 + 64 * samples);
+  w.begin_object();
+  write_string(w, "schema", kSchemaName);
+  write_number(w, "schema_version", kSchemaVersion);
+  write_string(w, "scenario", scenario);
+  write_string(w, "source", source);
+  write_string(w, "machine", machine);
+  write_time(w, "window_start", window_start);
+  write_time(w, "window_end", window_end);
+  write_number(w, "replicates", static_cast<double>(replicates));
 
-  JsonValue h = JsonValue::object();
-  h.set("mean_kw", headline.mean_kw);
-  h.set("mean_before_kw", headline.mean_before_kw);
-  h.set("mean_after_kw", headline.mean_after_kw);
-  h.set("mean_utilisation", headline.mean_utilisation);
-  h.set("window_energy_kwh", headline.window_energy_kwh);
-  h.set("completed_jobs", headline.completed_jobs);
-  v.set("headline", std::move(h));
+  w.key("headline");
+  w.begin_object();
+  write_number(w, "mean_kw", headline.mean_kw);
+  write_number(w, "mean_before_kw", headline.mean_before_kw);
+  write_number(w, "mean_after_kw", headline.mean_after_kw);
+  write_number(w, "mean_utilisation", headline.mean_utilisation);
+  write_number(w, "window_energy_kwh", headline.window_energy_kwh);
+  write_number(w, "completed_jobs", headline.completed_jobs);
+  w.end_object();
 
-  JsonValue cps = JsonValue::array();
-  for (const auto& cp : change_points) cps.push_back(change_point_json(cp));
-  v.set("change_points", std::move(cps));
+  w.key("change_points");
+  w.begin_array();
+  for (const auto& cp : change_points) write_change_point(w, cp);
+  w.end_array();
 
-  JsonValue chans = JsonValue::array();
-  for (const auto& c : channels) chans.push_back(channel_json(c));
-  v.set("channels", std::move(chans));
+  w.key("channels");
+  w.begin_array();
+  for (const auto& c : channels) write_channel(w, c);
+  w.end_array();
   // v2: the obs member is written only when metrics were collected, so a
   // run with collection off serializes to the same bytes as before
   // (modulo the version bump).
-  if (!obs.is_null()) v.set("obs", obs);
-  return v;
+  if (!obs.is_null()) {
+    w.key("obs");
+    w.value(obs);
+  }
+  w.end_object();
+  return std::move(w).finish();
 }
-
-std::string RunArtifact::to_json_text() const { return to_json().dump(2); }
 
 std::string RunArtifact::to_csv() const {
   CsvWriter w({"channel", "unit", "samples", "mean", "min", "max",
@@ -154,48 +359,29 @@ std::string RunArtifact::to_csv() const {
   return w.str();
 }
 
-RunArtifact RunArtifact::from_json(const JsonValue& v) {
-  require(v.at("schema").as_string() == kSchemaName,
-          "RunArtifact: not a run-artifact document");
-  const int version =
-      static_cast<int>(v.at("schema_version").as_number());
-  require(version >= kMinSchemaVersion && version <= kSchemaVersion,
-          "RunArtifact: unsupported schema version " +
-              std::to_string(version));
-
-  RunArtifact a;
-  a.scenario = v.at("scenario").as_string();
-  a.source = v.at("source").as_string();
-  a.machine = v.at("machine").as_string();
-  a.window_start = time_from_json(v.at("window_start"));
-  a.window_end = time_from_json(v.at("window_end"));
-  a.replicates = static_cast<std::size_t>(v.at("replicates").as_number());
-
-  const JsonValue& h = v.at("headline");
-  a.headline.mean_kw = h.at("mean_kw").as_number();
-  a.headline.mean_before_kw = h.at("mean_before_kw").as_number();
-  a.headline.mean_after_kw = h.at("mean_after_kw").as_number();
-  a.headline.mean_utilisation = h.at("mean_utilisation").as_number();
-  a.headline.window_energy_kwh = h.at("window_energy_kwh").as_number();
-  a.headline.completed_jobs = h.at("completed_jobs").as_number();
-
-  for (const auto& cp : v.at("change_points").as_array()) {
-    a.change_points.push_back(change_point_from_json(cp));
-  }
-  for (const auto& c : v.at("channels").as_array()) {
-    a.channels.push_back(channel_from_json(c));
-  }
-  // Optional from v2 on; absent in v1 documents and in runs that did not
-  // collect metrics.
-  if (const JsonValue* o = v.get("obs")) {
-    (void)obs::metrics_from_json(*o);  // validate before carrying it along
-    a.obs = *o;
-  }
-  return a;
-}
-
 RunArtifact RunArtifact::from_json_text(std::string_view text) {
-  return from_json(JsonValue::parse(text));
+  JsonReader r(text);
+  JsonValue fields;
+  std::vector<ChannelText> channels;
+  if (r.peek() == JsonValue::Type::kObject) {
+    fields = JsonValue::object();
+    r.begin_object();
+    std::string key;
+    while (r.next_member(key)) {
+      if (key == "channels" && r.peek() == JsonValue::Type::kArray) {
+        channels.clear();
+        r.begin_array();
+        while (r.next_element()) channels.push_back(read_channel(r));
+        fields.set(std::move(key), JsonValue::array());
+      } else {
+        fields.set(std::move(key), r.value());
+      }
+    }
+  } else {
+    fields = r.value();
+  }
+  r.finish();
+  return decode(fields, channels);
 }
 
 ChannelAggregate aggregate_channel(const std::string& name,

@@ -107,15 +107,21 @@ struct RunArtifact {
   /// when collection was off / the document predates v2.
   JsonValue obs;
 
-  /// Deterministic JSON (insertion-ordered members, shortest round-trip
-  /// numbers): equal artifacts serialize to equal bytes.
-  [[nodiscard]] JsonValue to_json() const;
+  /// Deterministic JSON (fixed member order, shortest round-trip
+  /// numbers): equal artifacts serialize to equal bytes.  Streamed through
+  /// a JsonWriter; series samples never become JsonValues.
   [[nodiscard]] std::string to_json_text() const;
   /// Long-format CSV of the channel aggregates:
   /// channel,unit,samples,mean,min,max,integral,first_time,last_time.
   [[nodiscard]] std::string to_csv() const;
 
-  [[nodiscard]] static RunArtifact from_json(const JsonValue& v);
+  /// Pulled through a JsonReader; series samples go straight into the
+  /// channels' sample vectors.  Members may come in any order, the last of
+  /// a duplicated member wins and unknown members are ignored.  Throws
+  /// ParseError on malformed JSON, a missing or mistyped member, or a count
+  /// (schema_version, replicates, samples) that is not a non-negative
+  /// integer <= 2^53; InvalidArgument on a schema rule (wrong schema or
+  /// version, series length mismatch, decreasing series times).
   [[nodiscard]] static RunArtifact from_json_text(std::string_view text);
 };
 

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "colstore/columns.hpp"
 #include "colstore/hcaf.hpp"
 #include "obs/request_context.hpp"
+#include "util/file_io.hpp"
 
 namespace hpcem::serve {
 
@@ -91,11 +90,9 @@ void ArtifactStore::add(const RunArtifact& artifact,
 }
 
 void ArtifactStore::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("ArtifactStore: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  add(RunArtifact::from_json_text(buf.str()), path);
+  const auto text = read_text_file(path);
+  if (!text) throw ParseError("ArtifactStore: cannot open " + path);
+  add(RunArtifact::from_json_text(*text), path);
   // add() counted a memory ingest; this one came from a JSON file.
   --memory_ingests_;
   ++json_ingests_;

@@ -1,5 +1,6 @@
 #include "util/sim_time.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -61,9 +62,10 @@ SimTime sim_time_from_date(const CivilDate& d) {
 }
 
 CivilDate date_from_sim_time(SimTime t) {
-  const auto days =
-      static_cast<std::int64_t>(std::floor(t.sec() / 86400.0));
-  return civil_from_days(days);
+  // Clamped so that an absurd epoch (1e300 read from a damaged artifact)
+  // cannot overflow the integer day count; real dates are far inside.
+  const double days = std::clamp(std::floor(t.sec() / 86400.0), -1e15, 1e15);
+  return civil_from_days(static_cast<std::int64_t>(days));
 }
 
 double seconds_into_day(SimTime t) {
@@ -144,7 +146,9 @@ std::optional<SimTime> parse_date_time(std::string_view s) {
 
 std::string iso_date_time(SimTime t) {
   const CivilDate d = date_from_sim_time(t);
-  const double s = seconds_into_day(t);
+  // In [0, 86400) for every representable day; the clamp only matters
+  // where the epoch is too large for a day boundary to be exact.
+  const double s = std::clamp(seconds_into_day(t), 0.0, 86399.0);
   const int hh = static_cast<int>(s / 3600.0);
   const int mm = static_cast<int>((s - hh * 3600.0) / 60.0);
   char buf[24];

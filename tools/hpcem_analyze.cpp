@@ -10,9 +10,7 @@
 // Example:
 //   hpcem_analyze --csv cabinet_power.csv --value-column cabinet_kw
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "core/run_artifact.hpp"
 #include "obs/session.hpp"
@@ -24,6 +22,7 @@
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/text_table.hpp"
 
 namespace {
@@ -41,11 +40,9 @@ std::optional<SimTime> parse_time(const std::string& s) {
 }
 
 RunArtifact load_artifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("cannot open artifact: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return RunArtifact::from_json_text(buf.str());
+  const auto text = read_text_file(path);
+  if (!text) throw ParseError("cannot open artifact: " + path);
+  return RunArtifact::from_json_text(*text);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "tool_main.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 
 namespace {
 
@@ -42,7 +43,6 @@ using namespace hpcem;
 struct LoadedArtifact {
   RunArtifact artifact;
   std::string path;
-  std::string json_text;  ///< exact bytes re-serialization must match
 };
 
 std::vector<LoadedArtifact> load_store(const std::string& dir) {
@@ -69,15 +69,9 @@ std::vector<LoadedArtifact> load_store(const std::string& dir) {
   std::vector<LoadedArtifact> loaded;
   loaded.reserve(paths.size());
   for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw ParseError("hpcem_compact: cannot open " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    LoadedArtifact la;
-    la.path = path;
-    la.json_text = buf.str();
-    la.artifact = RunArtifact::from_json_text(la.json_text);
-    loaded.push_back(std::move(la));
+    const auto text = read_text_file(path);
+    if (!text) throw ParseError("hpcem_compact: cannot open " + path);
+    loaded.push_back({RunArtifact::from_json_text(*text), path});
   }
   return loaded;
 }

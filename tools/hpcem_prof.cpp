@@ -24,7 +24,6 @@
 // breached.
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -34,6 +33,7 @@
 #include "tool_main.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/text_table.hpp"
 
 namespace {
@@ -43,11 +43,9 @@ using namespace hpcem;
 constexpr int kExitRegression = 3;
 
 JsonValue load_json(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("cannot open: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return JsonValue::parse(buf.str());
+  const auto text = read_text_file(path);
+  if (!text) throw ParseError("cannot open: " + path);
+  return JsonValue::parse(*text);
 }
 
 std::string doc_schema(const JsonValue& doc, const std::string& path) {
@@ -374,14 +372,14 @@ int main(int argc, char** argv) {
       return tools::kExitOk;
     }
     if (schema == "hpcem.run_artifact") {
-      const RunArtifact artifact = RunArtifact::from_json(doc);
-      if (artifact.obs.is_null()) {
+      const JsonValue* obs_doc = doc.get("obs");
+      if (obs_doc == nullptr || obs_doc->is_null()) {
         std::cerr << "error: " << path
                   << " has no obs section (run with HPCEM_OBS=1, schema v2)"
                   << '\n';
         return tools::kExitFailure;
       }
-      print_metrics(obs::metrics_from_json(artifact.obs));
+      print_metrics(obs::metrics_from_json(*obs_doc));
       return tools::kExitOk;
     }
     if (schema == "hpcem.obs_metrics") {
