@@ -18,10 +18,12 @@
 // v3 adds the cold-load section: at each --load-sizes store size the bench
 // writes the same synthetic artifact as JSON and as an HCAF shard
 // (docs/ARTIFACT_BINARY.md), measures the wall time to load each into a
-// fresh ArtifactStore, then runs a short single-thread query phase against
-// the loaded store — cold-load seconds plus p50/p95/p99 per format, and
-// the json/hcaf load-time multiplier per size.  --format selects which
-// ingestion paths are measured.
+// fresh ArtifactStore (a JSON load is the JSON decode plus an in-memory
+// shard encode ahead of the same shard ingest an HCAF load runs), then
+// runs a short single-thread query phase against the loaded store —
+// cold-load seconds plus p50/p95/p99 per format, and the json/hcaf
+// load-time multiplier per size.  --format selects which input formats
+// are measured.
 //
 // Examples:
 //   bench_serve_load                                    # synthetic store
@@ -178,7 +180,9 @@ PhaseResult run_phase(const serve::ArtifactStore& store,
   // Fresh obs shards per phase, so the per-kind histograms below describe
   // exactly this phase's traffic.
   obs::reset_collected();
-  serve::ServeFront front(store, options);
+  serve::MultiStore stores;
+  stores.attach(store);
+  serve::ServeFront front(stores, options);
   // Per-thread latency vectors: no shared mutable state inside the loop.
   std::vector<std::vector<std::uint64_t>> latencies(threads);
   std::vector<std::thread> clients;

@@ -1,12 +1,12 @@
 // The columnar shape of one telemetry channel, and the single
 // implementation that builds it from a sample series.
 //
-// Both ingestion paths — JSON artifacts columnised at load time
-// (serve::ArtifactStore) and HCAF shards columnised once at compaction
-// time (colstore writer) — run this exact code, which is what makes the
-// serving layer's byte-identical-response guarantee hold across formats:
-// the Neumaier-compensated prefix sums a query differences are the same
-// doubles whether they were computed at ingest or read back from a shard.
+// The HCAF writer runs this code for every shard, whether compacted
+// offline or encoded in memory by serve::ArtifactStore for a JSON
+// artifact, which is what makes the serving layer's byte-identical-
+// response guarantee hold across input formats: the Neumaier-compensated
+// prefix sums a query differences are always these doubles, read back
+// from a shard.
 #pragma once
 
 #include <vector>

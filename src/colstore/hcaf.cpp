@@ -47,10 +47,10 @@ std::string write_shard_bytes(const std::vector<RunArtifact>& artifacts) {
   out.u32(static_cast<std::uint32_t>(kFormatVersion));
   out.u64(0);  // flags: none defined in v1
 
-  // Block region: columnise every series-bearing channel and append its
-  // four columns, recording the extents for the directory.  Columnisation
-  // runs the same build_columns the JSON ingest path uses, so the stored
-  // prefix sums are the exact doubles a JSON-backed store would compute.
+  // Block region: build the four columns of every series-bearing channel
+  // and append them, recording the extents for the directory.  A JSON-backed
+  // store is loaded through this writer too, so the stored prefix sums
+  // are the exact doubles it serves.
   std::vector<std::vector<ChannelBlocks>> blocks(artifacts.size());
   for (std::size_t i = 0; i < artifacts.size(); ++i) {
     blocks[i].resize(artifacts[i].channels.size());

@@ -2,13 +2,13 @@
 // byte layout and docs/ARTIFACT_BINARY.md for the specification).
 //
 // A shard carries N run artifacts.  The writer columnises every channel
-// series once (colstore/columns.hpp — the same code the JSON ingest path
-// runs) and embeds the prefix sums next to the raw columns, so a reader
-// can hand the serving layer query-ready columns without recomputing
-// anything.  The reader is strict: magic, version, flags, footer, the
-// directory checksum, every directory field and every column-block extent
-// are validated before any data is trusted, and every failure is a
-// one-line `hcaf: <file>: $.path: ...` ParseError.
+// series once (colstore/columns.hpp) and embeds the prefix sums next to
+// the raw columns, so a reader can hand the serving layer query-ready
+// columns without recomputing anything.  The reader is strict: magic,
+// version, flags, footer, the directory checksum, every directory field
+// and every column-block extent are validated before any data is
+// trusted, and every failure is a one-line `hcaf: <file>: $.path: ...`
+// ParseError.
 //
 // Round-trip contract: `read_artifacts_*(write_shard_bytes(artifacts))`
 // reconstructs `RunArtifact`s whose `to_json_text()` is byte-identical to

@@ -49,9 +49,8 @@ void write_channel(JsonWriter& w, const ChannelAggregate& c) {
   write_number(w, "integral", c.integral);
   write_time(w, "first_time", c.first_time);
   write_time(w, "last_time", c.last_time);
-  // v3: parallel times/values arrays, written only when the producer opted
-  // into carrying the raw samples (aggregate-only artifacts keep the v1/v2
-  // channel shape).
+  // Parallel times/values arrays, written only when the producer opted
+  // into carrying the raw samples.
   if (!c.series.empty()) {
     w.key("series");
     w.begin_object();
@@ -238,7 +237,7 @@ ChannelAggregate channel_from_text(ChannelText& text) {
   c.integral = v.at("integral").as_number();
   c.first_time = time_from_json(v.at("first_time"));
   c.last_time = time_from_json(v.at("last_time"));
-  // Optional from v3 on.
+  // Optional: absent in aggregate-only channels.
   if (text.series) c.series = series_from_text(*text.series, c.name);
   return c;
 }
@@ -260,8 +259,10 @@ RunArtifact decode(const JsonValue& v, std::vector<ChannelText>& channels) {
           "RunArtifact: not a run-artifact document");
   const std::uint64_t version =
       count_from_json(v, "schema_version", "schema_version");
-  require(version >= RunArtifact::kMinSchemaVersion &&
-              version <= RunArtifact::kSchemaVersion,
+  require(version >= RunArtifact::kSchemaVersion,
+          "RunArtifact: schema version " + std::to_string(version) +
+              " predates v3; re-export with --serve-export");
+  require(version == RunArtifact::kSchemaVersion,
           "RunArtifact: unsupported schema version " +
               std::to_string(version));
 
@@ -289,8 +290,7 @@ RunArtifact decode(const JsonValue& v, std::vector<ChannelText>& channels) {
   for (ChannelText& c : channels) {
     a.channels.push_back(channel_from_text(c));
   }
-  // Optional from v2 on; absent in v1 documents and in runs that did not
-  // collect metrics.
+  // Optional: absent in runs that did not collect metrics.
   if (const JsonValue* o = v.get("obs")) {
     (void)obs::metrics_from_json(*o);  // validate before carrying it along
     a.obs = *o;
@@ -336,9 +336,8 @@ std::string RunArtifact::to_json_text() const {
   w.begin_array();
   for (const auto& c : channels) write_channel(w, c);
   w.end_array();
-  // v2: the obs member is written only when metrics were collected, so a
-  // run with collection off serializes to the same bytes as before
-  // (modulo the version bump).
+  // The obs member is written only when metrics were collected, so a run
+  // with collection off serializes without it.
   if (!obs.is_null()) {
     w.key("obs");
     w.value(obs);

@@ -42,10 +42,10 @@ struct ChannelAggregate {
   double integral = 0.0;
   SimTime first_time{};
   SimTime last_time{};
-  /// v3: the channel's retained raw samples, time-ordered.  Optional —
-  /// empty means "aggregates only" (the v1/v2 shape).  Carrying the series
-  /// lets the serving layer (src/serve) answer sub-window and what-if
-  /// queries without re-running the producer.
+  /// The channel's retained raw samples, time-ordered.  Optional in the
+  /// document — empty means "aggregates only" — but the serving layer
+  /// (src/serve) ingests only channels that carry them (or recorded no
+  /// samples), since its sub-window and what-if queries read the series.
   std::vector<Sample> series;
 };
 
@@ -72,21 +72,11 @@ struct RunHeadline {
 
 /// Structured record of one run (or one merged campaign scenario).
 ///
-/// Schema history:
-///   v1 — scenario/source/machine/window, headline, change points, channel
-///        aggregates.
-///   v2 — adds the optional "obs" member: an hpcem.obs_metrics document
-///        (see obs/metrics_export.hpp) with the run's runtime counters,
-///        gauges and histograms.  v1 documents still parse (obs stays
-///        null); v2 readers must treat a missing "obs" as "not collected".
-///   v3 — channel objects may carry an optional "series" member (parallel
-///        "times"/"values" arrays of the retained raw samples) so the
-///        serving layer can answer windowed and what-if queries.  v1/v2
-///        documents still parse (series stays empty); readers must treat a
-///        missing "series" as "aggregates only".
+/// Schema: v3 only.  v1 had no "obs" member and v2 no channel "series";
+/// both are rejected with a pointer to `--serve-export`.  A missing "obs"
+/// means "not collected", a missing "series" means "aggregates only".
 struct RunArtifact {
   static constexpr int kSchemaVersion = 3;
-  static constexpr int kMinSchemaVersion = 1;
 
   std::string scenario = "run";
   /// Producer: "simulation" | "campaign" | "trace-replay" | "telemetry-csv".
@@ -104,7 +94,7 @@ struct RunArtifact {
   /// whose per-channel streams live in the per-replicate runs).
   std::vector<ChannelAggregate> channels;
   /// Runtime observability metrics (hpcem.obs_metrics document), or null
-  /// when collection was off / the document predates v2.
+  /// when collection was off.
   JsonValue obs;
 
   /// Deterministic JSON (fixed member order, shortest round-trip
@@ -120,8 +110,9 @@ struct RunArtifact {
   /// a duplicated member wins and unknown members are ignored.  Throws
   /// ParseError on malformed JSON, a missing or mistyped member, or a count
   /// (schema_version, replicates, samples) that is not a non-negative
-  /// integer <= 2^53; InvalidArgument on a schema rule (wrong schema or
-  /// version, series length mismatch, decreasing series times).
+  /// integer <= 2^53; InvalidArgument on a schema rule (wrong schema, a
+  /// version other than 3, series length mismatch, decreasing series
+  /// times).
   [[nodiscard]] static RunArtifact from_json_text(std::string_view text);
 };
 

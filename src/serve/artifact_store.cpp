@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "colstore/columns.hpp"
 #include "colstore/hcaf.hpp"
 #include "obs/request_context.hpp"
 #include "util/file_io.hpp"
@@ -12,29 +11,54 @@ namespace hpcem::serve {
 
 namespace {
 
-/// Adopt a set of pre-built columns into a StoredChannel.
-void adopt_columns(StoredChannel& ch, colstore::ChannelColumns&& cols) {
-  ch.times = std::move(cols.times);
-  ch.values = std::move(cols.values);
-  ch.prefix_value_sum = std::move(cols.prefix_value_sum);
-  ch.prefix_integral = std::move(cols.prefix_integral);
-}
-
-StoredChannel columnise(const ChannelAggregate& aggregate) {
-  StoredChannel ch;
-  ch.name = aggregate.name;
-  ch.unit = aggregate.unit;
-  ch.aggregate = aggregate;
-  // The raw samples live in the columns; keeping a second copy inside the
-  // aggregate would double the store's memory for no reader (queries touch
-  // only the aggregate's scalar fields).
-  ch.aggregate.series.clear();
-  ch.aggregate.series.shrink_to_fit();
-  // One implementation builds columns for every ingest path (JSON here,
-  // HCAF at compaction time) — that shared code is what makes responses
-  // bit-identical across formats.
-  adopt_columns(ch, colstore::build_columns(aggregate.series));
-  return ch;
+/// Move one shard scenario into the store's shape: channels sorted by name
+/// (dense per-scenario ids are lexicographic ranks, independent of the
+/// order the producer emitted them in), each carrying its columns.
+StoredScenario stored_scenario(colstore::ShardScenario&& sc,
+                               const std::string& label) {
+  StoredScenario s;
+  s.name = std::move(sc.name);
+  s.source = std::move(sc.source);
+  s.machine = std::move(sc.machine);
+  s.source_file = label;
+  s.window_start = sc.window_start;
+  s.window_end = sc.window_end;
+  s.replicates = sc.replicates;
+  s.headline = sc.headline;
+  s.change_points = std::move(sc.change_points);
+  s.channels.reserve(sc.channels.size());
+  for (colstore::ShardChannel& c : sc.channels) {
+    // Every windowed and what-if answer reads the series, so a channel
+    // that recorded samples must carry them.
+    if (c.aggregate.samples > 0 && !c.has_series()) {
+      throw InvalidArgument(
+          "ArtifactStore: " + label + ": scenario '" + s.name +
+          "' channel '" + c.aggregate.name + "' has " +
+          std::to_string(c.aggregate.samples) +
+          " samples but no series (re-export with --serve-export)");
+    }
+    StoredChannel ch;
+    ch.name = c.aggregate.name;
+    ch.unit = c.aggregate.unit;
+    ch.aggregate = std::move(c.aggregate);
+    // The shard stores the columns build_columns computed at encode time;
+    // ingest moves them instead of re-deriving anything.
+    ch.times = std::move(c.columns.times);
+    ch.values = std::move(c.columns.values);
+    ch.prefix_value_sum = std::move(c.columns.prefix_value_sum);
+    ch.prefix_integral = std::move(c.columns.prefix_integral);
+    s.channels.push_back(std::move(ch));
+  }
+  std::sort(s.channels.begin(), s.channels.end(),
+            [](const StoredChannel& a, const StoredChannel& b) {
+              return a.name < b.name;
+            });
+  for (std::size_t i = 1; i < s.channels.size(); ++i) {
+    require(s.channels[i - 1].name != s.channels[i].name,
+            "ArtifactStore: scenario '" + s.name +
+                "' declares channel '" + s.channels[i].name + "' twice");
+  }
+  return s;
 }
 
 }  // namespace
@@ -48,97 +72,46 @@ const StoredChannel* StoredScenario::find_channel(
   return &*it;
 }
 
-void ArtifactStore::insert_scenario(StoredScenario&& s) {
-  const auto existing = scenarios_.find(s.name);
-  if (existing != scenarios_.end()) {
-    throw DuplicateScenarioError(
-        "duplicate scenario id '" + s.name + "' (first: " +
-        existing->second.source_file + ", again: " + s.source_file + ")");
+std::size_t ArtifactStore::ingest_shard(std::string_view bytes,
+                                        const std::string& label) {
+  std::vector<colstore::ShardScenario> shard =
+      colstore::read_shard_bytes(bytes, label);
+  std::vector<StoredScenario> staged;
+  staged.reserve(shard.size());
+  for (colstore::ShardScenario& sc : shard) {
+    StoredScenario s = stored_scenario(std::move(sc), label);
+    const auto existing = scenarios_.find(s.name);
+    if (existing != scenarios_.end()) {
+      throw DuplicateScenarioError(
+          "duplicate scenario id '" + s.name + "' (first: " +
+          existing->second.source_file + ", again: " + label + ")");
+    }
+    staged.push_back(std::move(s));
   }
-  // Dense per-scenario channel ids are lexicographic ranks, independent of
-  // the order the producer emitted them in.
-  std::sort(s.channels.begin(), s.channels.end(),
-            [](const StoredChannel& a, const StoredChannel& b) {
-              return a.name < b.name;
-            });
-  for (std::size_t i = 1; i < s.channels.size(); ++i) {
-    require(s.channels[i - 1].name != s.channels[i].name,
-            "ArtifactStore: scenario '" + s.name +
-                "' declares channel '" + s.channels[i].name + "' twice");
-  }
-  scenarios_.emplace(s.name, std::move(s));
+  // The shard reader rejects a scenario id repeated inside one shard, so
+  // no staged name can clash with another.
+  for (StoredScenario& s : staged) scenarios_.emplace(s.name, std::move(s));
+  return staged.size();
 }
 
 void ArtifactStore::add(const RunArtifact& artifact,
                         const std::string& source_file) {
-  StoredScenario s;
-  s.name = artifact.scenario;
-  s.source = artifact.source;
-  s.machine = artifact.machine;
-  s.source_file = source_file;
-  s.window_start = artifact.window_start;
-  s.window_end = artifact.window_end;
-  s.replicates = artifact.replicates;
-  s.headline = artifact.headline;
-  s.change_points = artifact.change_points;
-  s.channels.reserve(artifact.channels.size());
-  for (const ChannelAggregate& c : artifact.channels) {
-    s.channels.push_back(columnise(c));
-  }
-  insert_scenario(std::move(s));
-  ++memory_ingests_;
+  (void)ingest_shard(colstore::write_shard_bytes({artifact}), source_file);
 }
 
 void ArtifactStore::load_file(const std::string& path) {
   const auto text = read_text_file(path);
   if (!text) throw ParseError("ArtifactStore: cannot open " + path);
   add(RunArtifact::from_json_text(*text), path);
-  // add() counted a memory ingest; this one came from a JSON file.
-  --memory_ingests_;
-  ++json_ingests_;
 }
 
 std::size_t ArtifactStore::load_hcaf_file(const std::string& path) {
   static const obs::NameId kLoad = obs::intern_name("serve.store.load_hcaf");
-  std::vector<colstore::ShardScenario> scenarios =
-      colstore::read_shard_file(path);
-  obs::record_event(kLoad, static_cast<std::uint64_t>(scenarios.size()));
-  for (colstore::ShardScenario& sc : scenarios) {
-    StoredScenario s;
-    s.name = sc.name;
-    s.source = std::move(sc.source);
-    s.machine = std::move(sc.machine);
-    s.source_file = path;
-    s.window_start = sc.window_start;
-    s.window_end = sc.window_end;
-    s.replicates = sc.replicates;
-    s.headline = sc.headline;
-    s.change_points = std::move(sc.change_points);
-    s.channels.reserve(sc.channels.size());
-    for (colstore::ShardChannel& c : sc.channels) {
-      StoredChannel ch;
-      ch.name = c.aggregate.name;
-      ch.unit = c.aggregate.unit;
-      ch.aggregate = std::move(c.aggregate);
-      // The shard stores the columns the JSON path would compute —
-      // ingest moves them instead of re-deriving anything.
-      adopt_columns(ch, std::move(c.columns));
-      s.channels.push_back(std::move(ch));
-    }
-    insert_scenario(std::move(s));
-  }
-  ++hcaf_ingests_;
-  return scenarios.size();
-}
-
-std::string ArtifactStore::format() const {
-  const int kinds = (memory_ingests_ > 0 ? 1 : 0) +
-                    (json_ingests_ > 0 ? 1 : 0) + (hcaf_ingests_ > 0 ? 1 : 0);
-  if (kinds > 1) return "mixed";
-  if (hcaf_ingests_ > 0) return "hcaf";
-  if (json_ingests_ > 0) return "json";
-  if (memory_ingests_ > 0) return "memory";
-  return "empty";
+  const auto bytes = read_text_file(path);
+  if (!bytes) throw ParseError("hcaf: cannot open " + path);
+  const std::size_t ingested = ingest_shard(*bytes, path);
+  obs::record_event(kLoad, static_cast<std::uint64_t>(ingested));
+  return ingested;
 }
 
 std::size_t ArtifactStore::load_directory(const std::string& dir) {
@@ -212,9 +185,6 @@ WindowAggregate ArtifactStore::window_aggregate(const StoredChannel& channel,
       obs::intern_name("serve.store.window_aggregate");
   obs::record_event(kAggregate,
                     static_cast<std::uint64_t>(channel.times.size()));
-  require_state(channel.has_series(),
-                "ArtifactStore: channel '" + channel.name +
-                    "' carries no stored series (aggregate-only artifact)");
   require(start <= end,
           "ArtifactStore: window start must not exceed window end");
   const auto lo = std::lower_bound(channel.times.begin(), channel.times.end(),

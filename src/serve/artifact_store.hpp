@@ -1,16 +1,24 @@
 // In-memory indexed column store over run artifacts: the data tier of the
 // serving layer (see DESIGN.md "Serving layer").
 //
-// An `ArtifactStore` ingests a directory of `RunArtifact` JSON files — the
-// output of `hpcem_sim --serve-export`, `hpcem_replay --artifact-out` and
-// `hpcem_analyze --serve-export` — and turns them into a query-ready shape:
+// An `ArtifactStore` has one ingest path: a validated HCAF shard
+// (colstore/hcaf.hpp).  `load_hcaf_file` reads a compacted shard;
+// `add(RunArtifact)` and the JSON loaders (`load_file`, `load_directory`
+// over `hpcem_sim --serve-export` / `hpcem_replay --artifact-out` /
+// `hpcem_analyze --serve-export` output) first encode the artifact as a
+// one-artifact shard in memory with the compactor's writer and then read
+// it back through the same routine, so a JSON store cannot drift from an
+// HCAF one.  That routine turns the shard into a query-ready shape:
 //   * scenario and channel names are interned to dense ids assigned in
 //     lexicographic order, so every iteration over the store is
 //     deterministic regardless of ingest order;
-//   * channels that carry a v3 series are stored as separate time/value
-//     columns with prefix sums (value sum and trapezoidal integral), so a
-//     windowed aggregate costs two binary searches plus an O(k) min/max
-//     scan rather than a full pass;
+//   * every channel is stored as separate time/value columns with prefix
+//     sums (value sum and trapezoidal integral), so a windowed aggregate
+//     costs two binary searches plus an O(k) min/max scan rather than a
+//     full pass;
+//   * a channel with samples but no series (an aggregate-only artifact) is
+//     rejected with a one-line error naming the scenario, the channel and
+//     `--serve-export`;
 //   * duplicate scenario ids across files are rejected at ingest with a
 //     one-line error naming both files — a store where the answer depends
 //     on which file loaded last is a silent-wrong-answer machine.
@@ -22,8 +30,8 @@
 
 #include <cstddef>
 #include <map>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/run_artifact.hpp"
@@ -43,11 +51,12 @@ class DuplicateScenarioError : public Error {
 struct StoredChannel {
   std::string name;
   std::string unit;
-  /// Whole-run streaming aggregates (always present, even without series).
+  /// Whole-run streaming aggregates (`series` left empty: the raw samples
+  /// live in the columns below).
   ChannelAggregate aggregate;
 
-  // Column store of the retained raw samples; empty for aggregate-only
-  // (v1/v2) artifacts.
+  // Column store of the retained raw samples; empty only for a channel
+  // that recorded no samples.
   std::vector<double> times;   ///< seconds since epoch, non-decreasing
   std::vector<double> values;
   /// prefix_value_sum[i] = sum of values[0..i); size == values.size() + 1.
@@ -64,7 +73,7 @@ struct StoredScenario {
   std::string name;
   std::string source;        ///< artifact "source" member
   std::string machine;
-  std::string source_file;   ///< ingest provenance ("<memory>" for add())
+  std::string source_file;   ///< ingest provenance (add() default "<memory>")
   SimTime window_start{};
   SimTime window_end{};
   std::size_t replicates = 1;
@@ -94,14 +103,17 @@ struct WindowAggregate {
 /// Immutable-after-load, deterministically ordered artifact collection.
 class ArtifactStore {
  public:
-  /// Ingest one artifact.  `source_file` labels error messages and the
-  /// scenario's provenance.  Throws DuplicateScenarioError when the
-  /// scenario id is already present.
+  /// Ingest one artifact by way of a one-artifact HCAF shard.
+  /// `source_file` labels error messages and the scenario's provenance.
+  /// Throws InvalidArgument on an aggregate-only channel,
+  /// DuplicateScenarioError when the scenario id is already present.
   void add(const RunArtifact& artifact,
            const std::string& source_file = "<memory>");
 
-  /// Ingest one artifact JSON file.  Throws ParseError on unreadable or
-  /// malformed input, DuplicateScenarioError on a duplicate scenario id.
+  /// Ingest one artifact JSON file (decoded, then add()).  Throws
+  /// ParseError on unreadable or malformed input, InvalidArgument on a
+  /// pre-v3 document or an aggregate-only channel, DuplicateScenarioError
+  /// on a duplicate scenario id.
   void load_file(const std::string& path);
 
   /// Ingest every `*.artifact.json` directly inside `dir`, in sorted
@@ -113,12 +125,9 @@ class ArtifactStore {
   /// pre-computed, so ingest is validation plus moves — no JSON parse, no
   /// prefix-sum pass.  Returns the number of scenarios ingested.  Throws
   /// ParseError on a truncated/corrupt/over-versioned shard,
-  /// DuplicateScenarioError on a duplicate scenario id.
+  /// InvalidArgument on an aggregate-only channel, DuplicateScenarioError
+  /// on a duplicate scenario id.  A shard that throws ingests nothing.
   std::size_t load_hcaf_file(const std::string& path);
-
-  /// Ingest format of this store's contents so far: "empty", "memory"
-  /// (add()), "json", "hcaf", or "mixed" when more than one applies.
-  [[nodiscard]] std::string format() const;
 
   [[nodiscard]] std::size_t scenario_count() const {
     return scenarios_.size();
@@ -138,23 +147,19 @@ class ArtifactStore {
 
   /// Windowed aggregate of a channel over [start, end) — two binary
   /// searches plus prefix-sum lookups; min/max scan the in-window values.
-  /// Requires a stored series; throws StateError for aggregate-only
-  /// channels.  Returns samples == 0 when the window is empty.
+  /// Returns samples == 0 when the window is empty.
   [[nodiscard]] static WindowAggregate window_aggregate(
       const StoredChannel& channel, SimTime start, SimTime end);
 
  private:
-  /// Common ingest tail: sort channels, reject duplicate channel and
-  /// scenario names, insert.
-  void insert_scenario(StoredScenario&& s);
+  /// The one ingest routine: decode and validate an HCAF shard (`label`
+  /// names it in errors and provenance), then insert every scenario.
+  /// Every check runs before the first insert.
+  std::size_t ingest_shard(std::string_view bytes, const std::string& label);
 
   // Scenarios sorted by name: a std::map gives deterministic iteration and
   // stable addresses (the front hands out StoredScenario pointers).
   std::map<std::string, StoredScenario> scenarios_;
-  // Ingest-kind counters behind format().
-  std::size_t memory_ingests_ = 0;
-  std::size_t json_ingests_ = 0;
-  std::size_t hcaf_ingests_ = 0;
 };
 
 }  // namespace hpcem::serve

@@ -62,9 +62,6 @@ constexpr std::string_view kErrorPrefix = "{\"ok\":false";
 
 }  // namespace
 
-ServeFront::ServeFront(const ArtifactStore& store, ServeOptions options)
-    : ServeFront(MultiStore::view(store), std::move(options)) {}
-
 ServeFront::ServeFront(MultiStore stores, ServeOptions options)
     : engine_(std::move(stores)),
       max_queue_(options.max_queue >= 1 ? options.max_queue : 1),
@@ -152,18 +149,9 @@ std::string ServeFront::handle_request(const std::string& line) {
   }
   const obs::ScopedTimer op_timer(instruments().op_ns(request.op));
   const std::string key = request.canonical_key();
-
-  if (cache_) {
-    if (auto hit = cache_->get(key)) {
-      // A different spelling of a cached query: promote the verbatim line
-      // so its repeats take the first-level path.
-      instruments().cache_hit.add();
-      cache_->put(line, *hit);
-      return *hit;
-    }
-    instruments().cache_miss.add();
-  }
   std::string result = evaluate_coalesced(request, key);
+  // A different spelling of the query: promote the verbatim line so its
+  // repeats take the first-level path.
   if (cache_ && line != key) cache_->put(line, result);
   return result;
 }
@@ -197,7 +185,6 @@ JsonValue ServeFront::stats_result() const {
   JsonValue store = JsonValue::object();
   store.set("scenarios", stores.scenario_count());
   store.set("series_samples", stores.total_series_samples());
-  store.set("format", stores.format());
   store.set("shard_count", stores.shard_count());
   JsonValue shards = JsonValue::array();
   for (std::size_t i = 0; i < stores.shard_count(); ++i) {
@@ -205,7 +192,6 @@ JsonValue ServeFront::stats_result() const {
     JsonValue sv = JsonValue::object();
     sv.set("scenarios", s_i.scenario_count());
     sv.set("series_samples", s_i.total_series_samples());
-    sv.set("format", s_i.format());
     shards.push_back(std::move(sv));
   }
   store.set("shards", std::move(shards));
@@ -288,23 +274,38 @@ void ServeFront::maybe_postmortem(const std::string& result,
 
 std::string ServeFront::evaluate_coalesced(const QueryRequest& request,
                                            const std::string& key) {
+  std::optional<std::string> hit;
   std::shared_ptr<InFlight> entry;
   bool owner = false;
   std::uint64_t owner_request = 0;
   {
     const std::lock_guard<std::mutex> lock(inflight_mu_);
-    const auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      entry = it->second;
-      owner_request = entry->owner_request;
-    } else {
-      entry = std::make_shared<InFlight>();
-      entry->owner_request = obs::current_request();
-      inflight_.emplace(key, entry);
-      owner = true;
+    // An owner publishes its answer to the cache before it retires its
+    // in-flight entry, so under this lock a repeat sees one or the other:
+    // cached bytes, or an entry to wait on.
+    if (cache_) {
+      hit = cache_->get(key);
+      if (hit) {
+        instruments().cache_hit.add();
+      } else {
+        instruments().cache_miss.add();
+      }
+    }
+    if (!hit) {
+      const auto it = inflight_.find(key);
+      if (it != inflight_.end()) {
+        entry = it->second;
+        owner_request = entry->owner_request;
+      } else {
+        entry = std::make_shared<InFlight>();
+        entry->owner_request = obs::current_request();
+        inflight_.emplace(key, entry);
+        owner = true;
+      }
     }
   }
 
+  if (hit) return *std::move(hit);
   if (!owner) {
     // An identical query is being computed right now: share its answer.
     // The wait event's aux word records whose evaluation this request

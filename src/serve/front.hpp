@@ -77,14 +77,13 @@ struct FrontStats {
   std::size_t peak_queue_depth = 0;
 };
 
-/// Thread-safe query service over a frozen ArtifactStore (or a sharded
-/// MultiStore).
+/// Thread-safe query service over frozen ArtifactStores routed through a
+/// MultiStore.
 class ServeFront {
  public:
-  ServeFront(const ArtifactStore& store, ServeOptions options);
-  /// Sharded front: routes every lookup through the MultiStore's
-  /// consistent-hash ring.  Responses are byte-identical to a
-  /// single-store front holding the same scenarios.
+  /// Routes every lookup through the MultiStore's consistent-hash ring.
+  /// Responses are byte-identical for any shard count holding the same
+  /// scenarios.
   ServeFront(MultiStore stores, ServeOptions options);
   ~ServeFront();
   ServeFront(const ServeFront&) = delete;
@@ -127,6 +126,10 @@ class ServeFront {
   void maybe_postmortem(const std::string& result, std::uint64_t request_id,
                         std::uint64_t elapsed);
 
+  /// Canonical-key cache probe, then coalesce or evaluate.  The probe
+  /// runs under inflight_mu_, so a request cannot miss the cache, then
+  /// miss the in-flight entry its owner retired meanwhile, and evaluate a
+  /// second time.
   [[nodiscard]] std::string evaluate_coalesced(const QueryRequest& request,
                                                const std::string& key);
 

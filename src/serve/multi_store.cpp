@@ -7,12 +7,6 @@
 
 namespace hpcem::serve {
 
-MultiStore MultiStore::view(const ArtifactStore& store) {
-  MultiStore m;
-  m.attach(store);
-  return m;
-}
-
 void MultiStore::attach(const ArtifactStore& store) {
   add_entry(Entry{&store, nullptr});
 }
@@ -97,21 +91,6 @@ const StoredScenario& MultiStore::at(const std::string& name) const {
   const StoredScenario* s = find(name);
   require(s != nullptr, "ArtifactStore: unknown scenario '" + name + "'");
   return *s;
-}
-
-std::string MultiStore::format() const {
-  if (shards_.empty()) return "empty";
-  std::string common;
-  for (const Entry& e : shards_) {
-    const std::string f = e.store->format();
-    if (f == "empty") continue;
-    if (common.empty()) {
-      common = f;
-    } else if (common != f) {
-      return "mixed";
-    }
-  }
-  return common.empty() ? "empty" : common;
 }
 
 }  // namespace hpcem::serve

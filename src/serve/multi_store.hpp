@@ -2,23 +2,23 @@
 //
 // A compacted deployment serves from several HCAF shards (plus optionally
 // a JSON store); `MultiStore` presents them to the query engine as one
-// collection.  Lookups route through the SAME consistent-hash ring the
-// compactor used to assign scenarios (colstore/shard.hpp), so the common
-// case is one hash plus one map lookup; a miss on the ring-predicted
-// shard falls back to probing every shard, which keeps routing correct
-// even for deployments whose store layout does not match the ring (a
-// hand-assembled mix, or a JSON side store).
+// collection; a single store is the one-shard case.  Lookups route
+// through the SAME consistent-hash ring the compactor used to assign
+// scenarios (colstore/shard.hpp), so the common case is one hash plus one
+// map lookup; a miss on the ring-predicted shard falls back to probing
+// every shard, which keeps routing correct even for deployments whose
+// store layout does not match the ring (a hand-assembled mix, or a JSON
+// side store).
 //
-// Like the single store, a MultiStore is frozen once the front starts:
+// Like its stores, a MultiStore is frozen once the front starts:
 // every accessor is const, and attach-time validation rejects a scenario
 // id present in two shards — the one configuration that would make
 // answers depend on probe order.
 //
 // Determinism contract: `scenario_names()` merges the shards' sorted name
 // lists into one sorted list, and every lookup is by exact name — so a
-// query engine running over a MultiStore produces byte-identical
-// responses to one running over a single store with the same scenarios,
-// for any shard count.
+// query engine produces byte-identical responses for any shard count
+// holding the same scenarios.
 #pragma once
 
 #include <cstddef>
@@ -36,10 +36,6 @@ namespace hpcem::serve {
 class MultiStore {
  public:
   MultiStore() = default;
-
-  /// Non-owning single-store view (the classic serving setup).  `store`
-  /// must outlive the view.
-  [[nodiscard]] static MultiStore view(const ArtifactStore& store);
 
   /// Attach a non-owning shard (must outlive this MultiStore).  Throws
   /// DuplicateScenarioError when the shard holds a scenario id an earlier
@@ -66,10 +62,6 @@ class MultiStore {
   /// text matches ArtifactStore::at so wire-level error responses are
   /// identical whether the deployment is sharded or not.
   [[nodiscard]] const StoredScenario& at(const std::string& name) const;
-
-  /// Aggregate ingest format over the shards: "empty", or the common
-  /// per-shard format ("json" / "hcaf" / "memory"), or "mixed".
-  [[nodiscard]] std::string format() const;
 
  private:
   struct Entry {

@@ -377,8 +377,7 @@ JsonValue QueryEngine::window_aggregate(const QueryRequest& r) const {
   WindowAggregate w;
   if (!r.start && !r.end) {
     // No window: the whole channel, answered exactly from the streaming
-    // aggregates — identical for series-bearing and aggregate-only (v1/v2)
-    // artifacts.
+    // aggregates (which also count samples retention decimated away).
     w.samples = a.samples;
     w.mean = a.mean;
     w.min = a.min;
@@ -386,23 +385,8 @@ JsonValue QueryEngine::window_aggregate(const QueryRequest& r) const {
     w.integral = a.integral;
     w.first_time = a.first_time;
     w.last_time = a.last_time;
-  } else if (ch->has_series()) {
-    w = ArtifactStore::window_aggregate(*ch, start, end);
   } else {
-    // Aggregate-only artifacts can still answer an explicit window that
-    // covers the whole stream exactly.
-    require_state(
-        start <= a.first_time && end > a.last_time,
-        "query: channel '" + r.channel + "' of scenario '" + r.scenario +
-            "' carries no stored series; only whole-window aggregates are "
-            "available (re-export with --serve-export)");
-    w.samples = a.samples;
-    w.mean = a.mean;
-    w.min = a.min;
-    w.max = a.max;
-    w.integral = a.integral;
-    w.first_time = a.first_time;
-    w.last_time = a.last_time;
+    w = ArtifactStore::window_aggregate(*ch, start, end);
   }
 
   JsonValue result = JsonValue::object();
@@ -558,53 +542,32 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
 
   // Re-price the stored energy: integrate each retained sample interval
   // and charge it at the intensity interpolated at the interval midpoint.
-  double energy_kwh = 0.0;
-  double scope2_g = 0.0;
-  SimTime covered_start = start;
-  SimTime covered_end = end;
-  if (ch->has_series()) {
-    const auto lo = whole_channel
-                        ? ch->times.begin()
-                        : std::lower_bound(ch->times.begin(),
-                                           ch->times.end(), start.sec());
-    const auto hi = whole_channel
-                        ? ch->times.end()
-                        : std::lower_bound(lo, ch->times.end(), end.sec());
-    const auto first = static_cast<std::size_t>(lo - ch->times.begin());
-    const auto last = static_cast<std::size_t>(hi - ch->times.begin());
-    require(last > first + 1,
-            "query: whatif window holds fewer than two samples of '" +
-                r.channel + "'");
-    CompensatedSum e_kwh;
-    CompensatedSum co2_g;
-    for (std::size_t i = first; i + 1 < last; ++i) {
-      const double dt = ch->times[i + 1] - ch->times[i];
-      const double interval_kwh =
-          0.5 * (ch->values[i] + ch->values[i + 1]) * dt / 3600.0;
-      const double mid = 0.5 * (ch->times[i] + ch->times[i + 1]);
-      e_kwh.add(interval_kwh);
-      co2_g.add(interval_kwh * intensity.at(SimTime(mid)).gkwh());
-    }
-    energy_kwh = e_kwh.value();
-    scope2_g = co2_g.value();
-    covered_start = SimTime(ch->times[first]);
-    covered_end = SimTime(ch->times[last - 1]);
-  } else {
-    // Aggregate-only artifacts: the whole-run energy can still be
-    // re-priced against a *constant* intensity exactly.
-    const ChannelAggregate& a = ch->aggregate;
-    require_state(
-        intensity.is_constant() &&
-            (whole_channel ||
-             (start <= a.first_time && end > a.last_time)),
-        "query: whatif with a time-varying intensity or sub-window needs a "
-        "stored series for '" + r.channel + "' (re-export with "
-        "--serve-export)");
-    energy_kwh = a.integral / 3600.0;
-    scope2_g = energy_kwh * intensity.at(a.first_time).gkwh();
-    covered_start = a.first_time;
-    covered_end = a.last_time;
+  const auto lo = whole_channel
+                      ? ch->times.begin()
+                      : std::lower_bound(ch->times.begin(), ch->times.end(),
+                                         start.sec());
+  const auto hi = whole_channel
+                      ? ch->times.end()
+                      : std::lower_bound(lo, ch->times.end(), end.sec());
+  const auto first = static_cast<std::size_t>(lo - ch->times.begin());
+  const auto last = static_cast<std::size_t>(hi - ch->times.begin());
+  require(last > first + 1,
+          "query: whatif window holds fewer than two samples of '" +
+              r.channel + "'");
+  CompensatedSum e_kwh;
+  CompensatedSum co2_g;
+  for (std::size_t i = first; i + 1 < last; ++i) {
+    const double dt = ch->times[i + 1] - ch->times[i];
+    const double interval_kwh =
+        0.5 * (ch->values[i] + ch->values[i + 1]) * dt / 3600.0;
+    const double mid = 0.5 * (ch->times[i] + ch->times[i + 1]);
+    e_kwh.add(interval_kwh);
+    co2_g.add(interval_kwh * intensity.at(SimTime(mid)).gkwh());
   }
+  const double energy_kwh = e_kwh.value();
+  const double scope2_g = co2_g.value();
+  const SimTime covered_start(ch->times[first]);
+  const SimTime covered_end(ch->times[last - 1]);
 
   // Scope-3: amortise the embodied total over the covered span — the same
   // span the energy integral describes, so the scope balance compares

@@ -1,5 +1,6 @@
-// Typed query requests and the engine that answers them from an
-// ArtifactStore (see docs/SERVE_SCHEMA.md for the wire format).
+// Typed query requests and the engine that answers them from a
+// MultiStore of frozen ArtifactStores (see docs/SERVE_SCHEMA.md for the
+// wire format).
 //
 // A request arrives as one JSON object; `QueryRequest::from_json` validates
 // it into a typed value and `canonical_key()` re-serializes it into the one
@@ -10,8 +11,8 @@
 // Five operations:
 //   list             — inventory of stored scenarios and channels;
 //   window_aggregate — count/mean/min/max/energy of a channel over a time
-//                      window (binary-searched columns; whole-window
-//                      queries also work on aggregate-only v1/v2 artifacts);
+//                      window (binary-searched columns; no window answers
+//                      from the whole-run streaming aggregates);
 //   regimes          — exact time-in-regime split of a carbon-intensity
 //                      curve over a period (paper §2: <30 embodied-
 //                      dominated, 30..100 balanced, >100 operational);
@@ -94,21 +95,18 @@ struct QueryRequest {
   [[nodiscard]] static std::string op_name(Op op);
 };
 
-/// Answers queries from a frozen store (or a sharded MultiStore — the
-/// engine cannot tell the difference, which is the point).  Stateless
-/// beyond the store routing table; safe to share across worker threads.
+/// Answers queries from frozen stores routed through a MultiStore (one
+/// shard or many — the engine cannot tell the difference, which is the
+/// point).  Stateless beyond the store routing table; safe to share across
+/// worker threads.
 class QueryEngine {
  public:
-  /// Single-store engine: wraps the store in a non-owning MultiStore
-  /// view.  `store` must outlive the engine.
-  explicit QueryEngine(const ArtifactStore& store)
-      : stores_(MultiStore::view(store)) {}
-  /// Sharded engine.  Attached (non-owning) shards must outlive the
-  /// engine; adopted shards are kept alive by the copied routing table.
+  /// Attached (non-owning) shards must outlive the engine; adopted shards
+  /// are kept alive by the copied routing table.
   explicit QueryEngine(MultiStore stores) : stores_(std::move(stores)) {}
 
   /// Evaluate a validated request.  Throws hpcem::Error subclasses for
-  /// domain failures (unknown scenario, no stored series, ...).
+  /// domain failures (unknown scenario or channel, too few samples, ...).
   [[nodiscard]] JsonValue evaluate(const QueryRequest& request) const;
 
   /// Full wire-level handling of one NDJSON request line: parse, evaluate

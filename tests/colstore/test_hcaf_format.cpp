@@ -128,8 +128,7 @@ TEST(HcafFormat, ColumnsCarryQueryReadyPrefixSums) {
   EXPECT_EQ(ch.columns.prefix_value_sum.size(), 41u);
   EXPECT_EQ(ch.columns.prefix_integral.size(), 41u);
   EXPECT_DOUBLE_EQ(ch.columns.prefix_value_sum.front(), 0.0);
-  // The embedded columns equal a fresh columnisation of the same series —
-  // the reader hands back exactly what the JSON ingest path would build.
+  // The embedded columns equal a fresh columnisation of the same series.
   const RunArtifact back = to_artifact(scenarios[0]);
   const ChannelColumns fresh = build_columns(back.channels[0].series);
   EXPECT_EQ(ch.columns.prefix_value_sum, fresh.prefix_value_sum);

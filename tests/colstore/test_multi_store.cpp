@@ -1,14 +1,14 @@
 // MultiStore: the sharded serve tier must be invisible on the wire.
 // Splitting a scenario set across any shard count (ring-faithful or
-// arbitrary) yields byte-identical ServeFront responses to the
-// single-store deployment; duplicate ids are rejected at attach; the
-// admin stats response grows a per-shard section.
+// arbitrary) yields byte-identical ServeFront responses to the one-shard
+// deployment, whether the stores were loaded from JSON files or HCAF
+// shards; duplicate ids are rejected at attach; the admin stats response
+// grows a per-shard section.
 #include "serve/multi_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -74,6 +74,13 @@ std::vector<std::string> answers(ServeFront& front) {
   return out;
 }
 
+/// The one-shard deployment over `store` (which must outlive it).
+MultiStore one_shard(const ArtifactStore& store) {
+  MultiStore multi;
+  multi.attach(store);
+  return multi;
+}
+
 ServeOptions cacheless() {
   ServeOptions o;
   o.cache_entries = 0;
@@ -99,7 +106,7 @@ TEST(MultiStore, AnyShardCountAnswersByteIdenticallyToOneStore) {
   for (const std::string& name : scenario_set()) {
     single.add(make_artifact(name, 240));
   }
-  ServeFront reference(single, cacheless());
+  ServeFront reference(one_shard(single), cacheless());
   const std::vector<std::string> expected = answers(reference);
 
   for (const std::size_t shard_count : {std::size_t{1}, std::size_t{2},
@@ -122,7 +129,7 @@ TEST(MultiStore, RingOffLayoutsStillRouteCorrectly) {
   for (const std::string& name : scenario_set()) {
     single.add(make_artifact(name, 240));
   }
-  ServeFront reference(single, cacheless());
+  ServeFront reference(one_shard(single), cacheless());
   const std::vector<std::string> expected = answers(reference);
 
   auto a = std::make_shared<ArtifactStore>();
@@ -175,32 +182,54 @@ TEST(MultiStore, UnknownScenarioErrorMatchesTheSingleStoreText) {
   }
 }
 
-TEST(MultiStore, AggregatesIngestFormatsAcrossShards) {
-  EXPECT_EQ(MultiStore().format(), "empty");
+TEST(MultiStore, JsonAndHcafIngestAnswerByteIdentically) {
+  // The same scenario set loaded from JSON artifact files and from one
+  // HCAF shard: both take the one shard ingest path, so every answer —
+  // and every answer of a deployment mixing the two — is the same bytes.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "hpcem_multi_store_test";
+  fs::remove_all(dir);
+  fs::create_directories(dir / "json");
+  std::vector<RunArtifact> artifacts;
+  for (const std::string& name : scenario_set()) {
+    artifacts.push_back(make_artifact(name, 240));
+    (void)write_artifact_files(artifacts.back(),
+                               (dir / "json" / name).string());
+  }
+  const std::string shard = (dir / "all.hcaf").string();
+  colstore::write_shard_file(artifacts, shard);
 
-  MultiStore memory_only = ring_split(2);
-  EXPECT_EQ(memory_only.format(), "memory");
+  ArtifactStore from_json;
+  EXPECT_EQ(from_json.load_directory((dir / "json").string()),
+            artifacts.size());
+  ArtifactStore from_hcaf;
+  EXPECT_EQ(from_hcaf.load_hcaf_file(shard), artifacts.size());
+  ServeFront json_front(one_shard(from_json), cacheless());
+  ServeFront hcaf_front(one_shard(from_hcaf), cacheless());
+  const std::vector<std::string> expected = answers(json_front);
+  EXPECT_EQ(answers(hcaf_front), expected);
 
-  // One HCAF shard + one in-memory store -> "mixed".
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "hpcem_multi_store_test.hcaf")
-          .string();
-  colstore::write_shard_file({make_artifact("from-hcaf", 48)}, path);
+  // Half the scenarios from JSON, half from HCAF, in one deployment.
+  auto json_half = std::make_shared<ArtifactStore>();
+  std::vector<RunArtifact> hcaf_half;
+  for (std::size_t i = 0; i < artifacts.size(); ++i) {
+    if (i % 2 == 0) {
+      json_half->load_file(
+          (dir / "json" / (artifacts[i].scenario + ".artifact.json"))
+              .string());
+    } else {
+      hcaf_half.push_back(artifacts[i]);
+    }
+  }
+  colstore::write_shard_file(hcaf_half, shard);
   auto hcaf_store = std::make_shared<ArtifactStore>();
-  EXPECT_EQ(hcaf_store->load_hcaf_file(path), 1u);
-  EXPECT_EQ(hcaf_store->format(), "hcaf");
-  std::remove(path.c_str());
-
-  MultiStore hcaf_only;
-  hcaf_only.adopt(hcaf_store);
-  EXPECT_EQ(hcaf_only.format(), "hcaf");
-
-  auto memory_store = std::make_shared<ArtifactStore>();
-  memory_store->add(make_artifact("from-memory", 48));
+  (void)hcaf_store->load_hcaf_file(shard);
   MultiStore mixed;
   mixed.adopt(hcaf_store);
-  mixed.adopt(memory_store);
-  EXPECT_EQ(mixed.format(), "mixed");
+  mixed.adopt(json_half);
+  ServeFront mixed_front(std::move(mixed), cacheless());
+  EXPECT_EQ(answers(mixed_front), expected);
+  fs::remove_all(dir);
 }
 
 TEST(MultiStore, StatsResponseCarriesThePerShardSection) {
@@ -210,19 +239,17 @@ TEST(MultiStore, StatsResponseCarriesThePerShardSection) {
   const JsonValue& store = v.at("result").at("store");
   EXPECT_DOUBLE_EQ(store.at("scenarios").as_number(), 6.0);
   EXPECT_DOUBLE_EQ(store.at("shard_count").as_number(), 3.0);
-  EXPECT_EQ(store.at("format").as_string(), "memory");
   const auto& shards = store.at("shards").as_array();
   ASSERT_EQ(shards.size(), 3u);
   double total = 0.0;
+  double samples = 0.0;
   for (const JsonValue& shard : shards) {
-    const double scenarios = shard.at("scenarios").as_number();
-    total += scenarios;
-    // The ring may leave a shard empty at this scale; a populated shard
-    // reports its ingest format, an empty one reports "empty".
-    EXPECT_EQ(shard.at("format").as_string(),
-              scenarios > 0.0 ? "memory" : "empty");
+    // The ring may leave a shard empty at this scale.
+    total += shard.at("scenarios").as_number();
+    samples += shard.at("series_samples").as_number();
   }
   EXPECT_DOUBLE_EQ(total, 6.0);
+  EXPECT_DOUBLE_EQ(samples, store.at("series_samples").as_number());
 }
 
 }  // namespace

@@ -102,10 +102,11 @@ RunArtifact ref_decode(const std::string& text) {
           "RunArtifact: not a run-artifact document");
   const std::uint64_t version =
       ref_count(v, "schema_version", "schema_version");
-  require(version >= RunArtifact::kMinSchemaVersion &&
-              version <= RunArtifact::kSchemaVersion,
-          "RunArtifact: unsupported schema version " +
-              std::to_string(version));
+  require(version >= 3, "RunArtifact: schema version " +
+                            std::to_string(version) +
+                            " predates v3; re-export with --serve-export");
+  require(version == 3, "RunArtifact: unsupported schema version " +
+                            std::to_string(version));
   RunArtifact a;
   a.scenario = v.at("scenario").as_string();
   a.source = v.at("source").as_string();

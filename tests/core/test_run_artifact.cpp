@@ -104,13 +104,20 @@ TEST(RunArtifact, FromJsonRejectsWrongSchema) {
   EXPECT_THROW(RunArtifact::from_json_text("{}"), ParseError);
 }
 
-// Schema v1 documents (no "obs" member) predate the obs layer and must
-// keep parsing; the obs member stays null on the way back in.
-TEST(RunArtifact, V1DocumentsStillParse) {
-  const RunArtifact a = RunArtifact::from_json_text(
-      with_member(sample_artifact(), "schema_version", 1));
-  EXPECT_EQ(a.scenario, "test-scenario");
-  EXPECT_TRUE(a.obs.is_null());
+// Schema v1/v2 documents are no longer read: one line that says how to
+// get a v3 document instead.
+TEST(RunArtifact, PreV3DocumentsAreRejected) {
+  for (const int version : {0, 1, 2}) {
+    try {
+      (void)RunArtifact::from_json_text(
+          with_member(sample_artifact(), "schema_version", version));
+      FAIL() << "expected InvalidArgument for v" << version;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "RunArtifact: schema version " + std::to_string(version) +
+                    " predates v3; re-export with --serve-export");
+    }
+  }
 }
 
 TEST(RunArtifact, ObsSectionOmittedWhenCollectionOff) {
@@ -413,16 +420,21 @@ TEST(RunArtifactDecode, MissingMemberNamesTheMember) {
             "JsonValue: missing member: times");
 }
 
-TEST(RunArtifactDecode, V1V2AndV3DocumentsParse) {
-  RunArtifact a = sample_artifact();  // no series: the v1/v2 channel shape
-  for (const int version : {1, 2, 3}) {
-    const RunArtifact b =
-        RunArtifact::from_json_text(with_member(a, "schema_version", version));
-    EXPECT_EQ(b.channels.front().samples, 4128u) << version;
-    EXPECT_TRUE(b.channels.front().series.empty());
-    EXPECT_TRUE(b.obs.is_null());
+TEST(RunArtifactDecode, OnlyV3DocumentsParse) {
+  RunArtifact a = sample_artifact();  // no series: an aggregate-only channel
+  const RunArtifact b =
+      RunArtifact::from_json_text(with_member(a, "schema_version", 3));
+  EXPECT_EQ(b.channels.front().samples, 4128u);
+  EXPECT_TRUE(b.channels.front().series.empty());
+  EXPECT_TRUE(b.obs.is_null());
+  for (const int version : {1, 2}) {
+    EXPECT_EQ(error_of(with_member(a, "schema_version", version)),
+              "RunArtifact: schema version " + std::to_string(version) +
+                  " predates v3; re-export with --serve-export");
   }
-  // v2 obs member: carried as a DOM subtree and checked on the way in.
+  EXPECT_EQ(error_of(with_member(a, "schema_version", 4)),
+            "RunArtifact: unsupported schema version 4");
+  // The obs member: carried as a DOM subtree and checked on the way in.
   const JsonValue obs_doc = obs::metrics_json(obs::MetricsSnapshot{});
   const std::string v2 = with_member(a, "obs", obs_doc);
   EXPECT_EQ(RunArtifact::from_json_text(v2).obs.dump(0), obs_doc.dump(0));

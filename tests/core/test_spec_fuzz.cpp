@@ -249,7 +249,9 @@ TEST(SpecFuzz, SimArtifactServeDeterminism) {
     const auto serve_once = [&](const std::string& artifact_text) {
       serve::ArtifactStore store;
       store.add(RunArtifact::from_json_text(artifact_text));
-      const serve::QueryEngine engine(store);
+      serve::MultiStore stores;
+      stores.attach(store);
+      const serve::QueryEngine engine(stores);
       std::string out;
       out += engine.handle_line(R"({"op":"list"})");
       out += '\n';

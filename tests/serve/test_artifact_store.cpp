@@ -1,5 +1,6 @@
 // ArtifactStore: ingest, duplicate rejection, columnisation and windowed
-// aggregates — including the v1/v2 (aggregate-only) round trip.
+// aggregates — and the one-line rejection of what the single shard ingest
+// path cannot serve (pre-v3 documents, aggregate-only channels).
 #include "serve/artifact_store.hpp"
 
 #include <gtest/gtest.h>
@@ -7,7 +8,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <vector>
 
+#include "colstore/hcaf.hpp"
 #include "telemetry/timeseries.hpp"
 
 namespace hpcem::serve {
@@ -72,33 +77,111 @@ TEST(ArtifactStore, RoundTripsThroughJson) {
   }
 }
 
-TEST(ArtifactStore, IngestsAggregateOnlyV1AndV2Documents) {
-  // A v3 writer round-trips; v1/v2 documents are the same JSON with an
-  // older schema stamp and no series/obs members.
-  RunArtifact a = make_artifact("old", 50, false);
-  std::string v1 = a.to_json_text();
-  const std::string stamp = "\"schema_version\": 3";
-  const auto pos = v1.find(stamp);
-  ASSERT_NE(pos, std::string::npos);
-  v1.replace(pos, stamp.size(), "\"schema_version\": 1");
+/// The message of the InvalidArgument `ingest` throws ("" if none).
+std::string rejection_of(const std::function<void()>& ingest) {
+  try {
+    ingest();
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A rejection a tool can print as its one `error:` line, naming what
+/// went wrong and the way out.
+void expect_one_line_naming(const std::string& what,
+                            const std::vector<std::string>& names) {
+  EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  for (const std::string& name : names) {
+    EXPECT_NE(what.find(name), std::string::npos) << name << " in " << what;
+  }
+  EXPECT_NE(what.find("--serve-export"), std::string::npos) << what;
+}
+
+TEST(ArtifactStore, RejectsAggregateOnlyJsonArtifacts) {
+  namespace fs = std::filesystem;
+  const RunArtifact old = make_artifact("old", 50, false);
+  const fs::path path =
+      fs::temp_directory_path() / "hpcem_store_aggregate_only.artifact.json";
+  std::ofstream(path) << old.to_json_text();
 
   ArtifactStore store;
-  store.add(RunArtifact::from_json_text(v1));
-  const StoredChannel& ch = store.at("old").channels[0];
-  EXPECT_FALSE(ch.has_series());
-  EXPECT_EQ(ch.aggregate.samples, 50u);
-  EXPECT_EQ(store.total_series_samples(), 0u);
-  // Sub-window queries need a series.
-  EXPECT_THROW(ArtifactStore::window_aggregate(ch, SimTime(0.0),
-                                               SimTime(1000.0)),
-               StateError);
+  store.add(make_artifact("kept", 8, true));
+  // In memory and from a file alike: a channel with samples but no series
+  // cannot answer a sub-window or what-if query, so it never gets in.
+  expect_one_line_naming(rejection_of([&] { store.add(old); }),
+                         {"'old'", "'cabinet_kw'"});
+  expect_one_line_naming(rejection_of([&] { store.load_file(path.string()); }),
+                         {path.string(), "'old'", "'cabinet_kw'"});
+
+  // A pre-v3 document is turned away before any channel is looked at.
+  std::string v2 = make_artifact("v2", 50, true).to_json_text();
+  const std::string stamp = "\"schema_version\": 3";
+  const auto pos = v2.find(stamp);
+  ASSERT_NE(pos, std::string::npos);
+  v2.replace(pos, stamp.size(), "\"schema_version\": 2");
+  std::ofstream(path) << v2;
+  expect_one_line_naming(rejection_of([&] { store.load_file(path.string()); }),
+                         {"schema version 2"});
+
+  EXPECT_EQ(store.scenario_names(), std::vector<std::string>{"kept"});
+  fs::remove(path);
+}
+
+TEST(ArtifactStore, RejectsAggregateOnlyHcafShards) {
+  namespace fs = std::filesystem;
+  const fs::path path =
+      fs::temp_directory_path() / "hpcem_store_aggregate_only.hcaf";
+  // The shard format itself can carry an aggregate-only channel; the store
+  // refuses it, and the series-bearing scenario ahead of it in the same
+  // shard does not get in either.
+  colstore::write_shard_file(
+      {make_artifact("fine", 8, true), make_artifact("old", 50, false)},
+      path.string());
+  ArtifactStore store;
+  expect_one_line_naming(
+      rejection_of([&] { (void)store.load_hcaf_file(path.string()); }),
+      {path.string(), "'old'", "'cabinet_kw'"});
+  EXPECT_EQ(store.scenario_count(), 0u);
+  fs::remove(path);
+}
+
+TEST(ArtifactStore, AcceptsZeroSampleChannels) {
+  namespace fs = std::filesystem;
+  RunArtifact a = make_artifact("quiet", 8, true);
+  a.channels.push_back(aggregate_channel("idle_kw", TimeSeries("kW"), true));
+  ASSERT_EQ(a.channels.back().samples, 0u);
+  const fs::path dir = fs::temp_directory_path() / "hpcem_store_zero_sample";
+  fs::create_directories(dir);
+  const std::string json = write_artifact_files(a, (dir / "quiet").string());
+  const std::string hcaf = (dir / "quiet.hcaf").string();
+  colstore::write_shard_file({a}, hcaf);
+
+  ArtifactStore from_memory;
+  from_memory.add(a);
+  ArtifactStore from_json;
+  from_json.load_file(json);
+  ArtifactStore from_hcaf;
+  (void)from_hcaf.load_hcaf_file(hcaf);
+  for (const ArtifactStore* store : {&from_memory, &from_json, &from_hcaf}) {
+    const StoredChannel* idle = store->at("quiet").find_channel("idle_kw");
+    ASSERT_NE(idle, nullptr);
+    EXPECT_FALSE(idle->has_series());
+    EXPECT_EQ(idle->aggregate.samples, 0u);
+    EXPECT_EQ(ArtifactStore::window_aggregate(*idle, SimTime(0.0),
+                                              SimTime(1e9))
+                  .samples,
+              0u);
+    EXPECT_EQ(store->total_series_samples(), 8u);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(ArtifactStore, RejectsDuplicateScenarioIds) {
   ArtifactStore store;
-  store.add(make_artifact("dup", 10, false), "first.artifact.json");
+  store.add(make_artifact("dup", 10, true), "first.artifact.json");
   try {
-    store.add(make_artifact("dup", 10, false), "second.artifact.json");
+    store.add(make_artifact("dup", 10, true), "second.artifact.json");
     FAIL() << "expected DuplicateScenarioError";
   } catch (const DuplicateScenarioError& e) {
     const std::string what = e.what();
@@ -115,11 +198,11 @@ TEST(ArtifactStore, RejectsDuplicateScenarioIds) {
 
 TEST(ArtifactStore, IterationOrderIsLexicographicNotIngestOrder) {
   ArtifactStore forward;
-  forward.add(make_artifact("beta", 8, false));
-  forward.add(make_artifact("alpha", 8, false));
+  forward.add(make_artifact("beta", 8, true));
+  forward.add(make_artifact("alpha", 8, true));
   ArtifactStore reverse;
-  reverse.add(make_artifact("alpha", 8, false));
-  reverse.add(make_artifact("beta", 8, false));
+  reverse.add(make_artifact("alpha", 8, true));
+  reverse.add(make_artifact("beta", 8, true));
 
   const std::vector<std::string> expected{"alpha", "beta"};
   EXPECT_EQ(forward.scenario_names(), expected);
@@ -184,7 +267,7 @@ TEST(ArtifactStore, LoadDirectoryIngestsSortedAndRejectsDuplicates) {
     out << a.to_json_text();
   };
   write("b_second", make_artifact("s2", 16, true));
-  write("a_first", make_artifact("s1", 16, false));
+  write("a_first", make_artifact("s1", 16, true));
   std::ofstream(dir / "notes.txt") << "ignored";
 
   ArtifactStore store;
@@ -193,7 +276,7 @@ TEST(ArtifactStore, LoadDirectoryIngestsSortedAndRejectsDuplicates) {
   // Provenance records the actual file each scenario came from.
   EXPECT_NE(store.at("s1").source_file.find("a_first"), std::string::npos);
 
-  write("c_dup", make_artifact("s1", 16, false));
+  write("c_dup", make_artifact("s1", 16, true));
   ArtifactStore fresh;
   EXPECT_THROW(fresh.load_directory(dir.string()), DuplicateScenarioError);
   fs::remove_all(dir);
@@ -201,10 +284,10 @@ TEST(ArtifactStore, LoadDirectoryIngestsSortedAndRejectsDuplicates) {
 
 TEST(ArtifactStore, FindChannelIsExact) {
   ArtifactStore store;
-  RunArtifact a = make_artifact("m", 8, false);
+  RunArtifact a = make_artifact("m", 8, true);
   const TimeSeries s = ramp_series(8);
-  a.channels.push_back(aggregate_channel("utilisation", s, false));
-  a.channels.push_back(aggregate_channel("aaa", s, false));
+  a.channels.push_back(aggregate_channel("utilisation", s, true));
+  a.channels.push_back(aggregate_channel("aaa", s, true));
   store.add(a);
   const StoredScenario& sc = store.at("m");
   // Channels are sorted by name regardless of producer order.
@@ -218,7 +301,7 @@ TEST(ArtifactStore, FindChannelIsExact) {
 
 TEST(ArtifactStore, UnknownScenarioLookups) {
   ArtifactStore store;
-  store.add(make_artifact("only", 8, false));
+  store.add(make_artifact("only", 8, true));
   EXPECT_EQ(store.find("missing"), nullptr);
   EXPECT_THROW(store.at("missing"), InvalidArgument);
 }

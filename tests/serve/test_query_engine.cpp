@@ -16,8 +16,7 @@ constexpr double kDay = 86400.0;
 
 // A constant-power scenario: energy and emissions have closed forms.
 RunArtifact flat_artifact(const std::string& scenario, double kw,
-                          double days, double jobs,
-                          bool with_series = true) {
+                          double days, double jobs) {
   RunArtifact a;
   a.scenario = scenario;
   a.source = "simulation";
@@ -33,7 +32,15 @@ RunArtifact flat_artifact(const std::string& scenario, double kw,
   a.headline.mean_utilisation = 0.9;
   a.headline.window_energy_kwh = s.integrate() / 3600.0;
   a.headline.completed_jobs = jobs;
-  a.channels.push_back(aggregate_channel("cabinet_kw", s, with_series));
+  a.channels.push_back(aggregate_channel("cabinet_kw", s, true));
+  return a;
+}
+
+// A scenario whose kW channel never recorded a sample: no series, and
+// none needed.
+RunArtifact quiet_artifact() {
+  RunArtifact a = flat_artifact("quiet", 0.0, 1.0, 0.0);
+  a.channels.front() = aggregate_channel("cabinet_kw", TimeSeries("kW"), true);
   return a;
 }
 
@@ -42,10 +49,11 @@ class QueryEngineTest : public ::testing::Test {
   void SetUp() override {
     store_.add(flat_artifact("base", 3000.0, 10.0, 20000.0));
     store_.add(flat_artifact("eco", 2400.0, 10.0, 18000.0));
-    store_.add(flat_artifact("oldstyle", 3000.0, 10.0, 15000.0,
-                             /*with_series=*/false));
+    store_.add(quiet_artifact());
+    stores_.attach(store_);
   }
   ArtifactStore store_;
+  MultiStore stores_;  ///< the one-shard routing table over store_
 };
 
 JsonValue result_of(const QueryEngine& engine, const std::string& line) {
@@ -53,13 +61,13 @@ JsonValue result_of(const QueryEngine& engine, const std::string& line) {
 }
 
 TEST_F(QueryEngineTest, ListInventoriesEveryScenario) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   const JsonValue r = result_of(engine, R"({"op":"list"})");
   const auto& scenarios = r.at("scenarios").as_array();
   ASSERT_EQ(scenarios.size(), 3u);
   EXPECT_EQ(scenarios[0].at("scenario").as_string(), "base");
   EXPECT_EQ(scenarios[1].at("scenario").as_string(), "eco");
-  EXPECT_EQ(scenarios[2].at("scenario").as_string(), "oldstyle");
+  EXPECT_EQ(scenarios[2].at("scenario").as_string(), "quiet");
   EXPECT_TRUE(
       scenarios[0].at("channels").as_array()[0].at("has_series").as_bool());
   EXPECT_FALSE(
@@ -67,7 +75,7 @@ TEST_F(QueryEngineTest, ListInventoriesEveryScenario) {
 }
 
 TEST_F(QueryEngineTest, WindowAggregateOnConstantPower) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   // Two whole days of a flat 3000 kW channel.
   const JsonValue r = result_of(
       engine,
@@ -83,7 +91,7 @@ TEST_F(QueryEngineTest, WindowAggregateOnConstantPower) {
 }
 
 TEST_F(QueryEngineTest, WindowAggregateAcceptsIsoTimestamps) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   // Epoch 86400 == 1970-01-02 00:00; the ISO spelling answers identically.
   const JsonValue num = result_of(
       engine,
@@ -96,24 +104,8 @@ TEST_F(QueryEngineTest, WindowAggregateAcceptsIsoTimestamps) {
   EXPECT_EQ(num.dump(0), iso.dump(0));
 }
 
-TEST_F(QueryEngineTest, WholeWindowAggregateWorksWithoutSeries) {
-  const QueryEngine engine(store_);
-  const JsonValue r = result_of(
-      engine,
-      R"({"op":"window_aggregate","scenario":"oldstyle",)"
-      R"("channel":"cabinet_kw"})");
-  EXPECT_DOUBLE_EQ(r.at("mean").as_number(), 3000.0);
-  EXPECT_EQ(static_cast<int>(r.at("samples").as_number()), 241);
-  // ...but a sub-window needs the stored series.
-  EXPECT_THROW(
-      result_of(engine,
-                R"({"op":"window_aggregate","scenario":"oldstyle",)"
-                R"("channel":"cabinet_kw","start":86400,"end":172800})"),
-      StateError);
-}
-
 TEST_F(QueryEngineTest, RegimesSplitsALinearCrossingExactly) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   // Intensity ramps 0 -> 130 g/kWh over [0, 130000 s]: the §2 thresholds
   // at 30 and 100 are crossed at t = 30000 and t = 100000 exactly.
   const JsonValue r = result_of(
@@ -130,7 +122,7 @@ TEST_F(QueryEngineTest, RegimesSplitsALinearCrossingExactly) {
 }
 
 TEST_F(QueryEngineTest, RegimesConstantIntensityIsOneRegime) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   const JsonValue r = result_of(
       engine,
       R"({"op":"regimes","scenario":"base",)"
@@ -142,7 +134,7 @@ TEST_F(QueryEngineTest, RegimesConstantIntensityIsOneRegime) {
 }
 
 TEST_F(QueryEngineTest, CompareReportsJobsPerKwhBothWays) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   const JsonValue r =
       result_of(engine, R"({"op":"compare","a":"base","b":"eco"})");
   // base: 20000 jobs / 720000 kWh; eco: 18000 / 576000 — eco wins.
@@ -155,7 +147,7 @@ TEST_F(QueryEngineTest, CompareReportsJobsPerKwhBothWays) {
 }
 
 TEST_F(QueryEngineTest, WhatIfConstantIntensityHasClosedForm) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   const JsonValue r = result_of(
       engine,
       R"({"op":"whatif","scenario":"base","channel":"cabinet_kw",)"
@@ -173,7 +165,7 @@ TEST_F(QueryEngineTest, WhatIfConstantIntensityHasClosedForm) {
 }
 
 TEST_F(QueryEngineTest, WhatIfMatchesRegimeAndStrategyVocabulary) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   const JsonValue low = result_of(
       engine,
       R"({"op":"whatif","scenario":"base","channel":"cabinet_kw",)"
@@ -182,23 +174,25 @@ TEST_F(QueryEngineTest, WhatIfMatchesRegimeAndStrategyVocabulary) {
   EXPECT_EQ(low.at("strategy").as_string(), "performance");
 }
 
-TEST_F(QueryEngineTest, WhatIfAggregateOnlyNeedsConstantWholeWindow) {
-  const QueryEngine engine(store_);
-  const JsonValue r = result_of(
-      engine,
-      R"({"op":"whatif","scenario":"oldstyle","channel":"cabinet_kw",)"
-      R"("intensity":{"constant_g_per_kwh":100}})");
-  EXPECT_NEAR(r.at("scope2_tonnes").as_number(), 72.0, 1e-9);
-  EXPECT_THROW(
-      result_of(engine,
-                R"({"op":"whatif","scenario":"oldstyle",)"
-                R"("channel":"cabinet_kw",)"
-                R"("intensity":{"points":[[0,10],[864000,200]]}})"),
-      StateError);
+TEST_F(QueryEngineTest, ZeroSampleChannelAnswersEmptyWindows) {
+  const QueryEngine engine(stores_);
+  // Whole window and sub-window alike: zero samples, no statistics.
+  for (const std::string window : {"", R"(,"start":0,"end":86400)"}) {
+    const JsonValue r = result_of(
+        engine, R"({"op":"window_aggregate","scenario":"quiet",)"
+                R"("channel":"cabinet_kw")" + window + "}");
+    EXPECT_EQ(static_cast<int>(r.at("samples").as_number()), 0) << window;
+    EXPECT_EQ(r.get("mean"), nullptr) << window;
+  }
+  // A what-if needs two samples to integrate.
+  EXPECT_THROW(result_of(engine, R"({"op":"whatif","scenario":"quiet",)"
+                                 R"("channel":"cabinet_kw",)"
+                                 R"("intensity":{"constant_g_per_kwh":100}})"),
+               InvalidArgument);
 }
 
 TEST_F(QueryEngineTest, DomainErrorsAreTypedAndNamed) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   EXPECT_THROW(result_of(engine, R"({"op":"window_aggregate",)"
                                  R"("scenario":"nope","channel":"x"})"),
                InvalidArgument);
@@ -255,7 +249,7 @@ TEST(QueryRequest, RejectsUnknownMembersAndBadShapes) {
 }
 
 TEST_F(QueryEngineTest, HandleLineWrapsOkAndErrorEnvelopes) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   const std::string ok =
       engine.handle_line(R"({"op":"list","id":"tag-7"})");
   EXPECT_EQ(ok.find(R"({"ok":true,"op":"list","id":"tag-7","result":)"), 0u);
@@ -271,7 +265,7 @@ TEST_F(QueryEngineTest, HandleLineWrapsOkAndErrorEnvelopes) {
 }
 
 TEST_F(QueryEngineTest, InlineSpecOverrideMatchesWireSpelling) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   // The same what-if phrased in the scenario-spec grammar and in the
   // wire-level members must canonicalize — and answer — identically.
   const auto spec_phrased = QueryRequest::from_json_text(
@@ -288,7 +282,7 @@ TEST_F(QueryEngineTest, InlineSpecOverrideMatchesWireSpelling) {
 }
 
 TEST_F(QueryEngineTest, InlineSpecOverrideAcceptsIsoPointTimes) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   // The spec grammar's grid points accept ISO date-time strings; the
   // wire-level intensity takes the resolved epochs.
   const auto spec_phrased = QueryRequest::from_json_text(
@@ -327,7 +321,7 @@ TEST(QueryRequest, SpecOverrideValidation) {
 }
 
 TEST_F(QueryEngineTest, ResponsesAreByteStableAcrossRepeats) {
-  const QueryEngine engine(store_);
+  const QueryEngine engine(stores_);
   const std::string line =
       R"({"op":"whatif","scenario":"eco","channel":"cabinet_kw",)"
       R"("intensity":{"points":[[0,20],[864000,120]]}})";

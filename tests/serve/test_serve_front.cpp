@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -28,7 +29,8 @@ class ServeFrontTestAccess {
 
 namespace {
 
-ArtifactStore small_store() {
+/// A one-shard MultiStore over a single-scenario store.
+MultiStore small_store() {
   RunArtifact a;
   a.scenario = "s";
   a.source = "simulation";
@@ -44,9 +46,11 @@ ArtifactStore small_store() {
   a.headline.completed_jobs = 5000.0;
   a.channels.push_back(
       aggregate_channel("cabinet_kw", series, /*include_series=*/true));
-  ArtifactStore store;
-  store.add(a);
-  return store;
+  auto store = std::make_shared<ArtifactStore>();
+  store->add(a);
+  MultiStore stores;
+  stores.adopt(std::move(store));
+  return stores;
 }
 
 std::vector<std::string> request_mix() {
@@ -66,7 +70,7 @@ std::vector<std::string> request_mix() {
 }
 
 TEST(ServeFront, CacheCollapsesRepeatsToOneEvaluation) {
-  const ArtifactStore store = small_store();
+  const MultiStore store = small_store();
   ServeFront front(store, ServeOptions{});
   const std::string line =
       R"({"op":"window_aggregate","scenario":"s","channel":"cabinet_kw"})";
@@ -80,7 +84,7 @@ TEST(ServeFront, CacheCollapsesRepeatsToOneEvaluation) {
 }
 
 TEST(ServeFront, CanonicalKeyUnifiesSpellingsInTheCache) {
-  const ArtifactStore store = small_store();
+  const MultiStore store = small_store();
   ServeFront front(store, ServeOptions{});
   const std::string spelling_a =
       R"({"op":"window_aggregate","scenario":"s","channel":"cabinet_kw",)"
@@ -94,7 +98,7 @@ TEST(ServeFront, CanonicalKeyUnifiesSpellingsInTheCache) {
 }
 
 TEST(ServeFront, MalformedLinesAreNotCached) {
-  const ArtifactStore store = small_store();
+  const MultiStore store = small_store();
   ServeFront front(store, ServeOptions{});
   const std::string bad = "{ nope";
   const std::string first = front.handle(bad);
@@ -108,7 +112,7 @@ TEST(ServeFront, MalformedLinesAreNotCached) {
 // entry, so the test is deterministic, not timing-dependent.
 TEST(ServeFront, CoalescesConcurrentIdenticalQueries) {
   constexpr std::size_t kClients = 6;
-  const ArtifactStore store = small_store();
+  const MultiStore store = small_store();
   ServeOptions options;
   options.cache_entries = 0;  // isolate coalescing from the cache
   ServeFront front(store, options);
@@ -155,7 +159,7 @@ TEST(ServeFront, CoalescesConcurrentIdenticalQueries) {
 }
 
 TEST(ServeFront, SubmitAppliesBackpressureAndKeepsOrder) {
-  const ArtifactStore store = small_store();
+  const MultiStore store = small_store();
   ServeOptions options;
   options.workers = 2;
   options.max_queue = 4;  // far fewer than the requests below
@@ -176,7 +180,7 @@ TEST(ServeFront, SubmitAppliesBackpressureAndKeepsOrder) {
 // The tentpole invariant: one request stream, byte-identical response
 // stream for any worker count, cache on or off.
 TEST(ServeFront, StreamsAreByteIdenticalAcrossWorkerCounts) {
-  const ArtifactStore store = small_store();
+  const MultiStore store = small_store();
   std::string input;
   const auto mix = request_mix();
   for (int pass = 0; pass < 4; ++pass) {
@@ -207,7 +211,7 @@ TEST(ServeFront, StreamsAreByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(ServeFront, StatsExposeCacheAndQueueCounters) {
-  const ArtifactStore store = small_store();
+  const MultiStore store = small_store();
   ServeOptions options;
   options.workers = 4;
   ServeFront front(store, options);
@@ -222,8 +226,11 @@ TEST(ServeFront, StatsExposeCacheAndQueueCounters) {
 
   const FrontStats s = front.stats();
   EXPECT_EQ(s.requests, mix.size() * 3);
-  // Repeats of the 7 cacheable lines hit; the malformed line never does.
-  EXPECT_GE(s.cache.hits, (mix.size() - 1) * 2);
+  // Each of the 7 cacheable lines is evaluated exactly once; with 4
+  // workers a repeat either hits the cache or waits on the in-flight
+  // first evaluation.  The malformed line never reaches either.
+  EXPECT_EQ(s.evaluations, mix.size() - 1);
+  EXPECT_EQ(s.cache.hits + s.coalesced, (mix.size() - 1) * 2);
   EXPECT_GE(s.peak_queue_depth, 1u);
 }
 

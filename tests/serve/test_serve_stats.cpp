@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -30,7 +31,8 @@ class ServeFrontTestAccess {
 
 namespace {
 
-ArtifactStore stats_store() {
+/// A one-shard MultiStore over a single-scenario store.
+MultiStore stats_store() {
   RunArtifact a;
   a.scenario = "s";
   a.source = "simulation";
@@ -46,9 +48,11 @@ ArtifactStore stats_store() {
   a.headline.completed_jobs = 5000.0;
   a.channels.push_back(
       aggregate_channel("cabinet_kw", series, /*include_series=*/true));
-  ArtifactStore store;
-  store.add(a);
-  return store;
+  auto store = std::make_shared<ArtifactStore>();
+  store->add(a);
+  MultiStore stores;
+  stores.adopt(std::move(store));
+  return stores;
 }
 
 /// Obs collection on, deterministic stamps, clean shards per test.
@@ -87,7 +91,7 @@ std::vector<std::string> scripted_sequence() {
 /// final stats + trace response bytes.
 std::string stats_and_trace_bytes(std::size_t workers) {
   obs::reset_collected();
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeOptions options;
   options.workers = workers;
   ServeFront front(store, options);
@@ -112,7 +116,7 @@ TEST_F(ServeStatsTest, StatsAndTraceAreWorkerCountInvariant) {
 }
 
 TEST_F(ServeStatsTest, StatsCountersReflectTheScriptedTraffic) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeFront front(store, ServeOptions{});
   for (const std::string& line : scripted_sequence()) {
     (void)front.handle(line);
@@ -163,7 +167,7 @@ TEST_F(ServeStatsTest, StatsCountersReflectTheScriptedTraffic) {
 }
 
 TEST_F(ServeStatsTest, AdminCommandsAreNeverCached) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeFront front(store, ServeOptions{});
   const std::string first = front.handle(R"({"op":"stats"})");
   const std::string second = front.handle(R"({"op":"stats"})");
@@ -177,7 +181,7 @@ TEST_F(ServeStatsTest, AdminCommandsAreNeverCached) {
 }
 
 TEST_F(ServeStatsTest, QueriesMentioningAdminWordsAreStillCached) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeFront front(store, ServeOptions{});
   // The id merely contains the word "stats": a real query, cached
   // normally.
@@ -190,7 +194,7 @@ TEST_F(ServeStatsTest, QueriesMentioningAdminWordsAreStillCached) {
 }
 
 TEST_F(ServeStatsTest, TraceRetrievesOneRequestsRecords) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeFront front(store, ServeOptions{});
   (void)front.handle(R"({"op":"list"})");
   (void)front.handle(
@@ -221,7 +225,7 @@ TEST_F(ServeStatsTest, TraceRetrievesOneRequestsRecords) {
 }
 
 TEST_F(ServeStatsTest, MalformedTraceRequestsAreParseErrors) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeFront front(store, ServeOptions{});
   const std::string response =
       front.handle(R"({"op":"trace","request":0.5})");
@@ -229,7 +233,7 @@ TEST_F(ServeStatsTest, MalformedTraceRequestsAreParseErrors) {
 }
 
 TEST_F(ServeStatsTest, QueryErrorTriggersPostmortem) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeOptions options;
   options.postmortem_path =
       testing::TempDir() + "hpcem_serve_stats_pm_error.json";
@@ -251,7 +255,7 @@ TEST_F(ServeStatsTest, QueryErrorTriggersPostmortem) {
 }
 
 TEST_F(ServeStatsTest, LatencyBreachTriggersPostmortem) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeOptions options;
   options.postmortem_path =
       testing::TempDir() + "hpcem_serve_stats_pm_slow.json";
@@ -273,7 +277,7 @@ TEST_F(ServeStatsTest, LatencyBreachTriggersPostmortem) {
 }
 
 TEST_F(ServeStatsTest, StatsDocumentCountsPostmortems) {
-  const ArtifactStore store = stats_store();
+  const MultiStore store = stats_store();
   ServeOptions options;
   options.postmortem_path =
       testing::TempDir() + "hpcem_serve_stats_pm_count.json";
@@ -293,7 +297,7 @@ TEST(ServeFront, StreamBytesAreWorkerCountInvariantWithObsOn) {
   obs::reset_collected();
   obs::set_enabled(true);
   {
-    const ArtifactStore store = stats_store();
+    const MultiStore store = stats_store();
     std::string stream;
     for (int pass = 0; pass < 3; ++pass) {
       for (const std::string& line : scripted_sequence()) {
@@ -325,7 +329,7 @@ TEST(ServeFront, CoalescedWaitersRecordTheOwnersRequestId) {
   obs::set_deterministic(true);
   {
     constexpr std::size_t kClients = 4;
-    const ArtifactStore store = stats_store();
+    const MultiStore store = stats_store();
     ServeOptions options;
     options.cache_entries = 0;  // force every arrival into coalescing
     ServeFront front(store, options);

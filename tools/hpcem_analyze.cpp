@@ -64,9 +64,6 @@ int main(int argc, char** argv) {
   args.add_option("serve-export", "",
                   "write <basename>.artifact.json with the telemetry series "
                   "embedded, ready for hpcem_serve --store");
-  args.add_option("serve-format", "json",
-                  "--serve-export format: json | hcaf (binary shard, "
-                  "docs/ARTIFACT_BINARY.md)");
   args.add_option("scenario", "",
                   "scenario id for exported artifacts (default: the CSV "
                   "path)");
@@ -80,9 +77,6 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return tools::parse_exit(args);
   if (args.get("csv").empty()) {
     return tools::usage_error(args, "--csv is required");
-  }
-  if (!tools::valid_serve_format(args.get("serve-format"))) {
-    return tools::usage_error(args, "--serve-format must be json or hcaf");
   }
 
   return tools::tool_main([&] {
@@ -218,15 +212,13 @@ int main(int argc, char** argv) {
       }
       if (!args.get("serve-export").empty()) {
         // Swap the aggregate-only channel for one carrying the raw series
-        // (the v3 shape hpcem_serve needs for sub-window queries).
+        // (the shape hpcem_serve needs for sub-window queries).
         RunArtifact serveable = artifact;
         serveable.channels.clear();
         serveable.channels.push_back(aggregate_channel(
             args.get("value-column"), series, /*include_series=*/true));
         std::cout << "serve artifact written: "
-                  << tools::export_serve_artifact(serveable,
-                                                  args.get("serve-export"),
-                                                  args.get("serve-format"))
+                  << write_artifact_files(serveable, args.get("serve-export"))
                   << '\n';
       }
       if (!args.get("compare").empty()) {

@@ -7,13 +7,17 @@
 // carbon what-ifs, without re-running any simulation.  See
 // docs/SERVE_SCHEMA.md for the wire format.
 //
-// Two ingest formats, freely mixed in one directory:
-//   *.artifact.json  — JSON artifacts (hpcem_sim --serve-export,
-//                      hpcem_replay --artifact-out, hpcem_analyze
-//                      --serve-export), parsed and columnised at load;
+// Two kinds of file, freely mixed in one directory, one load path:
 //   *.hcaf           — compacted binary shards (hpcem_compact), loaded
 //                      near-instantly as one store per shard and routed
-//                      via the compaction consistent-hash ring.
+//                      via the compaction consistent-hash ring;
+//   *.artifact.json  — schema v3 JSON artifacts (hpcem_sim --serve-export,
+//                      hpcem_replay --artifact-out, hpcem_analyze
+//                      --serve-export), each encoded in memory as a
+//                      one-artifact shard and read back through the same
+//                      shard ingest, into one more store.
+// A pre-v3 document, or a channel with samples but no series, fails the
+// load with one `error:` line pointing at --serve-export (exit 1).
 //
 // Responses are byte-deterministic for a given scenario set: the same
 // request stream produces the same response bytes for any --workers
@@ -179,8 +183,8 @@ int main(int argc, char** argv) {
     if (args.get_flag("stats")) {
       const serve::FrontStats s = front.stats();
       std::cerr << "hpcem_serve: " << files << " files, "
-                << stores.shard_count() << " stores (" << stores.format()
-                << "), " << stores.scenario_count() << " scenarios, "
+                << stores.shard_count() << " stores, "
+                << stores.scenario_count() << " scenarios, "
                 << stores.total_series_samples() << " series samples | "
                 << served << " requests, " << s.evaluations
                 << " evaluations, " << s.cache.hits << " cache hits, "

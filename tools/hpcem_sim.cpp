@@ -84,9 +84,8 @@ int run_campaign_manifest(const ArgParser& args) {
           make_campaign_artifacts(result, manifest.specs);
       for (const auto& artifact : artifacts) {
         std::cout << "campaign artifact written: "
-                  << tools::export_serve_artifact(
-                         artifact, (dir / artifact.scenario).string(),
-                         args.get("serve-format"))
+                  << write_artifact_files(
+                         artifact, (dir / artifact.scenario).string())
                   << '\n';
       }
     }
@@ -127,16 +126,10 @@ int main(int argc, char** argv) {
                   "write <basename>.artifact.json with the full telemetry "
                   "series embedded, ready for hpcem_serve --store (with "
                   "--campaign: a directory of per-scenario artifacts)");
-  args.add_option("serve-format", "json",
-                  "--serve-export format: json | hcaf (binary shard, "
-                  "docs/ARTIFACT_BINARY.md)");
   args.add_flag("metrics", "print service metrics for the window");
 
   args.set_version(tools::version_line("hpcem_sim"));
   if (!args.parse(argc, argv)) return tools::parse_exit(args);
-  if (!tools::valid_serve_format(args.get("serve-format"))) {
-    return tools::usage_error(args, "--serve-format must be json or hcaf");
-  }
 
   if (!args.get("campaign").empty()) {
     if (!args.get("spec").empty()) {
@@ -238,15 +231,13 @@ int main(int argc, char** argv) {
     }
 
     if (!args.get("serve-export").empty()) {
-      // Same artifact as the figure benches emit, plus the v3 per-channel
+      // Same artifact as the figure benches emit, plus the per-channel
       // series so hpcem_serve can answer sub-window and what-if queries.
       RunArtifact artifact = make_run_artifact(*sim, spec, result);
       artifact.channels =
           aggregate_channels(sim->telemetry(), /*include_series=*/true);
       std::cout << "serve artifact written: "
-                << tools::export_serve_artifact(artifact,
-                                                args.get("serve-export"),
-                                                args.get("serve-format"))
+                << write_artifact_files(artifact, args.get("serve-export"))
                 << '\n';
     }
     return tools::kExitOk;

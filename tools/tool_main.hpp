@@ -19,7 +19,6 @@
 #include <string_view>
 
 #include "colstore/format.hpp"
-#include "colstore/hcaf.hpp"
 #include "core/run_artifact.hpp"
 #include "obs/trace_export.hpp"
 #include "util/cli.hpp"
@@ -61,26 +60,6 @@ inline constexpr int kExitUsage = 2;
   }
   std::cout << args.usage();  // --help
   return kExitOk;
-}
-
-/// True for the formats `--serve-format` accepts.
-[[nodiscard]] inline bool valid_serve_format(std::string_view format) {
-  return format == "json" || format == "hcaf";
-}
-
-/// Write a serve-ready artifact under `basename` in the requested
-/// `--serve-format`: "json" emits `<basename>.artifact.json` (plus the
-/// aggregates CSV), "hcaf" a one-artifact binary shard `<basename>.hcaf`.
-/// Returns the written path.  Callers must link hpcem_colstore_lib.
-[[nodiscard]] inline std::string export_serve_artifact(
-    const RunArtifact& artifact, const std::string& basename,
-    std::string_view format) {
-  if (format == "hcaf") {
-    const std::string path = basename + ".hcaf";
-    colstore::write_shard_file({artifact}, path);
-    return path;
-  }
-  return write_artifact_files(artifact, basename);
 }
 
 /// A command line that parsed but is unusable (missing required option).
