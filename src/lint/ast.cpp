@@ -1,6 +1,5 @@
 #include "lint/ast.hpp"
 
-#include <cctype>
 #include <map>
 
 namespace hpcem::lint {
@@ -387,49 +386,6 @@ FunctionCandidate parse_function_header(const Tokens& toks, std::size_t open) {
   return cand;
 }
 
-/// A `// hpcem: guarded_by(<mutex>)` annotation found in a comment.
-struct Annotation {
-  std::size_t line = 0;
-  std::string mutex_name;
-  std::string raw;
-  bool bound = false;
-};
-
-std::vector<Annotation> collect_annotations(const Tokens& toks) {
-  std::vector<Annotation> out;
-  constexpr std::string_view kMarker = "hpcem: guarded_by(";
-  for (const Token& t : toks) {
-    if (t.kind != TokenKind::kComment) continue;
-    const std::size_t at = t.text.find(kMarker);
-    if (at == std::string::npos) continue;
-    const std::size_t open = at + kMarker.size();
-    const std::size_t close = t.text.find(')', open);
-    if (close == std::string::npos) continue;
-    const std::string name = t.text.substr(open, close - open);
-    // Require a plain identifier: prose mentioning the syntax (with a
-    // `<mutex>` placeholder, say) is not an annotation.
-    if (name.empty() ||
-        (!std::isalpha(static_cast<unsigned char>(name[0])) &&
-         name[0] != '_')) {
-      continue;
-    }
-    bool ident = true;
-    for (const char c : name) {
-      if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
-        ident = false;
-        break;
-      }
-    }
-    if (!ident) continue;
-    Annotation a;
-    a.line = t.line;
-    a.mutex_name = name;
-    a.raw = t.text;
-    out.push_back(std::move(a));
-  }
-  return out;
-}
-
 }  // namespace
 
 std::size_t FileAst::scope_at(std::size_t i) const {
@@ -488,7 +444,6 @@ FileAst parse_ast(const std::vector<Token>& toks) {
   file_scope.end_token = toks.size();
   ast.scopes.push_back(file_scope);
 
-  std::vector<Annotation> annotations = collect_annotations(toks);
   // body '{' token index -> index into ast.functions
   std::map<std::size_t, std::size_t> function_body_at;
 
@@ -496,46 +451,11 @@ FileAst parse_ast(const std::vector<Token>& toks) {
   std::size_t stmt_start = 0;
 
   auto current = [&]() -> const Scope& { return ast.scopes[stack.back()]; };
-  auto in_function = [&] {
-    return ast.enclosing_function_scope(stack.back()) != FileAst::npos;
-  };
-
-  // Bind a field declaration ending at `semi` (class scope only) to a
-  // guarded_by annotation on the declaration's first line, its name's
-  // line, or the line directly above either (multi-line declarations put
-  // the name several lines below the type).
-  auto try_field = [&](std::size_t semi) {
-    const DeclHead head = parse_decl_head(toks, stmt_start, semi);
-    if (!head.ok) return;
-    const Token& brk =
-        head.head_end < semi ? toks[head.head_end] : toks[semi];
-    if (!brk.is_punct("=") && !brk.is_punct("{") && !brk.is_punct(";")) {
-      return;  // method declarations break at '(' and are not fields
-    }
-    const std::size_t line = toks[head.name_token].line;
-    std::size_t decl_first = stmt_start;
-    while (decl_first < semi &&
-           (toks[decl_first].kind == TokenKind::kComment ||
-            toks[decl_first].kind == TokenKind::kPreprocessor)) {
-      ++decl_first;
-    }
-    const std::size_t first_line =
-        decl_first < semi ? toks[decl_first].line : line;
-    for (Annotation& a : annotations) {
-      if (a.bound) continue;
-      const bool near = a.line == line || a.line + 1 == line ||
-                        a.line == first_line || a.line + 1 == first_line;
-      if (!near) continue;
-      GuardedField f;
-      f.name = toks[head.name_token].text;
-      f.class_name = current().name;
-      f.mutex_name = a.mutex_name;
-      f.name_token = head.name_token;
-      f.line = line;
-      ast.guarded_fields.push_back(std::move(f));
-      a.bound = true;
-      return;
-    }
+  // Locals live in function bodies; a class body (a local class's too)
+  // declares fields, which no rule needs.
+  auto in_body = [&] {
+    return current().kind != ScopeKind::kClass &&
+           ast.enclosing_function_scope(stack.back()) != FileAst::npos;
   };
 
   auto try_local = [&](std::size_t boundary) {
@@ -564,11 +484,7 @@ FileAst parse_ast(const std::vector<Token>& toks) {
     }
 
     if (t.is_punct("{")) {
-      if (current().kind == ScopeKind::kClass) {
-        // `struct S { int x{0}; };` — brace init is part of the statement.
-      } else if (in_function()) {
-        try_local(i);
-      }
+      if (in_body()) try_local(i);
       Scope sc;
       sc.begin_token = i;
       sc.end_token = toks.size();
@@ -649,18 +565,7 @@ FileAst parse_ast(const std::vector<Token>& toks) {
     }
 
     if (t.is_punct(";")) {
-      if (current().kind == ScopeKind::kClass) {
-        try_field(i);
-      } else if (in_function()) {
-        try_local(i);
-      }
-      stmt_start = i + 1;
-      continue;
-    }
-
-    // Access specifiers (`public:`) would otherwise glue onto the next
-    // field's statement and make its head start with a keyword.
-    if (t.is_punct(":") && current().kind == ScopeKind::kClass) {
+      if (in_body()) try_local(i);
       stmt_start = i + 1;
       continue;
     }
@@ -681,11 +586,6 @@ FileAst parse_ast(const std::vector<Token>& toks) {
     }
   }
 
-  for (Annotation& a : annotations) {
-    if (!a.bound) {
-      ast.unbound_annotations.emplace_back(a.line, a.raw);
-    }
-  }
   return ast;
 }
 

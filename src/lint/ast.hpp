@@ -3,12 +3,11 @@
 // `parse_ast` turns the token stream from lint/lexer.hpp into a tree of
 // brace-matched scopes (namespaces, classes, function bodies, plain blocks)
 // plus the declarations the dataflow rules key off: function definitions
-// with their parameter lists, local variables with their spelled type, and
-// class fields carrying a `// hpcem: guarded_by(<mutex>)` annotation.
+// with their parameter lists and local variables with their spelled type.
 //
 // Like the lexer, this is not a conforming C++ parser and never tries to
 // be: it aims to recover *scope structure and names* well enough that the
-// units-flow, determinism-flow and lock-discipline rules see through
+// units-flow and determinism-flow rules see through
 // statements, and it must degrade gracefully (skip, never throw) on any
 // construct it does not model (templates with dependent syntax, macros
 // expanding to declarations, expression edge cases).
@@ -62,26 +61,12 @@ struct FunctionDef {
   std::vector<VarDecl> params;
 };
 
-/// A class field annotated `// hpcem: guarded_by(<mutex>)`.
-struct GuardedField {
-  std::string name;
-  std::string class_name;
-  std::string mutex_name;   ///< the annotation's argument
-  std::size_t name_token = 0;
-  std::size_t line = 0;     ///< line of the field declaration
-};
-
 /// Parsed structure of one file.  Token indices refer to the vector the
 /// AST was built from.
 struct FileAst {
   std::vector<Scope> scopes;          ///< scopes[0] is the file scope
   std::vector<FunctionDef> functions; ///< in definition order
   std::vector<VarDecl> locals;        ///< locals only (params live on defs)
-  std::vector<GuardedField> guarded_fields;
-  /// guarded_by annotation lines that bound to no field declaration —
-  /// surfaced by lock-discipline so a typo cannot silently disable a
-  /// guarantee.  (line, raw comment text)
-  std::vector<std::pair<std::size_t, std::string>> unbound_annotations;
 
   /// Innermost scope containing token index `i` (0 = file scope).
   [[nodiscard]] std::size_t scope_at(std::size_t i) const;

@@ -71,7 +71,7 @@ class Rule {
 /// The built-in rule set, in catalogue order.
 [[nodiscard]] std::vector<std::unique_ptr<Rule>> default_rules();
 
-/// The semantic rule family (units-flow, determinism-flow, lock-discipline)
+/// The semantic rule family (units-flow, determinism-flow)
 /// from rules_semantic.cpp; default_rules() appends these.
 [[nodiscard]] std::vector<std::unique_ptr<Rule>> semantic_rules();
 

@@ -682,95 +682,6 @@ class NoIncludeCycleRule final : public Rule {
 };
 
 // ---------------------------------------------------------------------------
-// Rule: serve-obs-instrumentation
-// ---------------------------------------------------------------------------
-// The serving layer is the one subsystem whose latency is a product surface,
-// so its obs hooks are part of the contract: dashboards and the CI smoke
-// job key on these exact instrument names.  A rename (or a refactor that
-// drops one) must fail lint, not silently blank a panel.
-class ServeObsInstrumentationRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "serve-obs-instrumentation";
-  }
-  [[nodiscard]] std::string_view description() const override {
-    return "src/serve must keep its contractual obs instruments: the "
-           "serve.cache.hit/serve.cache.miss/serve.queue.depth counters "
-           "and gauges, plus a *request-scoped* span "
-           "(HPCEM_OBS_REQUEST_SPAN) in every request/query handler — a "
-           "bare HPCEM_OBS_SPAN drops the record from request traces and "
-           "postmortems";
-  }
-  void check_project(const std::vector<FileContext>& files,
-                     std::vector<Diagnostic>& out) const override {
-    static constexpr std::array kRequired = {
-        "serve.request", "serve.cache.hit", "serve.cache.miss",
-        "serve.queue.depth"};
-    // Handler spans must be request-scoped: only the literal macro
-    // invocation HPCEM_OBS_REQUEST_SPAN("<name>") counts, so the record
-    // lands in the flight ring tagged with the current request id.
-    static constexpr std::array kRequestSpans = {
-        "serve.request",        "serve.query.list",
-        "serve.query.window_aggregate", "serve.query.regimes",
-        "serve.query.compare",  "serve.query.whatif"};
-    std::string anchor;
-    std::set<std::string> declared;
-    std::set<std::string> request_spanned;
-    for (const FileContext& f : files) {
-      if (!f.in_dir("src/serve/")) continue;
-      if (anchor.empty() || f.path < anchor) anchor = f.path;
-      const Tokens& toks = f.tokens;
-      for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token& t = toks[i];
-        if (t.kind == TokenKind::kString || t.kind == TokenKind::kRawString) {
-          for (const char* required : kRequired) {
-            // Exact quoted spelling: "serve.request.ns" must not satisfy
-            // the "serve.request" span requirement.
-            if (t.text == '"' + std::string(required) + '"') {
-              declared.insert(required);
-            }
-          }
-          continue;
-        }
-        if (!t.is_identifier("HPCEM_OBS_REQUEST_SPAN")) continue;
-        const std::size_t j = next_code(toks, i);
-        const std::size_t k = j < toks.size() ? next_code(toks, j) : j;
-        if (j >= toks.size() || !toks[j].is_punct("(") || k >= toks.size() ||
-            toks[k].kind != TokenKind::kString) {
-          continue;
-        }
-        for (const char* span : kRequestSpans) {
-          if (toks[k].text == '"' + std::string(span) + '"') {
-            request_spanned.insert(span);
-          }
-        }
-      }
-    }
-    if (anchor.empty()) return;  // no serving layer in this tree
-    for (const char* required : kRequired) {
-      if (declared.contains(required)) continue;
-      out.push_back(Diagnostic{
-          std::string(name()), anchor, 0, 0,
-          "src/serve never declares the obs instrument \"" +
-              std::string(required) +
-              "\"; the serving layer's spans/counters are contractual "
-              "(see DESIGN.md, serving layer)"});
-    }
-    for (const char* span : kRequestSpans) {
-      if (request_spanned.contains(span)) continue;
-      out.push_back(Diagnostic{
-          std::string(name()), anchor, 0, 0,
-          "src/serve never opens the request-scoped span "
-          "HPCEM_OBS_REQUEST_SPAN(\"" +
-              std::string(span) +
-              "\"); handler spans must be request-scoped so they appear "
-              "in request traces and postmortems (a bare HPCEM_OBS_SPAN "
-              "does not count)"});
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Rule: scenario-in-data
 // ---------------------------------------------------------------------------
 // Scenarios are data, not code: every harness under bench/ and tools/ must
@@ -893,7 +804,6 @@ std::vector<std::unique_ptr<Rule>> default_rules() {
   rules.push_back(std::make_unique<NodiscardAccessorRule>());
   rules.push_back(std::make_unique<HeaderPragmaOnceRule>());
   rules.push_back(std::make_unique<NoIncludeCycleRule>());
-  rules.push_back(std::make_unique<ServeObsInstrumentationRule>());
   rules.push_back(std::make_unique<ScenarioInDataRule>());
   rules.push_back(std::make_unique<BinaryIoHygieneRule>());
   for (auto& rule : semantic_rules()) rules.push_back(std::move(rule));

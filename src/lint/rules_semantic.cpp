@@ -1,15 +1,10 @@
-// Semantic rule families for hpcem_lint: units-flow, determinism-flow and
-// lock-discipline.
+// Semantic rule families for hpcem_lint: units-flow and determinism-flow.
 //
 // Unlike the token-stream rules in rules.cpp, these run on the scope/
 // declaration AST (lint/ast.hpp), the per-function unit dataflow
 // (lint/dataflow.hpp) and the cross-TU symbol index (lint/symbols.hpp).
-// All three are project-scope rules: units-flow needs callee parameter
-// names from other files, determinism-flow needs the whole call graph, and
-// lock-discipline must see a field's guarded_by annotation (usually in a
-// header) from the .cpp files that touch the field.
-#include <algorithm>
-#include <array>
+// Both are project-scope rules: units-flow needs callee parameter names
+// from other files, and determinism-flow needs the whole call graph.
 #include <string>
 
 #include "lint/dataflow.hpp"
@@ -18,28 +13,6 @@
 
 namespace hpcem::lint {
 namespace {
-
-using Tokens = std::vector<Token>;
-
-std::size_t next_code(const Tokens& toks, std::size_t i) {
-  ++i;
-  while (i < toks.size() && (toks[i].kind == TokenKind::kComment ||
-                             toks[i].kind == TokenKind::kPreprocessor)) {
-    ++i;
-  }
-  return i;
-}
-
-std::size_t prev_code(const Tokens& toks, std::size_t i) {
-  while (i > 0) {
-    --i;
-    if (toks[i].kind != TokenKind::kComment &&
-        toks[i].kind != TokenKind::kPreprocessor) {
-      return i;
-    }
-  }
-  return toks.size();
-}
 
 /// Assemble the symbol-index view over every file that has an AST.
 std::vector<TranslationUnit> translation_units(
@@ -147,202 +120,12 @@ class DeterminismFlowRule final : public Rule {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Rule: lock-discipline
-// ---------------------------------------------------------------------------
-// Fields annotated `// hpcem: guarded_by(<mutex>)` (serve front/cache, obs
-// registry, the campaign thread pool) must only be touched inside a scope
-// holding a lock_guard/unique_lock/scoped_lock on that mutex.  TSan sees
-// the interleavings the test suite happens to schedule; this sees every
-// access path, on every build.
-class LockDisciplineRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "lock-discipline";
-  }
-  [[nodiscard]] std::string_view description() const override {
-    return "accesses to '// hpcem: guarded_by(<mutex>)' fields must sit in "
-           "a scope holding lock_guard/unique_lock/scoped_lock on that "
-           "mutex (constructors/destructors of the owning class exempt)";
-  }
-  void check_project(const std::vector<FileContext>& files,
-                     std::vector<Diagnostic>& out) const override {
-    // Collect every annotated field (usually declared in headers) and
-    // surface annotations that bound to nothing — a typo must fail loudly,
-    // not silently drop the guarantee.
-    struct Guarded {
-      const GuardedField* field;
-      const FileContext* file;
-    };
-    std::vector<Guarded> guarded;
-    for (const FileContext& f : files) {
-      if (f.ast == nullptr) continue;
-      for (const GuardedField& g : f.ast->guarded_fields) {
-        guarded.push_back({&g, &f});
-      }
-      for (const auto& [line, raw] : f.ast->unbound_annotations) {
-        out.push_back(Diagnostic{
-            std::string(name()), f.path, line, 1,
-            "guarded_by annotation did not bind to any field declaration "
-            "(typo or unsupported declaration form): " + raw});
-      }
-    }
-    if (guarded.empty()) return;
-
-    for (const FileContext& f : files) {
-      if (f.ast == nullptr) continue;
-      check_file_uses(f, guarded, out);
-    }
-  }
-
- private:
-  template <typename GuardedVec>
-  void check_file_uses(const FileContext& f, const GuardedVec& guarded,
-                       std::vector<Diagnostic>& out) const {
-    const Tokens& toks = f.tokens;
-    const FileAst& ast = *f.ast;
-    for (const FunctionDef& fn : ast.functions) {
-      if (fn.body_scope == 0 || fn.body_scope >= ast.scopes.size()) continue;
-      const Scope& body = ast.scopes[fn.body_scope];
-
-      // Lock declarations visible in this function, found once.
-      struct Lock {
-        std::size_t scope;
-        std::size_t name_token;
-        std::vector<std::string> arg_idents;
-      };
-      std::vector<Lock> locks;
-      for (const VarDecl& l : ast.locals) {
-        if (l.name_token <= body.begin_token ||
-            l.name_token >= body.end_token) {
-          continue;
-        }
-        if (l.type_text.find("lock_guard") == std::string::npos &&
-            l.type_text.find("unique_lock") == std::string::npos &&
-            l.type_text.find("scoped_lock") == std::string::npos) {
-          continue;
-        }
-        Lock lock;
-        lock.scope = l.scope;
-        lock.name_token = l.name_token;
-        const std::size_t open = next_code(toks, l.name_token);
-        if (open < toks.size() &&
-            (toks[open].is_punct("(") || toks[open].is_punct("{"))) {
-          const bool paren = toks[open].is_punct("(");
-          int depth = 1;
-          std::size_t k = open;
-          while (depth > 0) {
-            k = next_code(toks, k);
-            if (k >= toks.size()) break;
-            if (toks[k].is_punct(paren ? "(" : "{")) ++depth;
-            if (toks[k].is_punct(paren ? ")" : "}")) --depth;
-            if (toks[k].kind == TokenKind::kIdentifier) {
-              lock.arg_idents.push_back(toks[k].text);
-            }
-          }
-        }
-        locks.push_back(std::move(lock));
-      }
-
-      for (std::size_t i = body.begin_token + 1;
-           i < body.end_token && i < toks.size(); ++i) {
-        const Token& t = toks[i];
-        if (t.kind != TokenKind::kIdentifier) continue;
-        for (const auto& g : guarded) {
-          const GuardedField& field = *g.field;
-          if (t.text != field.name) continue;
-          if (!use_of_field(f, ast, fn, toks, i, field)) continue;
-          if (lock_held(ast, locks, i, field.mutex_name)) continue;
-          out.push_back(Diagnostic{
-              std::string(name()), f.path, t.line, t.column,
-              "field '" + field.class_name + "::" + field.name +
-                  "' is guarded_by(" + field.mutex_name +
-                  ") but this access holds no "
-                  "lock_guard/unique_lock/scoped_lock on '" +
-                  field.mutex_name + "' (declared " + g.file->path + ":" +
-                  std::to_string(field.line) + ")"});
-        }
-      }
-    }
-  }
-
-  /// Is the identifier at `i` an access to `field` (rather than an
-  /// unrelated name, a declaration, or an exempt constructor use)?
-  static bool use_of_field(const FileContext& f, const FileAst& ast,
-                           const FunctionDef& fn, const Tokens& toks,
-                           std::size_t i, const GuardedField& field) {
-    // The declaration itself (same file, same token).
-    if (&*f.ast == &ast && i == field.name_token &&
-        toks[i].line == field.line) {
-      return false;
-    }
-    // Construction/destruction of the owning object is single-threaded by
-    // definition; member-init lists and dtor cleanup are exempt.
-    if (fn.class_name == field.class_name &&
-        (fn.name == field.class_name || fn.name == "~" + field.class_name)) {
-      return false;
-    }
-    const std::size_t p = prev_code(toks, i);
-    if (p < toks.size() &&
-        (toks[p].is_punct(".") || toks[p].is_punct("->"))) {
-      // Member access: only a *typed* receiver counts, so `other.done`
-      // on an unrelated type never fires.
-      const std::size_t r = prev_code(toks, p);
-      if (r >= toks.size() || toks[r].kind != TokenKind::kIdentifier) {
-        return false;
-      }
-      if (toks[r].is_identifier("this")) {
-        return fn.class_name == field.class_name;
-      }
-      const std::size_t rr = prev_code(toks, r);
-      const bool simple = rr >= toks.size() ||
-                          (!toks[rr].is_punct(".") &&
-                           !toks[rr].is_punct("->") &&
-                           !toks[rr].is_punct("::"));
-      if (!simple) return false;
-      const VarDecl* var = ast.lookup_var(fn, toks[r].text);
-      return var != nullptr &&
-             var->type_text.find(field.class_name) != std::string::npos;
-    }
-    if (p < toks.size() && toks[p].is_punct("::")) return false;
-    // Bare identifier: a use only inside the owning class's own member
-    // functions, and only when no local/param shadows the name.
-    if (fn.class_name != field.class_name) return false;
-    return ast.lookup_var(fn, toks[i].text) == nullptr;
-  }
-
-  /// Does any collected lock on `mutex_name` cover token `i` (declared
-  /// before it, in an ancestor scope)?
-  template <typename LockVec>
-  static bool lock_held(const FileAst& ast, const LockVec& locks,
-                        std::size_t i, const std::string& mutex_name) {
-    if (locks.empty()) return false;
-    const std::size_t use_scope = ast.scope_at(i);
-    for (const auto& lock : locks) {
-      if (lock.name_token >= i) continue;
-      if (std::find(lock.arg_idents.begin(), lock.arg_idents.end(),
-                    mutex_name) == lock.arg_idents.end()) {
-        continue;
-      }
-      // The lock's scope must be `use_scope` or one of its ancestors.
-      std::size_t s = use_scope;
-      while (true) {
-        if (s == lock.scope) return true;
-        if (s == 0) break;
-        s = ast.scopes[s].parent;
-      }
-    }
-    return false;
-  }
-};
-
 }  // namespace
 
 std::vector<std::unique_ptr<Rule>> semantic_rules() {
   std::vector<std::unique_ptr<Rule>> rules;
   rules.push_back(std::make_unique<UnitsFlowRule>());
   rules.push_back(std::make_unique<DeterminismFlowRule>());
-  rules.push_back(std::make_unique<LockDisciplineRule>());
   return rules;
 }
 

@@ -5,9 +5,9 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 
 #include "util/error.hpp"
+#include "util/guarded.hpp"
 
 namespace hpcem::obs {
 
@@ -28,25 +28,21 @@ struct MetricDesc {
   std::string unit;
 };
 
-/// Process-wide collection state.  The mutex guards registration, interning
+/// Process-wide collection state.  Its lock guards registration, interning
 /// and snapshots; per-thread buffers are written lock-free by their owning
 /// thread (snapshots require quiescence — see registry.hpp).
 struct Registry {
-  std::mutex mu;
   /// deque: interning must not invalidate name_of() references.
-  std::deque<std::string> names;  // hpcem: guarded_by(mu)
-  // hpcem: guarded_by(mu)
+  std::deque<std::string> names;
   std::map<std::string, NameId, std::less<>> name_ids;
-  std::deque<MetricDesc> metrics;  // hpcem: guarded_by(mu)
-  // hpcem: guarded_by(mu)
+  std::deque<MetricDesc> metrics;
   std::map<std::string, MetricId, std::less<>> metric_ids;
   /// Owned here so a worker thread's data outlives the thread.
-  // hpcem: guarded_by(mu)
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
 };
 
-Registry& registry() {
-  static Registry r;
+Guarded<Registry>& registry() {
+  static Guarded<Registry> r;
   return r;
 }
 
@@ -75,30 +71,26 @@ void init_from_env() {
 }
 
 NameId intern_name(std::string_view name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  if (const auto it = r.name_ids.find(name); it != r.name_ids.end()) {
+  const auto r = registry().lock();
+  if (const auto it = r->name_ids.find(name); it != r->name_ids.end()) {
     return it->second;
   }
-  const auto id = static_cast<NameId>(r.names.size());
-  r.names.emplace_back(name);
-  r.name_ids.emplace(std::string(name), id);
+  const auto id = static_cast<NameId>(r->names.size());
+  r->names.emplace_back(name);
+  r->name_ids.emplace(std::string(name), id);
   return id;
 }
 
 const std::string& name_of(NameId id) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  HPCEM_ASSERT(id < r.names.size(), "obs::name_of: unknown name id");
-  return r.names[id];
+  const auto r = registry().lock();
+  HPCEM_ASSERT(id < r->names.size(), "obs::name_of: unknown name id");
+  return r->names[id];
 }
 
 ThreadBuffer& thread_buffer() {
   thread_local const std::shared_ptr<ThreadBuffer> tls = [] {
     auto buf = std::make_shared<ThreadBuffer>();
-    Registry& r = registry();
-    const std::lock_guard<std::mutex> lock(r.mu);
-    r.buffers.push_back(buf);
+    registry().lock()->buffers.push_back(buf);
     return buf;
   }();
   return *tls;
@@ -110,27 +102,25 @@ void set_thread_label(std::string_view label) {
 
 MetricId register_metric(std::string_view name, MetricKind kind,
                          std::string_view unit) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  if (const auto it = r.metric_ids.find(name); it != r.metric_ids.end()) {
-    const MetricDesc& d = r.metrics[it->second];
+  const auto r = registry().lock();
+  if (const auto it = r->metric_ids.find(name); it != r->metric_ids.end()) {
+    const MetricDesc& d = r->metrics[it->second];
     require(d.kind == kind && d.unit == unit,
             "obs::register_metric: '" + std::string(name) +
                 "' re-registered as a different " + metric_kind_label(kind));
     return it->second;
   }
-  const auto id = static_cast<MetricId>(r.metrics.size());
-  r.metrics.push_back({std::string(name), kind, std::string(unit)});
-  r.metric_ids.emplace(std::string(name), id);
+  const auto id = static_cast<MetricId>(r->metrics.size());
+  r->metrics.push_back({std::string(name), kind, std::string(unit)});
+  r->metric_ids.emplace(std::string(name), id);
   return id;
 }
 
 TraceSnapshot trace_snapshot() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
+  const auto r = registry().lock();
   TraceSnapshot snap;
   snap.deterministic = deterministic();
-  for (const auto& buf : r.buffers) {
+  for (const auto& buf : r->buffers) {
     if (buf->spans.empty()) continue;
     snap.threads.push_back({buf->label, buf->spans});
   }
@@ -138,7 +128,7 @@ TraceSnapshot trace_snapshot() {
   // (names resolved to strings — interning order is execution-dependent).
   const auto span_key = [&r](const SpanRecord& s) {
     return std::tuple<const std::string&, std::uint64_t, std::uint64_t>(
-        r.names[s.name], s.begin, s.end);
+        r->names[s.name], s.begin, s.end);
   };
   std::sort(snap.threads.begin(), snap.threads.end(),
             [&](const ThreadTrace& a, const ThreadTrace& b) {
@@ -154,11 +144,10 @@ TraceSnapshot trace_snapshot() {
 }
 
 FlightSnapshot flight_snapshot() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
+  const auto r = registry().lock();
   FlightSnapshot snap;
   snap.deterministic = deterministic();
-  for (const auto& buf : r.buffers) {
+  for (const auto& buf : r->buffers) {
     const FlightRing& ring = buf->flight;
     const std::uint64_t head = ring.head.load(std::memory_order_acquire);
     if (head == 0) continue;
@@ -173,7 +162,7 @@ FlightSnapshot flight_snapshot() {
       if (meta == 0) continue;  // overwritten mid-reset; skip
       FlightRecord rec;
       rec.kind = static_cast<FlightKind>((meta & 0xff) - 1);
-      rec.name = r.names[static_cast<NameId>(meta >> 8)];
+      rec.name = r->names[static_cast<NameId>(meta >> 8)];
       rec.request = slot.request.load(std::memory_order_relaxed);
       rec.begin = slot.begin.load(std::memory_order_relaxed);
       rec.end = slot.end.load(std::memory_order_relaxed);
@@ -204,18 +193,17 @@ FlightSnapshot flight_snapshot() {
 }
 
 MetricsSnapshot metrics_snapshot() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
+  const auto r = registry().lock();
 
   // Fold shards per metric id.  Counters and histograms merge by integer
   // addition, gauges by max: all three folds are commutative and
   // associative at the bit level, so the merged values are identical for
   // any shard count or fold order (the campaign guarantee, mirrored).
-  const std::size_t n = r.metrics.size();
+  const std::size_t n = r->metrics.size();
   std::vector<std::uint64_t> counters(n, 0);
   std::vector<std::uint64_t> gauges(n, 0);
   std::vector<HistogramShard> hists(n);
-  for (const auto& buf : r.buffers) {
+  for (const auto& buf : r->buffers) {
     for (std::size_t i = 0; i < buf->counters.size(); ++i) {
       counters[i] += buf->counters[i];
     }
@@ -229,8 +217,8 @@ MetricsSnapshot metrics_snapshot() {
 
   // Name-sorted output: metric_ids is already a sorted map.
   MetricsSnapshot snap;
-  for (const auto& [name, id] : r.metric_ids) {
-    const MetricDesc& d = r.metrics[id];
+  for (const auto& [name, id] : r->metric_ids) {
+    const MetricDesc& d = r->metrics[id];
     switch (d.kind) {
       case MetricKind::kCounter:
         snap.counters.push_back({name, d.unit, counters[id]});
@@ -261,9 +249,8 @@ MetricsSnapshot metrics_snapshot() {
 }
 
 void reset_collected() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  for (const auto& buf : r.buffers) {
+  const auto r = registry().lock();
+  for (const auto& buf : r->buffers) {
     buf->tick = 0;
     buf->spans.clear();
     buf->counters.clear();

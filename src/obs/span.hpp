@@ -15,7 +15,11 @@
 // A span records (name, begin, end) into the calling thread's buffer when
 // it closes — nesting is recovered at export/profile time from interval
 // containment, which keeps the hot path to two clock reads and one
-// push_back.
+// push_back.  A span that closes inside a request (current_request() != 0,
+// see obs/request_context.hpp) is also appended to the thread's flight
+// ring tagged with that request id; per-request trace retrieval and
+// postmortems are built from those records.  Outside any request (id 0)
+// the ring is left untouched.
 #pragma once
 
 #include "obs/registry.hpp"
@@ -35,43 +39,15 @@ class ScopedSpan {
   }
   ~ScopedSpan() {
     if (tb_ != nullptr) {
-      tb_->spans.push_back({name_, begin_, next_stamp(*tb_)});
+      const std::uint64_t end = next_stamp(*tb_);
+      tb_->spans.push_back({name_, begin_, end});
+      if (const std::uint64_t request = current_request(); request != 0) {
+        flight_append(*tb_, FlightKind::kSpan, name_, request, begin_, end);
+      }
     }
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  ThreadBuffer* tb_ = nullptr;
-  NameId name_{};
-  std::uint64_t begin_ = 0;
-};
-
-/// Scope guard measuring one *request-scoped* span: like ScopedSpan, but
-/// the closed record is additionally appended to the thread's flight ring
-/// tagged with the current request id (obs/request_context.hpp).  The
-/// serving layer's handlers use this — it is what per-request trace
-/// retrieval and postmortems are built from, and the
-/// serve-obs-instrumentation lint rule requires it over a bare span.
-class RequestSpan {
- public:
-  explicit RequestSpan(NameId name) {
-    if (enabled()) {
-      tb_ = &thread_buffer();
-      name_ = name;
-      begin_ = next_stamp(*tb_);
-    }
-  }
-  ~RequestSpan() {
-    if (tb_ != nullptr) {
-      const std::uint64_t end = next_stamp(*tb_);
-      tb_->spans.push_back({name_, begin_, end});
-      flight_append(*tb_, FlightKind::kSpan, name_, current_request(),
-                    begin_, end);
-    }
-  }
-  RequestSpan(const RequestSpan&) = delete;
-  RequestSpan& operator=(const RequestSpan&) = delete;
 
  private:
   ThreadBuffer* tb_ = nullptr;
@@ -86,7 +62,6 @@ class RequestSpan {
 
 #ifdef HPCEM_OBS_DISABLE
 #define HPCEM_OBS_SPAN(name_literal) ((void)0)
-#define HPCEM_OBS_REQUEST_SPAN(name_literal) ((void)0)
 #else
 /// Open a span named `name_literal` for the rest of the enclosing scope.
 #define HPCEM_OBS_SPAN(name_literal)                                     \
@@ -96,13 +71,4 @@ class RequestSpan {
   const ::hpcem::obs::ScopedSpan HPCEM_OBS_CONCAT(                       \
       hpcem_obs_span_, __LINE__){HPCEM_OBS_CONCAT(hpcem_obs_name_,       \
                                                   __LINE__)}
-/// Open a request-scoped span (flight-recorded, tagged with the current
-/// request id) for the rest of the enclosing scope.
-#define HPCEM_OBS_REQUEST_SPAN(name_literal)                             \
-  static const ::hpcem::obs::NameId HPCEM_OBS_CONCAT(hpcem_obs_name_,    \
-                                                     __LINE__) =         \
-      ::hpcem::obs::intern_name(name_literal);                           \
-  const ::hpcem::obs::RequestSpan HPCEM_OBS_CONCAT(                      \
-      hpcem_obs_rspan_, __LINE__){HPCEM_OBS_CONCAT(hpcem_obs_name_,      \
-                                                   __LINE__)}
 #endif

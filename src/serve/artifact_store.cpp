@@ -102,7 +102,17 @@ void ArtifactStore::add(const RunArtifact& artifact,
 void ArtifactStore::load_file(const std::string& path) {
   const auto text = read_text_file(path);
   if (!text) throw ParseError("ArtifactStore: cannot open " + path);
-  add(RunArtifact::from_json_text(*text), path);
+  // Decode errors are one line; prefix the file so a directory load says
+  // which document was rejected.
+  RunArtifact artifact;
+  try {
+    artifact = RunArtifact::from_json_text(*text);
+  } catch (const ParseError& e) {
+    throw ParseError(path + ": " + e.what());
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument(path + ": " + e.what());
+  }
+  add(artifact, path);
 }
 
 std::size_t ArtifactStore::load_hcaf_file(const std::string& path) {

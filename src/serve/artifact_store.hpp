@@ -113,7 +113,7 @@ class ArtifactStore {
   /// Ingest one artifact JSON file (decoded, then add()).  Throws
   /// ParseError on unreadable or malformed input, InvalidArgument on a
   /// pre-v3 document or an aggregate-only channel, DuplicateScenarioError
-  /// on a duplicate scenario id.
+  /// on a duplicate scenario id.  Every rejection names `path`.
   void load_file(const std::string& path);
 
   /// Ingest every `*.artifact.json` directly inside `dir`, in sorted

@@ -94,7 +94,7 @@ std::string ServeFront::handle(const std::string& line) {
   const std::uint64_t id =
       requests_.fetch_add(1, std::memory_order_relaxed) + 1;
   const obs::RequestScope scope(id);
-  HPCEM_OBS_REQUEST_SPAN("serve.request");
+  HPCEM_OBS_SPAN("serve.request");
   if (!obs::enabled()) return handle_request(line);
 
   obs::ThreadBuffer& tb = obs::thread_buffer();
@@ -279,7 +279,7 @@ std::string ServeFront::evaluate_coalesced(const QueryRequest& request,
   bool owner = false;
   std::uint64_t owner_request = 0;
   {
-    const std::lock_guard<std::mutex> lock(inflight_mu_);
+    const auto inflight = inflight_.lock();
     // An owner publishes its answer to the cache before it retires its
     // in-flight entry, so under this lock a repeat sees one or the other:
     // cached bytes, or an entry to wait on.
@@ -292,14 +292,14 @@ std::string ServeFront::evaluate_coalesced(const QueryRequest& request,
       }
     }
     if (!hit) {
-      const auto it = inflight_.find(key);
-      if (it != inflight_.end()) {
+      const auto it = inflight->find(key);
+      if (it != inflight->end()) {
         entry = it->second;
         owner_request = entry->owner_request;
       } else {
         entry = std::make_shared<InFlight>();
         entry->owner_request = obs::current_request();
-        inflight_.emplace(key, entry);
+        inflight->emplace(key, entry);
         owner = true;
       }
     }
@@ -314,9 +314,9 @@ std::string ServeFront::evaluate_coalesced(const QueryRequest& request,
     obs::record_event(kWait, owner_request);
     instruments().coalesced.add();
     coalesced_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lock(entry->mu);
-    entry->cv.wait(lock, [&] { return entry->done; });
-    return entry->result;
+    auto outcome = entry->outcome.lock();
+    outcome.wait(entry->cv, [&] { return outcome->done; });
+    return outcome->result;
   }
 
   evaluations_.fetch_add(1, std::memory_order_relaxed);
@@ -324,14 +324,11 @@ std::string ServeFront::evaluate_coalesced(const QueryRequest& request,
   // Publish to the cache before retiring the in-flight entry, so a query
   // arriving in between finds the cached bytes instead of re-evaluating.
   if (cache_) cache_->put(key, result);
+  inflight_.lock()->erase(key);
   {
-    const std::lock_guard<std::mutex> lock(inflight_mu_);
-    inflight_.erase(key);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(entry->mu);
-    entry->result = result;
-    entry->done = true;
+    const auto outcome = entry->outcome.lock();
+    outcome->result = result;
+    outcome->done = true;
   }
   entry->cv.notify_all();
   return result;
@@ -339,11 +336,13 @@ std::string ServeFront::evaluate_coalesced(const QueryRequest& request,
 
 std::future<std::string> ServeFront::submit(std::string line) {
   {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    queue_cv_.wait(lock, [&] { return queue_depth_ < max_queue_; });
-    ++queue_depth_;
-    if (queue_depth_ > peak_queue_depth_) peak_queue_depth_ = queue_depth_;
-    instruments().queue_depth.set(queue_depth_);
+    auto backlog = backlog_.lock();
+    backlog.wait(backlog_cv_, [&] { return backlog->depth < max_queue_; });
+    ++backlog->depth;
+    if (backlog->depth > backlog->peak_depth) {
+      backlog->peak_depth = backlog->depth;
+    }
+    instruments().queue_depth.set(backlog->depth);
   }
   auto promise = std::make_shared<std::promise<std::string>>();
   std::future<std::string> future = promise->get_future();
@@ -355,11 +354,8 @@ std::future<std::string> ServeFront::submit(std::string line) {
     } catch (const std::exception& e) {
       promise->set_value(render_error("", e.what()));
     }
-    {
-      const std::lock_guard<std::mutex> lock(queue_mu_);
-      --queue_depth_;
-    }
-    queue_cv_.notify_one();
+    --backlog_.lock()->depth;
+    backlog_cv_.notify_one();
   });
   return future;
 }
@@ -395,10 +391,7 @@ FrontStats ServeFront::stats() const {
   s.coalesced = coalesced_.load(std::memory_order_relaxed);
   s.postmortems = postmortems_.load(std::memory_order_relaxed);
   if (cache_) s.cache = cache_->stats();
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    s.peak_queue_depth = peak_queue_depth_;
-  }
+  s.peak_queue_depth = backlog_.lock()->peak_depth;
   return s;
 }
 

@@ -48,6 +48,7 @@
 
 #include "serve/query.hpp"
 #include "serve/result_cache.hpp"
+#include "util/guarded.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcem::serve {
@@ -127,36 +128,40 @@ class ServeFront {
                         std::uint64_t elapsed);
 
   /// Canonical-key cache probe, then coalesce or evaluate.  The probe
-  /// runs under inflight_mu_, so a request cannot miss the cache, then
-  /// miss the in-flight entry its owner retired meanwhile, and evaluate a
-  /// second time.
+  /// runs under the in-flight map's lock, so a request cannot miss the
+  /// cache, then miss the in-flight entry its owner retired meanwhile, and
+  /// evaluate a second time.
   [[nodiscard]] std::string evaluate_coalesced(const QueryRequest& request,
                                                const std::string& key);
 
   /// One query being computed right now; later identical arrivals wait.
   struct InFlight {
     /// Id of the request that owns the evaluation; set before the entry
-    /// is published under inflight_mu_, so waiters can record whose
+    /// is published in the in-flight map, so waiters can record whose
     /// answer they piggybacked on.
     std::uint64_t owner_request = 0;
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;        // hpcem: guarded_by(mu)
-    std::string result;       // hpcem: guarded_by(mu)
+    struct Outcome {
+      bool done = false;
+      std::string result;
+    };
+    Guarded<Outcome> outcome;
+    std::condition_variable cv;  ///< signals waiters: outcome is done
+  };
+
+  /// Requests submitted to the executor and not yet answered.
+  struct Backlog {
+    std::size_t depth = 0;
+    std::size_t peak_depth = 0;
   };
 
   QueryEngine engine_;
   Evaluator evaluator_;
   std::optional<ResultCache> cache_;
 
-  std::mutex inflight_mu_;
-  // hpcem: guarded_by(inflight_mu_)
-  std::map<std::string, std::shared_ptr<InFlight>> inflight_;
+  Guarded<std::map<std::string, std::shared_ptr<InFlight>>> inflight_;
 
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::size_t queue_depth_ = 0;       // hpcem: guarded_by(queue_mu_)
-  std::size_t peak_queue_depth_ = 0;  // hpcem: guarded_by(queue_mu_)
+  Guarded<Backlog> backlog_;
+  std::condition_variable backlog_cv_;  ///< signals submitters: room freed
   std::size_t max_queue_;
 
   std::atomic<std::uint64_t> requests_{0};

@@ -334,7 +334,7 @@ std::string QueryEngine::handle_line(const std::string& line) const {
 }
 
 JsonValue QueryEngine::list() const {
-  HPCEM_OBS_REQUEST_SPAN("serve.query.list");
+  HPCEM_OBS_SPAN("serve.query.list");
   JsonValue scenarios = JsonValue::array();
   for (const std::string& name : stores_.scenario_names()) {
     const StoredScenario& s = stores_.at(name);
@@ -365,7 +365,7 @@ JsonValue QueryEngine::list() const {
 }
 
 JsonValue QueryEngine::window_aggregate(const QueryRequest& r) const {
-  HPCEM_OBS_REQUEST_SPAN("serve.query.window_aggregate");
+  HPCEM_OBS_SPAN("serve.query.window_aggregate");
   const StoredScenario& s = stores_.at(r.scenario);
   const StoredChannel* ch = s.find_channel(r.channel);
   require(ch != nullptr, "query: unknown channel '" + r.channel +
@@ -410,7 +410,7 @@ JsonValue QueryEngine::window_aggregate(const QueryRequest& r) const {
 }
 
 JsonValue QueryEngine::regimes(const QueryRequest& r) const {
-  HPCEM_OBS_REQUEST_SPAN("serve.query.regimes");
+  HPCEM_OBS_SPAN("serve.query.regimes");
   const StoredScenario& s = stores_.at(r.scenario);
   HPCEM_ASSERT(r.intensity.has_value(), "regimes: parsed without intensity");
   const IntensitySpec& intensity = *r.intensity;
@@ -492,7 +492,7 @@ JsonValue QueryEngine::regimes(const QueryRequest& r) const {
 }
 
 JsonValue QueryEngine::compare(const QueryRequest& r) const {
-  HPCEM_OBS_REQUEST_SPAN("serve.query.compare");
+  HPCEM_OBS_SPAN("serve.query.compare");
   const StoredScenario& a = stores_.at(r.scenario_a);
   const StoredScenario& b = stores_.at(r.scenario_b);
   const auto side = [](const StoredScenario& s) {
@@ -523,7 +523,7 @@ JsonValue QueryEngine::compare(const QueryRequest& r) const {
 }
 
 JsonValue QueryEngine::whatif(const QueryRequest& r) const {
-  HPCEM_OBS_REQUEST_SPAN("serve.query.whatif");
+  HPCEM_OBS_SPAN("serve.query.whatif");
   const StoredScenario& s = stores_.at(r.scenario);
   const StoredChannel* ch = s.find_channel(r.channel);
   require(ch != nullptr, "query: unknown channel '" + r.channel +

@@ -15,7 +15,7 @@ ResultCache::ResultCache(std::size_t capacity, std::size_t shards) {
   per_shard_ = (capacity + shard_count - 1) / shard_count;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Guarded<Shard>>());
   }
 }
 
@@ -30,7 +30,7 @@ std::uint64_t ResultCache::hash_key(std::string_view key) {
   return h;
 }
 
-ResultCache::Shard& ResultCache::shard_for(std::string_view key) {
+Guarded<ResultCache::Shard>& ResultCache::shard_for(std::string_view key) {
   return *shards_[hash_key(key) & (shards_.size() - 1)];
 }
 
@@ -38,17 +38,16 @@ std::optional<std::string> ResultCache::get(std::string_view key) {
   // Flight-recorder breadcrumb (aux: 1 = hit, 0 = miss): the cache tier
   // of the per-request trace.
   static const obs::NameId kGet = obs::intern_name("serve.cache.get");
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
+  const auto shard = shard_for(key).lock();
+  const auto it = shard->index.find(key);
+  if (it == shard->index.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     obs::record_event(kGet, 0);
     return std::nullopt;
   }
   // Refresh recency: splice the node to the front (iterators and the
   // string_view key into the node stay valid).
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  shard->lru.splice(shard->lru.begin(), shard->lru, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
   obs::record_event(kGet, 1);
   return it->second->second;
@@ -57,20 +56,19 @@ std::optional<std::string> ResultCache::get(std::string_view key) {
 void ResultCache::put(std::string_view key, std::string value) {
   static const obs::NameId kPut = obs::intern_name("serve.cache.put");
   obs::record_event(kPut, value.size());
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  const auto shard = shard_for(key).lock();
+  const auto it = shard->index.find(key);
+  if (it != shard->index.end()) {
     it->second->second = std::move(value);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    shard->lru.splice(shard->lru.begin(), shard->lru, it->second);
     return;
   }
-  shard.lru.emplace_front(std::string(key), std::move(value));
-  shard.index.emplace(shard.lru.front().first, shard.lru.begin());
+  shard->lru.emplace_front(std::string(key), std::move(value));
+  shard->index.emplace(shard->lru.front().first, shard->lru.begin());
   insertions_.fetch_add(1, std::memory_order_relaxed);
-  if (shard.lru.size() > per_shard_) {
-    shard.index.erase(shard.lru.back().first);
-    shard.lru.pop_back();
+  if (shard->lru.size() > per_shard_) {
+    shard->index.erase(shard->lru.back().first);
+    shard->lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
@@ -82,8 +80,7 @@ CacheStats ResultCache::stats() const {
   s.insertions = insertions_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mu);
-    s.entries += shard->lru.size();
+    s.entries += shard->lock()->lru.size();
   }
   return s;
 }

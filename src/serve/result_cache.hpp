@@ -20,11 +20,12 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "util/guarded.hpp"
 
 namespace hpcem::serve {
 
@@ -60,22 +61,19 @@ class ResultCache {
 
  private:
   struct Shard {
-    std::mutex mu;
     /// Most-recently-used at the front.
-    // hpcem: guarded_by(mu)
     std::list<std::pair<std::string, std::string>> lru;
     /// Keys view into the list nodes (stable addresses).
-    // hpcem: guarded_by(mu)
     std::map<std::string_view,
              std::list<std::pair<std::string, std::string>>::iterator>
         index;
   };
 
-  Shard& shard_for(std::string_view key);
+  Guarded<Shard>& shard_for(std::string_view key);
 
   std::size_t capacity_;
   std::size_t per_shard_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Guarded<Shard>>> shards_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> insertions_{0};

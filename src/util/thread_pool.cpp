@@ -16,9 +16,9 @@ ThreadPool::ThreadPool(std::size_t workers) {
 
 ThreadPool::~ThreadPool() {
   {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-    queue_.clear();
+    const auto state = state_.lock();
+    state->stopping = true;
+    state->queue.clear();
   }
   work_cv_.notify_all();
   for (auto& t : threads_) t.join();
@@ -27,16 +27,18 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   require(task != nullptr, "ThreadPool::submit: task must be callable");
   {
-    const std::lock_guard<std::mutex> lock(mu_);
-    require_state(!stopping_, "ThreadPool::submit: pool is shutting down");
-    queue_.push_back(std::move(task));
+    const auto state = state_.lock();
+    require_state(!state->stopping,
+                  "ThreadPool::submit: pool is shutting down");
+    state->queue.push_back(std::move(task));
   }
   work_cv_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+  auto state = state_.lock();
+  state.wait(idle_cv_,
+             [&] { return state->queue.empty() && state->active == 0; });
 }
 
 std::size_t ThreadPool::default_workers() {
@@ -48,18 +50,19 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
+      auto state = state_.lock();
+      state.wait(work_cv_,
+                 [&] { return state->stopping || !state->queue.empty(); });
+      if (state->stopping) return;
+      task = std::move(state->queue.front());
+      state->queue.pop_front();
+      ++state->active;
     }
     task();
     {
-      const std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+      const auto state = state_.lock();
+      --state->active;
+      if (state->queue.empty() && state->active == 0) idle_cv_.notify_all();
     }
   }
 }

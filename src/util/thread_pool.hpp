@@ -5,15 +5,18 @@
 // needs no task-to-task synchronisation beyond the queue itself.  Tasks are
 // dequeued in FIFO order; `wait_idle` gives the submit-then-barrier shape a
 // deterministic merge step needs (all results present before any merging).
+// The queue, the busy count and the shutdown flag share one mutex, held in
+// a Guarded<State>, so every access to them takes the lock.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
+
+#include "util/guarded.hpp"
 
 namespace hpcem {
 
@@ -46,14 +49,16 @@ class ThreadPool {
  private:
   void worker_loop();
 
+  struct State {
+    std::deque<std::function<void()>> queue;
+    std::size_t active = 0;  ///< tasks currently executing
+    bool stopping = false;
+  };
+
   std::vector<std::thread> threads_;
-  // hpcem: guarded_by(mu_)
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
+  Guarded<State> state_;
   std::condition_variable work_cv_;   ///< signals workers: task or shutdown
   std::condition_variable idle_cv_;   ///< signals waiters: pool went idle
-  std::size_t active_ = 0;            // hpcem: guarded_by(mu_)
-  bool stopping_ = false;             // hpcem: guarded_by(mu_)
 };
 
 }  // namespace hpcem

@@ -1,6 +1,5 @@
 // Scope/declaration parser (lint/ast.hpp): scope nesting and
-// classification, function detection, parameter and local capture, and
-// guarded_by annotation binding.
+// classification, function detection, and parameter and local capture.
 #include <gtest/gtest.h>
 
 #include "lint/ast.hpp"
@@ -161,56 +160,17 @@ TEST(LintAst, CapturesLocalsAndLookupPrefersFunctionScope) {
   EXPECT_EQ(p.ast.lookup_var(*f, "not_declared"), nullptr);
 }
 
-// ------------------------------------------------------ guarded_by binding
-TEST(LintAst, BindsGuardedByOnSameAndPreviousLine) {
+TEST(LintAst, LocalClassFieldsAreNotLocals) {
   const Parsed p = parse(
-      "class C {\n"
-      "  std::mutex mu_;\n"
-      "  int same_ = 0;  // hpcem: guarded_by(mu_)\n"
-      "  // hpcem: guarded_by(mu_)\n"
-      "  int above_ = 0;\n"
-      "};\n");
-  ASSERT_EQ(p.ast.guarded_fields.size(), 2u);
-  EXPECT_EQ(p.ast.guarded_fields[0].name, "same_");
-  EXPECT_EQ(p.ast.guarded_fields[0].mutex_name, "mu_");
-  EXPECT_EQ(p.ast.guarded_fields[0].class_name, "C");
-  EXPECT_EQ(p.ast.guarded_fields[1].name, "above_");
-  EXPECT_TRUE(p.ast.unbound_annotations.empty());
-}
-
-TEST(LintAst, BindsGuardedByAcrossMultiLineDeclaration) {
-  const Parsed p = parse(
-      "class C {\n"
-      "  std::mutex mu;\n"
-      "  // hpcem: guarded_by(mu)\n"
-      "  std::map<std::string,\n"
-      "           std::vector<int>>\n"
-      "      index;\n"
-      "};\n");
-  ASSERT_EQ(p.ast.guarded_fields.size(), 1u);
-  EXPECT_EQ(p.ast.guarded_fields[0].name, "index");
-  EXPECT_TRUE(p.ast.unbound_annotations.empty());
-}
-
-TEST(LintAst, UnboundAnnotationIsSurfacedNotDropped) {
-  const Parsed p = parse(
-      "class C {\n"
-      "  // hpcem: guarded_by(mu_)\n"
-      "\n"
-      "\n"
-      "  int far_away_ = 0;\n"
-      "};\n");
-  EXPECT_TRUE(p.ast.guarded_fields.empty());
-  ASSERT_EQ(p.ast.unbound_annotations.size(), 1u);
-  EXPECT_EQ(p.ast.unbound_annotations[0].first, 2u);
-}
-
-TEST(LintAst, ProseMentioningGuardedBySyntaxIsNotAnAnnotation) {
-  const Parsed p = parse(
-      "// Fields use `// hpcem: guarded_by(<mutex>)` annotations.\n"
-      "class C { int v = 0; };\n");
-  EXPECT_TRUE(p.ast.guarded_fields.empty());
-  EXPECT_TRUE(p.ast.unbound_annotations.empty());
+      "void f() {\n"
+      "  struct Row { int width = 0; double share{0.5}; };\n"
+      "  int n = 1;\n"
+      "}\n");
+  const FunctionDef* f = find_fn(p.ast, "f");
+  ASSERT_NE(f, nullptr);
+  EXPECT_NE(p.ast.lookup_var(*f, "n"), nullptr);
+  EXPECT_EQ(p.ast.lookup_var(*f, "width"), nullptr);
+  EXPECT_EQ(p.ast.lookup_var(*f, "share"), nullptr);
 }
 
 // ------------------------------------------------------------- degradation

@@ -326,91 +326,6 @@ TEST(NoIncludeCycle, QuietOnDagAndUnknownIncludes) {
   EXPECT_EQ(count_rule(report, "no-include-cycle"), 0u);
 }
 
-// ------------------------------------------------- serve-obs-instrumentation
-TEST(ServeObsInstrumentation, FlagsMissingInstrumentNames) {
-  LintEngine engine;
-  // Near-miss spellings: the histogram suffix and a renamed counter must
-  // not satisfy the contractual names.  4 instrument names + 6 required
-  // request-scoped spans are all missing.
-  engine.add_source("src/serve/front.cpp",
-                    "static const char* kSpan = \"serve.request.ns\";\n"
-                    "static const char* kHit = \"serve.cachehit\";\n");
-  const auto report = engine.run(LintConfig{});
-  EXPECT_EQ(count_rule(report, "serve-obs-instrumentation"), 10u);
-  for (const Diagnostic& d : report.diagnostics) {
-    if (d.rule == "serve-obs-instrumentation") {
-      EXPECT_EQ(d.path, "src/serve/front.cpp");
-    }
-  }
-}
-
-TEST(ServeObsInstrumentation, QuietWhenAllNamesDeclaredAcrossFiles) {
-  LintEngine engine;
-  engine.add_source("src/serve/front.cpp",
-                    "void f() {\n"
-                    "  HPCEM_OBS_REQUEST_SPAN(\"serve.request\");\n"
-                    "  gauge(\"serve.queue.depth\");\n"
-                    "}\n");
-  engine.add_source("src/serve/result_cache.cpp",
-                    "void g() { hit(\"serve.cache.hit\"); "
-                    "miss(\"serve.cache.miss\"); }\n");
-  engine.add_source("src/serve/query.cpp",
-                    "void h() {\n"
-                    "  HPCEM_OBS_REQUEST_SPAN(\"serve.query.list\");\n"
-                    "  HPCEM_OBS_REQUEST_SPAN(\n"
-                    "      \"serve.query.window_aggregate\");\n"
-                    "  HPCEM_OBS_REQUEST_SPAN(\"serve.query.regimes\");\n"
-                    "  HPCEM_OBS_REQUEST_SPAN(\"serve.query.compare\");\n"
-                    "  HPCEM_OBS_REQUEST_SPAN(\"serve.query.whatif\");\n"
-                    "}\n");
-  const auto report = engine.run(LintConfig{});
-  EXPECT_EQ(count_rule(report, "serve-obs-instrumentation"), 0u);
-}
-
-TEST(ServeObsInstrumentation, BareSpanDoesNotSatisfyRequestSpanRequirement) {
-  LintEngine engine;
-  // All four instrument names are declared, and every handler opens a
-  // span — but with the bare macro, whose records never reach the flight
-  // ring.  Each of the 6 required request spans must be flagged.
-  engine.add_source("src/serve/front.cpp",
-                    "void f() {\n"
-                    "  HPCEM_OBS_SPAN(\"serve.request\");\n"
-                    "  HPCEM_OBS_SPAN(\"serve.query.list\");\n"
-                    "  HPCEM_OBS_SPAN(\"serve.query.window_aggregate\");\n"
-                    "  HPCEM_OBS_SPAN(\"serve.query.regimes\");\n"
-                    "  HPCEM_OBS_SPAN(\"serve.query.compare\");\n"
-                    "  HPCEM_OBS_SPAN(\"serve.query.whatif\");\n"
-                    "  hit(\"serve.cache.hit\");\n"
-                    "  miss(\"serve.cache.miss\");\n"
-                    "  gauge(\"serve.queue.depth\");\n"
-                    "}\n");
-  const auto report = engine.run(LintConfig{});
-  EXPECT_EQ(count_rule(report, "serve-obs-instrumentation"), 6u);
-  for (const Diagnostic& d : report.diagnostics) {
-    if (d.rule == "serve-obs-instrumentation") {
-      EXPECT_NE(d.message.find("HPCEM_OBS_REQUEST_SPAN"),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(ServeObsInstrumentation, QuietWhenTreeHasNoServingLayer) {
-  LintEngine engine;
-  engine.add_source("src/core/energy.cpp", "int x = 1;\n");
-  const auto report = engine.run(LintConfig{});
-  EXPECT_EQ(count_rule(report, "serve-obs-instrumentation"), 0u);
-}
-
-TEST(ServeObsInstrumentation, ConfigAllowSilencesRule) {
-  LintEngine engine;
-  engine.add_source("src/serve/empty.cpp", "int y = 2;\n");
-  LintConfig config;
-  config.allows.push_back({"serve-obs-instrumentation", "src/serve/*"});
-  const auto report = engine.run(config);
-  EXPECT_EQ(count_rule(report, "serve-obs-instrumentation"), 0u);
-  EXPECT_EQ(report.suppressed, 10u);
-}
-
 TEST(NoIncludeCycle, ConfigAllowSilencesCycle) {
   LintEngine engine;
   engine.add_source("src/a/a.hpp", "#pragma once\n#include \"a/a.hpp\"\n");

@@ -1,5 +1,5 @@
-// The semantic rule family end to end through the engine: units-flow,
-// determinism-flow (cross-TU taint) and lock-discipline.
+// The semantic rule family end to end through the engine: units-flow and
+// determinism-flow (cross-TU taint).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -150,99 +150,11 @@ TEST(DeterminismFlowRule, CleanChainStaysClean) {
   EXPECT_TRUE(report.clean());
 }
 
-// -------------------------------------------------------- lock-discipline
-constexpr const char* kGuardedHeader =
-    "#pragma once\n"
-    "class Counter {\n"
-    " public:\n"
-    "  void touch();\n"
-    "  void locked_touch();\n"
-    " private:\n"
-    "  std::mutex mu_;\n"
-    "  std::size_t n_ = 0;  // hpcem: guarded_by(mu_)\n"
-    "};\n";
-
-TEST(LockDisciplineRule, FlagsUnlockedAccessAcrossFiles) {
-  const LintReport report = run_rule(
-      "lock-discipline",
-      {{"src/serve/counter.hpp", kGuardedHeader},
-       {"src/serve/counter.cpp",
-        "#include \"serve/counter.hpp\"\n"
-        "void Counter::touch() { n_ = n_ + 1; }\n"}});
-  EXPECT_GE(count_rule(report, "lock-discipline"), 1u);
-  EXPECT_EQ(report.diagnostics[0].path, "src/serve/counter.cpp");
-  EXPECT_NE(report.diagnostics[0].message.find("guarded_by(mu_)"),
-            std::string::npos);
-}
-
-TEST(LockDisciplineRule, LockGuardInScopeIsClean) {
-  const LintReport report = run_rule(
-      "lock-discipline",
-      {{"src/serve/counter.hpp", kGuardedHeader},
-       {"src/serve/counter.cpp",
-        "#include \"serve/counter.hpp\"\n"
-        "void Counter::locked_touch() {\n"
-        "  const std::lock_guard<std::mutex> lock(mu_);\n"
-        "  n_ = n_ + 1;\n"
-        "}\n"}});
-  EXPECT_TRUE(report.clean());
-}
-
-TEST(LockDisciplineRule, LockOnTheWrongMutexStillFires) {
-  const LintReport report = run_rule(
-      "lock-discipline",
-      {{"src/serve/c.cpp",
-        "class C {\n"
-        "  void touch() {\n"
-        "    const std::lock_guard<std::mutex> lock(other_mu_);\n"
-        "    n_ = 1;\n"
-        "  }\n"
-        "  std::mutex mu_;\n"
-        "  std::mutex other_mu_;\n"
-        "  int n_ = 0;  // hpcem: guarded_by(mu_)\n"
-        "};\n"}});
-  EXPECT_EQ(count_rule(report, "lock-discipline"), 1u);
-}
-
-TEST(LockDisciplineRule, ConstructorAndShadowingLocalAreExempt) {
-  const LintReport report = run_rule(
-      "lock-discipline",
-      {{"src/serve/c.cpp",
-        "class C {\n"
-        " public:\n"
-        "  C() { n_ = 7; }\n"               // ctor: single-threaded
-        "  void local_shadow() {\n"
-        "    int n_ = 0;\n"                 // shadows the field
-        "    n_ = 1;\n"
-        "  }\n"
-        " private:\n"
-        "  std::mutex mu_;\n"
-        "  int n_ = 0;  // hpcem: guarded_by(mu_)\n"
-        "};\n"}});
-  EXPECT_TRUE(report.clean());
-}
-
-TEST(LockDisciplineRule, UnboundAnnotationIsAFinding) {
-  const LintReport report = run_rule(
-      "lock-discipline",
-      {{"src/serve/c.cpp",
-        "class C {\n"
-        "  // hpcem: guarded_by(mu_)\n"
-        "\n"
-        "\n"
-        "  int n_ = 0;\n"
-        "};\n"}});
-  EXPECT_EQ(count_rule(report, "lock-discipline"), 1u);
-  EXPECT_NE(report.diagnostics[0].message.find("did not bind"),
-            std::string::npos);
-}
-
 // ------------------------------------------------------- engine plumbing
 TEST(SemanticRules, RegisteredInDefaultCatalogue) {
   LintEngine engine;
   EXPECT_TRUE(engine.has_rule("units-flow"));
   EXPECT_TRUE(engine.has_rule("determinism-flow"));
-  EXPECT_TRUE(engine.has_rule("lock-discipline"));
 }
 
 TEST(SemanticRules, RuleSelectionRunsOnlyTheNamedRules) {

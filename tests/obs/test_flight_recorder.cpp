@@ -63,7 +63,7 @@ TEST_F(FlightRecorderTest, EventsCarryTheActiveRequestId) {
 TEST_F(FlightRecorderTest, RequestSpansReachTheRing) {
   {
     const RequestScope scope(3);
-    HPCEM_OBS_REQUEST_SPAN("flight.handler");
+    HPCEM_OBS_SPAN("flight.handler");
   }
   const FlightSnapshot snap = flight_snapshot();
   ASSERT_EQ(snap.threads.size(), 1u);
@@ -75,13 +75,15 @@ TEST_F(FlightRecorderTest, RequestSpansReachTheRing) {
   EXPECT_LT(r.begin, r.end);
 }
 
-TEST_F(FlightRecorderTest, BareSpansDoNotReachTheRing) {
-  {
-    const RequestScope scope(3);
-    HPCEM_OBS_SPAN("flight.bare");
-  }
-  const FlightSnapshot snap = flight_snapshot();
-  EXPECT_TRUE(snap.threads.empty());  // ring untouched; span buffer only
+TEST_F(FlightRecorderTest, SpansOutsideAnyRequestDoNotReachTheRing) {
+  ASSERT_EQ(current_request(), 0u);
+  { HPCEM_OBS_SPAN("flight.unscoped"); }
+  EXPECT_TRUE(flight_snapshot().threads.empty());  // ring untouched
+  // The span buffer still has it: only the ring is request-keyed.
+  const TraceSnapshot trace = trace_snapshot();
+  ASSERT_EQ(trace.threads.size(), 1u);
+  ASSERT_EQ(trace.threads[0].spans.size(), 1u);
+  EXPECT_EQ(name_of(trace.threads[0].spans[0].name), "flight.unscoped");
 }
 
 TEST_F(FlightRecorderTest, RingKeepsOnlyTheMostRecentRecords) {
@@ -112,7 +114,7 @@ std::string postmortem_bytes() {
   reset_collected();
   for (std::uint64_t id = 1; id <= 3; ++id) {
     const RequestScope scope(id);
-    HPCEM_OBS_REQUEST_SPAN("flight.pm.request");
+    HPCEM_OBS_SPAN("flight.pm.request");
     record_event(intern_name("flight.pm.lookup"), id * 10);
   }
   PostmortemTrigger trigger;
@@ -137,7 +139,7 @@ TEST_F(FlightRecorderTest, DisabledCollectionRecordsNothing) {
   set_enabled(false);
   const RequestScope scope(9);
   record_event(intern_name("flight.off"), 1);
-  { HPCEM_OBS_REQUEST_SPAN("flight.off.span"); }
+  { HPCEM_OBS_SPAN("flight.off.span"); }
   set_enabled(true);
   EXPECT_TRUE(flight_snapshot().threads.empty());
 }

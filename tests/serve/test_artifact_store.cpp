@@ -122,7 +122,7 @@ TEST(ArtifactStore, RejectsAggregateOnlyJsonArtifacts) {
   v2.replace(pos, stamp.size(), "\"schema_version\": 2");
   std::ofstream(path) << v2;
   expect_one_line_naming(rejection_of([&] { store.load_file(path.string()); }),
-                         {"schema version 2"});
+                         {path.string(), "schema version 2"});
 
   EXPECT_EQ(store.scenario_names(), std::vector<std::string>{"kept"});
   fs::remove(path);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -194,34 +195,82 @@ TEST_F(ServeStatsTest, QueriesMentioningAdminWordsAreStillCached) {
 }
 
 TEST_F(ServeStatsTest, TraceRetrievesOneRequestsRecords) {
+  // One stream over all five query ops plus a verbatim repeat, on one
+  // worker so request ids follow line order.  Every contractual serve
+  // instrument name must show up: each request's trace holds its
+  // serve.request span and its op's serve.query.* span, and the stats
+  // document carries the cache counters and the queue-depth gauge.
   const MultiStore store = stats_store();
-  ServeFront front(store, ServeOptions{});
-  (void)front.handle(R"({"op":"list"})");
-  (void)front.handle(
-      R"({"op":"window_aggregate","scenario":"s","channel":"cabinet_kw"})");
+  ServeOptions options;
+  options.workers = 1;
+  ServeFront front(store, options);
+  const std::vector<std::pair<std::string, std::string>> stream = {
+      {R"({"op":"list"})", "list"},
+      {R"({"op":"window_aggregate","scenario":"s","channel":"cabinet_kw"})",
+       "window_aggregate"},
+      {R"({"op":"regimes","scenario":"s","start":0,"end":86400,)"
+       R"("intensity":{"constant_g_per_kwh":80}})",
+       "regimes"},
+      {R"({"op":"compare","a":"s","b":"s"})", "compare"},
+      {R"({"op":"whatif","scenario":"s","channel":"cabinet_kw",)"
+       R"("intensity":{"constant_g_per_kwh":80}})",
+       "whatif"},
+  };
+  std::string lines;
+  for (const auto& [line, op] : stream) lines += line + "\n";
+  lines += stream[0].first + "\n";  // verbatim repeat: a cache hit
+  std::istringstream in(lines);
+  std::ostringstream out;
+  ASSERT_EQ(front.serve_stream(in, out), stream.size() + 1);
+  EXPECT_EQ(out.str().find(R"("ok":false)"), std::string::npos) << out.str();
 
-  const JsonValue doc =
-      JsonValue::parse(front.handle(R"({"op":"trace","request":2})"));
-  EXPECT_TRUE(doc.at("ok").as_bool());
-  const JsonValue& result = doc.at("result");
-  EXPECT_EQ(result.at("request").as_number(), 2.0);
-  EXPECT_TRUE(result.at("found").as_bool());
-  const auto& records = result.at("records").as_array();
-  ASSERT_FALSE(records.empty());
-  bool saw_handler_span = false;
-  bool saw_store_lookup = false;
-  for (const JsonValue& r : records) {
-    const std::string& name = r.at("name").as_string();
-    if (name == "serve.query.window_aggregate") saw_handler_span = true;
-    if (name == "serve.store.at") saw_store_lookup = true;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const std::string id = std::to_string(i + 1);
+    const JsonValue doc = JsonValue::parse(
+        front.handle(R"({"op":"trace","request":)" + id + "}"));
+    EXPECT_TRUE(doc.at("ok").as_bool());
+    const JsonValue& result = doc.at("result");
+    EXPECT_EQ(result.at("request").as_number(), static_cast<double>(i + 1));
+    EXPECT_TRUE(result.at("found").as_bool());
+    bool saw_request_span = false;
+    bool saw_handler_span = false;
+    bool saw_store_lookup = false;
+    for (const JsonValue& r : result.at("records").as_array()) {
+      const std::string& name = r.at("name").as_string();
+      const bool span = r.at("kind").as_string() == "span";
+      if (name == "serve.request" && span) saw_request_span = true;
+      if (name == "serve.query." + stream[i].second && span) {
+        saw_handler_span = true;
+      }
+      if (name == "serve.store.at") saw_store_lookup = true;
+    }
+    EXPECT_TRUE(saw_request_span) << "request " << id;
+    EXPECT_TRUE(saw_handler_span) << "request " << id;
+    if (stream[i].second == "window_aggregate") {
+      EXPECT_TRUE(saw_store_lookup);
+    }
   }
-  EXPECT_TRUE(saw_handler_span);
-  EXPECT_TRUE(saw_store_lookup);
 
   const JsonValue missing =
       JsonValue::parse(front.handle(R"({"op":"trace","request":999})"));
   EXPECT_FALSE(missing.at("result").at("found").as_bool());
   EXPECT_TRUE(missing.at("result").at("records").as_array().empty());
+
+  const JsonValue stats = JsonValue::parse(front.handle(R"({"op":"stats"})"));
+  const JsonValue& obs_doc = stats.at("result").at("obs");
+  std::map<std::string, double> counters;
+  for (const JsonValue& c : obs_doc.at("counters").as_array()) {
+    counters[c.at("name").as_string()] = c.at("value").as_number();
+  }
+  EXPECT_EQ(counters["serve.cache.hit"], 1.0);
+  EXPECT_EQ(counters["serve.cache.miss"], 5.0);
+  bool saw_queue_gauge = false;
+  for (const JsonValue& g : obs_doc.at("gauges").as_array()) {
+    if (g.at("name").as_string() != "serve.queue.depth") continue;
+    saw_queue_gauge = true;
+    EXPECT_GE(g.at("value").as_number(), 1.0);
+  }
+  EXPECT_TRUE(saw_queue_gauge);
 }
 
 TEST_F(ServeStatsTest, MalformedTraceRequestsAreParseErrors) {
