@@ -61,7 +61,7 @@ int main() {
       j.submit_time = now;
       sched.submit(std::move(j));
       for (auto& s : sched.schedule_pass(now)) {
-        hops.add(fabric.mean_pairwise_hops(s.nodes));
+        hops.add(fabric.mean_pairwise_hops(expand(s.runs)));
         sched.finish(s.job.id, now);
       }
     }

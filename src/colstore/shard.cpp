@@ -64,13 +64,12 @@ std::string ShardManifest::to_json_text() const { return to_json().dump(2); }
 
 ShardManifest ShardManifest::from_json(const JsonValue& v) {
   require(v.at("schema").as_string() == kSchema,
-          "ShardManifest: unknown schema '" + v.at("schema").as_string() +
-              "' (expected '" + std::string(kSchema) + "')");
+          "ShardManifest: unknown schema '", v.at("schema").as_string(),
+          "' (expected '", kSchema, "')");
   ShardManifest m;
   m.format_version = static_cast<int>(v.at("hcaf_format_version").as_number());
   require(m.format_version >= 1 && m.format_version <= kFormatVersion,
-          "ShardManifest: unsupported HCAF format version " +
-              std::to_string(m.format_version));
+          "ShardManifest: unsupported HCAF format version ", m.format_version);
   m.shard_count = static_cast<std::size_t>(v.at("shard_count").as_number());
   m.vnodes_per_shard =
       static_cast<std::size_t>(v.at("vnodes_per_shard").as_number());
@@ -85,9 +84,8 @@ ShardManifest ShardManifest::from_json(const JsonValue& v) {
     m.shards.push_back(std::move(s));
   }
   require(m.shards.size() == m.shard_count,
-          "ShardManifest: shard list length " +
-              std::to_string(m.shards.size()) + " does not match shard_count " +
-              std::to_string(m.shard_count));
+          "ShardManifest: shard list length ", m.shards.size(),
+          " does not match shard_count ", m.shard_count);
   return m;
 }
 

@@ -25,40 +25,35 @@ Facility build_machine(MachineModel machine) {
 }
 
 void validate(const ScenarioSpec& spec) {
-  require(spec.window_end > spec.window_start,
-          "ScenarioSpec '" + spec.name + "': window end must follow start");
-  require(spec.warmup.sec() >= 0.0,
-          "ScenarioSpec '" + spec.name + "': warmup must be non-negative");
+  require(spec.window_end > spec.window_start, "ScenarioSpec '", spec.name,
+          "': window end must follow start");
+  require(spec.warmup.sec() >= 0.0, "ScenarioSpec '", spec.name,
+          "': warmup must be non-negative");
   for (const auto& window : spec.maintenance) {
-    require(window.end > window.block_from,
-            "ScenarioSpec '" + spec.name +
-                "': maintenance end must follow block_from");
+    require(window.end > window.block_from, "ScenarioSpec '", spec.name,
+            "': maintenance end must follow block_from");
   }
   if (spec.sample_interval) {
-    require(spec.sample_interval->sec() > 0.0,
-            "ScenarioSpec '" + spec.name +
-                "': sample interval must be positive");
+    require(spec.sample_interval->sec() > 0.0, "ScenarioSpec '", spec.name,
+            "': sample interval must be positive");
   }
   if (spec.metering_noise_sigma) {
-    require(*spec.metering_noise_sigma >= 0.0,
-            "ScenarioSpec '" + spec.name +
-                "': metering noise sigma must be non-negative");
+    require(*spec.metering_noise_sigma >= 0.0, "ScenarioSpec '", spec.name,
+            "': metering noise sigma must be non-negative");
   }
   if (spec.offered_load) {
-    require(*spec.offered_load > 0.0,
-            "ScenarioSpec '" + spec.name +
-                "': offered load must be positive");
+    require(*spec.offered_load > 0.0, "ScenarioSpec '", spec.name,
+            "': offered load must be positive");
   }
   if (spec.user_turbo_pin_fraction) {
     require(*spec.user_turbo_pin_fraction >= 0.0 &&
                 *spec.user_turbo_pin_fraction <= 1.0,
-            "ScenarioSpec '" + spec.name +
-                "': turbo pin fraction must be in [0,1]");
+            "ScenarioSpec '", spec.name,
+            "': turbo pin fraction must be in [0,1]");
   }
   if (spec.telemetry_max_raw_samples) {
-    require(*spec.telemetry_max_raw_samples >= 2,
-            "ScenarioSpec '" + spec.name +
-                "': telemetry retention cap must be >= 2");
+    require(*spec.telemetry_max_raw_samples >= 2, "ScenarioSpec '", spec.name,
+            "': telemetry retention cap must be >= 2");
   }
 }
 

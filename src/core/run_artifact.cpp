@@ -206,9 +206,8 @@ std::vector<Sample> series_from_text(SeriesText& s,
                                      const std::string& channel) {
   const Column& times = column_of(s.times, "times");
   const Column& values = column_of(s.values, "values");
-  require(times.size == values.size,
-          "RunArtifact: channel '" + channel +
-              "' series times/values length mismatch");
+  require(times.size == values.size, "RunArtifact: channel '", channel,
+          "' series times/values length mismatch");
   for (std::size_t i = 0; i < times.size; ++i) {
     if (i == times.first_non_number) {
       throw ParseError("JsonValue: not a number");
@@ -260,11 +259,10 @@ RunArtifact decode(const JsonValue& v, std::vector<ChannelText>& channels) {
   const std::uint64_t version =
       count_from_json(v, "schema_version", "schema_version");
   require(version >= RunArtifact::kSchemaVersion,
-          "RunArtifact: schema version " + std::to_string(version) +
-              " predates v3; re-export with --serve-export");
+          "RunArtifact: schema version ", version,
+          " predates v3; re-export with --serve-export");
   require(version == RunArtifact::kSchemaVersion,
-          "RunArtifact: unsupported schema version " +
-              std::to_string(version));
+          "RunArtifact: unsupported schema version ", version);
 
   RunArtifact a;
   a.scenario = v.at("scenario").as_string();

@@ -194,8 +194,8 @@ std::vector<std::string> collect_sources(
   const fs::path base(root);
   for (const std::string& dir : dirs) {
     const fs::path target = base / dir;
-    require(fs::exists(target),
-            "hpcem_lint: path does not exist: " + target.string());
+    require(fs::exists(target), "hpcem_lint: path does not exist: ",
+            target.string());
     if (fs::is_regular_file(target)) {
       paths.push_back(dir);
       continue;
@@ -222,7 +222,7 @@ std::vector<std::string> collect_sources(
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  require(in.good(), "hpcem_lint: cannot read " + path);
+  require(in.good(), "hpcem_lint: cannot read ", path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();

@@ -81,8 +81,7 @@ MetricsSnapshot metrics_from_json(const JsonValue& v) {
           "obs::metrics_from_json: not an obs-metrics document");
   const int version = static_cast<int>(v.at("schema_version").as_number());
   require(version == kMetricsSchemaVersion,
-          "obs::metrics_from_json: unsupported schema version " +
-              std::to_string(version));
+          "obs::metrics_from_json: unsupported schema version ", version);
 
   MetricsSnapshot snap;
   for (const auto& c : v.at("counters").as_array()) {

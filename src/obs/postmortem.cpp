@@ -53,11 +53,11 @@ void write_postmortem_file(const PostmortemTrigger& trigger,
                            const FlightSnapshot& snap,
                            const std::string& path) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  require_state(static_cast<bool>(out),
-                "obs: cannot write postmortem file: " + path);
+  require_state(static_cast<bool>(out), "obs: cannot write postmortem file: ",
+                path);
   out << postmortem_json(trigger, snap).dump(2) << '\n';
-  require_state(static_cast<bool>(out),
-                "obs: postmortem write failed: " + path);
+  require_state(static_cast<bool>(out), "obs: postmortem write failed: ",
+                path);
 }
 
 }  // namespace hpcem::obs

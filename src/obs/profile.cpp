@@ -105,9 +105,9 @@ Profile profile_trace(const JsonValue& trace_doc) {
 std::vector<ProfileDelta> compare_profiles(const Profile& a,
                                            const Profile& b) {
   require(a.time_unit == b.time_unit,
-          "compare_profiles: traces use different time units (" +
-              a.time_unit + " vs " + b.time_unit +
-              "); compare deterministic runs with deterministic baselines");
+          "compare_profiles: traces use different time units (", a.time_unit,
+          " vs ", b.time_unit,
+          "); compare deterministic runs with deterministic baselines");
 
   std::map<std::string, ProfileDelta> rows;
   for (const auto& e : a.entries) {

@@ -105,9 +105,8 @@ MetricId register_metric(std::string_view name, MetricKind kind,
   const auto r = registry().lock();
   if (const auto it = r->metric_ids.find(name); it != r->metric_ids.end()) {
     const MetricDesc& d = r->metrics[it->second];
-    require(d.kind == kind && d.unit == unit,
-            "obs::register_metric: '" + std::string(name) +
-                "' re-registered as a different " + metric_kind_label(kind));
+    require(d.kind == kind && d.unit == unit, "obs::register_metric: '", name,
+            "' re-registered as a different ", metric_kind_label(kind));
     return it->second;
   }
   const auto id = static_cast<MetricId>(r->metrics.size());

@@ -6,8 +6,7 @@ namespace hpcem {
 
 namespace {
 void check_load(double load, const char* who) {
-  require(load >= 0.0 && load <= 1.0,
-          std::string(who) + ": load must be in [0, 1]");
+  require(load >= 0.0 && load <= 1.0, who, ": load must be in [0, 1]");
 }
 }  // namespace
 

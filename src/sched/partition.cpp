@@ -20,10 +20,10 @@ PartitionedScheduler::PartitionedScheduler(
           "PartitionedScheduler: need at least one partition");
   for (auto& p : partitions) {
     require(!p.name.empty(), "PartitionedScheduler: partition needs a name");
-    require(p.nodes > 0,
-            "PartitionedScheduler: partition needs nodes: " + p.name);
+    require(p.nodes > 0, "PartitionedScheduler: partition needs nodes: ",
+            p.name);
     require(!schedulers_.contains(p.name),
-            "PartitionedScheduler: duplicate partition: " + p.name);
+            "PartitionedScheduler: duplicate partition: ", p.name);
     SchedulerConfig cfg;
     cfg.nodes = p.nodes;
     cfg.discipline = p.discipline;
@@ -39,16 +39,16 @@ std::vector<std::string> PartitionedScheduler::partition_names() const {
 
 Scheduler& PartitionedScheduler::at(const std::string& partition) {
   auto it = schedulers_.find(partition);
-  require(it != schedulers_.end(),
-          "PartitionedScheduler: no such partition: " + partition);
+  require(it != schedulers_.end(), "PartitionedScheduler: no such partition: ",
+          partition);
   return it->second;
 }
 
 const Scheduler& PartitionedScheduler::at(
     const std::string& partition) const {
   auto it = schedulers_.find(partition);
-  require(it != schedulers_.end(),
-          "PartitionedScheduler: no such partition: " + partition);
+  require(it != schedulers_.end(), "PartitionedScheduler: no such partition: ",
+          partition);
   return it->second;
 }
 

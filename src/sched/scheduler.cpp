@@ -11,7 +11,7 @@ Scheduler::Scheduler(SchedulerConfig config)
 
 void Scheduler::submit(JobSpec job) {
   require(job.nodes >= 1 && job.nodes <= config_.nodes,
-          "Scheduler::submit: job size must fit the machine: " + job.app);
+          "Scheduler::submit: job size must fit the machine: ", job.app);
   require(job.requested_walltime.sec() > 0.0,
           "Scheduler::submit: walltime must be positive");
   queue_.push_back(std::move(job));
@@ -113,14 +113,9 @@ std::vector<JobStart> Scheduler::schedule_pass(SimTime now) {
   while (!queue_.empty() && queue_.front().nodes <= allocator_.free_count()) {
     JobSpec job = std::move(queue_.front());
     queue_.pop_front();
-    auto nodes = allocator_.allocate(job.nodes);
-    HPCEM_ASSERT(nodes.has_value(), "allocation must succeed after fit check");
-    const JobId id = job.id;
-    const SimTime expected_end = now + job.requested_walltime;
-    ends_insert(expected_end, id, nodes->size());
-    running_.emplace(id, Running{*nodes, expected_end});
-    ++started_total_;
-    starts.push_back({std::move(job), std::move(*nodes)});
+    auto runs = allocator_.allocate(job.nodes);
+    HPCEM_ASSERT(runs.has_value(), "allocation must succeed after fit check");
+    start(std::move(job), std::move(*runs), now, starts);
   }
   if (queue_.empty()) return starts;
 
@@ -147,23 +142,28 @@ std::vector<JobStart> Scheduler::schedule_pass(SimTime now) {
     }
     JobSpec job = std::move(*it);
     it = queue_.erase(it);
-    auto nodes = allocator_.allocate(job.nodes);
-    HPCEM_ASSERT(nodes.has_value(), "backfill allocation must succeed");
-    const JobId id = job.id;
-    const SimTime expected_end = now + job.requested_walltime;
-    ends_insert(expected_end, id, nodes->size());
-    running_.emplace(id, Running{*nodes, expected_end});
-    ++started_total_;
-    starts.push_back({std::move(job), std::move(*nodes)});
+    auto runs = allocator_.allocate(job.nodes);
+    HPCEM_ASSERT(runs.has_value(), "backfill allocation must succeed");
+    start(std::move(job), std::move(*runs), now, starts);
   }
   return starts;
 }
 
+void Scheduler::start(JobSpec job, std::vector<NodeRun> runs, SimTime now,
+                      std::vector<JobStart>& starts) {
+  const JobId id = job.id;
+  const SimTime expected_end = now + job.requested_walltime;
+  ends_insert(expected_end, id, job.nodes);
+  running_.emplace(id, Running{runs, job.nodes, expected_end});
+  starts.push_back({std::move(job), std::move(runs)});
+  ++started_total_;
+}
+
 void Scheduler::finish(JobId id, SimTime /*now*/) {
   auto it = running_.find(id);
-  require_state(it != running_.end(),
-                "Scheduler::finish: job not running: " + std::to_string(id));
-  allocator_.release(it->second.nodes);
+  require_state(it != running_.end(), "Scheduler::finish: job not running: ",
+                id);
+  allocator_.release(it->second.runs);
   ends_erase(it->second.expected_end, id);
   running_.erase(it);
   ++finished_total_;
@@ -172,21 +172,19 @@ void Scheduler::finish(JobId id, SimTime /*now*/) {
 void Scheduler::set_expected_end(JobId id, SimTime end) {
   auto it = running_.find(id);
   require_state(it != running_.end(),
-                "Scheduler::set_expected_end: job not running: " +
-                    std::to_string(id));
+                "Scheduler::set_expected_end: job not running: ", id);
   if (it->second.expected_end != end) {
     ends_erase(it->second.expected_end, id);
-    ends_insert(end, id, it->second.nodes.size());
+    ends_insert(end, id, it->second.nodes);
   }
   it->second.expected_end = end;
 }
 
-const std::vector<NodeId>& Scheduler::allocation(JobId id) const {
+const std::vector<NodeRun>& Scheduler::allocation(JobId id) const {
   auto it = running_.find(id);
   require_state(it != running_.end(),
-                "Scheduler::allocation: job not running: " +
-                    std::to_string(id));
-  return it->second.nodes;
+                "Scheduler::allocation: job not running: ", id);
+  return it->second.runs;
 }
 
 }  // namespace hpcem

@@ -55,7 +55,8 @@ struct SchedulerConfig {
 /// A job the scheduler has decided to start now.
 struct JobStart {
   JobSpec job;
-  std::vector<NodeId> nodes;
+  /// The nodes the job runs on, as ascending runs.
+  std::vector<NodeRun> runs;
 };
 
 /// FIFO + EASY backfill scheduler.
@@ -94,8 +95,8 @@ class Scheduler {
            static_cast<double>(total_nodes());
   }
 
-  /// Nodes allocated to a running job.
-  [[nodiscard]] const std::vector<NodeId>& allocation(JobId id) const;
+  /// Nodes allocated to a running job, as ascending runs.
+  [[nodiscard]] const std::vector<NodeRun>& allocation(JobId id) const;
 
   /// Lifetime counters.
   [[nodiscard]] std::uint64_t started_total() const { return started_total_; }
@@ -112,9 +113,13 @@ class Scheduler {
   /// Reorder the queue per the discipline (no-op under kFifo).
   void order_queue(SimTime now);
   struct Running {
-    std::vector<NodeId> nodes;
+    std::vector<NodeRun> runs;
+    std::size_t nodes;
     SimTime expected_end;
   };
+  /// Record a job as running on `runs` and queue its JobStart.
+  void start(JobSpec job, std::vector<NodeRun> runs, SimTime now,
+             std::vector<JobStart>& starts);
 
   /// One running job in the expected-end-sorted shadow buffer.
   struct EndEntry {

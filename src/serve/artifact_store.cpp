@@ -55,8 +55,8 @@ StoredScenario stored_scenario(colstore::ShardScenario&& sc,
             });
   for (std::size_t i = 1; i < s.channels.size(); ++i) {
     require(s.channels[i - 1].name != s.channels[i].name,
-            "ArtifactStore: scenario '" + s.name +
-                "' declares channel '" + s.channels[i].name + "' twice");
+            "ArtifactStore: scenario '", s.name, "' declares channel '",
+            s.channels[i].name, "' twice");
   }
   return s;
 }
@@ -168,14 +168,13 @@ const StoredScenario& ArtifactStore::at(const std::string& name) const {
   static const obs::NameId kLookup = obs::intern_name("serve.store.at");
   obs::record_event(kLookup);
   const StoredScenario* s = find(name);
-  require(s != nullptr, "ArtifactStore: unknown scenario '" + name + "'");
+  require(s != nullptr, "ArtifactStore: unknown scenario '", name, "'");
   return *s;
 }
 
 const StoredScenario& ArtifactStore::at(std::size_t id) const {
-  require(id < scenarios_.size(),
-          "ArtifactStore: scenario id " + std::to_string(id) +
-              " out of range");
+  require(id < scenarios_.size(), "ArtifactStore: scenario id ", id,
+          " out of range");
   auto it = scenarios_.begin();
   std::advance(it, static_cast<std::ptrdiff_t>(id));
   return it->second;

@@ -36,9 +36,8 @@ void MultiStore::add_entry(Entry entry) {
 }
 
 const ArtifactStore& MultiStore::shard(std::size_t i) const {
-  require(i < shards_.size(), "MultiStore: shard index " + std::to_string(i) +
-                                  " out of range (have " +
-                                  std::to_string(shards_.size()) + ")");
+  require(i < shards_.size(), "MultiStore: shard index ", i,
+          " out of range (have ", shards_.size(), ")");
   return *shards_[i].store;
 }
 
@@ -89,7 +88,7 @@ const StoredScenario& MultiStore::at(const std::string& name) const {
   static const obs::NameId kLookup = obs::intern_name("serve.store.at");
   obs::record_event(kLookup);
   const StoredScenario* s = find(name);
-  require(s != nullptr, "ArtifactStore: unknown scenario '" + name + "'");
+  require(s != nullptr, "ArtifactStore: unknown scenario '", name, "'");
   return *s;
 }
 

@@ -368,8 +368,8 @@ JsonValue QueryEngine::window_aggregate(const QueryRequest& r) const {
   HPCEM_OBS_SPAN("serve.query.window_aggregate");
   const StoredScenario& s = stores_.at(r.scenario);
   const StoredChannel* ch = s.find_channel(r.channel);
-  require(ch != nullptr, "query: unknown channel '" + r.channel +
-                             "' in scenario '" + r.scenario + "'");
+  require(ch != nullptr, "query: unknown channel '", r.channel,
+          "' in scenario '", r.scenario, "'");
   const ChannelAggregate& a = ch->aggregate;
   const SimTime start = r.start.value_or(s.window_start);
   const SimTime end = r.end.value_or(s.window_end);
@@ -496,9 +496,8 @@ JsonValue QueryEngine::compare(const QueryRequest& r) const {
   const StoredScenario& a = stores_.at(r.scenario_a);
   const StoredScenario& b = stores_.at(r.scenario_b);
   const auto side = [](const StoredScenario& s) {
-    require(s.headline.window_energy_kwh > 0.0,
-            "query: scenario '" + s.name +
-                "' has no window energy; cannot compute perf per kWh");
+    require(s.headline.window_energy_kwh > 0.0, "query: scenario '", s.name,
+            "' has no window energy; cannot compute perf per kWh");
     JsonValue o = JsonValue::object();
     o.set("scenario", s.name);
     o.set("completed_jobs", s.headline.completed_jobs);
@@ -526,12 +525,12 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
   HPCEM_OBS_SPAN("serve.query.whatif");
   const StoredScenario& s = stores_.at(r.scenario);
   const StoredChannel* ch = s.find_channel(r.channel);
-  require(ch != nullptr, "query: unknown channel '" + r.channel +
-                             "' in scenario '" + r.scenario + "'");
+  require(ch != nullptr, "query: unknown channel '", r.channel,
+          "' in scenario '", r.scenario, "'");
   require(ch->unit == "kW",
-          "query: whatif re-pricing requires a power channel in kW; '" +
-              r.channel + "' is in " +
-              (ch->unit.empty() ? "(no unit)" : ch->unit));
+          "query: whatif re-pricing requires a power channel in kW; '",
+          r.channel, "' is in ",
+          ch->unit.empty() ? std::string_view("(no unit)") : ch->unit);
   HPCEM_ASSERT(r.intensity.has_value(), "whatif: parsed without intensity");
   const IntensitySpec& intensity = *r.intensity;
   // No explicit window means the whole stored channel — including its last
@@ -552,8 +551,8 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
   const auto first = static_cast<std::size_t>(lo - ch->times.begin());
   const auto last = static_cast<std::size_t>(hi - ch->times.begin());
   require(last > first + 1,
-          "query: whatif window holds fewer than two samples of '" +
-              r.channel + "'");
+          "query: whatif window holds fewer than two samples of '", r.channel,
+          "'");
   CompensatedSum e_kwh;
   CompensatedSum co2_g;
   for (std::size_t i = first; i + 1 < last; ++i) {

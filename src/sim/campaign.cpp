@@ -36,9 +36,8 @@ const obs::Gauge& workers_gauge() {
 ScenarioOutcome run_one(const CampaignScenario& scenario,
                         std::uint64_t seed) {
   auto sim = scenario.build(seed);
-  require(sim != nullptr,
-          "CampaignRunner: scenario '" + scenario.name +
-              "' produced no simulator");
+  require(sim != nullptr, "CampaignRunner: scenario '", scenario.name,
+          "' produced no simulator");
   sim->run(scenario.window_start - scenario.warmup, scenario.window_end);
 
   const SimTime a = scenario.window_start;
@@ -47,9 +46,8 @@ ScenarioOutcome run_one(const CampaignScenario& scenario,
   // composition time.
   const TimeSeries window =
       sim->telemetry().series(sim->cabinet_channel()).slice(a, b);
-  require_state(!window.empty(),
-                "CampaignRunner: scenario '" + scenario.name +
-                    "' produced no window samples");
+  require_state(!window.empty(), "CampaignRunner: scenario '", scenario.name,
+                "' produced no window samples");
 
   ScenarioOutcome out;
   out.name = scenario.name;
@@ -109,15 +107,12 @@ CampaignResult CampaignRunner::run(
     const std::vector<CampaignScenario>& scenarios) const {
   require(!scenarios.empty(), "CampaignRunner::run: no scenarios");
   for (const auto& s : scenarios) {
-    require(s.window_end > s.window_start,
-            "CampaignRunner::run: scenario '" + s.name +
-                "' window end must follow start");
-    require(s.warmup.sec() >= 0.0,
-            "CampaignRunner::run: scenario '" + s.name +
-                "' warmup must be non-negative");
-    require(s.build != nullptr,
-            "CampaignRunner::run: scenario '" + s.name +
-                "' has no simulator factory");
+    require(s.window_end > s.window_start, "CampaignRunner::run: scenario '",
+            s.name, "' window end must follow start");
+    require(s.warmup.sec() >= 0.0, "CampaignRunner::run: scenario '", s.name,
+            "' warmup must be non-negative");
+    require(s.build != nullptr, "CampaignRunner::run: scenario '", s.name,
+            "' has no simulator factory");
   }
 
   const std::size_t reps = config_.seeds_per_scenario;

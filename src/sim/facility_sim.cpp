@@ -148,7 +148,7 @@ void FacilitySimulator::run_impl(std::vector<JobSpec> trace, bool use_trace,
     // Replay an explicit trace: one submit event per in-window job.
     for (auto& job : trace) {
       require(catalog_->contains(job.app),
-              "run_trace: unknown application in trace: " + job.app);
+              "run_trace: unknown application in trace: ", job.app);
       if (job.submit_time < start || job.submit_time >= end) continue;
       const SimTime at = job.submit_time;
       engine_.schedule_static(at, SimEventKind::kSubmit,

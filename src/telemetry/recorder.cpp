@@ -23,7 +23,7 @@ ChannelId Recorder::declare(const std::string& name,
   auto it = index_.find(name);
   if (it != index_.end()) {
     require(channels_[it->second]->series.unit() == unit,
-            "Recorder::channel: unit mismatch for existing channel " + name);
+            "Recorder::channel: unit mismatch for existing channel ", name);
     return ChannelId(it->second);
   }
   const auto idx = static_cast<std::uint32_t>(channels_.size());
@@ -42,8 +42,7 @@ std::optional<ChannelId> Recorder::find(const std::string& name) const {
 
 ChannelId Recorder::id(const std::string& name) const {
   const auto found = find(name);
-  require_state(found.has_value(),
-                "Recorder::id: no such channel: " + name);
+  require_state(found.has_value(), "Recorder::id: no such channel: ", name);
   return *found;
 }
 
@@ -77,8 +76,8 @@ TimeSeries& Recorder::channel(const std::string& name,
 
 const TimeSeries& Recorder::channel(const std::string& name) const {
   auto it = index_.find(name);
-  require_state(it != index_.end(),
-                "Recorder::channel: no such channel: " + name);
+  require_state(it != index_.end(), "Recorder::channel: no such channel: ",
+                name);
   return channels_[it->second]->series;
 }
 
@@ -95,8 +94,8 @@ std::vector<std::string> Recorder::channel_names() const {
 
 void Recorder::record(const std::string& name, SimTime t, double value) {
   auto it = index_.find(name);
-  require_state(it != index_.end(),
-                "Recorder::record: no such channel: " + name);
+  require_state(it != index_.end(), "Recorder::record: no such channel: ",
+                name);
   channels_[it->second]->series.append(t, value);
 }
 

@@ -13,13 +13,13 @@ ArgParser::ArgParser(std::string program_description)
 void ArgParser::add_option(const std::string& name,
                            const std::string& default_value,
                            const std::string& help) {
-  require(!options_.contains(name), "ArgParser: duplicate option " + name);
+  require(!options_.contains(name), "ArgParser: duplicate option ", name);
   options_[name] = Option{default_value, help, false};
   order_.push_back(name);
 }
 
 void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  require(!options_.contains(name), "ArgParser: duplicate option " + name);
+  require(!options_.contains(name), "ArgParser: duplicate option ", name);
   options_[name] = Option{"false", help, true};
   order_.push_back(name);
 }
@@ -91,7 +91,7 @@ const std::string& ArgParser::get(const std::string& name) const {
   const auto vit = values_.find(name);
   if (vit != values_.end()) return vit->second;
   const auto oit = options_.find(name);
-  require(oit != options_.end(), "ArgParser::get: undeclared option " + name);
+  require(oit != options_.end(), "ArgParser::get: undeclared option ", name);
   return oit->second.default_value;
 }
 
@@ -99,8 +99,8 @@ double ArgParser::get_double(const std::string& name) const {
   const std::string& s = get(name);
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  require(end != s.c_str() && *end == '\0',
-          "ArgParser: --" + name + " expects a number, got: " + s);
+  require(end != s.c_str() && *end == '\0', "ArgParser: --", name,
+          " expects a number, got: ", s);
   return v;
 }
 
@@ -108,8 +108,8 @@ long ArgParser::get_int(const std::string& name) const {
   const std::string& s = get(name);
   char* end = nullptr;
   const long v = std::strtol(s.c_str(), &end, 10);
-  require(end != s.c_str() && *end == '\0',
-          "ArgParser: --" + name + " expects an integer, got: " + s);
+  require(end != s.c_str() && *end == '\0', "ArgParser: --", name,
+          " expects an integer, got: ", s);
   return v;
 }
 

@@ -30,17 +30,17 @@ ApplicationModel::ApplicationModel(ApplicationSpec spec,
                                    const NodePowerParams& node_params)
     : spec_(std::move(spec)), node_params_(node_params) {
   require(spec_.beta >= 0.0 && spec_.beta <= 1.0,
-          "ApplicationModel: beta must be in [0, 1] for " + spec_.name);
+          "ApplicationModel: beta must be in [0, 1] for ", spec_.name);
   require(spec_.comm_fraction >= 0.0 &&
               spec_.comm_fraction + spec_.beta <= 1.0,
           "ApplicationModel: comm_fraction must fit in the clock-insensitive "
-          "part for " +
-              spec_.name);
+          "part for ",
+          spec_.name);
   require(spec_.power_det_uplift >= 0.0,
-          "ApplicationModel: uplift must be non-negative for " + spec_.name);
+          "ApplicationModel: uplift must be non-negative for ", spec_.name);
   require(spec_.mix_weight >= 0.0,
-          "ApplicationModel: mix_weight must be non-negative for " +
-              spec_.name);
+          "ApplicationModel: mix_weight must be non-negative for ",
+          spec_.name);
   profile_ = calibrate_dynamic_profile(
       node_params_, Power::watts(spec_.loaded_node_w),
       spec_.power_ratio_2ghz, spec_.boost);
@@ -164,8 +164,8 @@ double calibrate_power_det_uplift(const ApplicationSpec& spec,
   const double one_plus_uplift = core_at_wd / (profile.core_w * phi_wd);
   require(one_plus_uplift >= 1.0,
           "calibrate_power_det_uplift: target energy ratio implies a "
-          "negative uplift for " +
-              spec.name);
+          "negative uplift for ",
+          spec.name);
   return one_plus_uplift - 1.0;
 }
 

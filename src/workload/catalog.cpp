@@ -224,7 +224,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
 void AppCatalog::add(ApplicationSpec spec, const NodePowerParams& node_params,
                      std::vector<PaperReference> references) {
   require(!contains(spec.name),
-          "AppCatalog::add: duplicate application name: " + spec.name);
+          "AppCatalog::add: duplicate application name: ", spec.name);
   apps_.emplace_back(std::move(spec), node_params);
   refs_.push_back(std::move(references));
   index_by_name_.emplace(apps_.back().name(), apps_.size() - 1);

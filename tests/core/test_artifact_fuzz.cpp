@@ -82,14 +82,12 @@ ChannelAggregate ref_channel(const JsonValue& v) {
   if (const JsonValue* series = v.get("series")) {
     const auto& times = series->at("times").as_array();
     const auto& values = series->at("values").as_array();
-    require(times.size() == values.size(),
-            "RunArtifact: channel '" + c.name +
-                "' series times/values length mismatch");
+    require(times.size() == values.size(), "RunArtifact: channel '", c.name,
+            "' series times/values length mismatch");
     for (std::size_t i = 0; i < times.size(); ++i) {
       const SimTime t(times[i].as_number());
-      require(i == 0 || t >= c.series.back().time,
-              "RunArtifact: channel '" + c.name +
-                  "' series times must be non-decreasing");
+      require(i == 0 || t >= c.series.back().time, "RunArtifact: channel '",
+              c.name, "' series times must be non-decreasing");
       c.series.push_back({t, values[i].as_number()});
     }
   }
@@ -102,11 +100,9 @@ RunArtifact ref_decode(const std::string& text) {
           "RunArtifact: not a run-artifact document");
   const std::uint64_t version =
       ref_count(v, "schema_version", "schema_version");
-  require(version >= 3, "RunArtifact: schema version " +
-                            std::to_string(version) +
-                            " predates v3; re-export with --serve-export");
-  require(version == 3, "RunArtifact: unsupported schema version " +
-                            std::to_string(version));
+  require(version >= 3, "RunArtifact: schema version ", version,
+          " predates v3; re-export with --serve-export");
+  require(version == 3, "RunArtifact: unsupported schema version ", version);
   RunArtifact a;
   a.scenario = v.at("scenario").as_string();
   a.source = v.at("source").as_string();

@@ -133,7 +133,8 @@ TEST(Scheduler, AllocationQueryReturnsNodes) {
   Scheduler s({100, 200});
   s.submit(job(1, 25, 1.0));
   ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
-  EXPECT_EQ(s.allocation(1).size(), 25u);
+  const std::vector<NodeRun> expected = {{0, 25}};
+  EXPECT_EQ(s.allocation(1), expected);
   EXPECT_THROW(s.allocation(2), StateError);
 }
 

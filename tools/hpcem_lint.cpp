@@ -66,11 +66,11 @@ int run(int argc, const char* const* argv) {
     config = hpcem::lint::parse_config(hpcem::lint::read_file(config_path));
     for (const std::string& rule : config.disabled_rules) {
       hpcem::require(engine.has_rule(rule),
-                     ".hpcemlint disables unknown rule '" + rule + "'");
+                     ".hpcemlint disables unknown rule '", rule, "'");
     }
     for (const auto& allow : config.allows) {
       hpcem::require(engine.has_rule(allow.rule),
-                     ".hpcemlint allows unknown rule '" + allow.rule + "'");
+                     ".hpcemlint allows unknown rule '", allow.rule, "'");
     }
   }
 
@@ -86,8 +86,8 @@ int run(int argc, const char* const* argv) {
       }
     }
     for (const std::string& rule : config.only_rules) {
-      hpcem::require(engine.has_rule(rule),
-                     "--rule selects unknown rule '" + rule + "'");
+      hpcem::require(engine.has_rule(rule), "--rule selects unknown rule '",
+                     rule, "'");
     }
   }
   const long jobs = args.get_int("jobs");

@@ -50,8 +50,8 @@ JsonValue load_json(const std::string& path) {
 
 std::string doc_schema(const JsonValue& doc, const std::string& path) {
   const JsonValue* schema = doc.is_object() ? doc.get("schema") : nullptr;
-  require(schema != nullptr && schema->is_string(),
-          path + ": not an hpcem document (no \"schema\" member)");
+  require(schema != nullptr && schema->is_string(), path,
+          ": not an hpcem document (no \"schema\" member)");
   return schema->as_string();
 }
 
@@ -216,9 +216,9 @@ bool metric_value(const obs::MetricsSnapshot& snap, const std::string& name,
 obs::MetricsSnapshot embedded_metrics(const JsonValue& doc,
                                       const std::string& path) {
   const JsonValue* metrics = doc.get("metrics");
-  require(metrics != nullptr,
-          path + ": trace has no \"metrics\" member (needs trace schema "
-                 "v2; re-record the baseline)");
+  require(metrics != nullptr, path,
+          ": trace has no \"metrics\" member (needs trace schema "
+          "v2; re-record the baseline)");
   return obs::metrics_from_json(*metrics);
 }
 
@@ -241,10 +241,10 @@ int run_compare(const std::string& current_path,
                 const std::string& metric, double fail_pct) {
   const JsonValue doc_a = load_json(baseline_path);
   const JsonValue doc_b = load_json(current_path);
-  require(doc_schema(doc_a, baseline_path) == "hpcem.trace",
-          baseline_path + ": expected an hpcem.trace document");
-  require(doc_schema(doc_b, current_path) == "hpcem.trace",
-          current_path + ": expected an hpcem.trace document");
+  require(doc_schema(doc_a, baseline_path) == "hpcem.trace", baseline_path,
+          ": expected an hpcem.trace document");
+  require(doc_schema(doc_b, current_path) == "hpcem.trace", current_path,
+          ": expected an hpcem.trace document");
   const obs::Profile baseline = obs::profile_trace(doc_a);
   const obs::Profile current = obs::profile_trace(doc_b);
   const auto deltas = obs::compare_profiles(baseline, current);
