@@ -28,7 +28,7 @@ int main() {
       t.add_row({p.toolchain, to_string(p.pstate),
                  TextTable::num(p.runtime_ratio, 3),
                  TextTable::num(p.energy_ratio, 3),
-                 TextTable::num(p.node_power_w, 0)});
+                 TextTable::num(p.node_power_w.w(), 0)});
       if (best == nullptr || p.energy_ratio < best->energy_ratio) best = &p;
     }
     std::cout << "Toolchain x frequency energy study: " << app_name << '\n'

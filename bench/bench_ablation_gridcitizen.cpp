@@ -47,10 +47,12 @@ int main() {
   TextTable t({"Requested cap (kW)", "Chosen policy draw (kW)",
                "Cap satisfied", "Mix slowdown"},
               {Align::kRight, Align::kRight, Align::kRight, Align::kRight});
-  for (double cap_kw : {3300.0, 3100.0, 2700.0, 2500.0, 2200.0, 1900.0}) {
-    const Power cap = Power::kilowatts(cap_kw);
+  for (const PowerKw cap_kw :
+       {PowerKw{3300.0}, PowerKw{3100.0}, PowerKw{2700.0}, PowerKw{2500.0},
+        PowerKw{2200.0}, PowerKw{1900.0}}) {
+    const Power cap = cap_kw.to_power();
     const PolicyOption& chosen = choose_policy_for_cap(options, cap);
-    t.add_row({TextTable::grouped(cap_kw),
+    t.add_row({TextTable::grouped(cap_kw.kw()),
                TextTable::grouped(chosen.predicted_cabinet.kw()),
                chosen.predicted_cabinet <= cap ? "yes" : "best effort",
                TextTable::pct(chosen.mean_slowdown, 1)});

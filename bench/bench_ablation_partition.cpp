@@ -81,13 +81,13 @@ int main() {
   for (double share : {0.02, 0.10, 0.25}) {
     const Result pooled = drive(false, share, 41);
     const Result split = drive(true, share, 41);
-    const double stranded_kw =
+    const PowerKw stranded_kw{
         (pooled.mean_utilisation - split.mean_utilisation) * 5860.0 *
-        0.230;
+        0.230};
     t.add_row({TextTable::pct(share, 0),
                TextTable::pct(pooled.mean_utilisation, 1),
                TextTable::pct(split.mean_utilisation, 1),
-               TextTable::grouped(stranded_kw) + " kW"});
+               TextTable::grouped(stranded_kw.kw()) + " kW"});
   }
   std::cout << "Ablation: partitioning cost (standard 5,276 + highmem 584 "
                "vs one 5,860-node pool)\n"

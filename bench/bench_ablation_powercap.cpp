@@ -43,8 +43,8 @@ int main() {
   for (const auto& r : compare_cap_vs_frequency(cat, *cap)) {
     t.add_row({r.app, TextTable::pct(r.cap_time_factor - 1.0, 1),
                TextTable::pct(r.freq_time_factor - 1.0, 1),
-               TextTable::num(r.cap_node_w, 0),
-               TextTable::num(r.freq_node_w, 0)});
+               TextTable::num(r.cap_node_w.w(), 0),
+               TextTable::num(r.freq_node_w.w(), 0)});
     worst_cap = std::max(worst_cap, r.cap_time_factor - 1.0);
     worst_freq = std::max(worst_freq, r.freq_time_factor - 1.0);
   }

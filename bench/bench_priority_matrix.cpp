@@ -15,17 +15,18 @@ int main() {
 
   struct GridCase {
     const char* label;
-    double g_per_kwh;
-    double gbp_per_kwh;
+    CarbonIntensity g_per_kwh;
+    Price gbp_per_kwh;
   };
+  using namespace literals;
   for (const GridCase& g :
-       {GridCase{"clean grid (hydro/nuclear-like)", 15.0, 0.10},
-        GridCase{"balanced grid", 55.0, 0.20},
-        GridCase{"UK-2022-like winter grid", 250.0, 0.40}}) {
+       {GridCase{"clean grid (hydro/nuclear-like)", 15.0_gCO2kWh,
+                 Price::gbp_per_kwh(0.10)},
+        GridCase{"balanced grid", 55.0_gCO2kWh, Price::gbp_per_kwh(0.20)},
+        GridCase{"UK-2022-like winter grid", 250.0_gCO2kWh,
+                 Price::gbp_per_kwh(0.40)}}) {
     std::cout << "=== " << g.label << " ===\n"
-              << advisor.render(CarbonIntensity::g_per_kwh(g.g_per_kwh),
-                                Price::gbp_per_kwh(g.gbp_per_kwh))
-              << '\n';
+              << advisor.render(g.g_per_kwh, g.gbp_per_kwh) << '\n';
   }
   std::cout << "Paper section 2 logic check: the emissions recommendation "
                "must move from performance-oriented on the clean grid to "

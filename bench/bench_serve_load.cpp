@@ -15,24 +15,12 @@
 // kind latency distributions (serve.query.*.ns p50/p95/p99) next to the
 // client-side percentiles.
 //
-// v3 adds the cold-load section: at each --load-sizes store size the bench
-// writes the same synthetic artifact as JSON and as an HCAF shard
-// (docs/ARTIFACT_BINARY.md), measures the wall time to load each into a
-// fresh ArtifactStore (a JSON load is the JSON decode plus an in-memory
-// shard encode ahead of the same shard ingest an HCAF load runs), then
-// runs a short single-thread query phase against the loaded store —
-// cold-load seconds plus p50/p95/p99 per format, and the json/hcaf
-// load-time multiplier per size.  --format selects which input formats
-// are measured.
-//
 // Examples:
 //   bench_serve_load                                    # synthetic store
 //   bench_serve_load --store bench/baselines/serve --threads 8
-//   bench_serve_load --load-sizes 4096,16384,65536 --format both
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -40,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "colstore/hcaf.hpp"
 #include "obs/registry.hpp"
 #include "obs/stats.hpp"
 #include "serve/front.hpp"
@@ -68,8 +55,8 @@ RunArtifact synthetic_artifact(std::size_t samples) {
     series.append(SimTime(t), 3200.0 + 180.0 * std::sin(day) +
                                   45.0 * std::sin(7.0 * day));
   }
-  a.headline.mean_kw = series.summary().mean;
-  a.headline.window_energy_kwh = series.integrate() / 3600.0;
+  a.headline.mean_kw = PowerKw{series.summary().mean};
+  a.headline.window_energy_kwh = EnergyKwh{series.integrate() / 3600.0};
   a.headline.completed_jobs = 1000.0;
   a.channels.push_back(
       aggregate_channel("cabinet_kw", series, /*include_series=*/true));
@@ -263,87 +250,6 @@ JsonValue phase_json(const std::string& name, const PhaseResult& r) {
   return o;
 }
 
-/// One cold-load measurement: store size x ingestion format.
-struct ColdLoad {
-  std::size_t samples = 0;
-  std::string format;        ///< "json" | "hcaf"
-  std::uint64_t file_bytes = 0;
-  double load_seconds = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  double p99_us = 0.0;
-};
-
-/// Measure one (size, format) cell: write the synthetic artifact in
-/// `format` under `scratch`, load it into a fresh store (the measured
-/// wall time), then run a short single-thread cache-off phase for the
-/// post-load latency percentiles.
-ColdLoad measure_cold_load(std::size_t samples, const std::string& format,
-                           const std::filesystem::path& scratch) {
-  const RunArtifact artifact = synthetic_artifact(samples);
-  const std::string base =
-      (scratch / ("cold-" + std::to_string(samples))).string();
-
-  ColdLoad r;
-  r.samples = samples;
-  r.format = format;
-  serve::ArtifactStore store;
-  if (format == "hcaf") {
-    const std::string path = base + ".hcaf";
-    colstore::write_shard_file({artifact}, path);
-    r.file_bytes = std::filesystem::file_size(path);
-    const std::uint64_t t0 = obs::monotonic_now_ns();
-    (void)store.load_hcaf_file(path);
-    r.load_seconds =
-        static_cast<double>(obs::monotonic_now_ns() - t0) / 1e9;
-  } else {
-    const std::string path = write_artifact_files(artifact, base);
-    r.file_bytes = std::filesystem::file_size(path);
-    const std::uint64_t t0 = obs::monotonic_now_ns();
-    store.load_file(path);
-    r.load_seconds =
-        static_cast<double>(obs::monotonic_now_ns() - t0) / 1e9;
-  }
-
-  serve::ServeOptions cold;
-  cold.cache_entries = 0;
-  cold.workers = 1;
-  const PhaseResult phase =
-      run_phase(store, cold, build_requests(store, 12), 1, 2);
-  r.p50_us = phase.p50_us;
-  r.p95_us = phase.p95_us;
-  r.p99_us = phase.p99_us;
-  return r;
-}
-
-JsonValue cold_load_json(const ColdLoad& r) {
-  JsonValue o = JsonValue::object();
-  o.set("samples", r.samples);
-  o.set("format", r.format);
-  o.set("file_bytes", static_cast<std::size_t>(r.file_bytes));
-  o.set("load_seconds", r.load_seconds);
-  o.set("p50_us", r.p50_us);
-  o.set("p95_us", r.p95_us);
-  o.set("p99_us", r.p99_us);
-  return o;
-}
-
-std::vector<std::size_t> parse_sizes(const std::string& csv) {
-  std::vector<std::size_t> sizes;
-  std::size_t pos = 0;
-  while (pos < csv.size()) {
-    const std::size_t comma = csv.find(',', pos);
-    const std::string tok =
-        csv.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) {
-      sizes.push_back(static_cast<std::size_t>(std::stoull(tok)));
-    }
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return sizes;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -357,13 +263,6 @@ int main(int argc, char** argv) {
   args.add_option("passes", "6", "passes over the working set per thread");
   args.add_option("samples", "4096", "synthetic store series length");
   args.add_option("out", "BENCH_serve_load.json", "JSON report path");
-  args.add_option("format", "both",
-                  "cold-load ingestion paths to measure: json | hcaf | both "
-                  "(empty skips the cold-load section)");
-  args.add_option("load-sizes", "4096,16384,65536",
-                  "store sizes (series samples) for the cold-load section");
-  args.add_option("scratch", "BENCH_serve_load.scratch",
-                  "scratch directory for cold-load artifact files");
   args.add_flag("no-obs",
                 "disable obs collection (drops the per-query-kind latency "
                 "section; for telemetry-overhead A/B runs)");
@@ -424,43 +323,8 @@ int main(int argc, char** argv) {
             << " us\n"
             << "cached speedup: " << speedup << "x\n";
 
-  // Cold-load matrix: sizes x formats.  The headline multiplier (reported
-  // to stdout and as "hcaf_cold_load_speedup") is json/hcaf load seconds
-  // at the LARGEST size — the regime the ROADMAP north star cares about.
-  const std::string format = args.get("format");
-  std::vector<ColdLoad> cold_loads;
-  double hcaf_speedup = 0.0;
-  if (!format.empty()) {
-    if (format != "json" && format != "hcaf" && format != "both") {
-      std::cerr << "error: --format must be json, hcaf or both\n";
-      return 2;
-    }
-    const std::filesystem::path scratch(args.get("scratch"));
-    std::filesystem::create_directories(scratch);
-    std::vector<std::size_t> sizes = parse_sizes(args.get("load-sizes"));
-    std::sort(sizes.begin(), sizes.end());
-    for (const std::size_t size : sizes) {
-      double json_s = 0.0;
-      double hcaf_s = 0.0;
-      if (format != "hcaf") {
-        cold_loads.push_back(measure_cold_load(size, "json", scratch));
-        json_s = cold_loads.back().load_seconds;
-      }
-      if (format != "json") {
-        cold_loads.push_back(measure_cold_load(size, "hcaf", scratch));
-        hcaf_s = cold_loads.back().load_seconds;
-      }
-      if (json_s > 0.0 && hcaf_s > 0.0) {
-        hcaf_speedup = json_s / hcaf_s;
-        std::cout << "cold load " << size << " samples: json " << json_s
-                  << " s, hcaf " << hcaf_s << " s (" << hcaf_speedup
-                  << "x)\n";
-      }
-    }
-  }
-
   JsonValue report = JsonValue::object();
-  report.set("schema", "hpcem.bench_serve_load.v3");
+  report.set("schema", "hpcem.bench_serve_load.v4");
   report.set("threads", threads);
   report.set("passes", passes);
   report.set("working_set", requests.size());
@@ -471,12 +335,6 @@ int main(int argc, char** argv) {
   phases.push_back(phase_json("cache_on", hot_r));
   report.set("phases", phases);
   report.set("cached_speedup", speedup);
-  JsonValue cold_section = JsonValue::array();
-  for (const ColdLoad& c : cold_loads) {
-    cold_section.push_back(cold_load_json(c));
-  }
-  report.set("cold_load", std::move(cold_section));
-  report.set("hcaf_cold_load_speedup", hcaf_speedup);
 
   std::ofstream out(args.get("out"));
   if (!out) {

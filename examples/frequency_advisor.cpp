@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         summary.add_row({name, to_string(best),
                          TextTable::pct(1.0 - p.energy_ratio, 1),
                          TextTable::pct(1.0 / p.perf_ratio - 1.0, 1),
-                         TextTable::num(p.node_power_w, 0) + " W"});
+                         TextTable::num(p.node_power_w.w(), 0) + " W"});
         break;
       }
     }

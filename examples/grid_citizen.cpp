@@ -79,19 +79,19 @@ int main() {
   TextTable out({"Window end", "Cap", "Measured draw", "Margin"},
                 {Align::kLeft, Align::kRight, Align::kRight, Align::kRight});
   for (const auto& ev : schedule.events()) {
-    const double measured =
+    const PowerKw measured =
         sim->mean_cabinet_kw(ev.end - Duration::hours(1.0), ev.end);
     out.add_row({iso_date_time(ev.end),
                  TextTable::grouped(ev.cabinet_cap.kw()) + " kW",
-                 TextTable::grouped(measured) + " kW",
-                 TextTable::grouped(ev.cabinet_cap.kw() - measured) +
+                 TextTable::grouped(measured.kw()) + " kW",
+                 TextTable::grouped(ev.cabinet_cap.kw() - measured.kw()) +
                      " kW"});
   }
   std::cout << out.str() << '\n';
 
-  const double normal = sim->mean_cabinet_kw(
+  const PowerKw normal = sim->mean_cabinet_kw(
       week - Duration::days(3.0), week - Duration::days(1.0));
   std::cout << "Normal-operation draw for comparison: "
-            << TextTable::grouped(normal) << " kW\n";
+            << TextTable::grouped(normal.kw()) << " kW\n";
   return 0;
 }

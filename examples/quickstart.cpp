@@ -39,10 +39,11 @@ int main() {
             << iso_date(date_from_sim_time(end)) << " ...\n";
   sim->run(start - Duration::days(7.0), end);  // 7-day warm-up
 
-  const double mean_kw = sim->mean_cabinet_kw(start, end);
+  const PowerKw mean_kw = sim->mean_cabinet_kw(start, end);
   const double util = sim->mean_utilisation(start, end);
   std::cout << "  mean compute-cabinet power: "
-            << TextTable::grouped(mean_kw) << " kW (paper baseline: 3,220)\n"
+            << TextTable::grouped(mean_kw.kw())
+            << " kW (paper baseline: 3,220)\n"
             << "  mean utilisation:           " << TextTable::pct(util, 1)
             << " (paper: consistently over 90%)\n"
             << "  jobs completed:             "
@@ -78,7 +79,7 @@ int main() {
             << '\n';
 
   // 5. What the paper's two changes would save over this window.
-  const Power now = Power::kilowatts(mean_kw);
+  const Power now = mean_kw.to_power();
   const Power tuned = facility.predicted_cabinet_power(
       OperatingPolicy::low_frequency_default(), util);
   const Energy saved = (now - tuned) * (end - start);

@@ -82,17 +82,17 @@ std::string write_shard_bytes(const std::vector<RunArtifact>& artifacts) {
     dir.f64(a.window_start.sec());
     dir.f64(a.window_end.sec());
     dir.u64(a.replicates);
-    dir.f64(a.headline.mean_kw);
-    dir.f64(a.headline.mean_before_kw);
-    dir.f64(a.headline.mean_after_kw);
+    dir.f64(a.headline.mean_kw.kw());
+    dir.f64(a.headline.mean_before_kw.kw());
+    dir.f64(a.headline.mean_after_kw.kw());
     dir.f64(a.headline.mean_utilisation);
-    dir.f64(a.headline.window_energy_kwh);
+    dir.f64(a.headline.window_energy_kwh.kwh());
     dir.f64(a.headline.completed_jobs);
     dir.u32(static_cast<std::uint32_t>(a.change_points.size()));
     for (const ArtifactChangePoint& cp : a.change_points) {
       dir.f64(cp.at.sec());
-      dir.f64(cp.mean_before_kw);
-      dir.f64(cp.mean_after_kw);
+      dir.f64(cp.mean_before_kw.kw());
+      dir.f64(cp.mean_after_kw.kw());
       dir.u8(cp.detected ? 1 : 0);
     }
     dir.str(a.obs.is_null() ? std::string() : a.obs.dump(0));
@@ -244,12 +244,14 @@ std::vector<ShardScenario> read_shard_bytes(std::string_view bytes,
     s.window_start = SimTime(dir.f64(sp + ".window_start"));
     s.window_end = SimTime(dir.f64(sp + ".window_end"));
     s.replicates = dir.u64(sp + ".replicates");
-    s.headline.mean_kw = dir.f64(sp + ".headline.mean_kw");
-    s.headline.mean_before_kw = dir.f64(sp + ".headline.mean_before_kw");
-    s.headline.mean_after_kw = dir.f64(sp + ".headline.mean_after_kw");
+    s.headline.mean_kw = PowerKw{dir.f64(sp + ".headline.mean_kw")};
+    s.headline.mean_before_kw =
+        PowerKw{dir.f64(sp + ".headline.mean_before_kw")};
+    s.headline.mean_after_kw =
+        PowerKw{dir.f64(sp + ".headline.mean_after_kw")};
     s.headline.mean_utilisation = dir.f64(sp + ".headline.mean_utilisation");
     s.headline.window_energy_kwh =
-        dir.f64(sp + ".headline.window_energy_kwh");
+        EnergyKwh{dir.f64(sp + ".headline.window_energy_kwh")};
     s.headline.completed_jobs = dir.f64(sp + ".headline.completed_jobs");
     if (!seen_names.insert(s.name).second) {
       fail(sp + ".scenario", "duplicate scenario id '" + s.name + "'");
@@ -260,8 +262,8 @@ std::vector<ShardScenario> read_shard_bytes(std::string_view bytes,
       const std::string cpp = sp + ".change_points[" + std::to_string(k) + "]";
       ArtifactChangePoint cp;
       cp.at = SimTime(dir.f64(cpp + ".at"));
-      cp.mean_before_kw = dir.f64(cpp + ".mean_before_kw");
-      cp.mean_after_kw = dir.f64(cpp + ".mean_after_kw");
+      cp.mean_before_kw = PowerKw{dir.f64(cpp + ".mean_before_kw")};
+      cp.mean_after_kw = PowerKw{dir.f64(cpp + ".mean_after_kw")};
       const std::uint8_t detected = dir.u8(cpp + ".detected");
       if (detected > 1) {
         fail(cpp + ".detected", "boolean byte must be 0 or 1, got " +

@@ -57,14 +57,14 @@ std::string render_usage_breakdown(const UsageBreakdown& b) {
                TextTable::grouped(bucket->node_hours),
                TextTable::pct(bucket->node_hours / b.total.node_hours, 1),
                TextTable::num(bucket->energy.to_mwh(), 1),
-               TextTable::num(bucket->mean_node_w(), 0),
+               TextTable::num(bucket->mean_node_w().w(), 0),
                TextTable::num(bucket->scope2.t(), 2)});
   }
   t.add_rule();
   t.add_row({"Total", TextTable::grouped(static_cast<double>(b.total.jobs)),
              TextTable::grouped(b.total.node_hours), "100.0%",
              TextTable::num(b.total.energy.to_mwh(), 1),
-             TextTable::num(b.total.mean_node_w(), 0),
+             TextTable::num(b.total.mean_node_w().w(), 0),
              TextTable::num(b.total.scope2.t(), 2)});
   std::ostringstream os;
   os << "Usage and energy by research area\n" << t.str();

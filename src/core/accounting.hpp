@@ -25,8 +25,9 @@ struct UsageBucket {
   Energy energy;
   CarbonMass scope2;
 
-  [[nodiscard]] double mean_node_w() const {
-    return node_hours > 0.0 ? energy.to_kwh() / node_hours * 1000.0 : 0.0;
+  [[nodiscard]] Power mean_node_w() const {
+    return Power::watts(
+        node_hours > 0.0 ? energy.to_kwh() / node_hours * 1000.0 : 0.0);
   }
 };
 

@@ -191,11 +191,11 @@ TimelineResult analyze_timeline(const FacilitySimulator& sim,
       sim.telemetry().series(sim.cabinet_channel()).slice(start, end);
   require_state(r.cabinet_kw.size() >= 16,
                 "analyze_timeline: window produced too few samples");
-  r.mean_kw = r.cabinet_kw.mean();
+  r.mean_kw = PowerKw{r.cabinet_kw.mean()};
   r.mean_utilisation = sim.mean_utilisation(start, end);
   if (change) {
-    r.mean_before_kw = r.cabinet_kw.mean_over(start, *change);
-    r.mean_after_kw = r.cabinet_kw.mean_over(*change, end);
+    r.mean_before_kw = PowerKw{r.cabinet_kw.mean_over(start, *change)};
+    r.mean_after_kw = PowerKw{r.cabinet_kw.mean_over(*change, end)};
   } else {
     r.mean_before_kw = r.mean_kw;
     r.mean_after_kw = r.mean_kw;

@@ -137,11 +137,11 @@ struct TimelineResult {
   /// Mean utilisation over the window.
   double mean_utilisation = 0.0;
   /// Window mean (whole window).
-  double mean_kw = 0.0;
+  PowerKw mean_kw;
   /// Means before/after the scheduled change (equal to mean_kw when the
   /// scenario has no change).
-  double mean_before_kw = 0.0;
-  double mean_after_kw = 0.0;
+  PowerKw mean_before_kw;
+  PowerKw mean_after_kw;
   /// Change point recovered from the data by least-squares segmentation.
   std::optional<TimedStepChange> detected;
   /// When the operational change was actually applied (if any).

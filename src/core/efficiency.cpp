@@ -66,7 +66,7 @@ std::vector<FrequencyPoint> EfficiencyAnalyzer::frequency_sweep(
     p.pstate = ps;
     p.perf_ratio = app.perf_ratio(mode, ps, mode, reference);
     p.energy_ratio = app.energy_ratio(mode, ps, mode, reference);
-    p.node_power_w = app.node_draw(mode, ps).w();
+    p.node_power_w = app.node_draw(mode, ps);
     // Work per kWh scales as 1/energy-to-solution.
     p.output_per_kwh_ratio = 1.0 / p.energy_ratio;
     out.push_back(p);

@@ -33,7 +33,7 @@ struct FrequencyPoint {
   PState pstate;
   double perf_ratio = 0.0;      ///< vs turbo reference
   double energy_ratio = 0.0;    ///< vs turbo reference
-  double node_power_w = 0.0;
+  Power node_power_w;
   /// Work per kWh relative to the turbo reference (>1 = more efficient).
   double output_per_kwh_ratio = 0.0;
 };

@@ -67,10 +67,10 @@ Facility::Facility(std::string name, FacilityInventory inventory,
 
   // Fleet-average dynamic profile for whole-machine estimates.
   DynamicPowerProfile fleet;
-  fleet.core_w = catalog_.mix_average(
-      [](const ApplicationModel& a) { return a.profile().core_w; });
-  fleet.uncore_w = catalog_.mix_average(
-      [](const ApplicationModel& a) { return a.profile().uncore_w; });
+  fleet.core_w = Power::watts(catalog_.mix_average(
+      [](const ApplicationModel& a) { return a.profile().core_w.w(); }));
+  fleet.uncore_w = Power::watts(catalog_.mix_average(
+      [](const ApplicationModel& a) { return a.profile().uncore_w.w(); }));
   power_model_ = std::make_unique<FacilityPowerModel>(
       inventory_, node_params_, fleet);
 }
@@ -128,17 +128,16 @@ Power Facility::predicted_cabinet_power(const OperatingPolicy& policy,
   require(utilisation >= 0.0 && utilisation <= 1.0,
           "Facility::predicted_cabinet_power: utilisation in [0,1]");
   // Mix-weighted busy-node draw, honouring the per-application auto-revert.
-  const double busy_node_w =
-      catalog_.mix_average([&](const ApplicationModel& app) {
+  const Power busy_node_w =
+      Power::watts(catalog_.mix_average([&](const ApplicationModel& app) {
         JobSpec probe;  // no user override
         const PState ps = policy.resolve_pstate(app, probe);
         return app.node_draw(policy.bios_mode, ps).w();
-      });
+      }));
   const auto n = static_cast<double>(inventory_.compute_nodes);
   const double busy = n * utilisation;
   const double idle = n - busy;
-  Power nodes = Power::watts(busy * busy_node_w) +
-                node_params_.idle * idle;
+  Power nodes = busy_node_w * busy + node_params_.idle * idle;
   return power_model_->cabinet_power(nodes, utilisation);
 }
 

@@ -74,9 +74,10 @@ std::string render_timeline(const TimelineResult& result,
   opts.width = 96;
   opts.height = 18;
   if (result.change_time) {
-    opts.reference_lines = {result.mean_before_kw, result.mean_after_kw};
+    opts.reference_lines = {result.mean_before_kw.kw(),
+                            result.mean_after_kw.kw()};
   } else {
-    opts.reference_lines = {result.mean_kw};
+    opts.reference_lines = {result.mean_kw.kw()};
   }
   // Month labels across the window.
   CivilDate d = date_from_sim_time(result.window_start);
@@ -92,13 +93,13 @@ std::string render_timeline(const TimelineResult& result,
 
   std::ostringstream os;
   os << ascii_plot(result.cabinet_kw.values(), opts);
-  os << "window mean: " << TextTable::grouped(result.mean_kw) << " kW"
+  os << "window mean: " << TextTable::grouped(result.mean_kw.kw()) << " kW"
      << " | mean utilisation: "
      << TextTable::pct(result.mean_utilisation, 1) << '\n';
   if (result.change_time) {
     os << "policy change applied " << iso_date_time(*result.change_time)
-       << ": mean " << TextTable::grouped(result.mean_before_kw)
-       << " kW before -> " << TextTable::grouped(result.mean_after_kw)
+       << ": mean " << TextTable::grouped(result.mean_before_kw.kw())
+       << " kW before -> " << TextTable::grouped(result.mean_after_kw.kw())
        << " kW after\n";
   }
   if (result.detected) {
@@ -132,20 +133,20 @@ std::string render_conclusions(const ScenarioRunner::Conclusions& c) {
   TextTable t({"Quantity", "Model", "Paper"},
               {Align::kLeft, Align::kRight, Align::kRight});
   t.add_row({"Baseline cabinet power (kW)",
-             TextTable::grouped(c.baseline_kw), "3,220"});
-  t.add_row({"After BIOS change (kW)", TextTable::grouped(c.after_bios_kw),
+             TextTable::grouped(c.baseline_kw.kw()), "3,220"});
+  t.add_row({"After BIOS change (kW)", TextTable::grouped(c.after_bios_kw.kw()),
              "3,010"});
   t.add_row({"After frequency change (kW)",
-             TextTable::grouped(c.after_freq_kw), "2,530"});
-  t.add_row({"BIOS change saving (kW)", TextTable::grouped(c.bios_saving_kw),
-             "210"});
+             TextTable::grouped(c.after_freq_kw.kw()), "2,530"});
+  t.add_row({"BIOS change saving (kW)",
+             TextTable::grouped(c.bios_saving_kw.kw()), "210"});
   t.add_row({"BIOS change saving (%)",
              TextTable::pct(c.bios_saving_fraction, 1), "6.5%"});
   t.add_row({"Frequency change saving (kW)",
-             TextTable::grouped(c.freq_saving_kw), "480"});
+             TextTable::grouped(c.freq_saving_kw.kw()), "480"});
   t.add_row({"Frequency change saving (%)",
              TextTable::pct(c.freq_saving_fraction, 1), "15%"});
-  t.add_row({"Total saving (kW)", TextTable::grouped(c.total_saving_kw),
+  t.add_row({"Total saving (kW)", TextTable::grouped(c.total_saving_kw.kw()),
              "690"});
   t.add_row({"Total saving (%)", TextTable::pct(c.total_saving_fraction, 1),
              "21%"});
@@ -163,7 +164,7 @@ std::string render_frequency_sweep(const std::string& app,
   for (const auto& p : sweep) {
     t.add_row({to_string(p.pstate), TextTable::num(p.perf_ratio, 3),
                TextTable::num(p.energy_ratio, 3),
-               TextTable::num(p.node_power_w, 0),
+               TextTable::num(p.node_power_w.w(), 0),
                TextTable::num(p.output_per_kwh_ratio, 3)});
   }
   std::ostringstream os;
@@ -179,17 +180,19 @@ std::string render_run_artifact(const RunArtifact& artifact) {
      << "window " << iso_date_time(artifact.window_start) << " .. "
      << iso_date_time(artifact.window_end) << " | replicates "
      << artifact.replicates << '\n'
-     << "mean " << TextTable::grouped(artifact.headline.mean_kw)
-     << " kW | before " << TextTable::grouped(artifact.headline.mean_before_kw)
-     << " | after " << TextTable::grouped(artifact.headline.mean_after_kw)
+     << "mean " << TextTable::grouped(artifact.headline.mean_kw.kw())
+     << " kW | before "
+     << TextTable::grouped(artifact.headline.mean_before_kw.kw())
+     << " | after " << TextTable::grouped(artifact.headline.mean_after_kw.kw())
      << " | utilisation "
      << TextTable::pct(artifact.headline.mean_utilisation, 1) << " | energy "
-     << TextTable::grouped(artifact.headline.window_energy_kwh) << " kWh\n";
+     << TextTable::grouped(artifact.headline.window_energy_kwh.kwh())
+     << " kWh\n";
   for (const auto& cp : artifact.change_points) {
     os << (cp.detected ? "detected" : "scheduled") << " change at "
        << iso_date_time(cp.at) << ": "
-       << TextTable::grouped(cp.mean_before_kw) << " kW -> "
-       << TextTable::grouped(cp.mean_after_kw) << " kW\n";
+       << TextTable::grouped(cp.mean_before_kw.kw()) << " kW -> "
+       << TextTable::grouped(cp.mean_after_kw.kw()) << " kW\n";
   }
   if (!artifact.channels.empty()) {
     TextTable t({"Channel", "Unit", "Samples", "Mean", "Min", "Max"},

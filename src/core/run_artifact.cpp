@@ -70,8 +70,8 @@ void write_channel(JsonWriter& w, const ChannelAggregate& c) {
 void write_change_point(JsonWriter& w, const ArtifactChangePoint& cp) {
   w.begin_object();
   write_time(w, "at", cp.at);
-  write_number(w, "mean_before_kw", cp.mean_before_kw);
-  write_number(w, "mean_after_kw", cp.mean_after_kw);
+  write_number(w, "mean_before_kw", cp.mean_before_kw.kw());
+  write_number(w, "mean_after_kw", cp.mean_after_kw.kw());
   w.key("detected");
   w.boolean(cp.detected);
   w.end_object();
@@ -244,8 +244,8 @@ ChannelAggregate channel_from_text(ChannelText& text) {
 ArtifactChangePoint change_point_from_json(const JsonValue& v) {
   ArtifactChangePoint cp;
   cp.at = time_from_json(v.at("at"));
-  cp.mean_before_kw = v.at("mean_before_kw").as_number();
-  cp.mean_after_kw = v.at("mean_after_kw").as_number();
+  cp.mean_before_kw = PowerKw{v.at("mean_before_kw").as_number()};
+  cp.mean_after_kw = PowerKw{v.at("mean_after_kw").as_number()};
   cp.detected = v.at("detected").as_bool();
   return cp;
 }
@@ -273,11 +273,12 @@ RunArtifact decode(const JsonValue& v, std::vector<ChannelText>& channels) {
   a.replicates = count_from_json(v, "replicates", "replicates");
 
   const JsonValue& h = v.at("headline");
-  a.headline.mean_kw = h.at("mean_kw").as_number();
-  a.headline.mean_before_kw = h.at("mean_before_kw").as_number();
-  a.headline.mean_after_kw = h.at("mean_after_kw").as_number();
+  a.headline.mean_kw = PowerKw{h.at("mean_kw").as_number()};
+  a.headline.mean_before_kw = PowerKw{h.at("mean_before_kw").as_number()};
+  a.headline.mean_after_kw = PowerKw{h.at("mean_after_kw").as_number()};
   a.headline.mean_utilisation = h.at("mean_utilisation").as_number();
-  a.headline.window_energy_kwh = h.at("window_energy_kwh").as_number();
+  a.headline.window_energy_kwh =
+      EnergyKwh{h.at("window_energy_kwh").as_number()};
   a.headline.completed_jobs = h.at("completed_jobs").as_number();
 
   for (const auto& cp : v.at("change_points").as_array()) {
@@ -317,11 +318,11 @@ std::string RunArtifact::to_json_text() const {
 
   w.key("headline");
   w.begin_object();
-  write_number(w, "mean_kw", headline.mean_kw);
-  write_number(w, "mean_before_kw", headline.mean_before_kw);
-  write_number(w, "mean_after_kw", headline.mean_after_kw);
+  write_number(w, "mean_kw", headline.mean_kw.kw());
+  write_number(w, "mean_before_kw", headline.mean_before_kw.kw());
+  write_number(w, "mean_after_kw", headline.mean_after_kw.kw());
   write_number(w, "mean_utilisation", headline.mean_utilisation);
-  write_number(w, "window_energy_kwh", headline.window_energy_kwh);
+  write_number(w, "window_energy_kwh", headline.window_energy_kwh.kwh());
   write_number(w, "completed_jobs", headline.completed_jobs);
   w.end_object();
 
@@ -444,7 +445,8 @@ RunArtifact make_run_artifact(const FacilitySimulator& sim,
   a.headline.mean_before_kw = result.mean_before_kw;
   a.headline.mean_after_kw = result.mean_after_kw;
   a.headline.mean_utilisation = result.mean_utilisation;
-  a.headline.window_energy_kwh = result.cabinet_kw.integrate() / 3600.0;
+  a.headline.window_energy_kwh =
+      EnergyKwh{result.cabinet_kw.integrate() / 3600.0};
   std::size_t in_window = 0;
   for (const auto& r : sim.completed()) {
     if (r.end_time >= result.window_start && r.end_time < result.window_end) {
@@ -459,8 +461,8 @@ RunArtifact make_run_artifact(const FacilitySimulator& sim,
   }
   if (result.detected) {
     a.change_points.push_back({result.detected->time,
-                               result.detected->mean_before,
-                               result.detected->mean_after,
+                               PowerKw{result.detected->mean_before},
+                               PowerKw{result.detected->mean_after},
                                /*detected=*/true});
   }
   a.channels = aggregate_channels(sim.telemetry());
@@ -478,11 +480,11 @@ RunArtifact make_run_artifact(const ScenarioOutcome& outcome,
   a.window_end = spec.window_end;
   a.replicates = outcome.replicates;
 
-  a.headline.mean_kw = outcome.mean_kw.mean();
-  a.headline.mean_before_kw = outcome.mean_before_kw.mean();
-  a.headline.mean_after_kw = outcome.mean_after_kw.mean();
+  a.headline.mean_kw = PowerKw{outcome.mean_kw.mean()};
+  a.headline.mean_before_kw = PowerKw{outcome.mean_before_kw.mean()};
+  a.headline.mean_after_kw = PowerKw{outcome.mean_after_kw.mean()};
   a.headline.mean_utilisation = outcome.mean_utilisation.mean();
-  a.headline.window_energy_kwh = outcome.window_energy_kwh.mean();
+  a.headline.window_energy_kwh = EnergyKwh{outcome.window_energy_kwh.mean()};
   a.headline.completed_jobs = outcome.completed_jobs.mean();
 
   if (const auto split = spec.first_change_in_window()) {

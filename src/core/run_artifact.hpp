@@ -53,8 +53,8 @@ struct ChannelAggregate {
 /// detected (recovered from the data by segmentation).
 struct ArtifactChangePoint {
   SimTime at{};
-  double mean_before_kw = 0.0;
-  double mean_after_kw = 0.0;
+  PowerKw mean_before_kw;
+  PowerKw mean_after_kw;
   /// True when recovered from the telemetry alone, false for the
   /// scheduled rollout record.
   bool detected = false;
@@ -62,11 +62,11 @@ struct ArtifactChangePoint {
 
 /// The headline numbers every figure/campaign reports.
 struct RunHeadline {
-  double mean_kw = 0.0;
-  double mean_before_kw = 0.0;
-  double mean_after_kw = 0.0;
+  PowerKw mean_kw;
+  PowerKw mean_before_kw;
+  PowerKw mean_after_kw;
   double mean_utilisation = 0.0;
-  double window_energy_kwh = 0.0;
+  EnergyKwh window_energy_kwh;
   double completed_jobs = 0.0;  ///< replicate mean for campaigns
 };
 

@@ -44,14 +44,14 @@ class ScenarioRunner {
 
   /// §5 conclusions: the three means and the derived savings.
   struct Conclusions {
-    double baseline_kw = 0.0;
-    double after_bios_kw = 0.0;
-    double after_freq_kw = 0.0;
-    double bios_saving_kw = 0.0;
+    PowerKw baseline_kw;
+    PowerKw after_bios_kw;
+    PowerKw after_freq_kw;
+    PowerKw bios_saving_kw;
     double bios_saving_fraction = 0.0;
-    double freq_saving_kw = 0.0;
+    PowerKw freq_saving_kw;
     double freq_saving_fraction = 0.0;  ///< vs the original baseline
-    double total_saving_kw = 0.0;
+    PowerKw total_saving_kw;
     double total_saving_fraction = 0.0;
   };
   [[nodiscard]] Conclusions conclusions() const;

@@ -53,8 +53,8 @@ TimeSeries synthetic_carbon_intensity(const CarbonIntensityParams& params,
     weather = params.weather_correlation * weather +
               rng.normal(0.0, innovation_scale);
     const double value = std::max(
-        params.floor_g_per_kwh,
-        params.mean_g_per_kwh + seasonal + diurnal + weather);
+        params.floor_g_per_kwh.gkwh(),
+        params.mean_g_per_kwh.gkwh() + seasonal + diurnal + weather);
     out.append(t, value);
   }
   return out;

@@ -35,13 +35,15 @@ enum class EmissionsRegime {
 
 /// Parameters of the synthetic UK-shaped intensity series.
 struct CarbonIntensityParams {
-  double mean_g_per_kwh = 200.0;       ///< annual mean (UK ~2022)
+  /// Annual mean (UK ~2022).
+  CarbonIntensity mean_g_per_kwh = CarbonIntensity::g_per_kwh(200.0);
   double seasonal_amplitude = 60.0;    ///< winter-summer swing
   double diurnal_amplitude = 40.0;     ///< overnight vs evening swing
   double weather_sigma = 45.0;         ///< AR(1) innovation scale
   double weather_correlation = 0.97;   ///< per-step AR(1) coefficient
   Duration step = Duration::minutes(30.0);
-  double floor_g_per_kwh = 15.0;       ///< never below (nuclear baseload)
+  /// Never below (nuclear baseload).
+  CarbonIntensity floor_g_per_kwh = CarbonIntensity::g_per_kwh(15.0);
 };
 
 /// Generate a synthetic intensity series over [start, end).

@@ -380,7 +380,6 @@ FunctionCandidate parse_function_header(const Tokens& toks, std::size_t open) {
   cand.def.qualified_name = std::move(qualified);
   cand.def.class_name = std::move(class_name);
   cand.def.name_token = name_idx;
-  cand.def.params_end = close;
   cand.def.params = std::move(params);
   cand.body_token = body;
   return cand;
@@ -408,13 +407,6 @@ std::size_t FileAst::enclosing_function_scope(std::size_t scope_index) const {
     s = scopes[s].parent;
   }
   return npos;
-}
-
-const FunctionDef* FileAst::function_of_scope(std::size_t scope_index) const {
-  for (const FunctionDef& f : functions) {
-    if (f.body_scope == scope_index) return &f;
-  }
-  return nullptr;
 }
 
 const VarDecl* FileAst::lookup_var(const FunctionDef& function,

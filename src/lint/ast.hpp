@@ -2,13 +2,13 @@
 //
 // `parse_ast` turns the token stream from lint/lexer.hpp into a tree of
 // brace-matched scopes (namespaces, classes, function bodies, plain blocks)
-// plus the declarations the dataflow rules key off: function definitions
+// plus the declarations the semantic rules key off: function definitions
 // with their parameter lists and local variables with their spelled type.
 //
 // Like the lexer, this is not a conforming C++ parser and never tries to
 // be: it aims to recover *scope structure and names* well enough that the
-// units-flow and determinism-flow rules see through
-// statements, and it must degrade gracefully (skip, never throw) on any
+// determinism-flow rule can resolve calls through typed receivers, and it
+// must degrade gracefully (skip, never throw) on any
 // construct it does not model (templates with dependent syntax, macros
 // expanding to declarations, expression edge cases).
 #pragma once
@@ -56,7 +56,6 @@ struct FunctionDef {
   std::string qualified_name;  ///< as spelled ("ServeFront::submit")
   std::string class_name;      ///< enclosing or spelled class ("" if free)
   std::size_t name_token = 0;
-  std::size_t params_end = 0;  ///< index of the ')' closing the param list
   std::size_t body_scope = 0;  ///< index of its kFunction scope
   std::vector<VarDecl> params;
 };
@@ -73,10 +72,6 @@ struct FileAst {
 
   /// Innermost enclosing kFunction scope of `scope_index`, or npos.
   [[nodiscard]] std::size_t enclosing_function_scope(
-      std::size_t scope_index) const;
-
-  /// The FunctionDef whose body scope is `scope_index`, or nullptr.
-  [[nodiscard]] const FunctionDef* function_of_scope(
       std::size_t scope_index) const;
 
   /// All VarDecls (params + locals) visible inside `function`, by name;

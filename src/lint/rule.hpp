@@ -71,8 +71,8 @@ class Rule {
 /// The built-in rule set, in catalogue order.
 [[nodiscard]] std::vector<std::unique_ptr<Rule>> default_rules();
 
-/// The semantic rule family (units-flow, determinism-flow)
-/// from rules_semantic.cpp; default_rules() appends these.
+/// The semantic rule family (determinism-flow) from rules_semantic.cpp;
+/// default_rules() appends these.
 [[nodiscard]] std::vector<std::unique_ptr<Rule>> semantic_rules();
 
 }  // namespace hpcem::lint

@@ -314,75 +314,79 @@ class OrderedOutputRule final : public Rule {
 // ---------------------------------------------------------------------------
 // Rule: units-vocabulary
 // ---------------------------------------------------------------------------
-// A public signature taking `double power_kw` instead of hpcem::Power throws
-// away the dimension check that units.hpp exists to provide.
+// A `double power_kw` anywhere (parameter, field, local or function
+// return) throws away the dimension check that units.hpp exists to provide.
+// Once no raw unit-suffixed double can be declared, the compiler checks the
+// unit arithmetic: PowerKw * Duration is EnergyKwh, and PowerKw cannot be
+// used as EnergyKwh.  util/units.hpp itself is the conversion boundary and
+// is exempted in .hpcemlint.
 class UnitsVocabularyRule final : public Rule {
  public:
   [[nodiscard]] std::string_view name() const override {
     return "units-vocabulary";
   }
   [[nodiscard]] std::string_view description() const override {
-    return "flag public-header parameters of raw double whose names carry a "
-           "unit suffix (_w/_kwh/_ghz/_gco2/_gbp...); use the units.hpp "
+    return "flag raw double/float declarations whose names carry a unit "
+           "suffix (_w/_kw/_kwh/_ghz/_gco2/_gbp...); use the units.hpp "
            "vocabulary type";
   }
   void check_file(const FileContext& file,
                   std::vector<Diagnostic>& out) const override {
-    if (!file.is_public_header()) return;
     const Tokens& toks = file.tokens;
-    int paren_depth = 0;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       const Token& t = toks[i];
-      if (t.is_punct("(")) ++paren_depth;
-      if (t.is_punct(")")) --paren_depth;
-      if (paren_depth <= 0) continue;  // members/locals are not API surface
       if (!t.is_identifier("double") && !t.is_identifier("float")) continue;
       const std::size_t j = next_code(toks, i);
       if (j >= toks.size() || toks[j].kind != TokenKind::kIdentifier) {
         continue;
       }
-      const std::size_t k = next_code(toks, j);
-      const bool param_like =
-          k < toks.size() && (toks[k].is_punct(",") || toks[k].is_punct(")") ||
-                              toks[k].is_punct("="));
-      if (!param_like) continue;
-      if (const char* type = dimension_type(toks[j].text)) {
+      // Members spell their suffix before the trailing '_'.
+      std::string id = toks[j].text;
+      if (id.size() > 1 && id.back() == '_') id.pop_back();
+      if (const char* type = dimension_type(id)) {
         emit(out, name(), file, toks[j],
-             "parameter '" + toks[j].text + "' is a raw " + t.text +
-                 " carrying a unit suffix; take hpcem::" + type +
+             "'" + toks[j].text + "' is a raw " + t.text +
+                 " carrying a unit suffix; declare it as hpcem::" + type +
                  " (util/units.hpp) so the dimension is type-checked");
       }
     }
   }
 
  private:
-  /// Maps a unit-suffixed parameter name to the vocabulary type it should
-  /// use; nullptr when the name carries no dimension.
-  static const char* dimension_type(const std::string& id) {
-    if (id.find("gco2") != std::string::npos) {
-      // _gco2 / _gco2e → mass; _gco2_per_kwh / _gco2kwh → intensity.
-      // Checked before the suffix table so *_gco2_per_kwh is not taken
-      // for a plain energy-in-kWh parameter.
-      return id.find("kwh") != std::string::npos ? "CarbonIntensity"
-                                                 : "CarbonMass";
-    }
-    static const std::map<std::string, const char*> kSuffixes = {
-        {"_w", "Power"},          {"_kw", "Power"},
-        {"_mw", "Power"},         {"_watts", "Power"},
-        {"_kilowatts", "Power"},  {"_megawatts", "Power"},
+  /// Maps a unit-suffixed name to the vocabulary type it should use;
+  /// nullptr when the name carries no dimension.  The longest matching
+  /// suffix wins (`_g_per_kwh` over `_kwh`); a compound suffix may also be
+  /// the whole name (`g_per_kwh`).
+  static const char* dimension_type(std::string_view id) {
+    struct Suffix {
+      std::string_view text;
+      const char* type;
+    };
+    static constexpr std::array<Suffix, 21> kSuffixes = {{
+        {"_w", "Power"},          {"_watts", "Power"},
+        {"_kw", "PowerKw"},       {"_kilowatts", "PowerKw"},
+        {"_mw", "Power"},         {"_megawatts", "Power"},
         {"_j", "Energy"},         {"_joules", "Energy"},
-        {"_kwh", "Energy"},       {"_mwh", "Energy"},
+        {"_kwh", "EnergyKwh"},    {"_mwh", "Energy"},
         {"_hz", "Frequency"},     {"_mhz", "Frequency"},
         {"_ghz", "Frequency"},    {"_gbp", "Cost"},
-        {"_pounds", "Cost"},      {"_g_per_kwh", "CarbonIntensity"},
-        {"_gbp_per_kwh", "Price"}};
-    for (const auto& [suffix, type] : kSuffixes) {
-      if (id.size() > suffix.size() &&
-          id.compare(id.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        return type;
+        {"_pounds", "Cost"},      {"_gco2", "CarbonMass"},
+        {"_gco2e", "CarbonMass"}, {"_g_per_kwh", "CarbonIntensity"},
+        {"_gco2_per_kwh", "CarbonIntensity"},
+        {"_gco2kwh", "CarbonIntensity"},
+        {"_gbp_per_kwh", "Price"},
+    }};
+    const Suffix* best = nullptr;
+    for (const Suffix& s : kSuffixes) {
+      const bool tail = id.size() > s.text.size() && id.ends_with(s.text);
+      const bool whole = s.text.find('_', 1) != std::string_view::npos &&
+                         id == s.text.substr(1);
+      if ((tail || whole) &&
+          (best == nullptr || s.text.size() > best->text.size())) {
+        best = &s;
       }
     }
-    return nullptr;
+    return best == nullptr ? nullptr : best->type;
   }
 };
 

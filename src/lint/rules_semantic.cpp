@@ -1,13 +1,11 @@
-// Semantic rule families for hpcem_lint: units-flow and determinism-flow.
+// Semantic rule family for hpcem_lint: determinism-flow.
 //
-// Unlike the token-stream rules in rules.cpp, these run on the scope/
-// declaration AST (lint/ast.hpp), the per-function unit dataflow
-// (lint/dataflow.hpp) and the cross-TU symbol index (lint/symbols.hpp).
-// Both are project-scope rules: units-flow needs callee parameter names
-// from other files, and determinism-flow needs the whole call graph.
+// Unlike the token-stream rules in rules.cpp, this runs on the scope/
+// declaration AST (lint/ast.hpp) and the cross-TU symbol index
+// (lint/symbols.hpp).  It is a project-scope rule: it needs the whole
+// call graph.
 #include <string>
 
-#include "lint/dataflow.hpp"
 #include "lint/rule.hpp"
 #include "lint/symbols.hpp"
 
@@ -29,44 +27,6 @@ std::vector<TranslationUnit> translation_units(
   }
   return units;
 }
-
-// ---------------------------------------------------------------------------
-// Rule: units-flow
-// ---------------------------------------------------------------------------
-// The paper's accounting arithmetic (kW x h -> kWh, kWh x gCO2/kWh ->
-// emissions) is exactly where a silent unit mixup corrupts every downstream
-// figure.  units-vocabulary only checks public signatures; this rule tracks
-// suffix-named quantities *through* function bodies: initializers,
-// assignments, accumulation, returns and call arguments.
-class UnitsFlowRule final : public Rule {
- public:
-  [[nodiscard]] std::string_view name() const override {
-    return "units-flow";
-  }
-  [[nodiscard]] std::string_view description() const override {
-    return "dataflow check on unit-suffixed quantities (_kw/_kwh/_gco2/...): "
-           "power used as energy without a duration multiply, intensity "
-           "applied to power, mixed-unit accumulation, call-argument "
-           "dimension mismatches";
-  }
-  void check_project(const std::vector<FileContext>& files,
-                     std::vector<Diagnostic>& out) const override {
-    const std::vector<TranslationUnit> units = translation_units(files);
-    const SymbolIndex index = SymbolIndex::build(units);
-    for (const FileContext& f : files) {
-      if (f.ast == nullptr) continue;
-      for (const FunctionDef& fn : f.ast->functions) {
-        std::vector<UnitFinding> findings;
-        analyze_function_units(f.tokens, *f.ast, fn, &index, findings);
-        for (const UnitFinding& u : findings) {
-          const Token& t = f.tokens[u.token];
-          out.push_back(Diagnostic{std::string(name()), f.path, t.line,
-                                   t.column, u.message});
-        }
-      }
-    }
-  }
-};
 
 // ---------------------------------------------------------------------------
 // Rule: determinism-flow
@@ -124,7 +84,6 @@ class DeterminismFlowRule final : public Rule {
 
 std::vector<std::unique_ptr<Rule>> semantic_rules() {
   std::vector<std::unique_ptr<Rule>> rules;
-  rules.push_back(std::make_unique<UnitsFlowRule>());
   rules.push_back(std::make_unique<DeterminismFlowRule>());
   return rules;
 }

@@ -130,8 +130,6 @@ SymbolIndex SymbolIndex::build(const std::vector<TranslationUnit>& units) {
                    : 0;
       f.unit = u;
       f.def_index = d;
-      f.param_names.reserve(def.params.size());
-      for (const VarDecl& p : def.params) f.param_names.push_back(p.name);
       const Scope& body = tu.ast->scopes[def.body_scope];
       scan_function_facts(*tu.tokens, def.name_token, body.end_token + 1, f);
       idx.functions_.push_back(std::move(f));

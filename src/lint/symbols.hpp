@@ -2,9 +2,8 @@
 //
 // Built once per lint run from every file's FileAst, the index gives the
 // semantic rules what a single file cannot: which function a call resolves
-// to (so units-flow can check arguments against the callee's parameter
-// names) and which functions transitively reach a nondeterminism source
-// (so determinism-flow can make `no-wall-clock` transitive).
+// to, and which functions transitively reach a nondeterminism source (so
+// determinism-flow can make `no-wall-clock` transitive).
 //
 // Call resolution is deliberately conservative — over-resolving a call
 // would let taint leak across unrelated functions that merely share a
@@ -41,7 +40,6 @@ struct SymbolFunction {
   std::size_t line = 0;
   std::size_t unit = 0;      ///< index into the TranslationUnit vector
   std::size_t def_index = 0; ///< index into that unit's ast->functions
-  std::vector<std::string> param_names;  ///< ""-padded to keep positions
   std::vector<std::size_t> callees;      ///< resolved SymbolFunction indices
 
   // Determinism facts read straight off the body's tokens.
@@ -62,6 +60,16 @@ class SymbolIndex {
     return functions_;
   }
 
+  /// Functions whose values may depend on a wall-clock or unseeded-RNG
+  /// read, directly or through any resolved callee (sanctioned sources
+  /// excluded).  `via[i]` is the callee index that tainted function i
+  /// (npos for direct sources); useful for witness chains.
+  [[nodiscard]] std::vector<bool> taint_closure(
+      std::vector<std::size_t>& via) const;
+
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+ private:
   /// Indices of every function with this (unqualified) name.
   [[nodiscard]] std::vector<std::size_t> by_name(std::string_view name) const;
 
@@ -74,16 +82,6 @@ class SymbolIndex {
       const SymbolFunction& caller, std::string_view name,
       std::string_view receiver_type, bool typed_receiver) const;
 
-  /// Functions whose values may depend on a wall-clock or unseeded-RNG
-  /// read, directly or through any resolved callee (sanctioned sources
-  /// excluded).  `via[i]` is the callee index that tainted function i
-  /// (npos for direct sources); useful for witness chains.
-  [[nodiscard]] std::vector<bool> taint_closure(
-      std::vector<std::size_t>& via) const;
-
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
- private:
   std::vector<SymbolFunction> functions_;
   std::multimap<std::string, std::size_t, std::less<>> by_name_;
 };

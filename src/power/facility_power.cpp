@@ -20,7 +20,8 @@ FacilityPowerModel::FacilityPowerModel(FacilityInventory inventory,
       fs_model_(fs_model) {
   require(inventory_.compute_nodes > 0,
           "FacilityPowerModel: need at least one node");
-  require(fleet_profile_.core_w >= 0.0 && fleet_profile_.uncore_w >= 0.0,
+  require(fleet_profile_.core_w >= Power{} &&
+              fleet_profile_.uncore_w >= Power{},
           "FacilityPowerModel: dynamic profile must be non-negative");
 }
 

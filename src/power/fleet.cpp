@@ -16,10 +16,10 @@ void FleetState::powers_into(const NodePowerTerms& terms,
   for (std::size_t i = 0; i < n; ++i) o[i] = terms.watts(s[i]);
 }
 
-double FleetState::total_power_w(const NodePowerTerms& terms) const {
+Power FleetState::total_power_w(const NodePowerTerms& terms) const {
   double total = 0.0;
   for (double s : silicon) total += terms.watts(s);
-  return total;
+  return Power::watts(total);
 }
 
 NodeFleet::NodeFleet(FleetParams params, std::uint64_t seed) {
@@ -78,8 +78,8 @@ Power NodeFleet::total_power(const NodePowerParams& node_params,
                              const NodeActivity& activity) const {
   require(activity.silicon_factor >= 0.0,
           "node_power: silicon_factor must be non-negative");
-  return Power::watts(state_.total_power_w(
-      node_power_terms(node_params, profile, activity)));
+  return state_.total_power_w(
+      node_power_terms(node_params, profile, activity));
 }
 
 }  // namespace hpcem

@@ -48,7 +48,7 @@ struct FleetState {
 
   /// Batched fleet total (plain left-to-right sum, matching an
   /// accumulate over a per-node `node_power` loop).
-  [[nodiscard]] double total_power_w(const NodePowerTerms& terms) const;
+  [[nodiscard]] Power total_power_w(const NodePowerTerms& terms) const;
 };
 
 /// Immutable fleet of nodes with persistent silicon factors.

@@ -31,9 +31,9 @@ DynamicPowerProfile calibrate_dynamic_profile(const NodePowerParams& params,
 
   // core·(1 - phi) = L·(1 - rho)  ;  uncore = L - S - core.
   DynamicPowerProfile p;
-  p.core_w = L * (1.0 - power_ratio_at_2ghz) / (1.0 - phi);
-  p.uncore_w = L - S - p.core_w;
-  if (p.uncore_w < 0.0) {
+  p.core_w = Power::watts(L * (1.0 - power_ratio_at_2ghz) / (1.0 - phi));
+  p.uncore_w = Power::watts(L - S - p.core_w.w());
+  if (p.uncore_w < Power{}) {
     throw InvalidArgument(
         "calibrate_dynamic_profile: targets infeasible — loaded power " +
         std::to_string(L) + " W is below the minimum " +
@@ -72,7 +72,7 @@ NodePowerTerms node_power_terms(const NodePowerParams& params,
   const double phi = dvfs_factor(params.cpu, f_eff, activity.app_boost);
 
   NodePowerTerms t;
-  t.idle_w = params.idle.w();
+  t.idle_w = params.idle;
   t.load = activity.load;
   t.uncore_w = profile.uncore_w;
   t.core_phi_w = profile.core_w * phi;

@@ -39,10 +39,10 @@ struct NodePowerParams {
 /// Per-application dynamic power split (watts at full node load, at the
 /// application's boost clock, performance-determinism mode).
 struct DynamicPowerProfile {
-  double core_w = 0.0;    ///< scales with f·V(f)²
-  double uncore_w = 0.0;  ///< clock-insensitive (DRAM, fabric, NIC)
+  Power core_w;    ///< scales with f·V(f)²
+  Power uncore_w;  ///< clock-insensitive (DRAM, fabric, NIC)
 
-  [[nodiscard]] double total_w() const { return core_w + uncore_w; }
+  [[nodiscard]] Power total_w() const { return core_w + uncore_w; }
 };
 
 /// Solve for the dynamic profile matching a loaded power target and a
@@ -83,17 +83,17 @@ struct NodeActivity {
 /// multiply-adds.  `watts(s)` reproduces `node_power` bit-for-bit: the
 /// floating-point expression is identical term by term.
 struct NodePowerTerms {
-  double idle_w = 0.0;
+  Power idle_w;
   double load = 1.0;
-  double uncore_w = 0.0;
+  Power uncore_w;
   /// core_w scaled by the dvfs factor at the effective clock.
-  double core_phi_w = 0.0;
+  Power core_phi_w;
   /// Per-silicon determinism uplift (0 under performance determinism).
   double uplift = 0.0;
 
   [[nodiscard]] double watts(double silicon_factor) const {
     const double det = 1.0 + uplift * silicon_factor;
-    return idle_w + load * (uncore_w + core_phi_w * det);
+    return (idle_w + (uncore_w + core_phi_w * det) * load).w();
   }
 };
 

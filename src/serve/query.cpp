@@ -346,7 +346,7 @@ JsonValue QueryEngine::list() const {
     o.set("window_end", s.window_end.sec());
     o.set("replicates", s.replicates);
     o.set("completed_jobs", s.headline.completed_jobs);
-    o.set("window_energy_kwh", s.headline.window_energy_kwh);
+    o.set("window_energy_kwh", s.headline.window_energy_kwh.kwh());
     JsonValue channels = JsonValue::array();
     for (const StoredChannel& c : s.channels) {
       JsonValue ch = JsonValue::object();
@@ -464,8 +464,7 @@ JsonValue QueryEngine::regimes(const QueryRequest& r) const {
   // §2 strategy at the period-mean intensity, using the scenario's mean
   // facility draw to balance the scopes.
   const EmbodiedParams embodied = r.embodied.value_or(EmbodiedParams{});
-  const EmissionsModel model(embodied,
-                             Power::kilowatts(s.headline.mean_kw));
+  const EmissionsModel model(embodied, s.headline.mean_kw.to_power());
   const CarbonIntensity mean_ci = CarbonIntensity::g_per_kwh(mean_g);
 
   JsonValue result = JsonValue::object();
@@ -496,15 +495,15 @@ JsonValue QueryEngine::compare(const QueryRequest& r) const {
   const StoredScenario& a = stores_.at(r.scenario_a);
   const StoredScenario& b = stores_.at(r.scenario_b);
   const auto side = [](const StoredScenario& s) {
-    require(s.headline.window_energy_kwh > 0.0, "query: scenario '", s.name,
-            "' has no window energy; cannot compute perf per kWh");
+    require(s.headline.window_energy_kwh > EnergyKwh{}, "query: scenario '",
+            s.name, "' has no window energy; cannot compute perf per kWh");
     JsonValue o = JsonValue::object();
     o.set("scenario", s.name);
     o.set("completed_jobs", s.headline.completed_jobs);
-    o.set("window_energy_kwh", s.headline.window_energy_kwh);
+    o.set("window_energy_kwh", s.headline.window_energy_kwh.kwh());
     o.set("jobs_per_kwh",
-          s.headline.completed_jobs / s.headline.window_energy_kwh);
-    o.set("mean_kw", s.headline.mean_kw);
+          s.headline.completed_jobs / s.headline.window_energy_kwh.kwh());
+    o.set("mean_kw", s.headline.mean_kw.kw());
     o.set("mean_utilisation", s.headline.mean_utilisation);
     return o;
   };
@@ -557,13 +556,14 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
   CompensatedSum co2_g;
   for (std::size_t i = first; i + 1 < last; ++i) {
     const double dt = ch->times[i + 1] - ch->times[i];
-    const double interval_kwh =
-        0.5 * (ch->values[i] + ch->values[i + 1]) * dt / 3600.0;
+    const EnergyKwh interval_kwh =
+        PowerKw{0.5 * (ch->values[i] + ch->values[i + 1])} *
+        Duration::seconds(dt);
     const double mid = 0.5 * (ch->times[i] + ch->times[i + 1]);
-    e_kwh.add(interval_kwh);
-    co2_g.add(interval_kwh * intensity.at(SimTime(mid)).gkwh());
+    e_kwh.add(interval_kwh.kwh());
+    co2_g.add((interval_kwh * intensity.at(SimTime(mid))).g());
   }
-  const double energy_kwh = e_kwh.value();
+  const EnergyKwh energy_kwh{e_kwh.value()};
   const double scope2_g = co2_g.value();
   const SimTime covered_start(ch->times[first]);
   const SimTime covered_end(ch->times[last - 1]);
@@ -580,14 +580,15 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
   const double share = scope2_t + scope3_t > 0.0
                            ? scope2_t / (scope2_t + scope3_t)
                            : 0.0;
-  const double mean_g = energy_kwh > 0.0 ? scope2_g / energy_kwh : 0.0;
+  const double mean_g =
+      energy_kwh > EnergyKwh{} ? scope2_g / energy_kwh.kwh() : 0.0;
 
   JsonValue result = JsonValue::object();
   result.set("scenario", s.name);
   result.set("channel", ch->name);
   result.set("start", covered_start.sec());
   result.set("end", covered_end.sec());
-  result.set("energy_kwh", energy_kwh);
+  result.set("energy_kwh", energy_kwh.kwh());
   result.set("mean_intensity_g_per_kwh", mean_g);
   result.set("scope2_tonnes", scope2_t);
   result.set("scope3_tonnes", scope3_t);

@@ -21,7 +21,7 @@ const std::string& NodeFleetSource::channel() const {
 }
 
 Power NodeFleetSource::power(const SimSnapshot& s) const {
-  return Power::watts(s.busy_node_power_w) +
+  return s.busy_node_power_w +
          fleet_idle_power(params_.idle, idle_policy_, s.idle_nodes());
 }
 
@@ -79,8 +79,7 @@ const std::string& CoolingOverheadSource::channel() const {
 }
 
 Power CoolingOverheadSource::power(const SimSnapshot& s) const {
-  return model_.overhead_power(Power::watts(s.total_power_so_far_w),
-                               outdoor_c_);
+  return model_.overhead_power(s.total_power_so_far_w, outdoor_c_);
 }
 
 void UtilisationProbe::declare_channels(Recorder& recorder) {

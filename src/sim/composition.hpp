@@ -56,12 +56,12 @@ struct SimSnapshot {
   std::size_t queue_length = 0;
   std::size_t running_jobs = 0;
   /// Sum of the per-node draws of all running jobs, W.
-  double busy_node_power_w = 0.0;
+  Power busy_node_power_w;
   /// Power of the metered (cabinet-boundary) sources evaluated before this
-  /// one, W.  Zero for the first source.
-  double metered_power_so_far_w = 0.0;
-  /// Power of every source evaluated before this one, W.
-  double total_power_so_far_w = 0.0;
+  /// one.  Zero for the first source.
+  Power metered_power_so_far_w;
+  /// Power of every source evaluated before this one.
+  Power total_power_so_far_w;
 
   [[nodiscard]] std::size_t idle_nodes() const {
     return total_nodes - busy_nodes;

@@ -276,9 +276,9 @@ void FacilitySimulator::start_ready_jobs() {
     const Duration runtime = start.job.ref_runtime * f.time_factor;
     require(start.job.silicon_factor >= 0.0,
             "node_power: silicon_factor must be non-negative");
-    const double per_node_w = f.draw.watts(start.job.silicon_factor);
-    const double fleet_w =
-        per_node_w * static_cast<double>(start.job.nodes);
+    const Power per_node_w =
+        Power::watts(f.draw.watts(start.job.silicon_factor));
+    const Power fleet_w = per_node_w * static_cast<double>(start.job.nodes);
 
     const JobId id = start.job.id;
     RunningJob rj;
@@ -288,11 +288,10 @@ void FacilitySimulator::start_ready_jobs() {
     rj.record.pstate = f.pstate;
     rj.record.mode = policy_.bios_mode;
     rj.record.node_power_w = per_node_w;
-    rj.record.node_energy =
-        Power::watts(fleet_w) * runtime;
+    rj.record.node_energy = fleet_w * runtime;
     rj.fleet_power_w = fleet_w;
 
-    busy_node_power_w_.add(fleet_w);
+    busy_node_power_w_.add(fleet_w.w());
     scheduler_->set_expected_end(id, rj.record.end_time);
     engine_.schedule(rj.record.end_time, SimEventKind::kFinish, id);
     running_.emplace(id, std::move(rj));
@@ -303,7 +302,7 @@ void FacilitySimulator::on_finish(JobId id) {
   auto it = running_.find(id);
   HPCEM_ASSERT(it != running_.end(), "finish event for unknown job");
   power_dirty_ = true;
-  busy_node_power_w_.subtract(it->second.fleet_power_w);
+  busy_node_power_w_.subtract(it->second.fleet_power_w.w());
   // Compensated summation keeps the residual at a rounding of the peak
   // magnitude, so anything visibly negative is an accounting bug.
   HPCEM_ASSERT(busy_node_power_w_.value() > -1e-3,
@@ -323,7 +322,8 @@ SimSnapshot FacilitySimulator::snapshot() const {
   s.utilisation = scheduler_->utilisation();
   s.queue_length = scheduler_->queue_length();
   s.running_jobs = scheduler_->running_count();
-  s.busy_node_power_w = std::max(0.0, busy_node_power_w_.value());
+  s.busy_node_power_w =
+      Power::watts(std::max(0.0, busy_node_power_w_.value()));
   return s;
 }
 
@@ -343,16 +343,16 @@ void FacilitySimulator::sample() {
   // is unchanged, so the previous evaluation is reused verbatim.
   if (power_dirty_ || !sources_time_invariant_) {
     HPCEM_OBS_SPAN("sim.sample.power");
-    double metered_w = 0.0;
-    double total_w = 0.0;
+    Power metered_w;
+    Power total_w;
     source_power_kw_.resize(composition_.sources.size());
     for (std::size_t i = 0; i < composition_.sources.size(); ++i) {
       const auto& source = composition_.sources[i];
       s.metered_power_so_far_w = metered_w;
       s.total_power_so_far_w = total_w;
       const Power p = source->power(s);
-      if (source->metered()) metered_w += p.w();
-      total_w += p.w();
+      if (source->metered()) metered_w += p;
+      total_w += p;
       source_power_kw_[i] = p.kw();
     }
     cached_metered_w_ = metered_w;
@@ -368,7 +368,7 @@ void FacilitySimulator::sample() {
 
   HPCEM_OBS_SPAN("sim.sample.telemetry");
   recorder_.record(cabinet_channel_, s.now,
-                   cached_metered_w_ / 1000.0 * noise);
+                   cached_metered_w_.kw() * noise);
 
   s.metered_power_so_far_w = cached_metered_w_;
   s.total_power_so_far_w = cached_total_w_;
@@ -377,8 +377,8 @@ void FacilitySimulator::sample() {
   }
 }
 
-double FacilitySimulator::mean_cabinet_kw(SimTime a, SimTime b) const {
-  return recorder_.series(cabinet_channel_).mean_over(a, b);
+PowerKw FacilitySimulator::mean_cabinet_kw(SimTime a, SimTime b) const {
+  return PowerKw{recorder_.series(cabinet_channel_).mean_over(a, b)};
 }
 
 double FacilitySimulator::mean_utilisation(SimTime a, SimTime b) const {

@@ -111,7 +111,7 @@ class FacilitySimulator {
   [[nodiscard]] const Scheduler& scheduler() const { return *scheduler_; }
 
   /// Mean cabinet power over a window, kW.
-  [[nodiscard]] double mean_cabinet_kw(SimTime a, SimTime b) const;
+  [[nodiscard]] PowerKw mean_cabinet_kw(SimTime a, SimTime b) const;
   /// Mean node utilisation over a window.
   [[nodiscard]] double mean_utilisation(SimTime a, SimTime b) const;
   /// Cabinet energy over the whole simulated span.
@@ -120,7 +120,7 @@ class FacilitySimulator {
  private:
   struct RunningJob {
     JobRecord record;       ///< filled in progressively
-    double fleet_power_w;   ///< nodes x per-node draw
+    Power fleet_power_w;    ///< nodes x per-node draw
   };
 
   void dispatch(const SimEvent& ev);
@@ -186,11 +186,11 @@ class FacilitySimulator {
   /// Set by anything that can change the sampled machine state (submit,
   /// start, finish, policy change); cleared when sample() re-evaluates.
   bool power_dirty_ = true;
-  /// Cached per-source powers (kW) and boundary totals (W) of the last
+  /// Cached per-source powers (kW) and boundary totals of the last
   /// evaluated sample.
   std::vector<double> source_power_kw_;
-  double cached_metered_w_ = 0.0;
-  double cached_total_w_ = 0.0;
+  Power cached_metered_w_;
+  Power cached_total_w_;
 };
 
 }  // namespace hpcem

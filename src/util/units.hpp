@@ -5,7 +5,9 @@
 // accounting code, so each dimension gets its own vocabulary type.  The
 // wrapper is a zero-overhead `double` with dimension-preserving arithmetic:
 //   Power * Duration  -> Energy
+//   PowerKw * Duration -> EnergyKwh
 //   Energy * CarbonIntensity -> CarbonMass
+//   EnergyKwh * CarbonIntensity -> CarbonMass
 //   Energy * Price    -> Cost
 // plus scalar scaling and comparisons within a dimension.
 #pragma once
@@ -98,6 +100,19 @@ class Power : public Quantity<Power> {
   [[nodiscard]] constexpr double mw() const { return value_ / 1e6; }
 };
 
+/// Electrical power held in kilowatts, the unit of every reported mean
+/// (run headlines, timelines, conclusions).  A kW figure stored in Power's
+/// watts would round-trip as `kw * 1e3 / 1e3`, which is not bit-exact, so
+/// the scale is part of the type.  Converts to Power only explicitly.
+class PowerKw : public Quantity<PowerKw> {
+ public:
+  using Quantity::Quantity;
+  [[nodiscard]] constexpr double kw() const { return value_; }
+  [[nodiscard]] constexpr Power to_power() const {
+    return Power::kilowatts(value_);
+  }
+};
+
 /// Electrical energy.  Base unit: joules.
 class Energy : public Quantity<Energy> {
  public:
@@ -109,6 +124,18 @@ class Energy : public Quantity<Energy> {
   [[nodiscard]] constexpr double j() const { return value_; }
   [[nodiscard]] constexpr double to_kwh() const { return value_ / 3.6e6; }
   [[nodiscard]] constexpr double to_mwh() const { return value_ / 3.6e9; }
+};
+
+/// Electrical energy held in kilowatt-hours, the unit of reported window
+/// energy; the kWh counterpart of PowerKw.  Converts to Energy only
+/// explicitly.
+class EnergyKwh : public Quantity<EnergyKwh> {
+ public:
+  using Quantity::Quantity;
+  [[nodiscard]] constexpr double kwh() const { return value_; }
+  [[nodiscard]] constexpr Energy to_energy() const {
+    return Energy::kwh(value_);
+  }
 };
 
 /// Mass of CO2-equivalent emissions.  Base unit: grams.
@@ -188,6 +215,16 @@ constexpr CarbonMass operator*(Energy e, CarbonIntensity ci) {
 }
 constexpr CarbonMass operator*(CarbonIntensity ci, Energy e) { return e * ci; }
 
+/// kW sustained over a duration yields kWh: `kw * seconds / 3600`.
+constexpr EnergyKwh operator*(PowerKw p, Duration d) {
+  return EnergyKwh{p.kw() * d.sec() / 3600.0};
+}
+
+/// Scope-2 emissions of a kWh figure: `kwh * gCO2/kWh` grams.
+constexpr CarbonMass operator*(EnergyKwh e, CarbonIntensity ci) {
+  return CarbonMass::grams(e.kwh() * ci.gkwh());
+}
+
 /// Electricity cost of an energy amount at a given price.
 constexpr Cost operator*(Energy e, Price p) {
   return Cost::gbp(e.to_kwh() * p.gbp_kwh());
@@ -236,8 +273,14 @@ constexpr CarbonIntensity operator""_gCO2kWh(long double v) {
 inline std::ostream& operator<<(std::ostream& os, Power p) {
   return os << p.kw() << " kW";
 }
+inline std::ostream& operator<<(std::ostream& os, PowerKw p) {
+  return os << p.kw() << " kW";
+}
 inline std::ostream& operator<<(std::ostream& os, Energy e) {
   return os << e.to_kwh() << " kWh";
+}
+inline std::ostream& operator<<(std::ostream& os, EnergyKwh e) {
+  return os << e.kwh() << " kWh";
 }
 inline std::ostream& operator<<(std::ostream& os, Duration d) {
   return os << d.sec() << " s";

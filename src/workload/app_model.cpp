@@ -42,8 +42,7 @@ ApplicationModel::ApplicationModel(ApplicationSpec spec,
           "ApplicationModel: mix_weight must be non-negative for ",
           spec_.name);
   profile_ = calibrate_dynamic_profile(
-      node_params_, Power::watts(spec_.loaded_node_w),
-      spec_.power_ratio_2ghz, spec_.boost);
+      node_params_, spec_.loaded_node_w, spec_.power_ratio_2ghz, spec_.boost);
 }
 
 Frequency ApplicationModel::effective_frequency(DeterminismMode mode,
@@ -141,8 +140,7 @@ double calibrate_power_det_uplift(const ApplicationSpec& spec,
   // where pd = performance determinism, wd = power determinism, and the
   // only unknown in P_wd is the uplift.
   const DynamicPowerProfile profile = calibrate_dynamic_profile(
-      node_params, Power::watts(spec.loaded_node_w), spec.power_ratio_2ghz,
-      spec.boost);
+      node_params, spec.loaded_node_w, spec.power_ratio_2ghz, spec.boost);
 
   const double s = node_params.idle.w();
   const double boost_factor = 1.0 + node_params.cpu.power_determinism_boost;
@@ -154,14 +152,15 @@ double calibrate_power_det_uplift(const ApplicationSpec& spec,
   const double t_wd =
       (1.0 - spec.beta) + spec.beta / boost_factor;
 
-  const double p_pd = spec.loaded_node_w;  // phi = 1 at the boost reference
+  // phi = 1 at the boost reference.
+  const double p_pd = spec.loaded_node_w.w();
   const double p_wd_needed = p_pd * t_pd / (target_energy_ratio * t_wd);
 
-  const double core_at_wd = p_wd_needed - s - profile.uncore_w;
-  require(profile.core_w > 0.0,
+  const double core_at_wd = p_wd_needed - s - profile.uncore_w.w();
+  require(profile.core_w > Power{},
           "calibrate_power_det_uplift: application has no core-clock "
           "dynamic power to uplift");
-  const double one_plus_uplift = core_at_wd / (profile.core_w * phi_wd);
+  const double one_plus_uplift = core_at_wd / (profile.core_w * phi_wd).w();
   require(one_plus_uplift >= 1.0,
           "calibrate_power_det_uplift: target energy ratio implies a "
           "negative uplift for ",

@@ -50,7 +50,7 @@ struct ApplicationSpec {
   double beta = 0.3;
   /// Loaded whole-node draw at the boost clock under performance
   /// determinism, watts.
-  double loaded_node_w = 470.0;
+  Power loaded_node_w = Power::watts(470.0);
   /// Loaded node power ratio at 2.0 GHz vs boost (rho = P(2.0)/P(boost)).
   double power_ratio_2ghz = 0.78;
   /// Achieved all-core boost under 2.25 GHz + turbo, performance

@@ -6,6 +6,8 @@
 
 namespace hpcem {
 
+using namespace literals;
+
 namespace {
 
 /// Build a benchmark spec from its Table 4 row: invert the published
@@ -14,7 +16,7 @@ namespace {
 /// raised to the feasibility bound if the published ratios demand it.
 ApplicationSpec benchmark_from_table4(std::string name, ScienceArea area,
                                       double perf_ratio, double energy_ratio,
-                                      double loaded_w,
+                                      Power loaded_w,
                                       const NodePowerParams& node_params) {
   ApplicationSpec spec;
   spec.name = std::move(name);
@@ -24,7 +26,7 @@ ApplicationSpec benchmark_from_table4(std::string name, ScienceArea area,
   spec.power_ratio_2ghz = energy_ratio * perf_ratio;
   const Power min_l = min_feasible_loaded_power(
       node_params, spec.power_ratio_2ghz, spec.boost);
-  spec.loaded_node_w = std::max(loaded_w, min_l.w() + 5.0);
+  spec.loaded_node_w = std::max(loaded_w, min_l + 5.0_W);
   spec.mix_weight = 0.0;  // benchmark-only entry
   return spec;
 }
@@ -43,7 +45,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
   {
     auto spec = benchmark_from_table4("CASTEP Al Slab",
                                       ScienceArea::kMaterials, 0.93, 0.88,
-                                      450.0, np);
+                                      450.0_W, np);
     spec.power_det_uplift = calibrate_power_det_uplift(spec, np, 0.94);
     spec.comm_fraction = 0.20;
     spec.typical_nodes = 16;
@@ -56,7 +58,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
   {
     auto spec = benchmark_from_table4("CP2K H2O 2048",
                                       ScienceArea::kMaterials, 0.91, 0.93,
-                                      460.0, np);
+                                      460.0_W, np);
     spec.power_det_uplift = 0.20;
     spec.comm_fraction = 0.18;
     spec.typical_nodes = 4;
@@ -68,7 +70,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
   {
     auto spec = benchmark_from_table4("GROMACS 1400k",
                                       ScienceArea::kBiomolecular, 0.83, 0.92,
-                                      490.0, np);
+                                      490.0_W, np);
     spec.power_det_uplift = 0.22;
     spec.comm_fraction = 0.12;
     spec.typical_nodes = 3;
@@ -80,7 +82,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
   {
     auto spec = benchmark_from_table4("LAMMPS Ethanol",
                                       ScienceArea::kMaterials, 0.74, 0.92,
-                                      510.0, np);
+                                      510.0_W, np);
     spec.power_det_uplift = 0.24;
     spec.comm_fraction = 0.08;
     spec.typical_nodes = 4;
@@ -92,7 +94,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
   {
     auto spec = benchmark_from_table4("Nektar++ TGV 128 DoF",
                                       ScienceArea::kEngineering, 0.80, 0.80,
-                                      570.0, np);
+                                      570.0_W, np);
     spec.power_det_uplift = 0.20;
     spec.comm_fraction = 0.10;
     spec.typical_nodes = 2;
@@ -104,7 +106,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
   {
     auto spec = benchmark_from_table4("ONETEP hBN-BP-hBN",
                                       ScienceArea::kMaterials, 0.92, 0.82,
-                                      450.0, np);
+                                      450.0_W, np);
     spec.power_det_uplift = 0.16;
     spec.comm_fraction = 0.15;
     spec.typical_nodes = 4;
@@ -115,7 +117,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
   // VASP CdTe: Table 4 (8 nodes: perf 0.95, energy 0.88).
   {
     auto spec = benchmark_from_table4("VASP CdTe", ScienceArea::kMaterials,
-                                      0.95, 0.88, 470.0, np);
+                                      0.95, 0.88, 470.0_W, np);
     spec.power_det_uplift = 0.19;
     spec.comm_fraction = 0.22;
     spec.typical_nodes = 8;
@@ -131,7 +133,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
     spec.area = ScienceArea::kMaterials;
     spec.beta = 0.14;
     spec.power_ratio_2ghz = 0.84;
-    spec.loaded_node_w = 470.0;
+    spec.loaded_node_w = 470.0_W;
     spec.comm_fraction = 0.22;
     spec.typical_nodes = 32;
     spec.typical_runtime_h = 2.0;
@@ -147,7 +149,7 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
     spec.area = ScienceArea::kEngineering;
     spec.beta = 0.35;
     spec.power_ratio_2ghz = 0.80;
-    spec.loaded_node_w = 470.0;
+    spec.loaded_node_w = 470.0_W;
     spec.comm_fraction = 0.15;
     spec.typical_nodes = 32;
     spec.typical_runtime_h = 1.0;
@@ -167,41 +169,41 @@ AppCatalog AppCatalog::archer2(const NodePowerParams& np) {
     double weight;
     double beta;
     double rho;
-    double loaded_w;
+    Power loaded_w;
     double uplift;
     double comm;
     double nodes;
     double runtime_h;
   };
   const MixRow mix[] = {
-      {"VASP (production)", ScienceArea::kMaterials, 25, 0.15, 0.80, 460,
+      {"VASP (production)", ScienceArea::kMaterials, 25, 0.15, 0.80, 460.0_W,
        0.21, 0.22, 8, 8},
-      {"CASTEP (production)", ScienceArea::kMaterials, 10, 0.19, 0.80, 445,
+      {"CASTEP (production)", ScienceArea::kMaterials, 10, 0.19, 0.80, 445.0_W,
        0.16, 0.20, 16, 6},
-      {"CP2K (production)", ScienceArea::kMaterials, 7, 0.24, 0.78, 450,
+      {"CP2K (production)", ScienceArea::kMaterials, 7, 0.24, 0.78, 450.0_W,
        0.22, 0.18, 8, 6},
       {"GROMACS (production)", ScienceArea::kBiomolecular, 8, 0.51, 0.74,
-       485, 0.25, 0.12, 4, 12},
-      {"LAMMPS (production)", ScienceArea::kMaterials, 5, 0.88, 0.68, 505,
+       485.0_W, 0.25, 0.12, 4, 12},
+      {"LAMMPS (production)", ScienceArea::kMaterials, 5, 0.88, 0.68, 505.0_W,
        0.27, 0.08, 8, 8},
       {"UM atmosphere (production)", ScienceArea::kClimateOcean, 10, 0.24,
-       0.73, 460, 0.22, 0.25, 128, 6},
+       0.73, 460.0_W, 0.22, 0.25, 128, 6},
       {"NEMO ocean (production)", ScienceArea::kClimateOcean, 8, 0.24, 0.73,
-       455, 0.22, 0.25, 64, 8},
+       455.0_W, 0.22, 0.25, 64, 8},
       {"OpenSBLI (production)", ScienceArea::kEngineering, 8, 0.24, 0.78,
-       465, 0.30, 0.15, 64, 6},
+       465.0_W, 0.30, 0.15, 64, 6},
       {"Nektar++ (production)", ScienceArea::kEngineering, 2, 0.625, 0.64,
-       570, 0.22, 0.10, 16, 8},
-      {"ONETEP (production)", ScienceArea::kMaterials, 2, 0.22, 0.75, 440,
+       570.0_W, 0.22, 0.10, 16, 8},
+      {"ONETEP (production)", ScienceArea::kMaterials, 2, 0.22, 0.75, 440.0_W,
        0.18, 0.15, 4, 10},
       {"SENGA combustion (production)", ScienceArea::kEngineering, 5, 0.24,
-       0.72, 475, 0.22, 0.20, 128, 12},
+       0.72, 475.0_W, 0.22, 0.20, 128, 12},
       {"GS2 gyrokinetics (production)", ScienceArea::kPlasma, 5, 0.24, 0.70,
-       460, 0.21, 0.18, 32, 8},
+       460.0_W, 0.21, 0.18, 32, 8},
       {"SPECFEM3D (production)", ScienceArea::kSeismology, 5, 0.245, 0.75,
-       470, 0.22, 0.20, 64, 10},
+       470.0_W, 0.22, 0.20, 64, 10},
       {"CRYSTAL (production)", ScienceArea::kMineralPhysics, 5, 0.20, 0.76,
-       450, 0.19, 0.15, 16, 8},
+       450.0_W, 0.19, 0.15, 16, 8},
   };
   for (const auto& row : mix) {
     ApplicationSpec spec;

@@ -52,7 +52,7 @@ struct JobRecord {
   PState pstate;            ///< frequency the job actually ran at
   DeterminismMode mode;     ///< BIOS mode during the run
   Energy node_energy;       ///< compute-node energy consumed
-  double node_power_w = 0;  ///< per-node draw while running
+  Power node_power_w;       ///< per-node draw while running
 
   [[nodiscard]] Duration runtime() const { return end_time - start_time; }
   [[nodiscard]] Duration wait_time() const {

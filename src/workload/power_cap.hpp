@@ -52,8 +52,8 @@ struct CapComparisonRow {
   std::string app;
   double cap_time_factor = 0.0;   ///< runtime multiplier under the cap
   double freq_time_factor = 0.0;  ///< runtime multiplier at 2.0 GHz
-  double cap_node_w = 0.0;
-  double freq_node_w = 0.0;
+  Power cap_node_w;
+  Power freq_node_w;
 };
 
 /// Compare a node power cap against the 2.0 GHz default at matched fleet

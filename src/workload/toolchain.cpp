@@ -46,12 +46,10 @@ ApplicationSpec variant_spec(const ApplicationModel& base,
   DynamicPowerProfile profile = base.profile();
   profile.core_w *= tc.core_power_factor;
 
-  const double idle = np.idle.w();
-  const double loaded = idle + profile.uncore_w + profile.core_w;
+  const Power loaded = np.idle + profile.uncore_w + profile.core_w;
   const double phi2 =
       dvfs_factor(np.cpu, Frequency::ghz(2.0), spec.boost);
-  const double at_2ghz =
-      idle + profile.uncore_w + profile.core_w * phi2;
+  const Power at_2ghz = np.idle + profile.uncore_w + profile.core_w * phi2;
   spec.loaded_node_w = loaded;
   spec.power_ratio_2ghz = at_2ghz / loaded;
   return spec;
@@ -97,7 +95,7 @@ std::vector<ToolchainFrequencyPoint> toolchain_frequency_study(
       p.pstate = ps;
       p.runtime_ratio = app.runtime(unit, mode, ps) / ref_runtime;
       p.energy_ratio = app.energy_to_solution(1, unit, mode, ps) / ref_energy;
-      p.node_power_w = app.model().node_draw(mode, ps).w();
+      p.node_power_w = app.model().node_draw(mode, ps);
       out.push_back(std::move(p));
     }
   }

@@ -83,7 +83,7 @@ struct ToolchainFrequencyPoint {
   PState pstate;
   double runtime_ratio = 0.0;  ///< vs reference build at turbo
   double energy_ratio = 0.0;   ///< vs reference build at turbo
-  double node_power_w = 0.0;
+  Power node_power_w;
 };
 
 /// Sweep toolchains x P-states for one application (the future-work study).

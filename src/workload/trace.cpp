@@ -106,7 +106,7 @@ std::string records_to_csv(const std::vector<JobRecord>& recs) {
                iso_date_time(r.spec.submit_time), iso_date_time(r.start_time),
                iso_date_time(r.end_time), pstate_code(r.pstate),
                to_string(r.mode), TextTable::num(r.node_energy.to_kwh(), 3),
-               TextTable::num(r.node_power_w, 1),
+               TextTable::num(r.node_power_w.w(), 1),
                TextTable::num(r.node_hours(), 3)});
   }
   return w.str();

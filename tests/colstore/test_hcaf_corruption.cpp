@@ -85,7 +85,7 @@ RunArtifact make_artifact(const std::string& scenario, std::size_t samples) {
   const TimeSeries s = ramp_series(samples);
   a.window_start = s.start_time();
   a.window_end = s.end_time();
-  a.headline.mean_kw = s.summary().mean;
+  a.headline.mean_kw = PowerKw{s.summary().mean};
   a.channels.push_back(aggregate_channel("cabinet_kw", s, true));
   return a;
 }

@@ -41,8 +41,8 @@ RunArtifact make_artifact(const std::string& scenario, std::size_t samples,
   const TimeSeries s = ramp_series(samples);
   a.window_start = s.start_time();
   a.window_end = s.end_time();
-  a.headline.mean_kw = s.summary().mean;
-  a.headline.window_energy_kwh = s.integrate() / 3600.0;
+  a.headline.mean_kw = PowerKw{s.summary().mean};
+  a.headline.window_energy_kwh = EnergyKwh{s.integrate() / 3600.0};
   a.headline.completed_jobs = 100.0;
   a.channels.push_back(aggregate_channel("cabinet_kw", s, with_series));
   return a;
@@ -79,13 +79,14 @@ TEST(HcafFormat, RoundTripsAnEmptyShard) {
 TEST(HcafFormat, RoundTripsChangePointsAndMultiChannelArtifacts) {
   RunArtifact a = make_artifact("rich", 96, true);
   a.replicates = 12;
-  a.headline.mean_before_kw = 3100.0;
-  a.headline.mean_after_kw = 2800.0;
+  a.headline.mean_before_kw = PowerKw{3100.0};
+  a.headline.mean_after_kw = PowerKw{2800.0};
   a.headline.mean_utilisation = 0.87;
   a.change_points.push_back(
-      {SimTime(86400.0), 3100.0, 2800.0, /*detected=*/true});
+      {SimTime(86400.0), PowerKw{3100.0}, PowerKw{2800.0}, /*detected=*/true});
   a.change_points.push_back(
-      {SimTime(172800.0), 2800.0, 2750.0, /*detected=*/false});
+      {SimTime(172800.0), PowerKw{2800.0}, PowerKw{2750.0},
+       /*detected=*/false});
   const TimeSeries util = ramp_series(48, 300.0, 1200.0);
   a.channels.push_back(aggregate_channel("utilisation", util, true));
   a.channels.push_back(aggregate_channel("idle_kw", util, false));
@@ -164,17 +165,17 @@ RunArtifact random_artifact(Rng& rng, const std::string& scenario) {
   a.source = rng.bernoulli(0.5) ? "simulation" : "campaign";
   if (rng.bernoulli(0.7)) a.machine = "archer2";
   a.replicates = static_cast<std::size_t>(rng.uniform_int(1, 40));
-  a.headline.mean_kw = rng.uniform(500.0, 4000.0);
-  a.headline.mean_before_kw = rng.uniform(500.0, 4000.0);
-  a.headline.mean_after_kw = rng.uniform(500.0, 4000.0);
+  a.headline.mean_kw = PowerKw{rng.uniform(500.0, 4000.0)};
+  a.headline.mean_before_kw = PowerKw{rng.uniform(500.0, 4000.0)};
+  a.headline.mean_after_kw = PowerKw{rng.uniform(500.0, 4000.0)};
   a.headline.mean_utilisation = rng.uniform(0.0, 1.0);
-  a.headline.window_energy_kwh = rng.uniform(0.0, 1e6);
+  a.headline.window_energy_kwh = EnergyKwh{rng.uniform(0.0, 1e6)};
   a.headline.completed_jobs = static_cast<double>(rng.uniform_int(0, 9999));
   const std::size_t cps = static_cast<std::size_t>(rng.uniform_int(0, 3));
   for (std::size_t i = 0; i < cps; ++i) {
     a.change_points.push_back({SimTime(rng.uniform(0.0, 1e6)),
-                               rng.uniform(500.0, 4000.0),
-                               rng.uniform(500.0, 4000.0),
+                               PowerKw{rng.uniform(500.0, 4000.0)},
+                               PowerKw{rng.uniform(500.0, 4000.0)},
                                rng.bernoulli(0.5)});
   }
   const std::size_t nch = static_cast<std::size_t>(rng.uniform_int(0, 3));

@@ -36,8 +36,8 @@ RunArtifact make_artifact(const std::string& scenario, std::size_t samples) {
   }
   a.window_start = s.start_time();
   a.window_end = s.end_time();
-  a.headline.mean_kw = s.summary().mean;
-  a.headline.window_energy_kwh = s.integrate() / 3600.0;
+  a.headline.mean_kw = PowerKw{s.summary().mean};
+  a.headline.window_energy_kwh = EnergyKwh{s.integrate() / 3600.0};
   a.headline.completed_jobs = 420.0;
   a.channels.push_back(aggregate_channel("cabinet_kw", s, true));
   return a;

@@ -21,7 +21,7 @@ class AccountingTest : public ::testing::Test {
     r.start_time = SimTime(0.0);
     r.end_time = SimTime(runtime_h * 3600.0);
     r.pstate = pstates::kHighTurbo;
-    r.node_power_w = node_w;
+    r.node_power_w = Power::watts(node_w);
     r.node_energy = Power::watts(node_w * static_cast<double>(nodes)) *
                     Duration::hours(runtime_h);
     return r;
@@ -54,7 +54,7 @@ TEST_F(AccountingTest, EnergyAndEmissionsConsistent) {
       account_usage(recs, cat_, CarbonIntensity::g_per_kwh(100.0));
   EXPECT_NEAR(b.total.energy.to_kwh(), 5.0, 1e-9);
   EXPECT_NEAR(b.total.scope2.g(), 500.0, 1e-6);
-  EXPECT_NEAR(b.total.mean_node_w(), 500.0, 1e-9);
+  EXPECT_NEAR(b.total.mean_node_w().w(), 500.0, 1e-9);
 }
 
 TEST_F(AccountingTest, UnknownAppsGrouped) {

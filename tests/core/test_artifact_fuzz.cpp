@@ -111,16 +111,16 @@ RunArtifact ref_decode(const std::string& text) {
   a.window_end = ref_time(v.at("window_end"));
   a.replicates = ref_count(v, "replicates", "replicates");
   const JsonValue& h = v.at("headline");
-  a.headline = {h.at("mean_kw").as_number(),
-                h.at("mean_before_kw").as_number(),
-                h.at("mean_after_kw").as_number(),
+  a.headline = {PowerKw{h.at("mean_kw").as_number()},
+                PowerKw{h.at("mean_before_kw").as_number()},
+                PowerKw{h.at("mean_after_kw").as_number()},
                 h.at("mean_utilisation").as_number(),
-                h.at("window_energy_kwh").as_number(),
+                EnergyKwh{h.at("window_energy_kwh").as_number()},
                 h.at("completed_jobs").as_number()};
   for (const auto& cp : v.at("change_points").as_array()) {
     a.change_points.push_back({ref_time(cp.at("at")),
-                               cp.at("mean_before_kw").as_number(),
-                               cp.at("mean_after_kw").as_number(),
+                               PowerKw{cp.at("mean_before_kw").as_number()},
+                               PowerKw{cp.at("mean_after_kw").as_number()},
                                cp.at("detected").as_bool()});
   }
   for (const auto& c : v.at("channels").as_array()) {

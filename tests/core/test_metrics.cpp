@@ -18,7 +18,7 @@ JobRecord record(double wait_h, double runtime_h, std::size_t nodes,
   r.end_time = r.start_time + Duration::hours(runtime_h);
   r.pstate = ps;
   r.mode = DeterminismMode::kPerformanceDeterminism;
-  r.node_power_w = node_w;
+  r.node_power_w = Power::watts(node_w);
   r.node_energy = Power::watts(node_w * static_cast<double>(nodes)) *
                   Duration::hours(runtime_h);
   return r;

@@ -48,9 +48,9 @@ TEST_F(ReportTest, TimelineRendersMeansAndChangepoint) {
     r.cabinet_kw.append(r.window_start + Duration::minutes(30.0 * i),
                         i < 1000 ? 3220.0 : 3010.0);
   }
-  r.mean_kw = 3115.0;
-  r.mean_before_kw = 3220.0;
-  r.mean_after_kw = 3010.0;
+  r.mean_kw = PowerKw{3115.0};
+  r.mean_before_kw = PowerKw{3220.0};
+  r.mean_after_kw = PowerKw{3010.0};
   r.mean_utilisation = 0.91;
   r.change_time = sim_time_from_date({2022, 5, 9});
   TimedStepChange sc;
@@ -77,14 +77,14 @@ TEST_F(ReportTest, EmissionsSweepListsRegimes) {
 
 TEST_F(ReportTest, ConclusionsTableCarriesPaperColumn) {
   ScenarioRunner::Conclusions c;
-  c.baseline_kw = 3254.0;
-  c.after_bios_kw = 3024.0;
-  c.after_freq_kw = 2493.0;
-  c.bios_saving_kw = 230.0;
+  c.baseline_kw = PowerKw{3254.0};
+  c.after_bios_kw = PowerKw{3024.0};
+  c.after_freq_kw = PowerKw{2493.0};
+  c.bios_saving_kw = PowerKw{230.0};
   c.bios_saving_fraction = 0.0707;
-  c.freq_saving_kw = 531.0;
+  c.freq_saving_kw = PowerKw{531.0};
   c.freq_saving_fraction = 0.163;
-  c.total_saving_kw = 761.0;
+  c.total_saving_kw = PowerKw{761.0};
   c.total_saving_fraction = 0.234;
   const std::string s = render_conclusions(c);
   EXPECT_NE(s.find("3,220"), std::string::npos);  // paper column

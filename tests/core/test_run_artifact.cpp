@@ -30,16 +30,18 @@ RunArtifact sample_artifact() {
   a.window_start = sim_time_from_date({2022, 4, 1});
   a.window_end = sim_time_from_date({2022, 6, 1});
   a.replicates = 3;
-  a.headline.mean_kw = 3140.5;
-  a.headline.mean_before_kw = 3220.0;
-  a.headline.mean_after_kw = 3010.0;
+  a.headline.mean_kw = PowerKw{3140.5};
+  a.headline.mean_before_kw = PowerKw{3220.0};
+  a.headline.mean_after_kw = PowerKw{3010.0};
   a.headline.mean_utilisation = 0.91;
-  a.headline.window_energy_kwh = 4.6e6;
+  a.headline.window_energy_kwh = EnergyKwh{4.6e6};
   a.headline.completed_jobs = 78934.0;
   a.change_points.push_back(
-      {sim_time_from_date({2022, 5, 9}), 3220.0, 3010.0, false});
+      {sim_time_from_date({2022, 5, 9}), PowerKw{3220.0}, PowerKw{3010.0},
+       false});
   a.change_points.push_back(
-      {sim_time_from_date({2022, 5, 9}), 3219.4, 3010.2, true});
+      {sim_time_from_date({2022, 5, 9}), PowerKw{3219.4}, PowerKw{3010.2},
+       true});
   ChannelAggregate c;
   c.name = "cabinet_kw";
   c.unit = "kW";
@@ -191,8 +193,8 @@ TEST(RunArtifact, MicroSimulationProducesConsistentArtifact) {
   EXPECT_EQ(a.replicates, 1u);
   EXPECT_EQ(a.window_start, spec.window_start);
   EXPECT_EQ(a.window_end, spec.window_end);
-  EXPECT_GT(a.headline.mean_kw, 0.0);
-  EXPECT_GT(a.headline.window_energy_kwh, 0.0);
+  EXPECT_GT(a.headline.mean_kw.kw(), 0.0);
+  EXPECT_GT(a.headline.window_energy_kwh.kwh(), 0.0);
   EXPECT_GT(a.headline.completed_jobs, 0.0);
   // The scheduled change point is recorded alongside any detected one.
   ASSERT_GE(a.change_points.size(), 1u);
@@ -225,7 +227,7 @@ TEST(RunArtifact, CampaignArtifactsCarryReplicateMeans) {
   const RunArtifact& a = artifacts.front();
   EXPECT_EQ(a.source, "campaign");
   EXPECT_EQ(a.replicates, 2u);
-  EXPECT_EQ(a.headline.mean_kw, result.scenarios.front().mean_kw.mean());
+  EXPECT_EQ(a.headline.mean_kw.kw(), result.scenarios.front().mean_kw.mean());
   EXPECT_TRUE(a.channels.empty());
   EXPECT_THROW(make_campaign_artifacts(result, {}), InvalidArgument);
 }

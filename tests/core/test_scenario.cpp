@@ -25,8 +25,8 @@ TEST_F(ScenarioTest, NoChangeCampaignHasEqualMeans) {
   const TimelineResult r = runner_.run_campaign(
       day(0), day(21), OperatingPolicy::baseline(), std::nullopt,
       std::nullopt);
-  EXPECT_DOUBLE_EQ(r.mean_before_kw, r.mean_kw);
-  EXPECT_DOUBLE_EQ(r.mean_after_kw, r.mean_kw);
+  EXPECT_DOUBLE_EQ(r.mean_before_kw.kw(), r.mean_kw.kw());
+  EXPECT_DOUBLE_EQ(r.mean_after_kw.kw(), r.mean_kw.kw());
   EXPECT_FALSE(r.change_time.has_value());
   EXPECT_GT(r.mean_utilisation, 0.75);
   EXPECT_GT(r.cabinet_kw.size(), 900u);
@@ -48,21 +48,21 @@ TEST_F(ScenarioTest, PolicyOrderingHoldsOnTheTestbed) {
       runner_
           .run_campaign(day(0), day(14), OperatingPolicy::baseline(),
                         std::nullopt, std::nullopt)
-          .mean_kw;
+          .mean_kw.kw();
   ScenarioRunner r2(tb_, 99);
   r2.set_warmup(Duration::days(7.0));
   const double perfdet =
       r2.run_campaign(day(0), day(14),
                       OperatingPolicy::performance_determinism(),
                       std::nullopt, std::nullopt)
-          .mean_kw;
+          .mean_kw.kw();
   ScenarioRunner r3(tb_, 99);
   r3.set_warmup(Duration::days(7.0));
   const double lowfreq =
       r3.run_campaign(day(0), day(14),
                       OperatingPolicy::low_frequency_default(),
                       std::nullopt, std::nullopt)
-          .mean_kw;
+          .mean_kw.kw();
   EXPECT_GT(base, perfdet);
   EXPECT_GT(perfdet, lowfreq);
   // Scale sanity: ~512/5860 of the flagship's levels plus plant floors.

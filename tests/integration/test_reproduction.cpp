@@ -45,7 +45,7 @@ std::unique_ptr<TimelineResult> ReproductionTest::fig3_;
 
 TEST_F(ReproductionTest, Figure1BaselineMeanNear3220) {
   // Paper: mean 3,220 kW over Dec 2021 - Apr 2022.
-  EXPECT_NEAR(fig1_->mean_kw, 3220.0, 3220.0 * 0.03);
+  EXPECT_NEAR(fig1_->mean_kw.kw(), 3220.0, 3220.0 * 0.03);
 }
 
 TEST_F(ReproductionTest, Figure1UtilisationConsistentlyOverNinety) {
@@ -60,9 +60,9 @@ TEST_F(ReproductionTest, Figure1WindowCoversFiveMonths) {
 
 TEST_F(ReproductionTest, Figure2BiosChangeLevels) {
   // Paper: 3,220 kW -> 3,010 kW (210 kW, 6.5%).
-  EXPECT_NEAR(fig2_->mean_before_kw, 3220.0, 3220.0 * 0.03);
-  EXPECT_NEAR(fig2_->mean_after_kw, 3010.0, 3010.0 * 0.03);
-  const double saving = fig2_->mean_before_kw - fig2_->mean_after_kw;
+  EXPECT_NEAR(fig2_->mean_before_kw.kw(), 3220.0, 3220.0 * 0.03);
+  EXPECT_NEAR(fig2_->mean_after_kw.kw(), 3010.0, 3010.0 * 0.03);
+  const double saving = (fig2_->mean_before_kw - fig2_->mean_after_kw).kw();
   EXPECT_NEAR(saving, 210.0, 70.0);
 }
 
@@ -77,9 +77,9 @@ TEST_F(ReproductionTest, Figure2ChangepointRecoveredNearTheRollout) {
 
 TEST_F(ReproductionTest, Figure3FrequencyChangeLevels) {
   // Paper: 3,010 kW -> 2,530 kW (480 kW; 21% cumulative).
-  EXPECT_NEAR(fig3_->mean_before_kw, 3010.0, 3010.0 * 0.03);
-  EXPECT_NEAR(fig3_->mean_after_kw, 2530.0, 2530.0 * 0.03);
-  const double saving = fig3_->mean_before_kw - fig3_->mean_after_kw;
+  EXPECT_NEAR(fig3_->mean_before_kw.kw(), 3010.0, 3010.0 * 0.03);
+  EXPECT_NEAR(fig3_->mean_after_kw.kw(), 2530.0, 2530.0 * 0.03);
+  const double saving = (fig3_->mean_before_kw - fig3_->mean_after_kw).kw();
   EXPECT_NEAR(saving, 480.0, 100.0);
 }
 

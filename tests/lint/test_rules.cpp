@@ -155,19 +155,33 @@ TEST(UnitsVocabulary, FlagsRawDoubleUnitParamsInPublicHeaders) {
 }
 
 TEST(UnitsVocabulary, QuietForVocabularyTypesMembersAndCppFiles) {
-  // Vocabulary types, unsuffixed doubles and struct members are all fine;
-  // .cpp files and non-src headers are out of scope.
+  // Vocabulary types (PowerKw included) and unsuffixed doubles are fine
+  // anywhere.
   const auto header = lint_one("src/power/x.hpp",
                                "#pragma once\n"
                                "void set_cap(Power cap);\n"
                                "void scale(double factor);\n"
-                               "struct S { double busy_node_power_w = 0.0; "
-                               "};\n");
+                               "struct S { PowerKw mean_kw; "
+                               "double share = 0.0; };\n");
   EXPECT_EQ(count_rule(header, "units-vocabulary"), 0u);
 
-  const auto cpp =
-      lint_one("src/power/x.cpp", "static void set_cap(double cap_kw) {}\n");
-  EXPECT_EQ(count_rule(cpp, "units-vocabulary"), 0u);
+  // Members, locals, returns, trailing-underscore members and .cpp files
+  // are all in scope now.
+  const auto cpp = lint_one("src/power/x.cpp",
+                            "struct S { double busy_node_power_w = 0.0; };\n"
+                            "class C { double cached_metered_w_ = 0.0; };\n"
+                            "double total_kwh() { return 0.0; }\n"
+                            "static void set_cap(double cap_kw) {\n"
+                            "  double used_kwh = cap_kw;\n"
+                            "}\n");
+  EXPECT_EQ(count_rule(cpp, "units-vocabulary"), 5u);
+  ASSERT_EQ(cpp.diagnostics.size(), 5u);
+  EXPECT_NE(cpp.diagnostics[1].message.find("'cached_metered_w_'"),
+            std::string::npos);
+  EXPECT_NE(cpp.diagnostics[2].message.find("hpcem::EnergyKwh"),
+            std::string::npos);
+  EXPECT_NE(cpp.diagnostics[3].message.find("hpcem::PowerKw"),
+            std::string::npos);
 }
 
 TEST(UnitsVocabulary, SuppressedInline) {
@@ -178,6 +192,49 @@ TEST(UnitsVocabulary, SuppressedInline) {
       "// hpcem-lint: allow(units-vocabulary)\n"
       "void ingest(double power_kw);\n");
   EXPECT_EQ(count_rule(report, "units-vocabulary"), 0u);
+  EXPECT_EQ(report.suppressed, 1u);
+}
+
+TEST(LintUnits, SuffixVocabulary) {
+  // The suffix -> vocabulary-type table the rule suggests from: the
+  // longest matching suffix wins, and a compound suffix may be the whole
+  // name.
+  const auto suggestion = [](const std::string& name) {
+    const auto report =
+        lint_one("src/core/x.cpp", "double " + name + " = 0.0;\n");
+    for (const Diagnostic& d : report.diagnostics) {
+      if (d.rule != "units-vocabulary") continue;
+      const std::size_t at = d.message.find("hpcem::") + 7;
+      return d.message.substr(at, d.message.find(' ', at) - at);
+    }
+    return std::string();
+  };
+  EXPECT_EQ(suggestion("node_power_kw"), "PowerKw");
+  EXPECT_EQ(suggestion("total_kwh"), "EnergyKwh");
+  EXPECT_EQ(suggestion("draw_w"), "Power");
+  EXPECT_EQ(suggestion("clock_ghz"), "Frequency");
+  EXPECT_EQ(suggestion("cost_gbp"), "Cost");
+  EXPECT_EQ(suggestion("tariff_gbp_per_kwh"), "Price");
+  EXPECT_EQ(suggestion("emitted_gco2"), "CarbonMass");
+  EXPECT_EQ(suggestion("intensity_gco2_per_kwh"), "CarbonIntensity");
+  EXPECT_EQ(suggestion("mean_g_per_kwh"), "CarbonIntensity");
+  EXPECT_EQ(suggestion("g_per_kwh"), "CarbonIntensity");
+  EXPECT_EQ(suggestion("gbp_per_kwh"), "Price");
+  EXPECT_EQ(suggestion("plain_name"), "");
+  EXPECT_EQ(suggestion("kwh"), "");              // a bare unit names nothing
+  EXPECT_EQ(suggestion("gco2_per_output"), "");  // a ratio, not a mass
+}
+
+TEST(UnitsVocabulary, InlineSuppressionSilencesTheFinding) {
+  const auto report =
+      lint_one("src/core/x.cpp",
+               "double f(double node) {\n"
+               "  // intentional: scaled later.  hpcem-lint: "
+               "allow(units-vocabulary)\n"
+               "  double used_kwh = node;\n"
+               "  return used_kwh;\n"
+               "}\n");
+  EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.suppressed, 1u);
 }
 

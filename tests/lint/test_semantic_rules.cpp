@@ -1,5 +1,6 @@
-// The semantic rule family end to end through the engine: units-flow and
-// determinism-flow (cross-TU taint).
+// The semantic rule family end to end through the engine: determinism-flow
+// (cross-TU taint), plus the engine plumbing every rule shares (rule
+// selection, worker-count identity, GitHub annotations).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,54 +31,6 @@ std::size_t count_rule(const LintReport& report, std::string_view rule) {
     if (d.rule == rule) ++n;
   }
   return n;
-}
-
-// -------------------------------------------------------------- units-flow
-TEST(UnitsFlowRule, FlagsPowerEnergyMixupAndCleanCodePasses) {
-  const LintReport bad = run_rule(
-      "units-flow",
-      {{"src/core/x.cpp",
-        "double account(double node_kw) {\n"
-        "  double used_kwh = node_kw;\n"
-        "  return used_kwh;\n"
-        "}\n"}});
-  EXPECT_EQ(count_rule(bad, "units-flow"), 1u);
-
-  const LintReport good = run_rule(
-      "units-flow",
-      {{"src/core/x.cpp",
-        "double account(double node_kw, double hours) {\n"
-        "  double used_kwh = node_kw * hours;\n"
-        "  return used_kwh;\n"
-        "}\n"}});
-  EXPECT_TRUE(good.clean());
-}
-
-TEST(UnitsFlowRule, ChecksCallArgumentsAgainstCalleeParamSuffixes) {
-  const LintReport report = run_rule(
-      "units-flow",
-      {{"src/core/a.cpp",
-        "double emissions(double used_kwh) { return used_kwh * 2.0; }\n"},
-       {"src/core/b.cpp",
-        "double caller(double node_kw) {\n"
-        "  return emissions(node_kw);\n"
-        "}\n"}});
-  EXPECT_EQ(count_rule(report, "units-flow"), 1u);
-  ASSERT_FALSE(report.diagnostics.empty());
-  EXPECT_EQ(report.diagnostics[0].path, "src/core/b.cpp");
-}
-
-TEST(UnitsFlowRule, InlineSuppressionSilencesTheFinding) {
-  const LintReport report = run_rule(
-      "units-flow",
-      {{"src/core/x.cpp",
-        "double f(double node_kw) {\n"
-        "  // intentional: scaled later.  hpcem-lint: allow(units-flow)\n"
-        "  double used_kwh = node_kw;\n"
-        "  return used_kwh;\n"
-        "}\n"}});
-  EXPECT_TRUE(report.clean());
-  EXPECT_EQ(report.suppressed, 1u);
 }
 
 // ------------------------------------------------------- determinism-flow
@@ -151,24 +104,32 @@ TEST(DeterminismFlowRule, CleanChainStaysClean) {
 }
 
 // ------------------------------------------------------- engine plumbing
+/// An artifact-emitting function reading the wall clock on line 3: trips
+/// no-wall-clock (the direct read) and determinism-flow (the emit).
+std::string clocked_emit(const std::string& tag) {
+  return "RunArtifact emit" + tag +
+         "() {\n"
+         "  RunArtifact a;\n"
+         "  a.v = std::chrono::system_clock::now().time_since_epoch()"
+         ".count();\n"
+         "  return a;\n"
+         "}\n";
+}
+
 TEST(SemanticRules, RegisteredInDefaultCatalogue) {
   LintEngine engine;
-  EXPECT_TRUE(engine.has_rule("units-flow"));
   EXPECT_TRUE(engine.has_rule("determinism-flow"));
+  EXPECT_TRUE(engine.has_rule("units-vocabulary"));
+  EXPECT_FALSE(engine.has_rule("units-flow"));
 }
 
 TEST(SemanticRules, RuleSelectionRunsOnlyTheNamedRules) {
   LintEngine engine;
-  engine.add_source("src/core/x.cpp",
-                    "double f(double node_kw) {\n"
-                    "  auto t = std::chrono::system_clock::now();\n"
-                    "  double used_kwh = node_kw;\n"
-                    "  return used_kwh;\n"
-                    "}\n");
+  engine.add_source("src/core/x.cpp", clocked_emit(""));
   LintConfig config;
-  config.only_rules = {"units-flow"};
+  config.only_rules = {"determinism-flow"};
   const LintReport report = engine.run(config);
-  EXPECT_EQ(count_rule(report, "units-flow"), 1u);
+  EXPECT_EQ(count_rule(report, "determinism-flow"), 1u);
   EXPECT_EQ(count_rule(report, "no-wall-clock"), 0u);
 }
 
@@ -178,17 +139,13 @@ TEST(SemanticRules, ReportIsIdenticalForAnyWorkerCount) {
     engine.set_workers(workers);
     for (int i = 0; i < 6; ++i) {
       const std::string tag = std::to_string(i);
-      engine.add_source("src/core/f" + tag + ".cpp",
-                        "double f" + tag +
-                            "(double node_kw) {\n"
-                            "  double used_kwh = node_kw;\n"
-                            "  return used_kwh;\n"
-                            "}\n");
+      engine.add_source("src/core/f" + tag + ".cpp", clocked_emit(tag));
     }
     return engine.run(LintConfig{});
   };
   const LintReport one = run_with(1);
   const LintReport eight = run_with(8);
+  ASSERT_EQ(one.diagnostics.size(), 12u);  // per file: direct + transitive
   ASSERT_EQ(one.diagnostics.size(), eight.diagnostics.size());
   for (std::size_t i = 0; i < one.diagnostics.size(); ++i) {
     EXPECT_EQ(one.diagnostics[i].path, eight.diagnostics[i].path);
@@ -201,16 +158,14 @@ TEST(SemanticRules, ReportIsIdenticalForAnyWorkerCount) {
 
 TEST(SemanticRules, GithubFormatEscapesAndAnchors) {
   LintEngine engine;
-  engine.add_source("src/core/x.cpp",
-                    "double f(double node_kw) {\n"
-                    "  double used_kwh = node_kw;\n"
-                    "  return used_kwh;\n"
-                    "}\n");
-  const LintReport report = engine.run(LintConfig{});
+  engine.add_source("src/core/x.cpp", clocked_emit(""));
+  LintConfig config;
+  config.only_rules = {"determinism-flow"};
+  const LintReport report = engine.run(config);
   const std::string github = format_github(report);
-  EXPECT_NE(github.find("::error file=src/core/x.cpp,line=2"),
+  EXPECT_NE(github.find("::error file=src/core/x.cpp,line=1"),
             std::string::npos);
-  EXPECT_NE(github.find("title=hpcem_lint units-flow::"),
+  EXPECT_NE(github.find("title=hpcem_lint determinism-flow::"),
             std::string::npos);
 }
 

@@ -93,11 +93,12 @@ TEST(FacilityPower, CabinetPowerAddsFabricAndOverheads) {
 
 TEST(FacilityPower, InvalidConstructionThrows) {
   const NodePowerParams params;
-  const DynamicPowerProfile profile{100.0, 100.0};
+  const DynamicPowerProfile profile{Power::watts(100.0),
+                                    Power::watts(100.0)};
   FacilityInventory inv;
   inv.compute_nodes = 0;
   EXPECT_THROW(FacilityPowerModel(inv, params, profile), InvalidArgument);
-  const DynamicPowerProfile bad{-1.0, 100.0};
+  const DynamicPowerProfile bad{Power::watts(-1.0), Power::watts(100.0)};
   EXPECT_THROW(FacilityPowerModel(FacilityInventory{}, params, bad),
                InvalidArgument);
 }

@@ -77,7 +77,7 @@ TEST(Fleet, FleetSavingMatchesMeanUplift) {
   const double phi = dvfs_factor(np.cpu, Frequency::ghz(2.8 * 1.01),
                                  Frequency::ghz(2.8));
   const double expected_per_node =
-      profile.core_w * (phi * (1.0 + 0.20) - 1.0);
+      profile.core_w.w() * (phi * (1.0 + 0.20) - 1.0);
   EXPECT_NEAR((wd - pd).w() / 5860.0, expected_per_node,
               expected_per_node * 0.05);
 }
@@ -128,7 +128,7 @@ TEST(Fleet, BatchedPowersMatchScalarNodePowerExactly) {
     ASSERT_EQ(batched[i], scalar) << "node " << i;
     manual_total += scalar;
   }
-  EXPECT_EQ(fleet.state().total_power_w(terms), manual_total);
+  EXPECT_EQ(fleet.state().total_power_w(terms).w(), manual_total);
   EXPECT_EQ(fleet.total_power(np, profile, act).w(), manual_total);
 }
 

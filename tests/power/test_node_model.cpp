@@ -21,8 +21,8 @@ TEST(Calibration, ReproducesTargets) {
   const double rho = 0.80;
   const auto profile = calibrate_dynamic_profile(params, target, rho,
                                                  Frequency::ghz(2.8));
-  EXPECT_GE(profile.core_w, 0.0);
-  EXPECT_GE(profile.uncore_w, 0.0);
+  EXPECT_GE(profile.core_w.w(), 0.0);
+  EXPECT_GE(profile.uncore_w.w(), 0.0);
 
   // Loaded at boost, performance determinism: must hit the target.
   const Power at_boost = node_power(

@@ -28,9 +28,9 @@ RunArtifact flat_artifact(const std::string& scenario, double kw,
   }
   a.window_start = s.start_time();
   a.window_end = s.end_time();
-  a.headline.mean_kw = kw;
+  a.headline.mean_kw = PowerKw{kw};
   a.headline.mean_utilisation = 0.9;
-  a.headline.window_energy_kwh = s.integrate() / 3600.0;
+  a.headline.window_energy_kwh = EnergyKwh{s.integrate() / 3600.0};
   a.headline.completed_jobs = jobs;
   a.channels.push_back(aggregate_channel("cabinet_kw", s, true));
   return a;

@@ -41,8 +41,8 @@ MultiStore small_store() {
   }
   a.window_start = series.start_time();
   a.window_end = series.end_time();
-  a.headline.mean_kw = series.summary().mean;
-  a.headline.window_energy_kwh = series.integrate() / 3600.0;
+  a.headline.mean_kw = PowerKw{series.summary().mean};
+  a.headline.window_energy_kwh = EnergyKwh{series.integrate() / 3600.0};
   a.headline.completed_jobs = 5000.0;
   a.channels.push_back(
       aggregate_channel("cabinet_kw", series, /*include_series=*/true));

@@ -59,7 +59,8 @@ class TotalPowerProbe final : public TelemetryProbe {
     recorder.channel("probe_total_kw", "kW");
   }
   void on_sample(const SimSnapshot& s, Recorder& recorder) override {
-    recorder.record("probe_total_kw", s.now, s.total_power_so_far_w / 1000.0);
+    recorder.record("probe_total_kw", s.now,
+                    s.total_power_so_far_w.w() / 1000.0);
   }
 };
 

@@ -89,10 +89,10 @@ TEST_F(FacilitySimTest, CompletedJobsCarryConsistentRecords) {
   for (const auto& r : sim.completed()) {
     ASSERT_GE(r.start_time.sec(), r.spec.submit_time.sec());
     ASSERT_GT(r.end_time.sec(), r.start_time.sec());
-    ASSERT_GT(r.node_power_w, 230.0);
-    ASSERT_LT(r.node_power_w, 800.0);
+    ASSERT_GT(r.node_power_w.w(), 230.0);
+    ASSERT_LT(r.node_power_w.w(), 800.0);
     // Energy = nodes * node power * runtime.
-    const double expected_kwh = r.node_power_w *
+    const double expected_kwh = r.node_power_w.w() *
                                 static_cast<double>(r.spec.nodes) *
                                 r.runtime().hrs() / 1000.0;
     ASSERT_NEAR(r.node_energy.to_kwh(), expected_kwh,
@@ -153,10 +153,10 @@ TEST_F(FacilitySimTest, PolicyChangeAppliesToNewJobsOnly) {
     }
   }
   // The power level must drop across the change.
-  const double before =
+  const PowerKw before =
       sim.mean_cabinet_kw(start() + Duration::days(5.0), change);
-  const double after = sim.mean_cabinet_kw(change + Duration::days(3.0),
-                                           start() + Duration::days(20.0));
+  const PowerKw after = sim.mean_cabinet_kw(change + Duration::days(3.0),
+                                            start() + Duration::days(20.0));
   EXPECT_LT(after, before * 0.92);
 }
 
@@ -252,9 +252,8 @@ TEST_F(FacilitySimTest, CabinetEnergyIntegratesToPlausibleTotal) {
   const Duration span = Duration::days(7.0);
   sim.run(start(), start() + span);
   const Energy e = sim.cabinet_energy();
-  const double mean_kw =
-      sim.mean_cabinet_kw(start(), start() + span);
-  EXPECT_NEAR(e.to_kwh(), mean_kw * span.hrs(), 0.02 * e.to_kwh());
+  const PowerKw mean_kw = sim.mean_cabinet_kw(start(), start() + span);
+  EXPECT_NEAR(e.to_kwh(), (mean_kw * span).kwh(), 0.02 * e.to_kwh());
 }
 
 TEST_F(FacilitySimTest, DemandScaleReducesArrivalsUnderSlowPolicy) {
@@ -472,7 +471,7 @@ TEST_F(FacilitySimTest, EnergyConservationAcrossAccountingViews) {
     const double t_start = std::max(r.start_time.sec(), t0.sec());
     const double t_end = std::min(r.end_time.sec(), t1.sec());
     if (t_end <= t_start) continue;
-    job_kwh += r.node_power_w * static_cast<double>(r.spec.nodes) *
+    job_kwh += r.node_power_w.w() * static_cast<double>(r.spec.nodes) *
                (t_end - t_start) / 3600.0 / 1000.0;
   }
   // Jobs still running at t1 are not in completed(): reconstruct their

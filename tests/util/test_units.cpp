@@ -1,14 +1,26 @@
 // Unit tests for the dimensioned-quantity layer (util/units.hpp).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <type_traits>
 
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace hpcem {
 namespace {
 
 using namespace hpcem::literals;
+
+template <class A, class B>
+concept Multipliable = requires(A a, B b) { a * b; };
+
+template <class A, class B>
+concept Accumulable = requires(A a, B b) { a += b; };
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(Units, PowerConversionsRoundTrip) {
   const Power p = Power::kilowatts(3.22);
@@ -106,6 +118,76 @@ TEST(Units, CarbonMassConversions) {
 TEST(Units, ScalarScalingBothSides) {
   EXPECT_DOUBLE_EQ((2.0 * Power::watts(10.0)).w(), 20.0);
   EXPECT_DOUBLE_EQ((Power::watts(10.0) * 2.0).w(), 20.0);
+}
+
+TEST(Units, PowerKwIsNotEnergyKwh) {
+  // A kW figure becomes kWh only through a Duration.
+  static_assert(!std::is_convertible_v<PowerKw, EnergyKwh>);
+  static_assert(!std::is_constructible_v<EnergyKwh, PowerKw>);
+  static_assert(!std::is_convertible_v<EnergyKwh, PowerKw>);
+  static_assert(!std::is_convertible_v<double, PowerKw>);
+  static_assert(!std::is_convertible_v<double, EnergyKwh>);
+  EXPECT_DOUBLE_EQ((PowerKw{3220.0} / PowerKw{3010.0}), 3220.0 / 3010.0);
+}
+
+TEST(Units, PowerKwTimesDurationIsEnergyKwh) {
+  static_assert(
+      std::is_same_v<decltype(PowerKw{} * Duration{}), EnergyKwh>);
+  const EnergyKwh e = PowerKw{3220.0} * Duration::hours(2.0);
+  EXPECT_DOUBLE_EQ(e.kwh(), 6440.0);
+  EXPECT_DOUBLE_EQ(e.to_energy().to_kwh(), 6440.0);
+}
+
+TEST(Units, IntensityAppliesToEnergyKwhNotPowerKw) {
+  static_assert(!Multipliable<PowerKw, CarbonIntensity>);
+  static_assert(!Multipliable<CarbonIntensity, PowerKw>);
+  static_assert(!Multipliable<PowerKw, Price>);
+  static_assert(!Multipliable<PowerKw, PowerKw>);
+  const CarbonMass m = EnergyKwh{1000.0} * 200.0_gCO2kWh;
+  EXPECT_DOUBLE_EQ(m.kg(), 200.0);
+}
+
+TEST(Units, KwAndKwhDoNotAccumulateIntoEachOther) {
+  static_assert(!Accumulable<EnergyKwh, PowerKw>);
+  static_assert(!Accumulable<PowerKw, EnergyKwh>);
+  static_assert(!Accumulable<PowerKw, Power>);
+  static_assert(!Accumulable<EnergyKwh, Energy>);
+  EnergyKwh total;
+  total += PowerKw{100.0} * Duration::hours(0.5);
+  total += EnergyKwh{25.0};
+  EXPECT_DOUBLE_EQ(total.kwh(), 75.0);
+}
+
+TEST(Units, PowerKwConvertsToPowerOnlyExplicitly) {
+  static_assert(!std::is_convertible_v<PowerKw, Power>);
+  static_assert(!std::is_convertible_v<Power, PowerKw>);
+  static_assert(!std::is_convertible_v<EnergyKwh, Energy>);
+  EXPECT_DOUBLE_EQ(PowerKw{3.22}.to_power().w(), 3220.0);
+  EXPECT_DOUBLE_EQ(EnergyKwh{1.0}.to_energy().j(), 3.6e6);
+  std::ostringstream os;
+  os << PowerKw{3220.0} << ", " << EnergyKwh{6440.0};
+  EXPECT_EQ(os.str(), "3220 kW, 6440 kWh");
+}
+
+// The scaled types exist so reported figures keep their bits: each
+// operator must evaluate exactly the raw-double expression it replaced.
+TEST(Units, ScaledTypesEvaluateTheRawExpressionsBitExactly) {
+  Rng rng(20230509);
+  for (int i = 0; i < 20000; ++i) {
+    const double kw = rng.uniform(0.0, 5000.0);
+    const double dt = rng.uniform(1.0, 86400.0);
+    const double gkwh = rng.uniform(0.0, 500.0);
+    const double kwh = rng.uniform(0.0, 5000.0) * dt / 3600.0;
+    ASSERT_EQ(bits((PowerKw{kw} * Duration::seconds(dt)).kwh()),
+              bits(kw * dt / 3600.0))
+        << "kw " << kw << " dt " << dt;
+    ASSERT_EQ(bits((EnergyKwh{kwh} * CarbonIntensity::g_per_kwh(gkwh)).g()),
+              bits(kwh * gkwh))
+        << "kwh " << kwh << " gkwh " << gkwh;
+    ASSERT_EQ(bits(PowerKw{kw}.to_power().w()),
+              bits(Power::kilowatts(kw).w()))
+        << "kw " << kw;
+  }
 }
 
 }  // namespace

@@ -11,7 +11,7 @@ ApplicationSpec basic_spec() {
   ApplicationSpec s;
   s.name = "test-app";
   s.beta = 0.5;
-  s.loaded_node_w = 490.0;
+  s.loaded_node_w = Power::watts(490.0);
   s.power_ratio_2ghz = 0.74;
   return s;
 }
@@ -195,7 +195,7 @@ TEST_P(BetaSweep, MonotonicityAndEnergyLogic) {
   ApplicationSpec s = basic_spec();
   s.beta = GetParam();
   s.power_ratio_2ghz = 0.80;
-  s.loaded_node_w = 520.0;
+  s.loaded_node_w = Power::watts(520.0);
   s.comm_fraction = 0.0;
   const ApplicationModel app(s, np);
   const auto mode = DeterminismMode::kPerformanceDeterminism;

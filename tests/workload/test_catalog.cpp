@@ -54,7 +54,7 @@ TEST_F(CatalogTest, UnknownAppThrows) {
 TEST_F(CatalogTest, DuplicateNameRejected) {
   ApplicationSpec s;
   s.name = "VASP CdTe";
-  s.loaded_node_w = 470.0;
+  s.loaded_node_w = Power::watts(470.0);
   s.power_ratio_2ghz = 0.85;
   EXPECT_THROW(cat_.add(s, np_), InvalidArgument);
 }

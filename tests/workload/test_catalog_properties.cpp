@@ -80,10 +80,10 @@ TEST_P(CatalogSweep, TwoGhzAlwaysImprovesEnergyToSolution) {
 }
 
 TEST_P(CatalogSweep, ProfileIsPhysical) {
-  EXPECT_GE(app().profile().core_w, 0.0);
-  EXPECT_GE(app().profile().uncore_w, 0.0);
-  EXPECT_NEAR(np_.idle.w() + app().profile().total_w(),
-              app().spec().loaded_node_w, 1e-6);
+  EXPECT_GE(app().profile().core_w.w(), 0.0);
+  EXPECT_GE(app().profile().uncore_w.w(), 0.0);
+  EXPECT_NEAR((np_.idle + app().profile().total_w()).w(),
+              app().spec().loaded_node_w.w(), 1e-6);
   EXPECT_GE(app().spec().beta, 0.0);
   EXPECT_LE(app().spec().beta + app().spec().comm_fraction, 1.0 + 1e-12);
 }

@@ -20,7 +20,7 @@ TEST_F(PowerCapTest, GenerousCapDoesNotThrottle) {
   EXPECT_FALSE(point.throttled);
   EXPECT_NEAR(point.effective.to_ghz(), 2.8, 1e-9);
   EXPECT_NEAR(point.time_factor, 1.0, 1e-9);
-  EXPECT_NEAR(point.node_power.w(), vasp_.spec().loaded_node_w, 1e-6);
+  EXPECT_NEAR(point.node_power.w(), vasp_.spec().loaded_node_w.w(), 1e-6);
 }
 
 TEST_F(PowerCapTest, BindingCapSettlesExactlyAtTheCap) {
@@ -91,8 +91,8 @@ TEST_F(PowerCapTest, ComparisonRowsCoverTheMix) {
   for (const auto& r : rows) {
     EXPECT_GE(r.cap_time_factor, 1.0);
     EXPECT_GE(r.freq_time_factor, 1.0);
-    EXPECT_LE(r.cap_node_w, 380.5);
-    EXPECT_GT(r.freq_node_w, 230.0);
+    EXPECT_LE(r.cap_node_w.w(), 380.5);
+    EXPECT_GT(r.freq_node_w.w(), 230.0);
   }
 }
 

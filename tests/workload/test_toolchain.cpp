@@ -79,7 +79,7 @@ TEST_F(ToolchainTest, StudyMatrixShape) {
     }
     EXPECT_GT(p.runtime_ratio, 0.0);
     EXPECT_GT(p.energy_ratio, 0.0);
-    EXPECT_GT(p.node_power_w, 230.0);
+    EXPECT_GT(p.node_power_w.w(), 230.0);
   }
   EXPECT_TRUE(found_anchor);
 }

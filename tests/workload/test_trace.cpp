@@ -72,7 +72,7 @@ TEST(Trace, RecordsExportHasAccountingColumns) {
   r.pstate = pstates::kMid;
   r.mode = DeterminismMode::kPerformanceDeterminism;
   r.node_energy = Energy::kwh(7.5);
-  r.node_power_w = 375.0;
+  r.node_power_w = Power::watts(375.0);
   const std::string csv = records_to_csv({r});
   EXPECT_NE(csv.find("node_energy_kwh"), std::string::npos);
   EXPECT_NE(csv.find("performance determinism"), std::string::npos);

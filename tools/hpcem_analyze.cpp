@@ -145,9 +145,9 @@ int main(int argc, char** argv) {
     std::vector<ArtifactChangePoint> found;
     for (const auto& st : steps) {
       const SimTime at = detect_on[st.index].time;
-      const double before = series.mean_over(series.start_time(), at);
-      const double after = series.mean_over(
-          at, series.end_time() + Duration::seconds(1.0));
+      const PowerKw before{series.mean_over(series.start_time(), at)};
+      const PowerKw after{series.mean_over(
+          at, series.end_time() + Duration::seconds(1.0))};
       found.push_back({at, before, after, /*detected=*/true});
     }
     if (found.empty()) {
@@ -159,10 +159,10 @@ int main(int argc, char** argv) {
                    Align::kRight});
       for (const auto& cp : found) {
         t.add_row({iso_date_time(cp.at),
-                   TextTable::grouped(cp.mean_before_kw),
-                   TextTable::grouped(cp.mean_after_kw),
-                   TextTable::grouped(cp.mean_after_kw -
-                                      cp.mean_before_kw)});
+                   TextTable::grouped(cp.mean_before_kw.kw()),
+                   TextTable::grouped(cp.mean_after_kw.kw()),
+                   TextTable::grouped(
+                       (cp.mean_after_kw - cp.mean_before_kw).kw())});
       }
       std::cout << t.str();
     }
@@ -192,14 +192,15 @@ int main(int argc, char** argv) {
       artifact.source = "telemetry-csv";
       artifact.window_start = series.start_time();
       artifact.window_end = series.end_time();
-      artifact.headline.mean_kw = s.mean;
-      artifact.headline.mean_before_kw = s.mean;
-      artifact.headline.mean_after_kw = s.mean;
+      artifact.headline.mean_kw = PowerKw{s.mean};
+      artifact.headline.mean_before_kw = PowerKw{s.mean};
+      artifact.headline.mean_after_kw = PowerKw{s.mean};
       if (!found.empty()) {
         artifact.headline.mean_before_kw = found.front().mean_before_kw;
         artifact.headline.mean_after_kw = found.back().mean_after_kw;
       }
-      artifact.headline.window_energy_kwh = series.integrate() / 3600.0;
+      artifact.headline.window_energy_kwh =
+          EnergyKwh{series.integrate() / 3600.0};
       artifact.change_points = found;
       artifact.channels.push_back(
           aggregate_channel(args.get("value-column"), series));
@@ -231,13 +232,14 @@ int main(int argc, char** argv) {
           t.add_row({label, TextTable::grouped(a), TextTable::grouped(b),
                      TextTable::grouped(a - b)});
         };
-        row("mean (kW)", artifact.headline.mean_kw, ref.headline.mean_kw);
-        row("mean before (kW)", artifact.headline.mean_before_kw,
-            ref.headline.mean_before_kw);
-        row("mean after (kW)", artifact.headline.mean_after_kw,
-            ref.headline.mean_after_kw);
-        row("window energy (kWh)", artifact.headline.window_energy_kwh,
-            ref.headline.window_energy_kwh);
+        row("mean (kW)", artifact.headline.mean_kw.kw(),
+            ref.headline.mean_kw.kw());
+        row("mean before (kW)", artifact.headline.mean_before_kw.kw(),
+            ref.headline.mean_before_kw.kw());
+        row("mean after (kW)", artifact.headline.mean_after_kw.kw(),
+            ref.headline.mean_after_kw.kw());
+        row("window energy (kWh)", artifact.headline.window_energy_kwh.kwh(),
+            ref.headline.window_energy_kwh.kwh());
         std::cout << '\n' << t.str();
       }
     }

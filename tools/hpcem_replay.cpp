@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
               << iso_date_time(first) << " .. " << iso_date_time(end)
               << ") under policy '" << args.get("policy") << "'\n"
               << "mean cabinet power: "
-              << TextTable::grouped(sim->mean_cabinet_kw(first, end))
+              << TextTable::grouped(sim->mean_cabinet_kw(first, end).kw())
               << " kW\n\n";
     std::cout << render_service_metrics(
                      compute_service_metrics(sim->completed()))
@@ -106,13 +106,13 @@ int main(int argc, char** argv) {
       artifact.machine = "archer2";
       artifact.window_start = first;
       artifact.window_end = end;
-      const double mean_kw = sim->mean_cabinet_kw(first, end);
+      const PowerKw mean_kw = sim->mean_cabinet_kw(first, end);
       artifact.headline.mean_kw = mean_kw;
       artifact.headline.mean_before_kw = mean_kw;
       artifact.headline.mean_after_kw = mean_kw;
-      artifact.headline.window_energy_kwh =
+      artifact.headline.window_energy_kwh = EnergyKwh{
           sim->telemetry().series(sim->cabinet_channel()).integrate() /
-          3600.0;
+          3600.0};
       artifact.headline.completed_jobs =
           static_cast<double>(sim->completed().size());
       artifact.channels = aggregate_channels(sim->telemetry());
