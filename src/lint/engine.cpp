@@ -1,17 +1,14 @@
 #include "lint/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpcem::lint {
 namespace {
@@ -92,72 +89,27 @@ void LintEngine::add_source(std::string path, std::string content) {
   files_.push_back(std::move(ctx));
 }
 
-LintReport LintEngine::run(const LintConfig& config) {
+LintReport LintEngine::run(const LintConfig& config) const {
   LintReport report;
-
-  // The lint *report* is deterministic; this wall-clock read only feeds the
-  // throughput numbers (analysis_wall_ms / files_per_sec), never a finding.
-  // hpcem-lint: allow(no-wall-clock)
-  const auto t0 = std::chrono::steady_clock::now();
-
-  std::vector<FileContext*> active;
-  for (FileContext& f : files_) {
+  std::vector<const FileContext*> active;
+  for (const FileContext& f : files_) {
     if (!config.excluded(f.path)) active.push_back(&f);
   }
   report.files_scanned = active.size();
 
-  std::size_t workers = workers_;
-  if (workers == 0) {
-    workers = std::min<std::size_t>(
-        8, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  std::vector<const Rule*> selected;
+  for (const auto& rule : rules_) {
+    if (!config.rule_disabled(rule->name()) &&
+        config.rule_selected(rule->name())) {
+      selected.push_back(rule.get());
+    }
   }
-  report.workers = workers;
-  ThreadPool pool(workers);
-
-  // Phase 1 (parallel): attach scope/declaration ASTs.  Each task touches
-  // only its own file, so the barrier is the only synchronisation needed.
-  for (FileContext* f : active) {
-    if (f->ast != nullptr) continue;
-    pool.submit([f] {
-      f->ast = std::make_shared<const FileAst>(parse_ast(f->tokens));
-    });
-  }
-  pool.wait_idle();
-
-  // Phase 2 (parallel): per-file rules, one diagnostics vector per file so
-  // the merge below is a deterministic file-order concatenation.
-  std::vector<std::unique_ptr<Rule>> const& rules = rules_;
-  std::vector<std::vector<Diagnostic>> per_file(active.size());
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    pool.submit([&, i] {
-      for (const auto& rule : rules) {
-        if (config.rule_disabled(rule->name()) ||
-            !config.rule_selected(rule->name())) {
-          continue;
-        }
-        rule->check_file(*active[i], per_file[i]);
-      }
-    });
-  }
-  pool.wait_idle();
 
   std::vector<Diagnostic> raw;
-  for (std::vector<Diagnostic>& v : per_file) {
-    raw.insert(raw.end(), std::make_move_iterator(v.begin()),
-               std::make_move_iterator(v.end()));
+  for (const FileContext* f : active) {
+    for (const Rule* rule : selected) rule->check_file(*f, raw);
   }
-
-  // Phase 3 (serial): project-scope rules see the same filtered view.
-  std::vector<FileContext> project_view;
-  project_view.reserve(active.size());
-  for (const FileContext* f : active) project_view.push_back(*f);
-  for (const auto& rule : rules_) {
-    if (config.rule_disabled(rule->name()) ||
-        !config.rule_selected(rule->name())) {
-      continue;
-    }
-    rule->check_project(project_view, raw);
-  }
+  for (const Rule* rule : selected) rule->check_project(active, raw);
 
   std::map<std::string, std::map<std::size_t, std::set<std::string>>>
       suppression_map;
@@ -175,16 +127,6 @@ LintReport LintEngine::run(const LintConfig& config) {
     report.diagnostics.push_back(std::move(d));
   }
   std::sort(report.diagnostics.begin(), report.diagnostics.end());
-
-  // hpcem-lint: allow(no-wall-clock) — same throughput measurement as t0.
-  const auto t1 = std::chrono::steady_clock::now();
-  report.analysis_wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  report.files_per_sec =
-      report.analysis_wall_ms > 0.0
-          ? static_cast<double>(report.files_scanned) /
-                (report.analysis_wall_ms / 1000.0)
-          : 0.0;
   return report;
 }
 
@@ -247,9 +189,6 @@ std::string format_json(const LintReport& report) {
   doc.set("version", 1);
   doc.set("files_scanned", report.files_scanned);
   doc.set("suppressed", report.suppressed);
-  doc.set("analysis_wall_ms", report.analysis_wall_ms);
-  doc.set("files_per_sec", report.files_per_sec);
-  doc.set("workers", report.workers);
   JsonValue diags = JsonValue::array();
   for (const Diagnostic& d : report.diagnostics) {
     JsonValue entry = JsonValue::object();

@@ -25,12 +25,6 @@ struct LintReport {
   std::size_t files_scanned = 0;
   std::size_t suppressed = 0;  ///< findings silenced by comments/config
 
-  // Analysis throughput (per-file passes measured wall-clock; the result
-  // itself stays byte-deterministic for any worker count).
-  double analysis_wall_ms = 0.0;
-  double files_per_sec = 0.0;
-  std::size_t workers = 1;
-
   [[nodiscard]] bool clean() const { return diagnostics.empty(); }
 };
 
@@ -51,20 +45,14 @@ class LintEngine {
   /// name rules and reports will see.
   void add_source(std::string path, std::string content);
 
-  /// Worker threads for the per-file passes (AST parse + per-file rules).
-  /// 0 (the default) means one worker per hardware thread, capped at 8.
-  void set_workers(std::size_t workers) { workers_ = workers; }
-
-  /// Run every rule over the queued sources and filter through `config`.
-  /// Per-file work fans out over the worker pool; diagnostics are merged in
-  /// file order and sorted, so the report is identical for any worker
-  /// count.
-  [[nodiscard]] LintReport run(const LintConfig& config);
+  /// Run every rule over the queued sources and filter through `config`:
+  /// one serial pass per file, then the project-scope rules; the report's
+  /// diagnostics are sorted by path, line, column and rule.
+  [[nodiscard]] LintReport run(const LintConfig& config) const;
 
  private:
   std::vector<std::unique_ptr<Rule>> rules_;
   std::vector<FileContext> files_;
-  std::size_t workers_ = 0;
 };
 
 /// Recursively collect lintable sources (*.cpp, *.hpp, *.h) under each of
@@ -82,8 +70,7 @@ class LintEngine {
 [[nodiscard]] std::string format_text(const LintReport& report);
 
 /// Machine-readable report for CI artifacts: schema
-/// {"tool","version","files_scanned","suppressed","analysis_wall_ms",
-///  "files_per_sec","workers","diagnostics":[...]}.
+/// {"tool","version","files_scanned","suppressed","diagnostics":[...]}.
 [[nodiscard]] std::string format_json(const LintReport& report);
 
 /// GitHub workflow-command annotations (`::error file=...,line=...::msg`),

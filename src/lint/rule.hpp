@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "lint/ast.hpp"
 #include "lint/diagnostic.hpp"
 #include "lint/lexer.hpp"
 
@@ -24,9 +23,6 @@ struct FileContext {
   std::string path;           ///< repo-relative, '/'-separated
   std::string content;        ///< raw text (rules rarely need it)
   std::vector<Token> tokens;  ///< from lex(content)
-  /// Scope/declaration structure, attached by the engine before any rule
-  /// runs (shared so copies of the context stay cheap).
-  std::shared_ptr<const FileAst> ast;
 
   [[nodiscard]] bool is_header() const {
     return ends_with(".hpp") || ends_with(".h");
@@ -61,7 +57,7 @@ class Rule {
     (void)out;
   }
   /// Whole-project pass (runs once, after every file was lexed).
-  virtual void check_project(const std::vector<FileContext>& files,
+  virtual void check_project(const std::vector<const FileContext*>& files,
                              std::vector<Diagnostic>& out) const {
     (void)files;
     (void)out;
@@ -70,9 +66,5 @@ class Rule {
 
 /// The built-in rule set, in catalogue order.
 [[nodiscard]] std::vector<std::unique_ptr<Rule>> default_rules();
-
-/// The semantic rule family (determinism-flow) from rules_semantic.cpp;
-/// default_rules() appends these.
-[[nodiscard]] std::vector<std::unique_ptr<Rule>> semantic_rules();
 
 }  // namespace hpcem::lint

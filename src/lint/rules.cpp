@@ -606,20 +606,20 @@ class NoIncludeCycleRule final : public Rule {
     return "the project include graph (quoted includes under src/) must be "
            "acyclic";
   }
-  void check_project(const std::vector<FileContext>& files,
+  void check_project(const std::vector<const FileContext*>& files,
                      std::vector<Diagnostic>& out) const override {
     // Quoted includes resolve against src/ (the include root every target
     // uses); build edges only between files we actually lexed.
     std::map<std::string, std::vector<std::string>> graph;
     std::set<std::string> known;
-    for (const FileContext& f : files) known.insert(f.path);
-    for (const FileContext& f : files) {
-      for (const Token& t : f.tokens) {
+    for (const FileContext* f : files) known.insert(f->path);
+    for (const FileContext* f : files) {
+      for (const Token& t : f->tokens) {
         if (t.kind != TokenKind::kPreprocessor) continue;
         const std::string target = quoted_include(t.text);
         if (target.empty()) continue;
         const std::string resolved = "src/" + target;
-        if (known.contains(resolved)) graph[f.path].push_back(resolved);
+        if (known.contains(resolved)) graph[f->path].push_back(resolved);
       }
     }
     // Iterative DFS with colouring; report each cycle once, anchored at its
@@ -627,8 +627,8 @@ class NoIncludeCycleRule final : public Rule {
     std::map<std::string, int> colour;  // 0 white, 1 grey, 2 black
     std::vector<std::string> stack;
     std::set<std::string> reported;
-    for (const FileContext& f : files) {
-      dfs(f.path, graph, colour, stack, reported, out);
+    for (const FileContext* f : files) {
+      dfs(f->path, graph, colour, stack, reported, out);
     }
   }
 
@@ -810,7 +810,6 @@ std::vector<std::unique_ptr<Rule>> default_rules() {
   rules.push_back(std::make_unique<NoIncludeCycleRule>());
   rules.push_back(std::make_unique<ScenarioInDataRule>());
   rules.push_back(std::make_unique<BinaryIoHygieneRule>());
-  for (auto& rule : semantic_rules()) rules.push_back(std::move(rule));
   return rules;
 }
 

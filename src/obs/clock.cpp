@@ -11,9 +11,8 @@ namespace hpcem::obs {
 namespace detail {
 
 std::uint64_t wall_now_ns() {
-  // hpcem-lint: sanctioned-source(determinism-flow) — observability-only
-  // timing; values feed spans/histograms, never a RunArtifact field, and
-  // obs output is disabled in deterministic runs (HPCEM_OBS gate).
+  // Observability-only timing: values feed spans and histograms, never a
+  // RunArtifact field or a served response.
   static const std::chrono::steady_clock::time_point anchor =
       std::chrono::steady_clock::now();
   return static_cast<std::uint64_t>(

@@ -211,6 +211,28 @@ TEST(RunArtifact, MicroSimulationProducesConsistentArtifact) {
   EXPECT_EQ(a.headline.mean_after_kw, result.mean_after_kw);
 }
 
+// Obs timing is the tree's one wall-clock read.  With collection on in
+// wall-clock mode, only the artifact's `obs` member may differ from a run
+// with collection off: no timing value reaches a simulated byte.
+TEST(RunArtifact, ObsCollectionLeavesSimulatedBytesUnchanged) {
+  ScenarioSpec spec = ScenarioSpec::figure2();
+  spec.machine = MachineModel::kMicro;
+  spec.name = "micro-fig2";
+  const FacilityAssembly assembly(spec);
+  const std::string off = run_spec_artifact(assembly).to_json_text();
+
+  obs::set_enabled(true);
+  obs::set_deterministic(false);
+  obs::reset_collected();
+  RunArtifact on = run_spec_artifact(assembly);
+  obs::set_enabled(false);
+  obs::reset_collected();
+
+  ASSERT_FALSE(on.obs.is_null());  // collection really ran
+  on.obs = JsonValue();
+  EXPECT_EQ(on.to_json_text(), off);
+}
+
 TEST(RunArtifact, CampaignArtifactsCarryReplicateMeans) {
   ScenarioSpec spec = ScenarioSpec::figure2();
   spec.machine = MachineModel::kMicro;

@@ -1,8 +1,7 @@
 // Liveness proof for the whole rule catalogue: every registered rule has
 // a seeded canary fixture under tests/lint/fixtures/<rule>/ and fires on
-// it.  A rule that stops matching its own canary — after a lexer change,
-// an AST refactor, a threshold tweak — fails here instead of silently
-// linting nothing.
+// it.  A rule that stops matching its own canary — after a lexer change
+// or a threshold tweak — fails here instead of silently linting nothing.
 //
 // Fixture file names encode the repo-relative path the rule should see:
 // `__` decodes to `/`, so `src__serve__canary.cpp` is presented to the

@@ -1,6 +1,6 @@
 // Engine behaviour that is rule-independent: .hpcemlint parsing, glob
-// matching, suppression comment mechanics, filtering, ordering, and the
-// text/JSON report formats.
+// matching, suppression comment mechanics, rule selection, filtering,
+// ordering, and the text/JSON/GitHub report formats.
 #include <gtest/gtest.h>
 
 #include "lint/engine.hpp"
@@ -79,6 +79,19 @@ TEST(LintEngine, AllowGlobSuppressesButCounts) {
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.suppressed, 1u);
   EXPECT_EQ(report.files_scanned, 1u);
+}
+
+TEST(LintEngine, RuleSelectionRunsOnlyTheNamedRules) {
+  LintEngine engine;
+  engine.add_source("src/sim/x.cpp",
+                    "int* p = new int;\n" + std::string(kBadSim));
+  LintConfig config;
+  config.only_rules = {"no-naked-new"};
+  const LintReport report = engine.run(config);
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].rule, "no-naked-new");
+  // An unselected rule is not run, so nothing counts as suppressed either.
+  EXPECT_EQ(report.suppressed, 0u);
 }
 
 TEST(LintEngine, DiagnosticsSortedByPathThenLine) {
@@ -185,6 +198,10 @@ TEST(LintReport, JsonFormatRoundTrips) {
   const JsonValue doc = JsonValue::parse(format_json(report));
   EXPECT_EQ(doc.at("tool").as_string(), "hpcem_lint");
   EXPECT_EQ(doc.at("files_scanned").as_number(), 1.0);
+  // The report is a pure function of the sources: no timing or worker
+  // fields.
+  EXPECT_EQ(doc.as_object().size(), 5u);
+  EXPECT_EQ(doc.get("analysis_wall_ms"), nullptr);
   const auto& diags = doc.at("diagnostics").as_array();
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].at("rule").as_string(), "no-wall-clock");
@@ -192,16 +209,46 @@ TEST(LintReport, JsonFormatRoundTrips) {
   EXPECT_EQ(diags[0].at("line").as_number(), 1.0);
 }
 
+TEST(LintReport, GithubFormatEscapesAndAnchors) {
+  LintEngine engine;
+  engine.add_source("src/sim/x.cpp", kBadSim);
+  const std::string github = format_github(engine.run(LintConfig{}));
+  EXPECT_EQ(github.rfind("::error file=src/sim/x.cpp,line=1,col=", 0), 0u);
+  EXPECT_NE(github.find(",title=hpcem_lint no-wall-clock::"),
+            std::string::npos);
+
+  // %, CR and LF are escaped so one message cannot start a second command;
+  // a file-level finding (line 0) carries no line or column.
+  LintReport report;
+  report.diagnostics.push_back(
+      {"no-include-cycle", "src/a.hpp", 0, 0, "100% cyclic\r\n::error x"});
+  EXPECT_EQ(format_github(report),
+            "::error file=src/a.hpp,title=hpcem_lint no-include-cycle::"
+            "100%25 cyclic%0D%0A::error x\n");
+  EXPECT_EQ(format_github(LintReport{}), "");
+}
+
 TEST(LintEngine, HasRuleKnowsTheCatalogue) {
   LintEngine engine;
   EXPECT_TRUE(engine.has_rule("no-wall-clock"));
+  EXPECT_TRUE(engine.has_rule("no-unseeded-random"));
   EXPECT_TRUE(engine.has_rule("no-include-cycle"));
   EXPECT_FALSE(engine.has_rule("made-up-rule"));
+  EXPECT_EQ(engine.rules().size(), 11u);
   // The catalogue documents itself: every rule has a name and description.
   for (const auto& rule : engine.rules()) {
     EXPECT_FALSE(rule->name().empty());
     EXPECT_FALSE(rule->description().empty());
   }
+}
+
+TEST(SemanticRules, RegisteredInDefaultCatalogue) {
+  LintEngine engine;
+  EXPECT_TRUE(engine.has_rule("units-vocabulary"));
+  // The analyzers are gone: units live on the types, and determinism is
+  // held by the token rules plus byte-identity tests of the outputs.
+  EXPECT_FALSE(engine.has_rule("units-flow"));
+  EXPECT_FALSE(engine.has_rule("determinism-flow"));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <set>
 #include <stdexcept>
 
+#include "core/run_artifact.hpp"
+#include "obs/registry.hpp"
 #include "util/error.hpp"
 #include "workload/catalog.hpp"
 
@@ -82,6 +84,44 @@ TEST_F(CampaignTest, MergedResultBitIdenticalAcrossWorkerCounts) {
   EXPECT_EQ(r1.workers_used, 1u);
   EXPECT_EQ(r8.workers_used, 8u);
   EXPECT_EQ(r1.total_runs, 9u);
+}
+
+// The campaign path end to end with obs collecting wall-clock timings on
+// every worker: the artifact bytes are the same at 1 and 4 workers once
+// the `obs` member (the timings themselves) is cleared.
+TEST_F(CampaignTest, ArtifactBytesWorkerCountInvariantWithObsOn) {
+  ScenarioSpec spec = ScenarioSpec::figure2();
+  spec.machine = MachineModel::kMicro;
+  spec.name = "early";
+  spec.window_end = spec.window_start + Duration::days(14.0);
+  spec.warmup = Duration::days(2.0);
+  ScenarioSpec later = spec;
+  later.name = "later";
+  later.window_start = later.window_start + Duration::days(7.0);
+  later.window_end = later.window_end + Duration::days(7.0);
+  const std::vector<ScenarioSpec> specs = {spec, later};
+
+  const auto bytes_with = [&specs](std::size_t workers) {
+    CampaignConfig cfg;
+    cfg.workers = workers;
+    cfg.seeds_per_scenario = 2;
+    std::string bytes;
+    for (RunArtifact& a :
+         make_campaign_artifacts(run_campaign(specs, cfg), specs)) {
+      EXPECT_FALSE(a.obs.is_null());  // collection really ran
+      a.obs = JsonValue();
+      bytes += a.to_json_text();
+    }
+    return bytes;
+  };
+  obs::set_enabled(true);
+  obs::set_deterministic(false);
+  obs::reset_collected();
+  const std::string one = bytes_with(1);
+  const std::string four = bytes_with(4);
+  obs::set_enabled(false);
+  obs::reset_collected();
+  EXPECT_EQ(one, four);
 }
 
 TEST_F(CampaignTest, OutcomesKeepInputScenarioOrder) {

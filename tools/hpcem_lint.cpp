@@ -31,8 +31,6 @@ int run(int argc, const char* const* argv) {
   args.add_option("rule", "",
                   "comma-separated rule names to run exclusively "
                   "(default: the full catalogue)");
-  args.add_option("jobs", "0",
-                  "worker threads for per-file analysis (0 = auto)");
   args.add_flag("list-rules", "print the rule catalogue and exit");
   args.allow_positionals("path",
                          "files or directories to lint, relative to --root");
@@ -90,9 +88,6 @@ int run(int argc, const char* const* argv) {
                      rule, "'");
     }
   }
-  const long jobs = args.get_int("jobs");
-  hpcem::require(jobs >= 0, "--jobs must be >= 0");
-  engine.set_workers(static_cast<std::size_t>(jobs));
 
   std::vector<std::string> targets = args.positionals();
   if (targets.empty()) targets = {"src", "tools", "bench", "examples"};

@@ -30,19 +30,12 @@
 #include "tool_main.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/sim_time.hpp"
 #include "util/text_table.hpp"
 
 namespace {
 
 using namespace hpcem;
-
-std::optional<CivilDate> parse_date(const std::string& s) {
-  CivilDate d;
-  if (std::sscanf(s.c_str(), "%d-%d-%d", &d.year, &d.month, &d.day) != 3) {
-    return std::nullopt;
-  }
-  return d;
-}
 
 std::optional<OperatingPolicy> parse_policy(const std::string& s) {
   if (s == "baseline") return OperatingPolicy::baseline();
@@ -149,33 +142,32 @@ int main(int argc, char** argv) {
       return tools::kExitUsage;
     }
   } else {
-    const auto start_d = parse_date(args.get("start"));
-    const auto end_d = parse_date(args.get("end"));
+    const auto start = parse_date_time(args.get("start"));
+    const auto end = parse_date_time(args.get("end"));
     const auto policy = parse_policy(args.get("policy"));
-    if (!start_d || !end_d || !policy) {
+    if (!start || !end || !policy) {
       return tools::usage_error(args, "bad --start/--end date or --policy");
     }
 
     spec.name = args.get("scenario");
-    spec.window_start = sim_time_from_date(*start_d);
-    spec.window_end = sim_time_from_date(*end_d);
+    spec.window_start = *start;
+    spec.window_end = *end;
     spec.policy = *policy;
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
     spec.warmup = Duration::days(args.get_double("warmup-days"));
 
     if (!args.get("change").empty() || !args.get("after").empty()) {
-      const auto change_d = parse_date(args.get("change"));
+      const auto change = parse_date_time(args.get("change"));
       const auto after = parse_policy(args.get("after"));
-      if (!change_d || !after) {
+      if (!change || !after) {
         return tools::usage_error(args,
                                   "--change and --after must both be valid");
       }
-      const SimTime change = sim_time_from_date(*change_d);
-      if (change <= spec.window_start || change >= spec.window_end) {
+      if (*change <= spec.window_start || *change >= spec.window_end) {
         return tools::usage_error(args,
                                   "--change must fall inside the window");
       }
-      spec.changes.push_back({change, *after});
+      spec.changes.push_back({*change, *after});
     }
   }
 
