@@ -88,8 +88,10 @@ std::string intensity_curve_json(double t0, double t1, std::size_t points,
 }
 
 // The request working set: distinct windowed aggregates and what-ifs
-// (constant and curve re-pricing) over every stored scenario — the
-// O(samples) analytics the cache exists to amortize.  Distinct requests
+// (constant and curve re-pricing) over every stored scenario.  Each is
+// sub-linear in the channel's samples (block min/max index, prefix
+// columns), but an evaluation still parses, routes and renders JSON, which
+// is what the cache exists to amortize.  Distinct requests
 // stop the cache from collapsing the whole phase into one entry;
 // repeating the set is what the cache is for.
 std::vector<std::string> build_requests(const serve::ArtifactStore& store,

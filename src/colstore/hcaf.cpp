@@ -1,6 +1,7 @@
 #include "colstore/hcaf.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <utility>
@@ -318,6 +319,17 @@ std::vector<ShardScenario> read_shard_bytes(std::string_view bytes,
         ByteReader::f64_block(bytes, label, pint.offset, pint.count,
                               ch.columns.prefix_integral,
                               cp + ".prefix_integral");
+        // A NaN passes the ordering check below but breaks every windowed
+        // query's binary search and the serve tier's block min/max index.
+        for (const auto& [col, name] :
+             {std::pair{&ch.columns.times, "times"},
+              std::pair{&ch.columns.values, "values"}}) {
+          if (!std::ranges::all_of(
+                  *col, [](double x) { return std::isfinite(x); })) {
+            fail(cp + "." + name,
+                 std::string("series ") + name + " must be finite");
+          }
+        }
         for (std::size_t k = 1; k < ch.columns.times.size(); ++k) {
           if (ch.columns.times[k] < ch.columns.times[k - 1]) {
             fail(cp + ".times", "series times must be non-decreasing");

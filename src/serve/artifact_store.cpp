@@ -6,10 +6,44 @@
 #include "colstore/hcaf.hpp"
 #include "obs/request_context.hpp"
 #include "util/file_io.hpp"
+#include "util/stats.hpp"
 
 namespace hpcem::serve {
 
 namespace {
+
+/// Build a channel's query indexes from its columns: the block min/max
+/// index, and for a kW channel the midpoint-moment prefix column.
+void build_indexes(StoredChannel& ch) {
+  const std::vector<double>& v = ch.values;
+  const std::size_t n = v.size();
+  constexpr std::size_t kB = StoredChannel::kBlock;
+  ch.block_min.reserve((n + kB - 1) / kB);
+  ch.block_max.reserve((n + kB - 1) / kB);
+  for (std::size_t b = 0; b < n; b += kB) {
+    double lo = v[b];
+    double hi = v[b];
+    for (std::size_t i = b + 1; i < std::min(n, b + kB); ++i) {
+      lo = std::min(lo, v[i]);
+      hi = std::max(hi, v[i]);
+    }
+    ch.block_min.push_back(lo);
+    ch.block_max.push_back(hi);
+  }
+
+  // whatif re-prices kW channels only.
+  if (ch.unit != "kW" || n == 0) return;
+  const std::vector<double>& t = ch.times;
+  ch.prefix_moment.reserve(n + 1);
+  ch.prefix_moment.assign(2, 0.0);  // same slots as prefix_integral
+  CompensatedSum moment;
+  for (std::size_t j = 0; j + 1 < n; ++j) {
+    // A_j exactly as colstore::build_columns accumulates it.
+    const double a = 0.5 * (v[j + 1] + v[j]) * (t[j + 1] - t[j]);
+    moment.add(a * (0.5 * (t[j] + t[j + 1]) - t.front()));
+    ch.prefix_moment.push_back(moment.value());
+  }
+}
 
 /// Move one shard scenario into the store's shape: channels sorted by name
 /// (dense per-scenario ids are lexicographic ranks, independent of the
@@ -47,6 +81,7 @@ StoredScenario stored_scenario(colstore::ShardScenario&& sc,
     ch.values = std::move(c.columns.values);
     ch.prefix_value_sum = std::move(c.columns.prefix_value_sum);
     ch.prefix_integral = std::move(c.columns.prefix_integral);
+    build_indexes(ch);
     s.channels.push_back(std::move(ch));
   }
   std::sort(s.channels.begin(), s.channels.end(),
@@ -188,6 +223,15 @@ std::size_t ArtifactStore::total_series_samples() const {
   return n;
 }
 
+std::pair<std::size_t, std::size_t> ArtifactStore::window_range(
+    const StoredChannel& channel, SimTime start, SimTime end) {
+  const auto lo = std::lower_bound(channel.times.begin(), channel.times.end(),
+                                   start.sec());
+  const auto hi = std::lower_bound(lo, channel.times.end(), end.sec());
+  return {static_cast<std::size_t>(lo - channel.times.begin()),
+          static_cast<std::size_t>(hi - channel.times.begin())};
+}
+
 WindowAggregate ArtifactStore::window_aggregate(const StoredChannel& channel,
                                                 SimTime start, SimTime end) {
   static const obs::NameId kAggregate =
@@ -196,11 +240,7 @@ WindowAggregate ArtifactStore::window_aggregate(const StoredChannel& channel,
                     static_cast<std::uint64_t>(channel.times.size()));
   require(start <= end,
           "ArtifactStore: window start must not exceed window end");
-  const auto lo = std::lower_bound(channel.times.begin(), channel.times.end(),
-                                   start.sec());
-  const auto hi = std::lower_bound(lo, channel.times.end(), end.sec());
-  const auto first = static_cast<std::size_t>(lo - channel.times.begin());
-  const auto last = static_cast<std::size_t>(hi - channel.times.begin());
+  const auto [first, last] = window_range(channel, start, end);
 
   WindowAggregate w;
   w.samples = last - first;
@@ -216,12 +256,27 @@ WindowAggregate ArtifactStore::window_aggregate(const StoredChannel& channel,
       channel.prefix_integral[last] - channel.prefix_integral[first + 1];
   w.first_time = SimTime(channel.times[first]);
   w.last_time = SimTime(channel.times[last - 1]);
+  // The same left-to-right std::min/std::max fold as a scan of the window,
+  // with each whole block's run replaced by its index entry: a block's
+  // entry is the value the scan would keep from that block, so the result
+  // is bit-identical to the scan (which of a ±0.0 tie wins included).
+  // The shard reader rejects NaN, which would break that equivalence.
+  constexpr std::size_t kB = StoredChannel::kBlock;
   w.min = channel.values[first];
   w.max = channel.values[first];
-  for (std::size_t i = first + 1; i < last; ++i) {
-    w.min = std::min(w.min, channel.values[i]);
-    w.max = std::max(w.max, channel.values[i]);
+  const auto fold = [&w](double lo, double hi) {
+    w.min = std::min(w.min, lo);
+    w.max = std::max(w.max, hi);
+  };
+  std::size_t i = first;
+  for (const std::size_t head_end = std::min(last, (first + kB - 1) / kB * kB);
+       i < head_end; ++i) {
+    fold(channel.values[i], channel.values[i]);
   }
+  for (; i + kB <= last; i += kB) {
+    fold(channel.block_min[i / kB], channel.block_max[i / kB]);
+  }
+  for (; i < last; ++i) fold(channel.values[i], channel.values[i]);
   return w;
 }
 

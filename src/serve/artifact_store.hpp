@@ -13,9 +13,15 @@
 //     lexicographic order, so every iteration over the store is
 //     deterministic regardless of ingest order;
 //   * every channel is stored as separate time/value columns with prefix
-//     sums (value sum and trapezoidal integral), so a windowed aggregate
-//     costs two binary searches plus an O(k) min/max scan rather than a
-//     full pass;
+//     sums (value sum and trapezoidal integral) and, built at ingest, a
+//     block min/max index over 64-sample blocks, so a windowed aggregate
+//     costs two binary searches, prefix differences and at most two
+//     partial blocks plus n/64 block entries — never a pass over the
+//     window's samples;
+//   * every kW channel also gets, at ingest, a prefix column of the
+//     interval energies weighted by their midpoint time, which lets
+//     `whatif` price a piecewise-linear intensity curve from prefix
+//     differences in O(k log n) (QueryEngine::whatif);
 //   * a channel with samples but no series (an aggregate-only artifact) is
 //     rejected with a one-line error naming the scenario, the channel and
 //     `--serve-export`;
@@ -32,6 +38,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/run_artifact.hpp"
@@ -64,6 +71,19 @@ struct StoredChannel {
   /// prefix_integral[i] = trapezoidal integral over samples [0..i);
   /// size == values.size() + 1 (unit-seconds, e.g. kW s).
   std::vector<double> prefix_integral;
+
+  // Query indexes built at ingest (not stored in HCAF).
+  /// Samples per block of the min/max index.  A constant, not a knob.
+  static constexpr std::size_t kBlock = 64;
+  /// block_min[b] / block_max[b]: the left-to-right std::min / std::max
+  /// fold over values[b*kBlock, min((b+1)*kBlock, n)).
+  std::vector<double> block_min;
+  std::vector<double> block_max;
+  /// kW channels only (empty otherwise): prefix_moment[i] = compensated
+  /// sum of A_j * (m_j - times[0]) over the same intervals as
+  /// prefix_integral[i], where A_j is interval j's trapezoid term in
+  /// prefix_integral and m_j its midpoint time (kW s^2).
+  std::vector<double> prefix_moment;
 
   [[nodiscard]] bool has_series() const { return !times.empty(); }
 };
@@ -122,11 +142,12 @@ class ArtifactStore {
 
   /// Ingest every scenario of one HCAF shard file (colstore/hcaf.hpp).
   /// Near-instant: the shard carries the columns and prefix sums
-  /// pre-computed, so ingest is validation plus moves — no JSON parse, no
-  /// prefix-sum pass.  Returns the number of scenarios ingested.  Throws
-  /// ParseError on a truncated/corrupt/over-versioned shard,
-  /// InvalidArgument on an aggregate-only channel, DuplicateScenarioError
-  /// on a duplicate scenario id.  A shard that throws ingests nothing.
+  /// pre-computed, so ingest is validation, moves and one pass to build
+  /// the query indexes — no JSON parse.  Returns the number of scenarios
+  /// ingested.  Throws ParseError on a truncated/corrupt/over-versioned
+  /// shard, InvalidArgument on an aggregate-only channel,
+  /// DuplicateScenarioError on a duplicate scenario id.  A shard that
+  /// throws ingests nothing.
   std::size_t load_hcaf_file(const std::string& path);
 
   [[nodiscard]] std::size_t scenario_count() const {
@@ -145,9 +166,16 @@ class ArtifactStore {
   /// Total retained series samples across every channel of every scenario.
   [[nodiscard]] std::size_t total_series_samples() const;
 
-  /// Windowed aggregate of a channel over [start, end) — two binary
-  /// searches plus prefix-sum lookups; min/max scan the in-window values.
-  /// Returns samples == 0 when the window is empty.
+  /// Sample index range [first, last) of a channel inside [start, end):
+  /// two binary searches.
+  [[nodiscard]] static std::pair<std::size_t, std::size_t> window_range(
+      const StoredChannel& channel, SimTime start, SimTime end);
+
+  /// Windowed aggregate of a channel over [start, end) — window_range
+  /// plus prefix-sum lookups; min/max fold the partial edge blocks
+  /// sample by sample and the whole blocks from the block index, which
+  /// is bit-identical to a scan of the window.  Returns samples == 0 when
+  /// the window is empty.
   [[nodiscard]] static WindowAggregate window_aggregate(
       const StoredChannel& channel, SimTime start, SimTime end);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ranges>
 
 #include "core/spec_io.hpp"
 #include "obs/span.hpp"
@@ -119,6 +120,52 @@ OperationalStrategy strategy_from_share(double scope2_share) {
   return OperationalStrategy::kBalance;
 }
 
+/// Scope-2 grams of the intervals j in [a, b) of a kW channel, each
+/// charged at a piecewise-linear curve at its midpoint m_j, from prefix
+/// differences in O(k log n).  On segment k the curve is g_k + beta_k (m -
+/// x_k), so the segment's sum of A_j g(m_j) is
+///   g_k SA + beta_k (SM - (x_k - t0) SA),
+/// with SA the sum of the interval terms A_j (prefix_integral) and SM the
+/// sum of A_j (m_j - t0) (prefix_moment); taking the slope term relative
+/// to the segment start limits the cancellation.  Midpoints at or before
+/// the first point and after the last are charged at the end-point
+/// intensities, as IntensitySpec::at clamps them.
+double curve_scope2_g(const StoredChannel& ch,
+                      const std::vector<std::pair<double, double>>& points,
+                      std::size_t a, std::size_t b) {
+  const std::vector<double>& t = ch.times;
+  const double t0 = t.front();
+  // Intervals [p, q) are prefix slots q + 1 minus p + 1.
+  const auto sum_a = [&ch](std::size_t p, std::size_t q) {
+    return ch.prefix_integral[q + 1] - ch.prefix_integral[p + 1];
+  };
+  const auto sum_m = [&ch](std::size_t p, std::size_t q) {
+    return ch.prefix_moment[q + 1] - ch.prefix_moment[p + 1];
+  };
+  // First interval in [from, b) whose midpoint lies after x: midpoints of
+  // non-decreasing times are non-decreasing.
+  const auto after = [&t, b](std::size_t from, double x) {
+    return *std::ranges::partition_point(
+        std::views::iota(from, b),
+        [&t, x](std::size_t j) { return 0.5 * (t[j] + t[j + 1]) <= x; });
+  };
+
+  CompensatedSum co2;  // g/kWh * kW s
+  std::size_t p = after(a, points.front().first);
+  co2.add(points.front().second * sum_a(a, p));
+  for (std::size_t k = 0; k + 1 < points.size(); ++k) {
+    const auto [x0, g0] = points[k];
+    const auto [x1, g1] = points[k + 1];
+    const std::size_t q = after(p, x1);
+    const double sa = sum_a(p, q);
+    const double beta = (g1 - g0) / (x1 - x0);
+    co2.add(g0 * sa + beta * (sum_m(p, q) - (x0 - t0) * sa));
+    p = q;
+  }
+  co2.add(points.back().second * sum_a(p, b));
+  return co2.value() / 3600.0;
+}
+
 /// Reject members outside `allowed` so a typo cannot silently produce a
 /// default-valued (and cached) answer to a different question.
 void reject_unknown_members(const JsonValue& v,
@@ -201,8 +248,13 @@ QueryRequest QueryRequest::from_json(const JsonValue& v) {
     r.op = Op::kTrace;
     reject_unknown_members(v, {"op", "id", "request"});
     const double n = v.at("request").as_number();
-    if (n < 1.0 || n != std::floor(n)) {
-      throw ParseError("query: trace request must be a positive integer id");
+    // Above 2^53 a double no longer names one integer, and past 2^64 the
+    // cast below would be undefined.
+    constexpr double kMaxExactId = 9007199254740992.0;  // 2^53
+    if (n < 1.0 || n > kMaxExactId || n != std::floor(n)) {
+      throw ParseError(
+          "query: trace request must be a positive integer id of at most "
+          "2^53");
     }
     r.trace_request = static_cast<std::uint64_t>(n);
   } else {
@@ -538,33 +590,21 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
   const SimTime start = r.start.value_or(s.window_start);
   const SimTime end = r.end.value_or(s.window_end);
 
-  // Re-price the stored energy: integrate each retained sample interval
-  // and charge it at the intensity interpolated at the interval midpoint.
-  const auto lo = whole_channel
-                      ? ch->times.begin()
-                      : std::lower_bound(ch->times.begin(), ch->times.end(),
-                                         start.sec());
-  const auto hi = whole_channel
-                      ? ch->times.end()
-                      : std::lower_bound(lo, ch->times.end(), end.sec());
-  const auto first = static_cast<std::size_t>(lo - ch->times.begin());
-  const auto last = static_cast<std::size_t>(hi - ch->times.begin());
+  // Re-price the stored energy: each retained sample interval is charged
+  // at the intensity at its midpoint, from prefix differences.
+  const auto [first, last] =
+      whole_channel ? std::pair<std::size_t, std::size_t>{0, ch->times.size()}
+                    : ArtifactStore::window_range(*ch, start, end);
   require(last > first + 1,
           "query: whatif window holds fewer than two samples of '", r.channel,
           "'");
-  CompensatedSum e_kwh;
-  CompensatedSum co2_g;
-  for (std::size_t i = first; i + 1 < last; ++i) {
-    const double dt = ch->times[i + 1] - ch->times[i];
-    const EnergyKwh interval_kwh =
-        PowerKw{0.5 * (ch->values[i] + ch->values[i + 1])} *
-        Duration::seconds(dt);
-    const double mid = 0.5 * (ch->times[i] + ch->times[i + 1]);
-    e_kwh.add(interval_kwh.kwh());
-    co2_g.add((interval_kwh * intensity.at(SimTime(mid))).g());
-  }
-  const EnergyKwh energy_kwh{e_kwh.value()};
-  const double scope2_g = co2_g.value();
+  // The same prefix difference as window_aggregate's energy_kwh.
+  const EnergyKwh energy_kwh{
+      (ch->prefix_integral[last] - ch->prefix_integral[first + 1]) / 3600.0};
+  const double scope2_g =
+      intensity.is_constant()
+          ? (energy_kwh * *intensity.constant).g()
+          : curve_scope2_g(*ch, intensity.points, first, last - 1);
   const SimTime covered_start(ch->times[first]);
   const SimTime covered_end(ch->times[last - 1]);
 

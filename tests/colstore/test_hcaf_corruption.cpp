@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -236,6 +237,29 @@ TEST(HcafCorruption, RejectsUnorderedSeriesTimes) {
   std::string shard = valid_shard();
   put_f64(shard, kHeaderSize, 9.0e9);  // times[0] of scenario "a"
   expect_rejected(shard, "series times must be non-decreasing");
+}
+
+TEST(HcafCorruption, RejectsNonFiniteTimesAndValues) {
+  // A NaN time passes the non-decreasing check (every comparison with NaN
+  // is false), so finiteness is its own check, naming the column.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    std::size_t offset;  // into scenario "a"'s times block, then values
+    double value;
+    const char* column;
+  };
+  for (const Case& c : {Case{kHeaderSize + 5 * 8, nan, ".times"},
+                        Case{kHeaderSize + 31 * 8, inf, ".times"},
+                        Case{kHeaderSize + (32 + 3) * 8, nan, ".values"},
+                        Case{kHeaderSize + (32 + 0) * 8, -inf, ".values"}}) {
+    std::string shard = valid_shard();
+    put_f64(shard, c.offset, c.value);
+    refresh_checksum(shard);
+    SCOPED_TRACE(std::string(c.column) + " at " + std::to_string(c.offset));
+    expect_rejected(shard, std::string(c.column) + ": series");
+    expect_rejected(shard, "must be finite");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "telemetry/timeseries.hpp"
 #include "util/json.hpp"
@@ -246,6 +247,29 @@ TEST(QueryRequest, RejectsUnknownMembersAndBadShapes) {
                    R"({"op":"regimes","scenario":"s","intensity":)"
                    R"({"constant_g_per_kwh":1,"points":[[0,1]]}})"),
                ParseError);
+}
+
+TEST(QueryRequest, TraceIdsAbove2To53AreOneLineParseErrors) {
+  // Past 2^53 a double names no single integer id, and past 2^64 the
+  // conversion to an unsigned id would be undefined behaviour.
+  for (const std::string id : {"1e30", "18446744073709551616",
+                               "9007199254740994", "0", "-3", "2.5"}) {
+    try {
+      (void)QueryRequest::from_json_text(R"({"op":"trace","request":)" + id +
+                                         "}");
+      FAIL() << "accepted request id " << id;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("trace request must be a positive integer id"),
+                std::string::npos)
+          << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(QueryRequest::from_json_text(
+                R"({"op":"trace","request":9007199254740992})")
+                .trace_request,
+            std::uint64_t{1} << 53);
 }
 
 TEST_F(QueryEngineTest, HandleLineWrapsOkAndErrorEnvelopes) {
