@@ -1,13 +1,16 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 
 namespace hpcem {
 
 Scheduler::Scheduler(SchedulerConfig config)
-    : config_(config), allocator_(config.nodes) {}
+    : config_(config), free_(config.nodes) {
+  require(config.nodes > 0, "Scheduler: need at least one node");
+}
 
 void Scheduler::submit(JobSpec job) {
   require(job.nodes >= 1 && job.nodes <= config_.nodes,
@@ -17,47 +20,67 @@ void Scheduler::submit(JobSpec job) {
   queue_.push_back(std::move(job));
 }
 
+namespace {
+
+/// The first entry of [first, last) not ordered before (end, id) in the
+/// buffer's (expected end, id) order.
+template <class It>
+It end_lower_bound(It first, It last, SimTime end, JobId id) {
+  return std::lower_bound(first, last, end, [id](const auto& e, SimTime t) {
+    if (e.end != t) return e.end < t;
+    return e.id < id;
+  });
+}
+
+}  // namespace
+
+std::vector<Scheduler::EndEntry>::iterator Scheduler::ends_find(SimTime end,
+                                                                JobId id) {
+  const auto pos = end_lower_bound(ends_.begin(), ends_.end(), end, id);
+  HPCEM_ASSERT(pos != ends_.end() && pos->id == id && pos->end == end,
+               "shadow buffer out of sync with running set");
+  return pos;
+}
+
 void Scheduler::ends_insert(SimTime end, JobId id, std::size_t nodes) {
-  const auto pos = std::lower_bound(
-      ends_.begin(), ends_.end(), std::make_pair(end, id),
-      [](const EndEntry& e, const std::pair<SimTime, JobId>& key) {
-        if (e.end != key.first) return e.end < key.first;
-        return e.id < key.second;
-      });
-  ends_.insert(pos, EndEntry{end, id, nodes});
+  ends_.insert(end_lower_bound(ends_.begin(), ends_.end(), end, id),
+               EndEntry{end, id, nodes});
 }
 
 void Scheduler::ends_erase(SimTime end, JobId id) {
-  const auto pos = std::lower_bound(
-      ends_.begin(), ends_.end(), std::make_pair(end, id),
-      [](const EndEntry& e, const std::pair<SimTime, JobId>& key) {
-        if (e.end != key.first) return e.end < key.first;
-        return e.id < key.second;
-      });
-  HPCEM_ASSERT(pos != ends_.end() && pos->id == id && pos->end == end,
-               "shadow buffer out of sync with running set");
-  ends_.erase(pos);
+  ends_.erase(ends_find(end, id));
 }
 
-Scheduler::Shadow Scheduler::shadow_for(std::size_t count,
-                                        SimTime now) const {
-  HPCEM_ASSERT(count <= config_.nodes, "shadow for oversized job");
-  if (allocator_.free_count() >= count) {
-    return {now, allocator_.free_count() - count};
+void Scheduler::ends_move(SimTime from, SimTime to, JobId id) {
+  // One shift of the entries between the old and the new position, where
+  // an erase plus an insert would shift everything behind either of them.
+  const auto pos = ends_find(from, id);
+  const EndEntry moved{to, id, pos->nodes};
+  if (to > from) {
+    const auto dest = end_lower_bound(pos + 1, ends_.end(), to, id);
+    std::move(pos + 1, dest, pos);
+    *(dest - 1) = moved;
+  } else {
+    const auto dest = end_lower_bound(ends_.begin(), pos, to, id);
+    std::move_backward(dest, pos, pos + 1);
+    *dest = moved;
   }
+}
+
+Scheduler::Shadow Scheduler::shadow_for(std::size_t count) const {
+  HPCEM_ASSERT(count <= config_.nodes && count > free_,
+               "shadow for a job that fits or can never fit");
   // Sweep running jobs in expected-end order, accumulating freed nodes —
   // a prefix scan of the incrementally maintained buffer.
-  std::size_t freed = allocator_.free_count();
+  std::size_t freed = free_;
   for (const EndEntry& e : ends_) {
     freed += e.nodes;
-    if (freed >= count) {
-      return {std::max(e.end, now), freed - count};
-    }
+    if (freed >= count) return {e.end, freed - count};
   }
   // Unreachable for feasible jobs: all running jobs ending frees the
   // entire machine, which holds any job that passed submit validation.
   HPCEM_ASSERT(false, "shadow_for: job can never run");
-  return {now, 0};
+  return {SimTime(), 0};
 }
 
 double Scheduler::priority_of(const JobSpec& job, SimTime now) const {
@@ -106,67 +129,87 @@ void Scheduler::order_queue(SimTime now) {
 std::vector<JobStart> Scheduler::schedule_pass(SimTime now) {
   ++passes_total_;
   std::vector<JobStart> starts;
-  order_queue(now);
 
-  // Phase 1: start jobs from the head while they fit (in queue order:
-  // submission order under FIFO, priority order otherwise).
-  while (!queue_.empty() && queue_.front().nodes <= allocator_.free_count()) {
-    JobSpec job = std::move(queue_.front());
-    queue_.pop_front();
-    auto runs = allocator_.allocate(job.nodes);
-    HPCEM_ASSERT(runs.has_value(), "allocation must succeed after fit check");
-    start(std::move(job), std::move(*runs), now, starts);
+  // A settled pass carries over only while time advances far enough for
+  // every walltime it rejected to still end after the shadow.
+  if (settled_ && !(now >= settled_->now &&
+                    now + settled_->min_walltime > now)) {
+    settled_.reset();
   }
-  if (queue_.empty()) return starts;
+  Settled pass{};
+  if (settled_) {
+    // Same free count and running set: the head still cannot fit, the
+    // shadow is the cached one, and the examined jobs stay rejected.
+    pass = *settled_;
+  } else {
+    order_queue(now);
+    // Phase 1: start jobs from the head while they fit (in queue order:
+    // submission order under FIFO, priority order otherwise).
+    while (!queue_.empty() && queue_.front().nodes <= free_) {
+      JobSpec job = std::move(queue_.front());
+      queue_.pop_front();
+      start(std::move(job), now, starts);
+    }
+    if (queue_.empty()) return starts;
+    pass = {shadow_for(queue_.front().nodes), 0, now,
+            Duration::seconds(std::numeric_limits<double>::infinity())};
+  }
 
   // Phase 2: EASY backfill.  The head job gets a shadow reservation; a
   // later job may start now iff (a) it fits the free nodes, and (b) either
   // it finishes by the shadow time or it fits into the nodes left over at
   // the shadow time.
-  const Shadow shadow = shadow_for(queue_.front().nodes, now);
-  std::size_t examined = 0;
-  for (auto it = std::next(queue_.begin());
+  const SimTime shadow_time = std::max(pass.shadow.end, now);
+  std::size_t examined = pass.examined;
+  for (auto it = queue_.begin() + static_cast<std::ptrdiff_t>(1 + examined);
        it != queue_.end() && examined < config_.backfill_depth; ++examined) {
     const std::size_t want = it->nodes;
-    const bool fits_now = want <= allocator_.free_count();
+    const bool fits_now = want <= free_;
     if (!fits_now) {
       ++it;
       continue;
     }
     const bool ends_before_shadow =
-        now + it->requested_walltime <= shadow.time;
-    const bool fits_shadow_slack = want <= shadow.extra_nodes;
+        now + it->requested_walltime <= shadow_time;
+    const bool fits_shadow_slack = want <= pass.shadow.extra_nodes;
     if (!ends_before_shadow && !fits_shadow_slack) {
+      pass.min_walltime = std::min(pass.min_walltime, it->requested_walltime);
       ++it;
       continue;
     }
     JobSpec job = std::move(*it);
     it = queue_.erase(it);
-    auto runs = allocator_.allocate(job.nodes);
-    HPCEM_ASSERT(runs.has_value(), "backfill allocation must succeed");
-    start(std::move(job), std::move(*runs), now, starts);
+    start(std::move(job), now, starts);
+  }
+  if (starts.empty() && config_.discipline == QueueDiscipline::kFifo) {
+    settled_ = Settled{pass.shadow, examined, now, pass.min_walltime};
   }
   return starts;
 }
 
-void Scheduler::start(JobSpec job, std::vector<NodeRun> runs, SimTime now,
+void Scheduler::start(JobSpec job, SimTime now,
                       std::vector<JobStart>& starts) {
   const JobId id = job.id;
   const SimTime expected_end = now + job.requested_walltime;
+  const bool fresh =
+      running_.emplace(id, Running{job.nodes, expected_end}).second;
+  require_state(fresh, "Scheduler: job id already running: ", id);
+  free_ -= job.nodes;
   ends_insert(expected_end, id, job.nodes);
-  running_.emplace(id, Running{runs, job.nodes, expected_end});
-  starts.push_back({std::move(job), std::move(runs)});
+  starts.push_back({std::move(job)});
   ++started_total_;
+  settled_.reset();
 }
 
 void Scheduler::finish(JobId id, SimTime /*now*/) {
   auto it = running_.find(id);
   require_state(it != running_.end(), "Scheduler::finish: job not running: ",
                 id);
-  allocator_.release(it->second.runs);
+  free_ += it->second.nodes;
   ends_erase(it->second.expected_end, id);
   running_.erase(it);
   ++finished_total_;
+  settled_.reset();
 }
 
 void Scheduler::set_expected_end(JobId id, SimTime end) {
@@ -174,17 +217,10 @@ void Scheduler::set_expected_end(JobId id, SimTime end) {
   require_state(it != running_.end(),
                 "Scheduler::set_expected_end: job not running: ", id);
   if (it->second.expected_end != end) {
-    ends_erase(it->second.expected_end, id);
-    ends_insert(end, id, it->second.nodes);
+    ends_move(it->second.expected_end, end, id);
+    it->second.expected_end = end;
+    settled_.reset();
   }
-  it->second.expected_end = end;
-}
-
-const std::vector<NodeRun>& Scheduler::allocation(JobId id) const {
-  auto it = running_.find(id);
-  require_state(it != running_.end(),
-                "Scheduler::allocation: job not running: ", id);
-  return it->second.runs;
 }
 
 }  // namespace hpcem

@@ -8,14 +8,23 @@
 // come from the jobs' requested walltime; actual runtimes are usually
 // shorter, which is what creates backfill opportunities — and the >90%
 // utilisation the paper reports.
+//
+// Decisions depend on node counts alone: the scheduler keeps a free-node
+// count, not a placement.  A caller that needs node identities composes a
+// NodeAllocator (sched/allocator.hpp), allocating for each start in the
+// order `schedule_pass` returns them and releasing on finish.
+//
+// Under FIFO, a pass that started nothing is "settled" until a start, a
+// finish or a retime that moves an end: the free count and the shadow are
+// unchanged and every job it examined stays rejected, so the next pass
+// examines only the jobs submitted since, against the cached shadow.
 #pragma once
 
 #include <deque>
-#include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "sched/allocator.hpp"
 #include "util/sim_time.hpp"
 #include "workload/jobs.hpp"
 
@@ -55,8 +64,6 @@ struct SchedulerConfig {
 /// A job the scheduler has decided to start now.
 struct JobStart {
   JobSpec job;
-  /// The nodes the job runs on, as ascending runs.
-  std::vector<NodeRun> runs;
 };
 
 /// FIFO + EASY backfill scheduler.
@@ -81,22 +88,15 @@ class Scheduler {
 
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
   [[nodiscard]] std::size_t running_count() const { return running_.size(); }
-  [[nodiscard]] std::size_t free_nodes() const {
-    return allocator_.free_count();
-  }
+  [[nodiscard]] std::size_t free_nodes() const { return free_; }
   [[nodiscard]] std::size_t busy_nodes() const {
-    return allocator_.busy_count();
+    return config_.nodes - free_;
   }
-  [[nodiscard]] std::size_t total_nodes() const {
-    return allocator_.node_count();
-  }
+  [[nodiscard]] std::size_t total_nodes() const { return config_.nodes; }
   [[nodiscard]] double utilisation() const {
     return static_cast<double>(busy_nodes()) /
            static_cast<double>(total_nodes());
   }
-
-  /// Nodes allocated to a running job, as ascending runs.
-  [[nodiscard]] const std::vector<NodeRun>& allocation(JobId id) const;
 
   /// Lifetime counters.
   [[nodiscard]] std::uint64_t started_total() const { return started_total_; }
@@ -113,13 +113,11 @@ class Scheduler {
   /// Reorder the queue per the discipline (no-op under kFifo).
   void order_queue(SimTime now);
   struct Running {
-    std::vector<NodeRun> runs;
     std::size_t nodes;
     SimTime expected_end;
   };
-  /// Record a job as running on `runs` and queue its JobStart.
-  void start(JobSpec job, std::vector<NodeRun> runs, SimTime now,
-             std::vector<JobStart>& starts);
+  /// Record a job as running and queue its JobStart.
+  void start(JobSpec job, SimTime now, std::vector<JobStart>& starts);
 
   /// One running job in the expected-end-sorted shadow buffer.
   struct EndEntry {
@@ -128,27 +126,46 @@ class Scheduler {
     std::size_t nodes;
   };
   /// Maintain the sorted end-time buffer across passes: O(log n) locate +
-  /// contiguous shift per start/finish/retime, instead of rebuilding and
-  /// sorting the whole buffer on every scheduling pass.
+  /// one contiguous shift per start/finish/retime, instead of rebuilding
+  /// and sorting the whole buffer on every scheduling pass.
+  [[nodiscard]] std::vector<EndEntry>::iterator ends_find(SimTime end,
+                                                          JobId id);
   void ends_insert(SimTime end, JobId id, std::size_t nodes);
   void ends_erase(SimTime end, JobId id);
+  void ends_move(SimTime from, SimTime to, JobId id);
 
-  /// Earliest time at which `count` nodes will be free, assuming running
-  /// jobs end at their expected ends; also reports how many nodes are free
-  /// at that shadow time beyond the requirement.
+  /// The expected end by which `count` (more than the free) nodes will be
+  /// free, assuming running jobs end at their expected ends, and how many
+  /// nodes are free then beyond the requirement.  The shadow time of a
+  /// pass at `now` is max(end, now).
   struct Shadow {
-    SimTime time;
+    SimTime end;
     std::size_t extra_nodes;
   };
-  [[nodiscard]] Shadow shadow_for(std::size_t count, SimTime now) const;
+  [[nodiscard]] Shadow shadow_for(std::size_t count) const;
+
+  /// What a FIFO pass that started nothing leaves for the next one.
+  struct Settled {
+    Shadow shadow;
+    /// Queue positions behind the head already examined and rejected.
+    std::size_t examined;
+    /// Time of the latest pass; the prune holds only while time advances.
+    SimTime now;
+    /// Shortest walltime among jobs rejected on the shadow test: while
+    /// now + min_walltime > now, a later `now` keeps them rejected.
+    Duration min_walltime;
+  };
 
   SchedulerConfig config_;
-  NodeAllocator allocator_;
+  std::size_t free_;
   std::deque<JobSpec> queue_;
   std::unordered_map<JobId, Running> running_;
   /// Running jobs sorted by (expected end, id) — the backfill shadow
   /// sweeps a prefix of this instead of re-sorting per pass.
   std::vector<EndEntry> ends_;
+  /// Set while only tail submits followed a FIFO pass that started
+  /// nothing; cleared by any start, finish or end-moving retime.
+  std::optional<Settled> settled_;
   /// order_queue scratch (priority keys + permutation), reused per pass.
   std::vector<double> priority_keys_;
   std::vector<std::size_t> order_perm_;

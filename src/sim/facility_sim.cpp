@@ -98,6 +98,15 @@ void FacilitySimulator::run(SimTime start, SimTime end) {
 
 void FacilitySimulator::run_trace(std::vector<JobSpec> jobs, SimTime start,
                                   SimTime end) {
+  // Job ids key the running set: a repeated id would finish the wrong job.
+  std::vector<JobId> ids;
+  ids.reserve(jobs.size());
+  for (const JobSpec& job : jobs) ids.push_back(job.id);
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 1; i < ids.size(); ++i) {
+    require(ids[i] != ids[i - 1], "run_trace: duplicate job id in trace: ",
+            ids[i]);
+  }
   run_impl(std::move(jobs), /*use_trace=*/true, start, end);
 }
 

@@ -95,7 +95,8 @@ class FacilitySimulator {
   /// synthetic generator (e.g. a converted sacct dump; see
   /// workload/trace.hpp).  Jobs submitted outside the window are ignored:
   /// `submit_time == start` is inside, `submit_time == end` is outside
-  /// (the window is half-open, matching run()).
+  /// (the window is half-open, matching run()).  Job ids must be unique
+  /// across the whole trace (throws InvalidArgument otherwise).
   /// May be called once, instead of run().
   void run_trace(std::vector<JobSpec> jobs, SimTime start, SimTime end);
 

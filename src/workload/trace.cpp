@@ -1,8 +1,11 @@
 #include "workload/trace.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -19,6 +22,18 @@ double parse_double(const std::string& s, const char* field) {
     throw ParseError(std::string("job trace: bad ") + field + ": " + s);
   }
   return v;
+}
+
+/// An integer field in [min, 2^53], the range a double holds exactly.
+std::uint64_t parse_integer(const std::string& s, const char* field,
+                            std::uint64_t min) {
+  const double v = parse_double(s, field);
+  if (!(v >= static_cast<double>(min) && v <= 0x1p53 && v == std::floor(v))) {
+    throw ParseError(std::string("job trace: bad ") + field + ": " + s +
+                     " (must be an integer in [" + std::to_string(min) +
+                     ", 2^53])");
+  }
+  return static_cast<std::uint64_t>(v);
 }
 
 std::string pstate_code(const PState& p) {
@@ -62,12 +77,15 @@ std::vector<JobSpec> jobs_from_csv(const std::string& text) {
 
   std::vector<JobSpec> jobs;
   jobs.reserve(t.rows.size());
+  std::unordered_set<JobId> ids;
   for (const auto& row : t.rows) {
     JobSpec j;
-    j.id = static_cast<JobId>(parse_double(row[c_id], "id"));
+    j.id = parse_integer(row[c_id], "id", 0);
+    if (!ids.insert(j.id).second) {
+      throw ParseError("job trace: duplicate id: " + std::to_string(j.id));
+    }
     j.app = row[c_app];
-    j.nodes = static_cast<std::size_t>(parse_double(row[c_nodes], "nodes"));
-    if (j.nodes == 0) throw ParseError("job trace: zero-node job");
+    j.nodes = parse_integer(row[c_nodes], "nodes", 1);
     j.ref_runtime =
         Duration::seconds(parse_double(row[c_ref], "ref_runtime_s"));
     j.submit_time = SimTime(parse_double(row[c_sub], "submit_s"));

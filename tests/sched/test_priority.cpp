@@ -125,5 +125,22 @@ TEST(PrioritySched, StablePriorityTiesKeepSubmissionOrder) {
   EXPECT_EQ(starts[1].job.id, 3u);
 }
 
+TEST(PrioritySched, ANewSubmitCanTakeTheHeadAfterAPassThatStartedNothing) {
+  // Under FIFO a submit lands at the tail; under priority it may land at
+  // the head, so a pass after one that started nothing must reorder and
+  // re-run the head loop, not only look at the newest job.
+  Scheduler s(priority_config());
+  s.submit(job(1, 70, 10.0, QosClass::kStandard));
+  ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);  // 30 nodes free
+  s.submit(job(2, 90, 10.0, QosClass::kLowPriority));
+  EXPECT_TRUE(s.schedule_pass(SimTime(0.0)).empty());
+  // Job 3 fits the 30 free nodes as the head, but as a backfill it would
+  // overrun the shadow (10 h) and the 10 nodes left at it.
+  s.submit(job(3, 30, 20.0, QosClass::kShort));
+  const auto starts = s.schedule_pass(SimTime(60.0));
+  ASSERT_EQ(starts.size(), 1u);
+  EXPECT_EQ(starts[0].job.id, 3u);
+}
+
 }  // namespace
 }  // namespace hpcem

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sched/allocator.hpp"
 #include "sched/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -129,15 +133,6 @@ TEST(Scheduler, FinishUnknownJobThrows) {
   EXPECT_THROW(s.finish(42, SimTime(0.0)), StateError);
 }
 
-TEST(Scheduler, AllocationQueryReturnsNodes) {
-  Scheduler s({100, 200});
-  s.submit(job(1, 25, 1.0));
-  ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
-  const std::vector<NodeRun> expected = {{0, 25}};
-  EXPECT_EQ(s.allocation(1), expected);
-  EXPECT_THROW(s.allocation(2), StateError);
-}
-
 TEST(Scheduler, UtilisationTracksBusyFraction) {
   Scheduler s({200, 200});
   s.submit(job(1, 50, 1.0));
@@ -223,6 +218,317 @@ TEST(Scheduler, RecordedChurnTraceReproducesStartSequence) {
   EXPECT_EQ(s.started_total(), 411u);
   EXPECT_EQ(s.passes_total(), 985u);
   EXPECT_EQ(digest, 9698893677361187067ull);
+}
+
+
+// The scheduler decides by node count; a caller that needs node identities
+// composes a NodeAllocator, placing each start in the order the pass
+// returns them and releasing on finish.  The digest of every job's runs was
+// recorded when the scheduler still placed jobs itself (`allocation(id)`,
+// the same allocate/release call sequence), on a churn of jobs up to a
+// quarter of the machine wide, which fragments the free list.
+TEST(Scheduler, ComposedPlacementReproducesRecordedNodeSets) {
+  SchedulerConfig cfg;
+  cfg.nodes = 1024;
+  Scheduler s(cfg);
+  NodeAllocator nodes(cfg.nodes);
+  std::unordered_map<JobId, std::vector<NodeRun>> placed;
+  Rng rng(31);
+  SimTime now(0.0);
+  JobId id = 1;
+  std::vector<std::pair<SimTime, JobId>> running;  // (realised end, id)
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+  const auto mix = [&digest](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (v >> (8 * b)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  std::size_t fragmented = 0;
+  const auto pass = [&] {
+    for (const JobStart& st : s.schedule_pass(now)) {
+      auto runs = nodes.allocate(st.job.nodes);
+      ASSERT_TRUE(runs.has_value()) << "a count-only start overcommitted";
+      mix(st.job.id);
+      mix(runs->size());
+      for (const NodeRun& r : *runs) {
+        mix(r.first);
+        mix(r.count);
+      }
+      if (runs->size() > 1) ++fragmented;
+      placed.emplace(st.job.id, std::move(*runs));
+      const SimTime end =
+          now + st.job.requested_walltime * (0.3 + 0.6 * rng.uniform());
+      s.set_expected_end(st.job.id, end);
+      running.emplace_back(end, st.job.id);
+    }
+  };
+  for (int step = 0; step < 1500; ++step) {
+    std::sort(running.begin(), running.end());
+    while (!running.empty() && running.front().first <= now) {
+      const JobId done = running.front().second;
+      s.finish(done, now);
+      nodes.release(placed.at(done));
+      placed.erase(done);
+      running.erase(running.begin());
+      pass();
+    }
+    s.submit(job(id++, static_cast<std::size_t>(rng.uniform_int(1, 256)),
+                 1.0 + 11.0 * rng.uniform(), now));
+    pass();
+    now += Duration::minutes(5.0);
+  }
+  EXPECT_EQ(nodes.free_count(), s.free_nodes());
+  EXPECT_EQ(s.started_total(), 309u);
+  EXPECT_EQ(s.passes_total(), 1801u);
+  EXPECT_EQ(fragmented, 231u);
+  EXPECT_EQ(digest, 15703050822990742387ull);
+}
+
+// The full-scan FIFO pass the scheduler ran before the settled-pass prune:
+// every pass re-runs the head loop and re-examines the whole backfill
+// window against a shadow rebuilt by sorting the running jobs.  The prune
+// must reproduce it start for start.
+class ReferenceScheduler {
+ public:
+  explicit ReferenceScheduler(SchedulerConfig config)
+      : config_(config), free_(config.nodes) {}
+
+  void submit(JobSpec job) { queue_.push_back(std::move(job)); }
+
+  std::vector<JobStart> schedule_pass(SimTime now) {
+    ++passes_;
+    std::vector<JobStart> starts;
+    const auto start = [&](JobSpec job) {
+      free_ -= job.nodes;
+      running_[job.id] = {job.nodes, now + job.requested_walltime};
+      starts.push_back({std::move(job)});
+    };
+    while (!queue_.empty() && queue_.front().nodes <= free_) {
+      JobSpec job = std::move(queue_.front());
+      queue_.pop_front();
+      start(std::move(job));
+    }
+    if (queue_.empty()) return starts;
+
+    std::vector<std::pair<SimTime, JobId>> ends;
+    for (const auto& [id, r] : running_) ends.emplace_back(r.end, id);
+    std::sort(ends.begin(), ends.end());
+    const std::size_t head = queue_.front().nodes;
+    std::size_t freed = free_;
+    SimTime shadow = now;
+    std::size_t extra = 0;
+    for (const auto& [end, id] : ends) {
+      freed += running_.at(id).nodes;
+      if (freed >= head) {
+        shadow = std::max(end, now);
+        extra = freed - head;
+        break;
+      }
+    }
+    std::size_t examined = 0;
+    for (auto it = std::next(queue_.begin());
+         it != queue_.end() && examined < config_.backfill_depth;
+         ++examined) {
+      const bool fits_now = it->nodes <= free_;
+      const bool keeps_reservation =
+          now + it->requested_walltime <= shadow || it->nodes <= extra;
+      if (!fits_now || !keeps_reservation) {
+        ++it;
+        continue;
+      }
+      JobSpec job = std::move(*it);
+      it = queue_.erase(it);
+      start(std::move(job));
+    }
+    return starts;
+  }
+
+  void finish(JobId id, SimTime /*now*/) {
+    free_ += running_.at(id).nodes;
+    running_.erase(id);
+  }
+  void set_expected_end(JobId id, SimTime end) { running_.at(id).end = end; }
+  [[nodiscard]] std::uint64_t passes_total() const { return passes_; }
+
+ private:
+  struct Running {
+    std::size_t nodes;
+    SimTime end;
+  };
+  SchedulerConfig config_;
+  std::size_t free_;
+  std::deque<JobSpec> queue_;
+  std::map<JobId, Running> running_;
+  std::uint64_t passes_ = 0;
+};
+
+/// Every start of a churn run, tagged with the pass that made it.
+struct ChurnLog {
+  std::vector<std::pair<std::uint64_t, JobId>> starts;
+  std::uint64_t passes = 0;
+};
+
+/// Seeded FIFO churn near a real epoch: bursts of tail submits, each
+/// followed by a pass at the same `now`; finishes; starts that keep their
+/// walltime estimate; retimes that keep the end, move it earlier (most
+/// starts) or later; and, in every 200 steps, a 20-step stretch in which
+/// nothing calls a pass, as during maintenance.
+template <class Sched>
+ChurnLog fifo_churn(std::size_t backfill_depth, std::uint64_t seed) {
+  SchedulerConfig cfg;
+  cfg.nodes = 512;
+  cfg.backfill_depth = backfill_depth;
+  Sched s(cfg);
+  Rng rng(seed);
+  SimTime now(1.6e9);
+  JobId id = 1;
+  std::vector<std::pair<SimTime, JobId>> running;  // (expected end, id)
+  ChurnLog log;
+  bool blocked = false;
+  const auto pass = [&] {
+    if (blocked) return;
+    const std::uint64_t pass_no = s.passes_total();
+    for (const JobStart& st : s.schedule_pass(now)) {
+      log.starts.emplace_back(pass_no, st.job.id);
+      SimTime end = now + st.job.requested_walltime;
+      if (rng.bernoulli(0.7)) {  // otherwise the estimate stands
+        end = now + st.job.requested_walltime * (0.3 + 0.6 * rng.uniform());
+        s.set_expected_end(st.job.id, end);
+      }
+      running.emplace_back(end, st.job.id);
+    }
+  };
+  const auto pick = [&] {
+    return static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(running.size()) - 1));
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const bool was_blocked = blocked;
+    blocked = step % 200 >= 180;
+    if (was_blocked && !blocked) pass();  // the queue is released
+    std::sort(running.begin(), running.end());
+    while (!running.empty() && running.front().first <= now) {
+      s.finish(running.front().second, now);
+      running.erase(running.begin());
+      pass();
+    }
+    const auto burst = rng.bernoulli(0.1) ? rng.uniform_int(1, 6) : 0;
+    for (std::int64_t b = 0; b < burst; ++b) {
+      // Wide heads block; narrow jobs arrive behind them and backfill.
+      const auto nodes = rng.bernoulli(0.2) ? rng.uniform_int(128, 384)
+                                            : rng.uniform_int(1, 48);
+      s.submit(job(id++, static_cast<std::size_t>(nodes),
+                   0.25 + 7.75 * rng.uniform(), now));
+      pass();
+    }
+    if (!running.empty() && rng.bernoulli(0.4)) {
+      const auto& r = running[pick()];
+      s.set_expected_end(r.second, r.first);  // the same end: no change
+      pass();
+    }
+    if (!running.empty() && rng.bernoulli(0.05)) {
+      auto& r = running[pick()];
+      r.first = r.first + Duration::hours(rng.uniform(0.05, 0.5));
+      s.set_expected_end(r.second, r.first);
+      pass();
+    }
+    now += Duration::minutes(rng.uniform(1.0, 15.0));
+  }
+  log.passes = s.passes_total();
+  return log;
+}
+
+TEST(Scheduler, SettledPassPruneMatchesTheFullScanReference) {
+  for (const std::size_t depth : {1u, 3u, 200u}) {
+    for (const std::uint64_t seed : {3u, 11u, 29u}) {
+      const ChurnLog got = fifo_churn<Scheduler>(depth, seed);
+      const ChurnLog want = fifo_churn<ReferenceScheduler>(depth, seed);
+      EXPECT_GT(want.starts.size(), 900u) << depth << '/' << seed;
+      EXPECT_EQ(got.passes, want.passes) << depth << '/' << seed;
+      EXPECT_EQ(got.starts, want.starts) << depth << '/' << seed;
+    }
+  }
+}
+
+/// Starts of a two-pass scenario: jobs 1 (50 nodes) and 2 (30 nodes) run
+/// from `t0`, job 1 expected to end at `shadow_end`; head job 3 needs 60 of
+/// the 100 nodes, so job 4 (15 nodes, walltime `w`) fits the 20 free nodes
+/// but not the 10 left at the shadow.  It is rejected at `t0`, then the
+/// queue is passed again at `t1` with nothing else changed.
+template <class Sched>
+std::vector<JobId> pass_again(SimTime t0, SimTime shadow_end, Duration w,
+                              SimTime t1) {
+  Sched s({100, 200});
+  std::vector<JobId> started;
+  const auto pass = [&](SimTime now) {
+    for (const JobStart& st : s.schedule_pass(now)) {
+      started.push_back(st.job.id);
+    }
+  };
+  s.submit(job(1, 50, 10.0, t0));
+  s.submit(job(2, 30, 10.0, t0));
+  pass(t0);
+  s.set_expected_end(1, shadow_end);
+  s.submit(job(3, 60, 10.0, t0));
+  JobSpec probe = job(4, 15, 1.0, t0);
+  probe.requested_walltime = w;
+  s.submit(probe);
+  pass(t0);
+  pass(t1);
+  return started;
+}
+
+TEST(Scheduler, APassThatBackfilledIsNotCarriedOver) {
+  // A backfill into the shadow slack uses up part of it: the next pass
+  // must see 5 spare nodes at the shadow, not the 30 of the pass before.
+  const auto run = [](auto s) {
+    std::vector<JobId> started;
+    const auto pass = [&](SimTime now) {
+      for (const JobStart& st : s.schedule_pass(now)) {
+        started.push_back(st.job.id);
+      }
+    };
+    s.submit(job(1, 60, 2.0));  // the shadow: 100 nodes free at 2 h
+    pass(SimTime(0.0));
+    s.submit(job(2, 70, 1.0));   // head; 30 spare at the shadow
+    s.submit(job(3, 25, 10.0));  // backfills into the slack
+    pass(SimTime(0.0));
+    s.submit(job(4, 10, 10.0));  // each fits the 15 free, not the 5 spare
+    s.submit(job(5, 10, 10.0));
+    pass(SimTime(60.0));
+    return started;
+  };
+  const std::vector<JobId> want = run(ReferenceScheduler({100, 200}));
+  EXPECT_EQ(want, (std::vector<JobId>{1, 3}));
+  EXPECT_EQ(run(Scheduler({100, 200})), want);
+}
+
+TEST(Scheduler, SettledPassFallsBackWhenAWalltimeVanishesInLaterTimes) {
+  // Job 4 ends after the shadow at t0, but at t1 its walltime is below
+  // half an ulp of `now`, so now + w == now and it ends "by" the shadow.
+  const SimTime t0(1e9);
+  const SimTime t1(2e9);
+  const Duration w = Duration::seconds(1e-7);
+  ASSERT_GT(t0 + w, t0);
+  ASSERT_EQ(t1 + w, t1);
+  const auto want = pass_again<ReferenceScheduler>(t0, t0, w, t1);
+  EXPECT_EQ(want, (std::vector<JobId>{1, 2, 4}));
+  EXPECT_EQ(pass_again<Scheduler>(t0, t0, w, t1), want);
+}
+
+TEST(Scheduler, SettledPassRunsInFullWhenTimeGoesBack) {
+  // At t0 job 4 would end an hour after the shadow; two hours earlier it
+  // ends an hour before it.
+  const SimTime t0(36000.0);
+  const auto want = pass_again<ReferenceScheduler>(
+      t0, t0 + Duration::hours(1.0), Duration::hours(2.0),
+      t0 - Duration::hours(2.0));
+  EXPECT_EQ(want, (std::vector<JobId>{1, 2, 4}));
+  EXPECT_EQ(pass_again<Scheduler>(t0, t0 + Duration::hours(1.0),
+                                  Duration::hours(2.0),
+                                  t0 - Duration::hours(2.0)),
+            want);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "sim/facility_sim.hpp"
@@ -395,6 +397,29 @@ TEST_F(FacilitySimTest, TraceReplayRunsExactlyTheGivenJobs) {
   }
 }
 
+TEST_F(FacilitySimTest, TraceReplayRejectsDuplicateIdsBeforeRunning) {
+  // Ids key the running set; a repeat would finish the wrong job.
+  std::vector<JobSpec> jobs;
+  for (const JobId id : {1u, 2u, 1u}) {
+    JobSpec j;
+    j.id = id;
+    j.app = "VASP (production)";
+    j.nodes = 4;
+    j.ref_runtime = Duration::hours(1.0);
+    j.requested_walltime = Duration::hours(2.0);
+    j.submit_time = start() + Duration::hours(1.0);
+    jobs.push_back(std::move(j));
+  }
+  FacilitySimulator sim(cat_, small_config(59));
+  try {
+    sim.run_trace(jobs, start(), start() + Duration::days(1.0));
+    FAIL() << "a repeated id must be rejected";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "run_trace: duplicate job id in trace: 1");
+  }
+  EXPECT_TRUE(sim.completed().empty());
+}
+
 TEST_F(FacilitySimTest, TraceReplayRejectsUnknownApps) {
   std::vector<JobSpec> jobs(1);
   jobs[0].id = 1;
@@ -449,6 +474,34 @@ TEST_F(FacilitySimTest, TraceWindowBoundariesAreHalfOpen) {
   EXPECT_TRUE(ids.count(1));
   EXPECT_TRUE(ids.count(2));
   EXPECT_FALSE(ids.count(3));
+}
+
+// Tier-1 counterpart of the benchmark's job-stream check: a micro run
+// pins the completed-job count, the scheduler's pass count and a digest of
+// every completed record.  The values were recorded when the scheduler
+// still placed nodes itself and re-examined the whole backfill window on
+// every pass; any change to a scheduling decision moves them.
+TEST_F(FacilitySimTest, MicroRunPinsTheJobStreamAndSchedulerPasses) {
+  FacilitySimulator sim(cat_, small_config(43));
+  sim.run(start(), start() + Duration::days(3.0));
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a offset basis
+  const auto mix = [&digest](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      digest ^= (v >> (8 * b)) & 0xffu;
+      digest *= 1099511628211ull;
+    }
+  };
+  for (const JobRecord& r : sim.completed()) {
+    mix(r.spec.id);
+    mix(r.spec.nodes);
+    mix(std::bit_cast<std::uint64_t>(r.start_time.sec()));
+    mix(std::bit_cast<std::uint64_t>(r.end_time.sec()));
+    mix(std::bit_cast<std::uint64_t>(r.node_energy.j()));
+  }
+  EXPECT_EQ(sim.completed().size(), 299u);
+  EXPECT_EQ(sim.scheduler().started_total(), 344u);
+  EXPECT_EQ(sim.scheduler().passes_total(), 644u);
+  EXPECT_EQ(digest, 9843065373204172113ull);
 }
 
 TEST_F(FacilitySimTest, EnergyConservationAcrossAccountingViews) {

@@ -123,8 +123,6 @@ TEST(RequireAlloc, SchedulerMessages) {
             "Scheduler::finish: job not running: 42");
   EXPECT_EQ(message_of([&] { s.set_expected_end(7, SimTime(0.0)); }),
             "Scheduler::set_expected_end: job not running: 7");
-  EXPECT_EQ(message_of([&] { (void)s.allocation(9); }),
-            "Scheduler::allocation: job not running: 9");
   JobSpec wide;
   wide.id = 1;
   wide.app = "wide app";

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 
 #include "util/error.hpp"
 #include "workload/trace.hpp"
@@ -62,6 +63,60 @@ TEST(Trace, MalformedInputThrows) {
   EXPECT_THROW(jobs_from_csv(header + "1,x,abc,100,0,200,,1\n"), ParseError);
   EXPECT_THROW(jobs_from_csv(header + "1,x,4,100,0,200,3.70+turbo,1\n"),
                ParseError);
+}
+
+/// The ParseError text `jobs_from_csv` gives for `rows`, or "accepted".
+std::string trace_error(const std::string& rows) {
+  const std::string header =
+      "id,app,nodes,ref_runtime_s,submit_s,walltime_s,user_pstate,silicon\n";
+  try {
+    (void)jobs_from_csv(header + rows);
+  } catch (const ParseError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Trace, NegativeWidthIsAOneLineParseError) {
+  EXPECT_EQ(trace_error("1,x,-3,100,0,200,,1\n"),
+            "job trace: bad nodes: -3 (must be an integer in [1, 2^53])");
+  EXPECT_EQ(trace_error("1,x,0,100,0,200,,1\n"),
+            "job trace: bad nodes: 0 (must be an integer in [1, 2^53])");
+  EXPECT_EQ(trace_error("1,x,2.5,100,0,200,,1\n"),
+            "job trace: bad nodes: 2.5 (must be an integer in [1, 2^53])");
+  EXPECT_EQ(trace_error("1,x,1e30,100,0,200,,1\n"),
+            "job trace: bad nodes: 1e30 (must be an integer in [1, 2^53])");
+}
+
+TEST(Trace, FractionalIdIsAOneLineParseError) {
+  EXPECT_EQ(trace_error("2.5,x,4,100,0,200,,1\n"),
+            "job trace: bad id: 2.5 (must be an integer in [0, 2^53])");
+  EXPECT_EQ(trace_error("-1,x,4,100,0,200,,1\n"),
+            "job trace: bad id: -1 (must be an integer in [0, 2^53])");
+  EXPECT_EQ(trace_error("nan,x,4,100,0,200,,1\n"),
+            "job trace: bad id: nan (must be an integer in [0, 2^53])");
+}
+
+TEST(Trace, IdAbove2To53IsAOneLineParseError) {
+  EXPECT_EQ(trace_error("1e30,x,4,100,0,200,,1\n"),
+            "job trace: bad id: 1e30 (must be an integer in [0, 2^53])");
+  EXPECT_EQ(trace_error("9007199254740994,x,4,100,0,200,,1\n"),
+            "job trace: bad id: 9007199254740994 (must be an integer in "
+            "[0, 2^53])");
+  const auto jobs = jobs_from_csv(
+      "id,app,nodes,ref_runtime_s,submit_s,walltime_s,user_pstate,silicon\n"
+      "0,x,1,100,0,200,,1\n"
+      "9007199254740992,x,4,100,0,200,,1\n");
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].id, 0u);
+  EXPECT_EQ(jobs[1].id, 9007199254740992u);
+}
+
+TEST(Trace, RepeatedIdIsAOneLineParseError) {
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "2,y,4,100,0,200,,1\n"
+                        "1,z,8,100,60,200,,1\n"),
+            "job trace: duplicate id: 1");
 }
 
 TEST(Trace, RecordsExportHasAccountingColumns) {
