@@ -5,12 +5,16 @@
 #include <iostream>
 
 #include "core/report.hpp"
-#include "core/scenario.hpp"
+#include "core/scenario_library.hpp"
 
 int main() {
   using namespace hpcem;
-  const Facility facility = Facility::archer2();
-  const ScenarioRunner runner(facility);
-  std::cout << render_conclusions(runner.conclusions()) << '\n';
+  const auto run = [](const char* name) {
+    return FacilityAssembly(load_named_scenario(name)).run();
+  };
+  const TimelineResult f1 = run("figure1");
+  const TimelineResult f2 = run("figure2");
+  const TimelineResult f3 = run("figure3");
+  std::cout << render_conclusions(conclusions(f1, f2, f3)) << '\n';
   return 0;
 }

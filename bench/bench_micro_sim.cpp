@@ -7,8 +7,8 @@
 #include <cmath>
 #include <deque>
 
-#include "core/assembly.hpp"
 #include "core/facility.hpp"
+#include "core/scenario_library.hpp"
 #include "sched/allocator.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
@@ -164,19 +164,21 @@ BENCHMARK(BM_NodeAllocatorChurn)->Unit(benchmark::kMillisecond);
 // (ISSUE 7 acceptance: >=3x end-to-end on this configuration).
 void BM_FacilitySimFullScale(benchmark::State& state) {
   const auto days = static_cast<double>(state.range(0));
-  static const Facility facility = Facility::archer2();
-  const SimTime start = sim_time_from_date({2022, 4, 1});
-  const SimTime end = start + Duration::days(days);
+  ScenarioSpec spec = load_named_scenario("archer2-baseline");
+  spec.seed = 42;
+  spec.window_start = sim_time_from_date({2022, 4, 1});
+  spec.window_end = spec.window_start + Duration::days(days);
+  spec.warmup = Duration::days(0.0);
+  spec.changes.push_back({spec.window_start + Duration::days(days / 2.0),
+                          OperatingPolicy::performance_determinism()});
+  const FacilityAssembly assembly(spec);
   std::int64_t samples = 0;
   std::int64_t jobs = 0;
   std::int64_t passes = 0;
   for (auto _ : state) {
-    auto sim = facility.make_simulator(42);
-    sim->schedule_policy_change(start + Duration::days(days / 2.0),
-                                OperatingPolicy::performance_determinism());
-    sim->run(start, end);
+    const auto sim = assembly.run_simulator();
     samples += static_cast<std::int64_t>(
-        sim->telemetry().series(sim->cabinet_channel()).total_appended());
+        sim->telemetry().series(sim->cabinet_channel()).size());
     jobs += static_cast<std::int64_t>(sim->completed().size());
     passes += static_cast<std::int64_t>(sim->scheduler().passes_total());
   }
@@ -266,7 +268,7 @@ void BM_RecorderIngestString(benchmark::State& state) {
       if (++c == names.size()) c = 0;
     }
     benchmark::DoNotOptimize(
-        recorder.channel(names.front()).total_appended());
+        recorder.channel(names.front()).size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(samples));
@@ -287,38 +289,12 @@ void BM_RecorderIngestHandle(benchmark::State& state) {
       if (++c == ids.size()) c = 0;
     }
     benchmark::DoNotOptimize(
-        recorder.series(ids.front()).total_appended());
+        recorder.series(ids.front()).size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(samples));
 }
 BENCHMARK(BM_RecorderIngestHandle)->Arg(1000000)->Unit(benchmark::kMillisecond);
-
-// Same ingest with a bounded raw-sample budget: aggregates stay exact while
-// retention decimates the stored stream.
-void BM_RecorderIngestHandleBounded(benchmark::State& state) {
-  const auto samples = static_cast<std::size_t>(state.range(0));
-  const auto& names = ingest_channel_names();
-  const auto& w = ingest_workload(samples);
-  for (auto _ : state) {
-    Recorder recorder;
-    recorder.set_max_raw_samples(4096);
-    std::vector<ChannelId> ids;
-    for (const auto& name : names) ids.push_back(recorder.declare(name, "kW"));
-    std::size_t c = 0;
-    for (std::size_t i = 0; i < samples; ++i) {
-      recorder.record(ids[c], w.times[i], w.values[i]);
-      if (++c == ids.size()) c = 0;
-    }
-    benchmark::DoNotOptimize(
-        recorder.series(ids.front()).total_appended());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(samples));
-}
-BENCHMARK(BM_RecorderIngestHandleBounded)
-    ->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
 
 // Campaign fan-out: eight two-week micro-machine scenarios on a worker
 // pool.  The merged result is bit-identical for every worker count; what

@@ -4,18 +4,20 @@
 #include <iostream>
 
 #include "core/accounting.hpp"
-#include "core/facility.hpp"
+#include "core/scenario_library.hpp"
 
 int main() {
   using namespace hpcem;
-  const Facility facility = Facility::archer2();
-  auto sim = facility.make_simulator(/*seed=*/404);
-  const SimTime start = sim_time_from_date({2022, 2, 1});
-  const SimTime end = start + Duration::days(21.0);
-  sim->run(start - Duration::days(10.0), end);
+  ScenarioSpec spec = load_named_scenario("archer2-baseline");
+  spec.seed = 404;
+  spec.window_start = sim_time_from_date({2022, 2, 1});
+  spec.window_end = spec.window_start + Duration::days(21.0);
+  spec.warmup = Duration::days(10.0);
+  const FacilityAssembly assembly(spec);
+  const auto sim = assembly.run_simulator();
 
   const UsageBreakdown usage =
-      account_usage(sim->completed(), facility.catalog(),
+      account_usage(sim->completed(), assembly.facility().catalog(),
                     CarbonIntensity::g_per_kwh(200.0));
   std::cout << render_usage_breakdown(usage) << '\n';
   std::cout << "Three simulated weeks at 200 gCO2/kWh.  The area mix "

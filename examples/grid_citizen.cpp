@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/facility.hpp"
+#include "core/scenario_library.hpp"
 #include "grid/demand_response.hpp"
 #include "util/text_table.hpp"
 
@@ -56,13 +57,17 @@ int main() {
   // lever is therefore pulled with lead time, as a real demand-response
   // notification would allow.
   const Duration lead = Duration::hours(10.0);
-  auto sim = facility.make_simulator(/*seed=*/31);
-  sim->set_policy(OperatingPolicy::performance_determinism());
+  ScenarioSpec spec = load_named_scenario("archer2-baseline");
+  spec.seed = 31;
+  spec.window_start = week;
+  spec.window_end = week + Duration::days(5.0);
+  spec.warmup = Duration::days(7.0);
+  spec.policy = OperatingPolicy::performance_determinism();
   for (const auto& ev : schedule.events()) {
     const PolicyOption& chosen = choose_policy_for_cap(levers, ev.cabinet_cap);
-    sim->schedule_policy_change(ev.start - lead, chosen.policy);
-    sim->schedule_policy_change(
-        ev.end, OperatingPolicy::performance_determinism());
+    spec.changes.push_back({ev.start - lead, chosen.policy});
+    spec.changes.push_back(
+        {ev.end, OperatingPolicy::performance_determinism()});
     cal.add_row({iso_date_time(ev.start) + " .. " + iso_date_time(ev.end),
                  TextTable::grouped(ev.cabinet_cap.kw()) + " kW",
                  TextTable::grouped(chosen.predicted_cabinet.kw()) + " kW",
@@ -70,7 +75,8 @@ int main() {
   }
   std::cout << cal.str() << '\n';
 
-  sim->run(week - Duration::days(7.0), week + Duration::days(5.0));
+  const FacilityAssembly assembly(spec);
+  const auto sim = assembly.run_simulator();
 
   // Verify the response from the telemetry over the last hour of each
   // window, when the turnover decay has largely completed.

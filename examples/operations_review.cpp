@@ -10,8 +10,8 @@
 
 #include "core/accounting.hpp"
 #include "core/energy.hpp"
-#include "core/facility.hpp"
 #include "core/metrics.hpp"
+#include "core/scenario_library.hpp"
 #include "grid/carbon.hpp"
 #include "telemetry/forecast.hpp"
 #include "util/ascii_plot.hpp"
@@ -19,14 +19,17 @@
 
 int main() {
   using namespace hpcem;
-  const Facility facility = Facility::archer2();
-
   // One production month under the post-change configuration.
-  const SimTime start = sim_time_from_date({2023, 1, 1});
-  const SimTime end = sim_time_from_date({2023, 2, 1});
-  auto sim = facility.make_simulator(/*seed=*/1701);
-  sim->set_policy(OperatingPolicy::low_frequency_default());
-  sim->run(start - Duration::days(14.0), end);
+  ScenarioSpec spec = load_named_scenario("archer2-baseline");
+  spec.seed = 1701;
+  spec.window_start = sim_time_from_date({2023, 1, 1});
+  spec.window_end = sim_time_from_date({2023, 2, 1});
+  spec.warmup = Duration::days(14.0);
+  spec.policy = OperatingPolicy::low_frequency_default();
+  const FacilityAssembly assembly(spec);
+  const auto sim = assembly.run_simulator();
+  const SimTime start = spec.window_start;
+  const SimTime end = spec.window_end;
 
   const TimeSeries cabinet =
       sim->telemetry().channel(channels::kCabinetKw).slice(start, end);
@@ -58,7 +61,7 @@ int main() {
       CarbonIntensityParams{}, start, end, Rng(3)));
   const CarbonIntensity month_ci = intensity.mean(start, end);
   std::cout << render_usage_breakdown(account_usage(
-                   sim->completed(), facility.catalog(), month_ci))
+                   sim->completed(), assembly.facility().catalog(), month_ci))
             << "(attributed at the month's mean intensity of "
             << TextTable::num(month_ci.gkwh(), 0) << " gCO2/kWh)\n\n";
 

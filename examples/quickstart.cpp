@@ -1,4 +1,4 @@
-// Quickstart: build the ARCHER2 facility model, run a two-week facility
+// Quickstart: load the baseline scenario, run a two-week ARCHER2 facility
 // simulation under the baseline operating policy, and account the energy,
 // cost and scope-2 emissions of the run.
 //
@@ -10,17 +10,27 @@
 #include <iostream>
 
 #include "core/energy.hpp"
-#include "core/facility.hpp"
 #include "core/metrics.hpp"
+#include "core/scenario_library.hpp"
 #include "grid/carbon.hpp"
 #include "util/text_table.hpp"
 
 int main() {
   using namespace hpcem;
 
-  // 1. The machine.  Facility::archer2() carries the full Table 1/Table 2
-  //    calibration; everything below derives from it.
-  const Facility facility = Facility::archer2();
+  // 1. The scenario and the machine.  The committed baseline scenario
+  //    (scenarios/archer2-baseline.json) runs the ARCHER2 model, which
+  //    carries the full Table 1/Table 2 calibration; everything below
+  //    derives from it.  Narrow it to two weeks of production at the
+  //    baseline policy (power determinism, 2.25 GHz + turbo default) after
+  //    a 7-day warm-up.
+  ScenarioSpec spec = load_named_scenario("archer2-baseline");
+  spec.seed = 2024;
+  spec.window_start = sim_time_from_date({2022, 2, 1});
+  spec.window_end = spec.window_start + Duration::days(14.0);
+  spec.warmup = Duration::days(7.0);
+  const FacilityAssembly assembly(spec);
+  const Facility& facility = assembly.facility();
   std::cout << "Facility: " << facility.name() << " — "
             << TextTable::grouped(
                    static_cast<double>(facility.inventory().compute_nodes))
@@ -29,15 +39,12 @@ int main() {
                    static_cast<double>(facility.inventory().total_cores()))
             << " cores\n\n";
 
-  // 2. Simulate two weeks of production at the baseline policy
-  //    (power determinism, 2.25 GHz + turbo default).
-  const SimTime start = sim_time_from_date({2022, 2, 1});
-  const SimTime end = start + Duration::days(14.0);
-  auto sim = facility.make_simulator(/*seed=*/2024);
-  sim->set_policy(OperatingPolicy::baseline());
+  // 2. Simulate the window.
+  const SimTime start = spec.window_start;
+  const SimTime end = spec.window_end;
   std::cout << "Simulating " << iso_date(date_from_sim_time(start)) << " .. "
             << iso_date(date_from_sim_time(end)) << " ...\n";
-  sim->run(start - Duration::days(7.0), end);  // 7-day warm-up
+  const auto sim = assembly.run_simulator();
 
   const PowerKw mean_kw = sim->mean_cabinet_kw(start, end);
   const double util = sim->mean_utilisation(start, end);

@@ -3,7 +3,6 @@
 #include <span>
 #include <utility>
 
-#include "core/scenario_library.hpp"
 #include "telemetry/seasonal.hpp"
 
 #include "util/error.hpp"
@@ -51,10 +50,6 @@ void validate(const ScenarioSpec& spec) {
             "ScenarioSpec '", spec.name,
             "': turbo pin fraction must be in [0,1]");
   }
-  if (spec.telemetry_max_raw_samples) {
-    require(*spec.telemetry_max_raw_samples >= 2, "ScenarioSpec '", spec.name,
-            "': telemetry retention cap must be >= 2");
-  }
 }
 
 }  // namespace
@@ -69,29 +64,10 @@ std::optional<SimTime> ScenarioSpec::first_change_in_window() const {
   return first;
 }
 
-// The paper campaigns live as data in the committed scenario library;
-// these accessors are thin loads so every existing call site keeps
-// working while scenarios/*.json is the single source of truth.
-ScenarioSpec ScenarioSpec::figure1() { return load_named_scenario("figure1"); }
-
-ScenarioSpec ScenarioSpec::figure2() { return load_named_scenario("figure2"); }
-
-ScenarioSpec ScenarioSpec::figure3() { return load_named_scenario("figure3"); }
-
-ScenarioSpec ScenarioSpec::archer2_baseline() {
-  return load_named_scenario("archer2-baseline");
-}
-
 FacilityAssembly::FacilityAssembly(ScenarioSpec spec)
     : spec_(std::move(spec)),
-      owned_(std::make_shared<const Facility>(build_machine(spec_.machine))),
-      facility_(owned_.get()) {
-  validate(spec_);
-}
-
-FacilityAssembly::FacilityAssembly(const Facility& facility,
-                                   ScenarioSpec spec)
-    : spec_(std::move(spec)), owned_(nullptr), facility_(&facility) {
+      facility_(
+          std::make_shared<const Facility>(build_machine(spec_.machine))) {
   validate(spec_);
 }
 
@@ -107,21 +83,13 @@ FacilitySimConfig FacilityAssembly::sim_config(std::uint64_t seed) const {
   if (spec_.user_turbo_pin_fraction) {
     cfg.gen.user_turbo_pin_fraction = *spec_.user_turbo_pin_fraction;
   }
-  if (spec_.telemetry_max_raw_samples) {
-    cfg.telemetry_max_raw_samples = *spec_.telemetry_max_raw_samples;
-  }
   return cfg;
 }
 
 SimComposition FacilityAssembly::composition(
     const FacilitySimConfig& config) const {
-  SimComposition c;
-  c.sources.push_back(std::make_unique<NodeFleetSource>(
-      config.node_params, spec_.idle_policy));
-  c.sources.push_back(std::make_unique<SwitchFabricSource>(
-      config.switch_model, config.inventory.switches));
-  c.sources.push_back(std::make_unique<CabinetOverheadSource>(
-      config.cabinet_model, config.inventory.cabinets));
+  SimComposition c =
+      FacilitySimulator::standard_composition(config, spec_.idle_policy);
   if (spec_.model_cdus) {
     c.sources.push_back(std::make_unique<CduSource>(
         CduPowerModel{}, config.inventory.cdus));
@@ -135,8 +103,6 @@ SimComposition FacilityAssembly::composition(
     c.sources.push_back(std::make_unique<CoolingOverheadSource>(
         CoolingModel{}, *spec_.cooling_outdoor_c));
   }
-  c.probes.push_back(std::make_unique<UtilisationProbe>());
-  c.probes.push_back(std::make_unique<QueueStateProbe>());
   return c;
 }
 
@@ -160,20 +126,13 @@ std::unique_ptr<FacilitySimulator> FacilityAssembly::make_simulator(
 }
 
 std::unique_ptr<FacilitySimulator> FacilityAssembly::run_simulator() const {
-  return run_simulator(spec_.seed);
-}
-
-std::unique_ptr<FacilitySimulator> FacilityAssembly::run_simulator(
-    std::uint64_t seed) const {
-  auto sim = make_simulator(seed);
+  auto sim = make_simulator();
   sim->run(spec_.window_start - spec_.warmup, spec_.window_end);
   return sim;
 }
 
-TimelineResult FacilityAssembly::run() const { return run(spec_.seed); }
-
-TimelineResult FacilityAssembly::run(std::uint64_t seed) const {
-  const auto sim = run_simulator(seed);
+TimelineResult FacilityAssembly::run() const {
+  const auto sim = run_simulator();
   return analyze_timeline(*sim, spec_);
 }
 
@@ -231,6 +190,22 @@ TimelineResult analyze_timeline(const FacilitySimulator& sim,
     }
   }
   return r;
+}
+
+Conclusions conclusions(const TimelineResult& fig1,
+                        const TimelineResult& fig2,
+                        const TimelineResult& fig3) {
+  Conclusions c;
+  c.baseline_kw = fig1.mean_kw;
+  c.after_bios_kw = fig2.mean_after_kw;
+  c.after_freq_kw = fig3.mean_after_kw;
+  c.bios_saving_kw = c.baseline_kw - c.after_bios_kw;
+  c.bios_saving_fraction = c.bios_saving_kw / c.baseline_kw;
+  c.freq_saving_kw = c.after_bios_kw - c.after_freq_kw;
+  c.freq_saving_fraction = c.freq_saving_kw / c.baseline_kw;
+  c.total_saving_kw = c.baseline_kw - c.after_freq_kw;
+  c.total_saving_fraction = c.total_saving_kw / c.baseline_kw;
+  return c;
 }
 
 CampaignScenario make_campaign_scenario(

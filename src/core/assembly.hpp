@@ -93,9 +93,6 @@ struct ScenarioSpec {
   std::optional<double> metering_noise_sigma;
   std::optional<double> offered_load;
   std::optional<double> user_turbo_pin_fraction;
-  /// Memory-bounded telemetry retention: per-channel raw-sample cap for
-  /// long campaigns (aggregates stay exact; raw samples are decimated).
-  std::optional<std::size_t> telemetry_max_raw_samples;
 
   /// Optional plant components appended to the standard composition
   /// (outside the cabinet metering boundary; extra telemetry channels).
@@ -119,15 +116,6 @@ struct ScenarioSpec {
   /// First scheduled change strictly inside the window, if any (the
   /// before/after split instant for analysis).
   [[nodiscard]] std::optional<SimTime> first_change_in_window() const;
-
-  /// The paper's three measurement campaigns (Figures 1-3) on the
-  /// flagship machine, loaded from the committed scenario library
-  /// (scenarios/figure1.json etc. via core/scenario_library.hpp).
-  [[nodiscard]] static ScenarioSpec figure1();
-  [[nodiscard]] static ScenarioSpec figure2();
-  [[nodiscard]] static ScenarioSpec figure3();
-  /// The canonical steady-state baseline window (same as figure1).
-  [[nodiscard]] static ScenarioSpec archer2_baseline();
 };
 
 /// Result of one scenario run.
@@ -150,7 +138,8 @@ struct TimelineResult {
   SimTime window_end;
 };
 
-/// Builds the canonical configuration and simulators for one spec.
+/// Builds the canonical configuration and simulators for one spec: the one
+/// path from a scenario description to a running simulator.
 ///
 /// Immutable after construction, so a const assembly may be shared across
 /// campaign worker threads; every make_simulator() call produces a fresh
@@ -160,10 +149,6 @@ class FacilityAssembly {
   /// Assemble the machine named by spec.machine.
   explicit FacilityAssembly(ScenarioSpec spec);
 
-  /// Assemble over an existing machine model (what-if studies, custom
-  /// facilities).  The facility must outlive the assembly.
-  FacilityAssembly(const Facility& facility, ScenarioSpec spec);
-
   [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
   [[nodiscard]] const Facility& facility() const { return *facility_; }
 
@@ -171,31 +156,31 @@ class FacilityAssembly {
   [[nodiscard]] FacilitySimConfig sim_config(std::uint64_t seed) const;
 
   /// The component list for this spec: the standard cabinet-boundary
-  /// breakdown plus any plant extras the spec asks for.
+  /// breakdown (FacilitySimulator::standard_composition, with the spec's
+  /// idle policy) plus any plant extras the spec asks for.
   [[nodiscard]] SimComposition composition(
       const FacilitySimConfig& config) const;
 
   /// A ready-to-run simulator: configuration built, policy set, changes
-  /// and maintenance armed.  Call sim->run(spec window - warmup, end), or
-  /// use run_simulator()/run() below.
+  /// and maintenance armed.  Call sim->run(spec window - warmup, end) (or
+  /// sim->run_trace), or use run_simulator()/run() below.  The seeded
+  /// overload serves the campaign layer's per-replicate streams.
   [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator() const;
   [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator(
       std::uint64_t seed) const;
 
-  /// Build and run to completion (warmup + window); returns the simulator
-  /// for telemetry/job-record access.
+  /// Build and run to completion (warmup + window) at the spec's seed;
+  /// returns the simulator for telemetry/job-record access.
   [[nodiscard]] std::unique_ptr<FacilitySimulator> run_simulator() const;
-  [[nodiscard]] std::unique_ptr<FacilitySimulator> run_simulator(
-      std::uint64_t seed) const;
 
   /// Build, run and analyse the measurement window.
   [[nodiscard]] TimelineResult run() const;
-  [[nodiscard]] TimelineResult run(std::uint64_t seed) const;
 
  private:
   ScenarioSpec spec_;
-  std::shared_ptr<const Facility> owned_;  ///< null when external
-  const Facility* facility_;
+  /// Shared so simulators' catalogue pointers stay valid if the assembly
+  /// moves.
+  std::shared_ptr<const Facility> facility_;
 };
 
 /// Window analysis on a finished run: slice the cabinet channel, compute
@@ -204,6 +189,25 @@ class FacilityAssembly {
 /// telemetry.
 [[nodiscard]] TimelineResult analyze_timeline(const FacilitySimulator& sim,
                                               const ScenarioSpec& spec);
+
+/// §5 conclusions: the three campaign means and the derived savings.
+struct Conclusions {
+  PowerKw baseline_kw;
+  PowerKw after_bios_kw;
+  PowerKw after_freq_kw;
+  PowerKw bios_saving_kw;
+  double bios_saving_fraction = 0.0;
+  PowerKw freq_saving_kw;
+  double freq_saving_fraction = 0.0;  ///< vs the original baseline
+  PowerKw total_saving_kw;
+  double total_saving_fraction = 0.0;
+};
+
+/// Conclusions from the figure 1 (baseline), figure 2 (BIOS change) and
+/// figure 3 (frequency change) campaign results.
+[[nodiscard]] Conclusions conclusions(const TimelineResult& fig1,
+                                      const TimelineResult& fig2,
+                                      const TimelineResult& fig3);
 
 /// Bind a spec-built assembly into a campaign scenario (sim/campaign.hpp).
 /// The returned factory shares the assembly immutably across workers.

@@ -84,11 +84,6 @@ FacilitySimConfig Facility::sim_config(std::uint64_t seed) const {
   return cfg;
 }
 
-std::unique_ptr<FacilitySimulator> Facility::make_simulator(
-    std::uint64_t seed) const {
-  return std::make_unique<FacilitySimulator>(catalog_, sim_config(seed));
-}
-
 std::vector<HardwareSummaryRow> Facility::hardware_summary() const {
   std::vector<HardwareSummaryRow> rows;
   rows.push_back({"Compute nodes",

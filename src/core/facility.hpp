@@ -62,12 +62,9 @@ class Facility {
     return *power_model_;
   }
 
-  /// Default simulator configuration for this machine.
+  /// Default simulator configuration for this machine (simulators are
+  /// built from a ScenarioSpec through core/assembly.hpp).
   [[nodiscard]] FacilitySimConfig sim_config(std::uint64_t seed) const;
-
-  /// Build a ready-to-run simulator.
-  [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator(
-      std::uint64_t seed) const;
 
   /// Table 1 reproduction: the hardware summary rows.
   [[nodiscard]] std::vector<HardwareSummaryRow> hardware_summary() const;

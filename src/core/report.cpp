@@ -129,7 +129,7 @@ std::string render_emissions_sweep(
   return os.str();
 }
 
-std::string render_conclusions(const ScenarioRunner::Conclusions& c) {
+std::string render_conclusions(const Conclusions& c) {
   TextTable t({"Quantity", "Model", "Paper"},
               {Align::kLeft, Align::kRight, Align::kRight});
   t.add_row({"Baseline cabinet power (kW)",

@@ -9,11 +9,11 @@
 #include <string>
 #include <vector>
 
+#include "core/assembly.hpp"
 #include "core/efficiency.hpp"
 #include "core/emissions.hpp"
 #include "core/facility.hpp"
 #include "core/run_artifact.hpp"
-#include "core/scenario.hpp"
 #include "power/facility_power.hpp"
 
 namespace hpcem {
@@ -40,8 +40,7 @@ namespace hpcem {
     const std::vector<EmissionsScenario>& rows);
 
 /// §5: conclusions summary, model vs paper headline numbers.
-[[nodiscard]] std::string render_conclusions(
-    const ScenarioRunner::Conclusions& c);
+[[nodiscard]] std::string render_conclusions(const Conclusions& c);
 
 /// Frequency sweep table for one application (examples/advisor).
 [[nodiscard]] std::string render_frequency_sweep(

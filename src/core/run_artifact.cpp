@@ -388,7 +388,7 @@ ChannelAggregate aggregate_channel(const std::string& name,
   ChannelAggregate c;
   c.name = name;
   c.unit = series.unit();
-  c.samples = series.total_appended();
+  c.samples = series.size();
   if (c.samples > 0) {
     c.mean = series.mean();
     c.min = series.value_min();
@@ -497,12 +497,7 @@ RunArtifact make_run_artifact(const ScenarioOutcome& outcome,
 }
 
 RunArtifact run_spec_artifact(const FacilityAssembly& assembly) {
-  return run_spec_artifact(assembly, assembly.spec().seed);
-}
-
-RunArtifact run_spec_artifact(const FacilityAssembly& assembly,
-                              std::uint64_t seed) {
-  const auto sim = assembly.run_simulator(seed);
+  const auto sim = assembly.run_simulator();
   const TimelineResult result = analyze_timeline(*sim, assembly.spec());
   return make_run_artifact(*sim, assembly.spec(), result);
 }

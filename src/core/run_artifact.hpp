@@ -11,9 +11,10 @@
 // long-format CSV.  Two artifacts with the same schema diff cleanly, which
 // makes "did the replay match the meter?" a file diff.
 //
-// Producers: `FacilityAssembly` / the figure benches (simulation runs),
-// `CampaignRunner` results via `make_campaign_artifacts`, `hpcem_replay`
-// (trace replays) and `hpcem_analyze` (real telemetry CSVs).
+// Producers: `run_spec_artifact` / the figure benches (simulation runs of
+// a `FacilityAssembly`), `CampaignRunner` results via
+// `make_campaign_artifacts`, `hpcem_replay` (trace replays through an
+// assembly's simulator) and `hpcem_analyze` (real telemetry CSVs).
 #pragma once
 
 #include <optional>
@@ -33,7 +34,7 @@ namespace hpcem {
 struct ChannelAggregate {
   std::string name;
   std::string unit;
-  /// Samples ever appended (survives retention decimation).
+  /// Samples ever appended.
   std::size_t samples = 0;
   double mean = 0.0;
   double min = 0.0;
@@ -156,8 +157,6 @@ struct RunArtifact {
 /// Run an assembled spec end-to-end (simulate, analyse, package): the
 /// one-call producer the figure benches use.
 [[nodiscard]] RunArtifact run_spec_artifact(const FacilityAssembly& assembly);
-[[nodiscard]] RunArtifact run_spec_artifact(const FacilityAssembly& assembly,
-                                            std::uint64_t seed);
 
 /// Write `<basename>.artifact.json` (and, when the artifact carries channel
 /// aggregates, `<basename>.aggregates.csv`); returns the JSON path.

@@ -493,8 +493,7 @@ JsonValue scenario_to_json(const ScenarioSpec& spec) {
   }
 
   if (spec.sample_interval || spec.metering_noise_sigma ||
-      spec.offered_load || spec.user_turbo_pin_fraction ||
-      spec.telemetry_max_raw_samples) {
+      spec.offered_load || spec.user_turbo_pin_fraction) {
     JsonValue ov = JsonValue::object();
     if (spec.sample_interval) {
       ov.set("sample_interval_s", spec.sample_interval->sec());
@@ -505,9 +504,6 @@ JsonValue scenario_to_json(const ScenarioSpec& spec) {
     if (spec.offered_load) ov.set("offered_load", *spec.offered_load);
     if (spec.user_turbo_pin_fraction) {
       ov.set("user_turbo_pin_fraction", *spec.user_turbo_pin_fraction);
-    }
-    if (spec.telemetry_max_raw_samples) {
-      ov.set("telemetry_max_raw_samples", *spec.telemetry_max_raw_samples);
     }
     o.set("overrides", std::move(ov));
   }
@@ -656,8 +652,7 @@ ScenarioSpec scenario_from_json(const JsonValue& v) {
     const auto& oobj = expect_object(*ov, "$.overrides");
     reject_unknown(oobj, "$.overrides",
                    {"sample_interval_s", "metering_noise_sigma",
-                    "offered_load", "user_turbo_pin_fraction",
-                    "telemetry_max_raw_samples"});
+                    "offered_load", "user_turbo_pin_fraction"});
     if (const JsonValue* s = ov->get("sample_interval_s")) {
       const double sec =
           expect_number(*s, "$.overrides.sample_interval_s");
@@ -686,14 +681,6 @@ ScenarioSpec scenario_from_json(const JsonValue& v) {
         fail("$.overrides.user_turbo_pin_fraction", "must be in [0,1]");
       }
       spec.user_turbo_pin_fraction = f;
-    }
-    if (const JsonValue* s = ov->get("telemetry_max_raw_samples")) {
-      const std::uint64_t cap = expect_integer(
-          *s, "$.overrides.telemetry_max_raw_samples", 9007199254740992.0);
-      if (cap < 2) {
-        fail("$.overrides.telemetry_max_raw_samples", "must be >= 2");
-      }
-      spec.telemetry_max_raw_samples = static_cast<std::size_t>(cap);
     }
   }
 

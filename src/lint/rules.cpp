@@ -691,9 +691,8 @@ class NoIncludeCycleRule final : public Rule {
 // Scenarios are data, not code: every harness under bench/ and tools/ must
 // take its `ScenarioSpec` from the committed library (scenarios/*.json via
 // load_named_scenario / load_scenario_file / parse_scenario /
-// scenario_from_json, or the core figure factories that wrap them).  A
-// hard-coded literal assembly in a harness silently forks the scenario's
-// source of truth away from the schema-checked files.
+// scenario_from_json).  A hard-coded literal assembly in a harness silently
+// forks the scenario's source of truth away from the schema-checked files.
 class ScenarioInDataRule final : public Rule {
  public:
   [[nodiscard]] std::string_view name() const override {
@@ -708,8 +707,7 @@ class ScenarioInDataRule final : public Rule {
     if (!file.in_dir("bench/") && !file.in_dir("tools/")) return;
     static constexpr std::array kLoaders = {
         "load_named_scenario", "load_scenario_file", "parse_scenario",
-        "scenario_from_json",  "figure1",            "figure2",
-        "figure3",             "archer2_baseline"};
+        "scenario_from_json"};
     const Tokens& toks = file.tokens;
     for (std::size_t i = 0; i < toks.size(); ++i) {
       if (!toks[i].is_identifier("ScenarioSpec")) continue;

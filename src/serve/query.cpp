@@ -429,7 +429,7 @@ JsonValue QueryEngine::window_aggregate(const QueryRequest& r) const {
   WindowAggregate w;
   if (!r.start && !r.end) {
     // No window: the whole channel, answered exactly from the streaming
-    // aggregates (which also count samples retention decimated away).
+    // aggregates.
     w.samples = a.samples;
     w.mean = a.mean;
     w.min = a.min;

@@ -32,10 +32,10 @@ const obs::Counter& samples_counter() {
 }  // namespace
 
 SimComposition FacilitySimulator::standard_composition(
-    const FacilitySimConfig& config) {
+    const FacilitySimConfig& config, IdlePowerPolicy idle) {
   SimComposition c;
   c.sources.push_back(
-      std::make_unique<NodeFleetSource>(config.node_params));
+      std::make_unique<NodeFleetSource>(config.node_params, idle));
   c.sources.push_back(std::make_unique<SwitchFabricSource>(
       config.switch_model, config.inventory.switches));
   c.sources.push_back(std::make_unique<CabinetOverheadSource>(
@@ -69,9 +69,6 @@ FacilitySimulator::FacilitySimulator(const AppCatalog& catalog,
   sched_cfg.weights = config_.sched_weights;
   scheduler_ = std::make_unique<Scheduler>(sched_cfg);
 
-  if (config_.telemetry_max_raw_samples != 0) {
-    recorder_.set_max_raw_samples(config_.telemetry_max_raw_samples);
-  }
   cabinet_channel_ = recorder_.declare(channels::kCabinetKw, "kW");
   source_channels_.reserve(composition_.sources.size());
   for (const auto& source : composition_.sources) {

@@ -47,11 +47,6 @@ struct FacilitySimConfig {
   Duration sample_interval = Duration::minutes(30.0);
   /// Multiplicative per-sample metering noise (std dev).
   double metering_noise_sigma = 0.006;
-  /// Memory-bounded telemetry retention: cap on retained raw samples per
-  /// channel (0 = keep everything).  Channel aggregates stay exact; raw
-  /// samples are decimated once a channel exceeds the cap — see
-  /// TimeSeries::set_max_raw_samples.
-  std::size_t telemetry_max_raw_samples = 0;
   std::uint64_t seed = 0xA2C4E6;
 };
 
@@ -67,9 +62,9 @@ class FacilitySimulator {
                     SimComposition composition);
 
   /// The canonical cabinet-boundary breakdown for a configuration — what
-  /// the two-argument constructor installs.
+  /// the two-argument constructor installs (with the default idle policy).
   [[nodiscard]] static SimComposition standard_composition(
-      const FacilitySimConfig& config);
+      const FacilitySimConfig& config, IdlePowerPolicy idle = {});
 
   /// Policy for jobs started from now on (running jobs keep their settings,
   /// as on the real service where the frequency is fixed at job launch).

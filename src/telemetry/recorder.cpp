@@ -29,7 +29,6 @@ ChannelId Recorder::declare(const std::string& name,
   const auto idx = static_cast<std::uint32_t>(channels_.size());
   channels_.push_back(
       std::make_unique<Channel>(Channel{name, TimeSeries(unit)}));
-  if (max_raw_ != 0) channels_.back()->series.set_max_raw_samples(max_raw_);
   index_.emplace(name, idx);
   return ChannelId(idx);
 }
@@ -64,11 +63,6 @@ const std::string& Recorder::name(ChannelId id) const {
   return channels_[id.index()]->name;
 }
 
-void Recorder::set_max_raw_samples(std::size_t cap) {
-  max_raw_ = cap;
-  for (auto& ch : channels_) ch->series.set_max_raw_samples(cap);
-}
-
 TimeSeries& Recorder::channel(const std::string& name,
                               const std::string& unit) {
   return channels_[declare(name, unit).index()]->series;
@@ -101,7 +95,7 @@ void Recorder::record(const std::string& name, SimTime t, double value) {
 
 std::uint64_t Recorder::total_appended() const {
   std::uint64_t total = 0;
-  for (const auto& c : channels_) total += c->series.total_appended();
+  for (const auto& c : channels_) total += c->series.size();
   return total;
 }
 

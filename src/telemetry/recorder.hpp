@@ -85,14 +85,9 @@ class Recorder {
 
   [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
 
-  /// Total samples ever appended across all channels (survives retention
-  /// decimation).  The obs ingest counter is fed from this in bulk.
+  /// Total samples ever appended across all channels.  The obs ingest
+  /// counter is fed from this in bulk.
   [[nodiscard]] std::uint64_t total_appended() const;
-
-  /// Bound retained raw samples per channel (applies to every current and
-  /// future channel; 0 = unbounded).  Aggregates stay exact; see
-  /// TimeSeries::set_max_raw_samples.
-  void set_max_raw_samples(std::size_t cap);
 
   // -- String-keyed API (composition-time setup, tools, tests). -------------
 
@@ -128,7 +123,6 @@ class Recorder {
   std::vector<std::unique_ptr<Channel>> channels_;
   // Sorted name -> index intern map (also drives export ordering).
   std::map<std::string, std::uint32_t> index_;
-  std::size_t max_raw_ = 0;
 };
 
 /// Fixed-width rolling window over a scalar stream (mean/min/max).

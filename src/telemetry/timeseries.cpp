@@ -3,56 +3,28 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace hpcem {
 
-void TimeSeries::set_max_raw_samples(std::size_t cap) {
-  require(cap == 0 || cap >= 2,
-          "TimeSeries::set_max_raw_samples: cap must be 0 (unbounded) or "
-          ">= 2");
-  max_raw_ = cap;
-  enforce_retention();
-}
-
-void TimeSeries::enforce_retention() {
-  while (max_raw_ != 0 && samples_.size() > max_raw_) {
-    static const obs::Counter decimations("telemetry.decimation.events",
-                                          "events");
-    static const obs::Counter dropped("telemetry.decimation.dropped_samples",
-                                      "samples");
-    const std::size_t before = samples_.size();
-    // Keep even positions: the retained set stays a uniform subsample of
-    // the appended stream (indices that are multiples of the new stride).
-    for (std::size_t i = 0; 2 * i < samples_.size(); ++i) {
-      samples_[i] = samples_[2 * i];
-    }
-    samples_.resize((samples_.size() + 1) / 2);
-    keep_stride_ *= 2;
-    decimations.add();
-    dropped.add(before - samples_.size());
-  }
-}
-
 double TimeSeries::value_min() const {
-  require_state(total_appended_ > 0, "TimeSeries::value_min: empty series");
+  require_state(!samples_.empty(), "TimeSeries::value_min: empty series");
   return min_;
 }
 
 double TimeSeries::value_max() const {
-  require_state(total_appended_ > 0, "TimeSeries::value_max: empty series");
+  require_state(!samples_.empty(), "TimeSeries::value_max: empty series");
   return max_;
 }
 
 SimTime TimeSeries::start_time() const {
-  require_state(total_appended_ > 0, "TimeSeries::start_time: empty series");
-  return first_time_;
+  require_state(!samples_.empty(), "TimeSeries::start_time: empty series");
+  return samples_.front().time;
 }
 
 SimTime TimeSeries::end_time() const {
-  require_state(total_appended_ > 0, "TimeSeries::end_time: empty series");
-  return last_time_;
+  require_state(!samples_.empty(), "TimeSeries::end_time: empty series");
+  return samples_.back().time;
 }
 
 Duration TimeSeries::span() const { return end_time() - start_time(); }
@@ -95,8 +67,8 @@ double TimeSeries::mean_over(SimTime start, SimTime end) const {
 }
 
 double TimeSeries::mean() const {
-  require_state(total_appended_ > 0, "TimeSeries::mean: empty series");
-  return sum_.value() / static_cast<double>(total_appended_);
+  require_state(!samples_.empty(), "TimeSeries::mean: empty series");
+  return sum_.value() / static_cast<double>(samples_.size());
 }
 
 Summary TimeSeries::summary() const {

@@ -1,6 +1,6 @@
 #include "workload/trace.hpp"
 
-#include <cmath>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -25,15 +25,20 @@ double parse_double(const std::string& s, const char* field) {
 }
 
 /// An integer field in [min, 2^53], the range a double holds exactly.
+/// Only decimal digits are accepted, read exactly (no sign, exponent or
+/// fraction), so 2^53 + 1 is rejected rather than rounded to 2^53.
 std::uint64_t parse_integer(const std::string& s, const char* field,
                             std::uint64_t min) {
-  const double v = parse_double(s, field);
-  if (!(v >= static_cast<double>(min) && v <= 0x1p53 && v == std::floor(v))) {
+  constexpr std::uint64_t kMax = std::uint64_t{1} << 53;
+  std::uint64_t v = 0;
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, v);
+  if (ec != std::errc{} || ptr != last || v < min || v > kMax) {
     throw ParseError(std::string("job trace: bad ") + field + ": " + s +
                      " (must be an integer in [" + std::to_string(min) +
                      ", 2^53])");
   }
-  return static_cast<std::uint64_t>(v);
+  return v;
 }
 
 std::string pstate_code(const PState& p) {

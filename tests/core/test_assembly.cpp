@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/scenario.hpp"
+#include "core/scenario_library.hpp"
 #include "util/error.hpp"
 
 namespace hpcem {
@@ -35,34 +35,19 @@ TEST(Assembly, MatchesHandAssembledSimulatorBitForBit) {
   const auto a = assembly.run_simulator();
 
   const Facility facility = Facility::testbed();
-  auto b = facility.make_simulator(99);
-  b->set_policy(OperatingPolicy::baseline());
-  b->schedule_policy_change(change,
-                            OperatingPolicy::performance_determinism());
-  b->run(t0() - Duration::days(7.0), t0() + Duration::days(14.0));
+  FacilitySimulator b(facility.catalog(), facility.sim_config(99));
+  b.set_policy(OperatingPolicy::baseline());
+  b.schedule_policy_change(change,
+                           OperatingPolicy::performance_determinism());
+  b.run(t0() - Duration::days(7.0), t0() + Duration::days(14.0));
 
   const auto& sa = a->telemetry().channel(channels::kCabinetKw);
-  const auto& sb = b->telemetry().channel(channels::kCabinetKw);
+  const auto& sb = b.telemetry().channel(channels::kCabinetKw);
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) {
     ASSERT_EQ(sa[i].value, sb[i].value);
   }
-  EXPECT_EQ(a->completed().size(), b->completed().size());
-}
-
-TEST(Assembly, ScenarioRunnerDelegatesToTheSameResult) {
-  const Facility facility = Facility::testbed();
-  ScenarioRunner runner(facility, 99);
-  runner.set_warmup(Duration::days(7.0));
-  const TimelineResult via_runner = runner.run_campaign(
-      t0(), t0() + Duration::days(14.0), OperatingPolicy::baseline(),
-      std::nullopt, std::nullopt);
-
-  ScenarioSpec spec = testbed_spec();
-  const TimelineResult via_assembly = FacilityAssembly(facility, spec).run();
-  EXPECT_EQ(via_runner.mean_kw, via_assembly.mean_kw);
-  EXPECT_EQ(via_runner.mean_utilisation, via_assembly.mean_utilisation);
-  ASSERT_EQ(via_runner.cabinet_kw.size(), via_assembly.cabinet_kw.size());
+  EXPECT_EQ(a->completed().size(), b.completed().size());
 }
 
 TEST(Assembly, SpecOverridesReachTheSimConfig) {
@@ -96,19 +81,19 @@ TEST(Assembly, MachineModelsSelectTheRightInventory) {
 }
 
 TEST(Assembly, CannedSpecsMatchThePaperCampaigns) {
-  const ScenarioSpec f1 = ScenarioSpec::figure1();
+  const ScenarioSpec f1 = load_named_scenario("figure1");
   EXPECT_EQ(f1.window_start.sec(),
             sim_time_from_date({2021, 12, 1}).sec());
   EXPECT_EQ(f1.window_end.sec(), sim_time_from_date({2022, 5, 1}).sec());
   EXPECT_TRUE(f1.changes.empty());
 
-  const ScenarioSpec f2 = ScenarioSpec::figure2();
+  const ScenarioSpec f2 = load_named_scenario("figure2");
   ASSERT_EQ(f2.changes.size(), 1u);
   EXPECT_EQ(f2.changes[0].at.sec(),
             sim_time_from_date({2022, 5, 9}).sec());
   ASSERT_TRUE(f2.first_change_in_window().has_value());
 
-  const ScenarioSpec f3 = ScenarioSpec::figure3();
+  const ScenarioSpec f3 = load_named_scenario("figure3");
   ASSERT_EQ(f3.changes.size(), 1u);
   EXPECT_EQ(f3.changes[0].at.sec(),
             sim_time_from_date({2022, 12, 1}).sec());

@@ -100,8 +100,6 @@ TEST_F(FacilityTest, SimConfigCarriesFacilitySettings) {
   EXPECT_EQ(cfg.inventory.compute_nodes, 5860u);
   EXPECT_EQ(cfg.seed, 123u);
   EXPECT_NEAR(cfg.gen.offered_load, 0.91, 1e-12);
-  auto sim = f_.make_simulator(123);
-  ASSERT_NE(sim, nullptr);
 }
 
 TEST_F(FacilityTest, CustomFacilityValidatesFabric) {
@@ -132,10 +130,10 @@ TEST(TestbedFacility, SmallMachineSamePhysics) {
           .w();
   EXPECT_DOUBLE_EQ(tb_draw, a2_draw);
   // It simulates end to end.
-  auto sim = tb.make_simulator(5);
+  FacilitySimulator sim(tb.catalog(), tb.sim_config(5));
   const SimTime t0 = sim_time_from_date({2022, 6, 1});
-  sim->run(t0, t0 + Duration::days(3.0));
-  EXPECT_GT(sim->completed().size(), 50u);
+  sim.run(t0, t0 + Duration::days(3.0));
+  EXPECT_GT(sim.completed().size(), 50u);
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST_F(ReportTest, EmissionsSweepListsRegimes) {
 }
 
 TEST_F(ReportTest, ConclusionsTableCarriesPaperColumn) {
-  ScenarioRunner::Conclusions c;
+  Conclusions c;
   c.baseline_kw = PowerKw{3254.0};
   c.after_bios_kw = PowerKw{3024.0};
   c.after_freq_kw = PowerKw{2493.0};

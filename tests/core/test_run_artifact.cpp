@@ -12,6 +12,7 @@
 #include "core/assembly.hpp"
 #include "core/report.hpp"
 #include "core/run_artifact.hpp"
+#include "core/scenario_library.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
 #include "obs/registry.hpp"
@@ -181,7 +182,7 @@ TEST(RunArtifact, AggregateChannelMatchesSeriesAccumulators) {
 }
 
 TEST(RunArtifact, MicroSimulationProducesConsistentArtifact) {
-  ScenarioSpec spec = ScenarioSpec::figure2();
+  ScenarioSpec spec = load_named_scenario("figure2");
   spec.machine = MachineModel::kMicro;
   spec.name = "micro-fig2";
   const FacilityAssembly assembly(spec);
@@ -215,7 +216,7 @@ TEST(RunArtifact, MicroSimulationProducesConsistentArtifact) {
 // wall-clock mode, only the artifact's `obs` member may differ from a run
 // with collection off: no timing value reaches a simulated byte.
 TEST(RunArtifact, ObsCollectionLeavesSimulatedBytesUnchanged) {
-  ScenarioSpec spec = ScenarioSpec::figure2();
+  ScenarioSpec spec = load_named_scenario("figure2");
   spec.machine = MachineModel::kMicro;
   spec.name = "micro-fig2";
   const FacilityAssembly assembly(spec);
@@ -234,7 +235,7 @@ TEST(RunArtifact, ObsCollectionLeavesSimulatedBytesUnchanged) {
 }
 
 TEST(RunArtifact, CampaignArtifactsCarryReplicateMeans) {
-  ScenarioSpec spec = ScenarioSpec::figure2();
+  ScenarioSpec spec = load_named_scenario("figure2");
   spec.machine = MachineModel::kMicro;
   spec.name = "camp";
   spec.window_end = spec.window_start + Duration::days(14.0);

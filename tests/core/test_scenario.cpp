@@ -1,9 +1,8 @@
-// Unit tests for the campaign runner, on the fast testbed facility (the
-// full ARCHER2 campaigns are covered by the integration reproduction
-// suite).
+// Campaign specs run on the fast testbed machine (the full ARCHER2
+// campaigns are covered by the integration reproduction suite).
 #include <gtest/gtest.h>
 
-#include "core/scenario.hpp"
+#include "core/assembly.hpp"
 #include "util/error.hpp"
 
 namespace hpcem {
@@ -11,20 +10,29 @@ namespace {
 
 class ScenarioTest : public ::testing::Test {
  protected:
-  Facility tb_ = Facility::testbed();
-  ScenarioRunner runner_{tb_, /*seed=*/99};
-
-  void SetUp() override { runner_.set_warmup(Duration::days(7.0)); }
-
   static SimTime day(int offset) {
     return sim_time_from_date({2022, 6, 1}) + Duration::days(offset);
+  }
+
+  /// A testbed campaign over [day(start), day(end)) under `policy`, at
+  /// seed 99 after a 7-day warm-up.
+  static ScenarioSpec campaign(int start, int end,
+                               const OperatingPolicy& policy) {
+    ScenarioSpec spec;
+    spec.name = "campaign";
+    spec.machine = MachineModel::kTestbed;
+    spec.window_start = day(start);
+    spec.window_end = day(end);
+    spec.warmup = Duration::days(7.0);
+    spec.seed = 99;
+    spec.policy = policy;
+    return spec;
   }
 };
 
 TEST_F(ScenarioTest, NoChangeCampaignHasEqualMeans) {
-  const TimelineResult r = runner_.run_campaign(
-      day(0), day(21), OperatingPolicy::baseline(), std::nullopt,
-      std::nullopt);
+  const TimelineResult r =
+      FacilityAssembly(campaign(0, 21, OperatingPolicy::baseline())).run();
   EXPECT_DOUBLE_EQ(r.mean_before_kw.kw(), r.mean_kw.kw());
   EXPECT_DOUBLE_EQ(r.mean_after_kw.kw(), r.mean_kw.kw());
   EXPECT_FALSE(r.change_time.has_value());
@@ -33,9 +41,9 @@ TEST_F(ScenarioTest, NoChangeCampaignHasEqualMeans) {
 }
 
 TEST_F(ScenarioTest, ChangeCampaignStepsDown) {
-  const TimelineResult r = runner_.run_campaign(
-      day(0), day(28), OperatingPolicy::baseline(), day(14),
-      OperatingPolicy::low_frequency_default());
+  ScenarioSpec spec = campaign(0, 28, OperatingPolicy::baseline());
+  spec.changes.push_back({day(14), OperatingPolicy::low_frequency_default()});
+  const TimelineResult r = FacilityAssembly(spec).run();
   EXPECT_LT(r.mean_after_kw, r.mean_before_kw * 0.90);
   ASSERT_TRUE(r.detected.has_value());
   // The recovered changepoint lands within two days of the rollout.
@@ -44,25 +52,12 @@ TEST_F(ScenarioTest, ChangeCampaignStepsDown) {
 
 TEST_F(ScenarioTest, PolicyOrderingHoldsOnTheTestbed) {
   // The same three-level cascade as the flagship machine, at 1/11 scale.
-  const double base =
-      runner_
-          .run_campaign(day(0), day(14), OperatingPolicy::baseline(),
-                        std::nullopt, std::nullopt)
-          .mean_kw.kw();
-  ScenarioRunner r2(tb_, 99);
-  r2.set_warmup(Duration::days(7.0));
-  const double perfdet =
-      r2.run_campaign(day(0), day(14),
-                      OperatingPolicy::performance_determinism(),
-                      std::nullopt, std::nullopt)
-          .mean_kw.kw();
-  ScenarioRunner r3(tb_, 99);
-  r3.set_warmup(Duration::days(7.0));
-  const double lowfreq =
-      r3.run_campaign(day(0), day(14),
-                      OperatingPolicy::low_frequency_default(),
-                      std::nullopt, std::nullopt)
-          .mean_kw.kw();
+  const auto mean_kw = [](const OperatingPolicy& policy) {
+    return FacilityAssembly(campaign(0, 14, policy)).run().mean_kw.kw();
+  };
+  const double base = mean_kw(OperatingPolicy::baseline());
+  const double perfdet = mean_kw(OperatingPolicy::performance_determinism());
+  const double lowfreq = mean_kw(OperatingPolicy::low_frequency_default());
   EXPECT_GT(base, perfdet);
   EXPECT_GT(perfdet, lowfreq);
   // Scale sanity: ~512/5860 of the flagship's levels plus plant floors.
@@ -71,20 +66,9 @@ TEST_F(ScenarioTest, PolicyOrderingHoldsOnTheTestbed) {
 }
 
 TEST_F(ScenarioTest, ValidationErrors) {
-  EXPECT_THROW(runner_.run_campaign(day(10), day(0),
-                                    OperatingPolicy::baseline(),
-                                    std::nullopt, std::nullopt),
-               InvalidArgument);
-  // Change and after-policy must come together.
-  EXPECT_THROW(runner_.run_campaign(day(0), day(10),
-                                    OperatingPolicy::baseline(), day(5),
-                                    std::nullopt),
-               InvalidArgument);
-  // Change must fall inside the window.
-  EXPECT_THROW(runner_.run_campaign(
-                   day(0), day(10), OperatingPolicy::baseline(), day(20),
-                   OperatingPolicy::performance_determinism()),
-               InvalidArgument);
+  EXPECT_THROW(
+      FacilityAssembly{campaign(10, 0, OperatingPolicy::baseline())},
+      InvalidArgument);
 }
 
 }  // namespace

@@ -139,10 +139,6 @@ ScenarioSpec random_spec(Rng& rng) {
   if (rng.bernoulli(0.3)) {
     spec.user_turbo_pin_fraction = rng.uniform(0.0, 1.0);
   }
-  if (rng.bernoulli(0.2)) {
-    spec.telemetry_max_raw_samples =
-        static_cast<std::size_t>(rng.uniform_int(2, 100000));
-  }
 
   if (rng.bernoulli(0.3)) spec.model_cdus = true;
   if (rng.bernoulli(0.3)) spec.model_filesystems = true;

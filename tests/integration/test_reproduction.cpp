@@ -8,7 +8,7 @@
 #include <memory>
 
 #include "core/report.hpp"
-#include "core/scenario.hpp"
+#include "core/scenario_library.hpp"
 
 namespace hpcem {
 namespace {
@@ -16,29 +16,26 @@ namespace {
 class ReproductionTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    facility_ = std::make_unique<Facility>(Facility::archer2());
-    runner_ = std::make_unique<ScenarioRunner>(*facility_);
-    fig1_ = std::make_unique<TimelineResult>(runner_->figure1());
-    fig2_ = std::make_unique<TimelineResult>(runner_->figure2());
-    fig3_ = std::make_unique<TimelineResult>(runner_->figure3());
+    fig1_ = run("figure1");
+    fig2_ = run("figure2");
+    fig3_ = run("figure3");
   }
   static void TearDownTestSuite() {
     fig3_.reset();
     fig2_.reset();
     fig1_.reset();
-    runner_.reset();
-    facility_.reset();
   }
 
-  static std::unique_ptr<Facility> facility_;
-  static std::unique_ptr<ScenarioRunner> runner_;
+  static std::unique_ptr<TimelineResult> run(const std::string& name) {
+    return std::make_unique<TimelineResult>(
+        FacilityAssembly(load_named_scenario(name)).run());
+  }
+
   static std::unique_ptr<TimelineResult> fig1_;
   static std::unique_ptr<TimelineResult> fig2_;
   static std::unique_ptr<TimelineResult> fig3_;
 };
 
-std::unique_ptr<Facility> ReproductionTest::facility_;
-std::unique_ptr<ScenarioRunner> ReproductionTest::runner_;
 std::unique_ptr<TimelineResult> ReproductionTest::fig1_;
 std::unique_ptr<TimelineResult> ReproductionTest::fig2_;
 std::unique_ptr<TimelineResult> ReproductionTest::fig3_;

@@ -3,20 +3,32 @@
 // (2 weeks either side of the change) keep each seed's run fast.
 #include <gtest/gtest.h>
 
-#include "core/scenario.hpp"
+#include "core/assembly.hpp"
 
 namespace hpcem {
 namespace {
 
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  Facility facility_ = Facility::archer2();
+  /// A flagship campaign over [start, end) at this seed, switching from
+  /// `before` to `after` at `change`, after a 20-day warm-up.
+  [[nodiscard]] TimelineResult run_campaign(
+      SimTime start, SimTime end, const OperatingPolicy& before,
+      SimTime change, const OperatingPolicy& after) const {
+    ScenarioSpec spec;
+    spec.name = "campaign";
+    spec.window_start = start;
+    spec.window_end = end;
+    spec.warmup = Duration::days(20.0);
+    spec.seed = GetParam();
+    spec.policy = before;
+    spec.changes.push_back({change, after});
+    return FacilityAssembly(spec).run();
+  }
 };
 
 TEST_P(SeedSweep, BiosSavingStableAcrossSeeds) {
-  ScenarioRunner runner(facility_, GetParam());
-  runner.set_warmup(Duration::days(20.0));
-  const TimelineResult r = runner.run_campaign(
+  const TimelineResult r = run_campaign(
       sim_time_from_date({2022, 4, 25}), sim_time_from_date({2022, 5, 23}),
       OperatingPolicy::baseline(), sim_time_from_date({2022, 5, 9}),
       OperatingPolicy::performance_determinism());
@@ -28,9 +40,7 @@ TEST_P(SeedSweep, BiosSavingStableAcrossSeeds) {
 }
 
 TEST_P(SeedSweep, FrequencySavingStableAcrossSeeds) {
-  ScenarioRunner runner(facility_, GetParam());
-  runner.set_warmup(Duration::days(20.0));
-  const TimelineResult r = runner.run_campaign(
+  const TimelineResult r = run_campaign(
       sim_time_from_date({2022, 11, 17}),
       sim_time_from_date({2022, 12, 15}),
       OperatingPolicy::performance_determinism(),

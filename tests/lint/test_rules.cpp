@@ -408,6 +408,13 @@ TEST(ScenarioInData, FlagsLiteralAssemblyInBenchAndTools) {
       "tools/hpcem_x.cpp",
       "ScenarioSpec spec{\"name\", Machine::kMicro};\n");
   EXPECT_EQ(count_rule(tool, "scenario-in-data"), 1u);
+
+  // A call that merely names a figure is not a library load.
+  const auto factory = lint_one(
+      "bench/bench_v.cpp",
+      "ScenarioSpec e = ScenarioSpec::figure2();\n"
+      "const ScenarioSpec f = make_archer2_baseline();\n");
+  EXPECT_EQ(count_rule(factory, "scenario-in-data"), 2u);
 }
 
 TEST(ScenarioInData, AllowsSanctionedLoadersAndFactories) {
@@ -417,18 +424,17 @@ TEST(ScenarioInData, AllowsSanctionedLoadersAndFactories) {
       "const ScenarioSpec b = load_scenario_file(path);\n"
       "ScenarioSpec c = parse_scenario(text);\n"
       "ScenarioSpec d = scenario_from_json(doc);\n"
-      "ScenarioSpec e = ScenarioSpec::figure2();\n"
-      "const ScenarioSpec f = ScenarioSpec::archer2_baseline();\n");
+      "ScenarioSpec e = load_named_scenario(\"archer2-baseline\");\n");
   EXPECT_EQ(count_rule(report, "scenario-in-data"), 0u);
 }
 
 TEST(ScenarioInData, IgnoresConsumingUsesAndOtherDirs) {
-  // References/pointers, qualified statics and template arguments consume a
+  // References/pointers, qualified members and template arguments consume a
   // spec; src/ and tests/ may assemble literals (the loader itself must).
   const auto bench = lint_one("bench/bench_z.cpp",
                               "void run(const ScenarioSpec& spec);\n"
                               "std::vector<ScenarioSpec> specs;\n"
-                              "auto g = ScenarioSpec::figure3;\n");
+                              "auto g = &ScenarioSpec::name;\n");
   EXPECT_EQ(count_rule(bench, "scenario-in-data"), 0u);
 
   const auto core = lint_one("src/core/spec_io.cpp",

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "core/run_artifact.hpp"
+#include "core/scenario_library.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
 #include "workload/catalog.hpp"
@@ -90,7 +91,7 @@ TEST_F(CampaignTest, MergedResultBitIdenticalAcrossWorkerCounts) {
 // every worker: the artifact bytes are the same at 1 and 4 workers once
 // the `obs` member (the timings themselves) is cleared.
 TEST_F(CampaignTest, ArtifactBytesWorkerCountInvariantWithObsOn) {
-  ScenarioSpec spec = ScenarioSpec::figure2();
+  ScenarioSpec spec = load_named_scenario("figure2");
   spec.machine = MachineModel::kMicro;
   spec.name = "early";
   spec.window_end = spec.window_start + Duration::days(14.0);

@@ -149,23 +149,6 @@ TEST(Recorder, CsvExportGoldenLayout) {
             "2022-05-09 00:00,util,fraction,0.900000\n");
 }
 
-TEST(Recorder, MaxRawSamplesAppliesToAllChannels) {
-  Recorder rec;
-  const ChannelId a = rec.declare("a", "kW");
-  rec.set_max_raw_samples(64);
-  const ChannelId b = rec.declare("b", "kW");  // declared after the cap
-  for (int i = 0; i < 1000; ++i) {
-    rec.record(a, SimTime(static_cast<double>(i)), 1.0);
-    rec.record(b, SimTime(static_cast<double>(i)), 2.0);
-  }
-  EXPECT_LE(rec.series(a).size(), 64u);
-  EXPECT_LE(rec.series(b).size(), 64u);
-  EXPECT_EQ(rec.series(a).total_appended(), 1000u);
-  EXPECT_EQ(rec.series(b).total_appended(), 1000u);
-  EXPECT_DOUBLE_EQ(rec.series(a).mean(), 1.0);
-  EXPECT_DOUBLE_EQ(rec.series(b).mean(), 2.0);
-}
-
 TEST(RollingWindow, MeanMinMaxOverWindow) {
   RollingWindow w(3);
   w.add(1.0);

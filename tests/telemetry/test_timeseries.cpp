@@ -150,58 +150,12 @@ TEST(TimeSeries, OnlineAggregatesMatchDirectComputation) {
     ts.append(SimTime(60.0 * i), v);
     naive_sum += v;
   }
-  EXPECT_EQ(ts.total_appended(), 500u);
+  EXPECT_EQ(ts.size(), 500u);
   EXPECT_NEAR(ts.value_sum(), naive_sum, 1e-6);
   EXPECT_NEAR(ts.mean(), naive_sum / 500.0, 1e-9);
   EXPECT_LE(ts.value_min(), ts.value_max());
   EXPECT_GE(ts.value_min(), 2900.0);
   EXPECT_LE(ts.value_max(), 3100.0);
-}
-
-TEST(TimeSeries, RetentionCapDecimatesButAggregatesStayExact) {
-  TimeSeries bounded("kW");
-  TimeSeries unbounded("kW");
-  bounded.set_max_raw_samples(100);
-  for (int i = 0; i < 100000; ++i) {
-    const double v = static_cast<double>(i % 1000);
-    bounded.append(SimTime(static_cast<double>(i)), v);
-    unbounded.append(SimTime(static_cast<double>(i)), v);
-  }
-  EXPECT_LE(bounded.size(), 100u);
-  EXPECT_TRUE(bounded.decimated());
-  EXPECT_EQ(bounded.total_appended(), 100000u);
-  // Aggregates are exact — identical to the unbounded series, which saw
-  // the same appends in the same order.
-  EXPECT_EQ(bounded.value_sum(), unbounded.value_sum());
-  EXPECT_EQ(bounded.mean(), unbounded.mean());
-  EXPECT_EQ(bounded.integrate(), unbounded.integrate());
-  EXPECT_EQ(bounded.value_min(), unbounded.value_min());
-  EXPECT_EQ(bounded.value_max(), unbounded.value_max());
-  EXPECT_EQ(bounded.start_time(), unbounded.start_time());
-  EXPECT_EQ(bounded.end_time(), unbounded.end_time());
-}
-
-TEST(TimeSeries, RetainedSamplesAreUniformSubsample) {
-  TimeSeries ts("kW");
-  ts.set_max_raw_samples(16);
-  for (int i = 0; i < 1000; ++i) {
-    ts.append(SimTime(static_cast<double>(i)), static_cast<double>(i));
-  }
-  const std::size_t stride = ts.keep_stride();
-  EXPECT_GT(stride, 1u);
-  // Power-of-two stride; every retained sample sits on a stride multiple.
-  EXPECT_EQ(stride & (stride - 1), 0u);
-  for (const auto& s : ts.samples()) {
-    const auto idx = static_cast<std::size_t>(s.value);
-    EXPECT_EQ(idx % stride, 0u);
-  }
-}
-
-TEST(TimeSeries, RetentionCapValidation) {
-  TimeSeries ts("kW");
-  EXPECT_THROW(ts.set_max_raw_samples(1), InvalidArgument);
-  ts.set_max_raw_samples(0);  // unbounded is fine
-  ts.set_max_raw_samples(2);  // minimum bounded cap is fine
 }
 
 TEST(TimeSeries, WindowBoundsBinarySearch) {
@@ -229,7 +183,7 @@ TEST(TimeSeries, EqualTimestampsAllowed) {
   ts.append(SimTime(0.0), 1.0);
   ts.append(SimTime(0.0), 3.0);
   ts.append(SimTime(1.0), 3.0);
-  EXPECT_EQ(ts.total_appended(), 3u);
+  EXPECT_EQ(ts.size(), 3u);
   EXPECT_DOUBLE_EQ(ts.integrate(), 3.0);
 }
 

@@ -103,6 +103,15 @@ TEST(Trace, IdAbove2To53IsAOneLineParseError) {
   EXPECT_EQ(trace_error("9007199254740994,x,4,100,0,200,,1\n"),
             "job trace: bad id: 9007199254740994 (must be an integer in "
             "[0, 2^53])");
+  // 2^53 + 1 has no double; it is read exactly, not rounded to 2^53.
+  EXPECT_EQ(trace_error("9007199254740993,x,4,100,0,200,,1\n"),
+            "job trace: bad id: 9007199254740993 (must be an integer in "
+            "[0, 2^53])");
+  // Only decimal digits: exponent and fraction spellings are rejected.
+  EXPECT_EQ(trace_error("1e3,x,4,100,0,200,,1\n"),
+            "job trace: bad id: 1e3 (must be an integer in [0, 2^53])");
+  EXPECT_EQ(trace_error("12.0,x,4,100,0,200,,1\n"),
+            "job trace: bad id: 12.0 (must be an integer in [0, 2^53])");
   const auto jobs = jobs_from_csv(
       "id,app,nodes,ref_runtime_s,submit_s,walltime_s,user_pstate,silicon\n"
       "0,x,1,100,0,200,,1\n"

@@ -11,7 +11,7 @@
 #include "core/embodied_audit.hpp"
 #include "core/priorities.hpp"
 #include "core/report.hpp"
-#include "core/scenario.hpp"
+#include "core/scenario_library.hpp"
 #include "telemetry/seasonal.hpp"
 #include "tool_main.hpp"
 #include "util/cli.hpp"
@@ -39,9 +39,10 @@ void print_benchmark_tables(const hpcem::Facility& facility) {
             << render_benchmark_table(analyzer.table4(), "") << '\n';
 }
 
-void print_figures(const hpcem::ScenarioRunner& runner) {
+void print_figures(const hpcem::TimelineResult& f1,
+                   const hpcem::TimelineResult& f2,
+                   const hpcem::TimelineResult& f3) {
   using namespace hpcem;
-  const TimelineResult f1 = runner.figure1();
   std::cout << "## F1 — Figure 1: baseline cabinet power "
                "(Dec 2021 – Apr 2022)\n\n```\n"
             << render_timeline(f1, "") << "```\n\n"
@@ -56,7 +57,6 @@ void print_figures(const hpcem::ScenarioRunner& runner) {
             << " kW, residual sigma "
             << TextTable::num(weekly.residual_stddev, 0) << " kW.\n\n";
 
-  const TimelineResult f2 = runner.figure2();
   std::cout << "## F2 — Figure 2: BIOS change (Apr – May 2022)\n\n```\n"
             << render_timeline(f2, "") << "```\n\n"
             << "Paper: 3,220 → 3,010 kW (−210 kW). Model: **"
@@ -65,7 +65,6 @@ void print_figures(const hpcem::ScenarioRunner& runner) {
             << TextTable::grouped((f2.mean_before_kw - f2.mean_after_kw).kw())
             << " kW).\n\n";
 
-  const TimelineResult f3 = runner.figure3();
   std::cout << "## F3 — Figure 3: frequency change (Nov – Dec 2022)\n\n```\n"
             << render_timeline(f3, "") << "```\n\n"
             << "Paper: 3,010 → 2,530 kW (−480 kW). Model: **"
@@ -86,7 +85,6 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return tools::parse_exit(args);
 
   const Facility facility = Facility::archer2();
-  const ScenarioRunner runner(facility);
 
   std::cout <<
       "# EXPERIMENTS — paper vs model\n\n"
@@ -114,10 +112,17 @@ int main(int argc, char** argv) {
             << '\n';
 
   print_benchmark_tables(facility);
-  print_figures(runner);
+  // Each figure campaign runs once; the conclusions reuse the results.
+  const auto run = [](const char* name) {
+    return FacilityAssembly(load_named_scenario(name)).run();
+  };
+  const TimelineResult f1 = run("figure1");
+  const TimelineResult f2 = run("figure2");
+  const TimelineResult f3 = run("figure3");
+  print_figures(f1, f2, f3);
 
   std::cout << "## C1 — §5 conclusions (`bench_conclusions_summary`)\n\n"
-            << render_conclusions(runner.conclusions()) << '\n';
+            << render_conclusions(conclusions(f1, f2, f3)) << '\n';
 
   const EmissionsModel emissions(EmbodiedAudit::archer2().amortise(6.0),
                                  Power::kilowatts(3220.0 / 0.9));

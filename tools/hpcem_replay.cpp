@@ -11,11 +11,12 @@
 // Example:
 //   hpcem_replay --trace jobs.csv --policy lowfreq --intensity 200
 #include <iostream>
+#include <utility>
 
 #include "core/accounting.hpp"
-#include "core/facility.hpp"
 #include "core/metrics.hpp"
 #include "core/run_artifact.hpp"
+#include "core/scenario_library.hpp"
 #include "obs/session.hpp"
 #include "tool_main.hpp"
 #include "util/cli.hpp"
@@ -80,10 +81,13 @@ int main(int argc, char** argv) {
     const SimTime end =
         last + Duration::hours(args.get_double("pad-hours"));
 
-    const Facility facility = Facility::archer2();
-    auto sim = facility.make_simulator(
-        static_cast<std::uint64_t>(args.get_int("seed")));
-    sim->set_policy(*policy);
+    // The baseline spec supplies the machine; the trace replaces its
+    // workload generator and window.
+    ScenarioSpec spec = load_named_scenario("archer2-baseline");
+    spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    spec.policy = *policy;
+    const FacilityAssembly assembly(std::move(spec));
+    auto sim = assembly.make_simulator();
     sim->run_trace(jobs, first, end);
 
     std::cout << "Replayed " << jobs.size() << " jobs ("
@@ -96,7 +100,7 @@ int main(int argc, char** argv) {
                      compute_service_metrics(sim->completed()))
               << '\n';
     std::cout << render_usage_breakdown(account_usage(
-        sim->completed(), facility.catalog(),
+        sim->completed(), assembly.facility().catalog(),
         CarbonIntensity::g_per_kwh(args.get_double("intensity"))));
 
     if (!args.get("artifact-out").empty()) {
