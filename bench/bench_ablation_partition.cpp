@@ -47,7 +47,6 @@ Result drive(bool partitioned, double highmem_share, std::uint64_t seed) {
       j.partition =
           partitioned && wants_highmem ? "highmem" : "standard";
       j.job.id = next++;
-      j.job.app = "x";
       const std::size_t pool_cap = partitioned && wants_highmem ? 584 : 1024;
       j.job.nodes = static_cast<std::size_t>(
           rng.uniform_int(1, static_cast<std::int64_t>(

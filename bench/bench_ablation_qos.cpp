@@ -22,7 +22,8 @@ int main() {
   auto run = [&](const char* scenario) {
     const ScenarioSpec spec = load_named_scenario(scenario);
     const SimTime start = spec.window_start;
-    const auto sim = FacilityAssembly(spec).run_simulator();
+    const FacilityAssembly assembly(spec);
+    const auto sim = assembly.run_simulator();
     // Wait-hour samples per QoS class (steady-state jobs only).
     std::map<QosClass, std::vector<double>> waits;
     for (const auto& r : sim->completed()) {

@@ -64,7 +64,6 @@ void BM_SchedulerChurn(benchmark::State& state) {
     for (int step = 0; step < 200; ++step) {
       JobSpec j;
       j.id = id++;
-      j.app = "x";
       j.nodes = static_cast<std::size_t>(rng.uniform_int(1, 64));
       j.requested_walltime = Duration::hours(1.0);
       j.submit_time = now;
@@ -97,7 +96,6 @@ void BM_SchedulerShadowChurn(benchmark::State& state) {
     for (int step = 0; step < 2000; ++step) {
       JobSpec j;
       j.id = id++;
-      j.app = "x";
       j.nodes = static_cast<std::size_t>(rng.uniform_int(1, 64));
       j.requested_walltime = Duration::hours(1.0 + 23.0 * rng.uniform());
       j.submit_time = now;

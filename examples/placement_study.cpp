@@ -51,7 +51,6 @@ int main() {
       if (sched.utilisation() < target_load) {
         JobSpec j;
         j.id = next++;
-        j.app = "filler";
         j.nodes = static_cast<std::size_t>(rng.uniform_int(1, 256));
         j.requested_walltime = Duration::hours(2.0);
         j.submit_time = now;
@@ -73,7 +72,6 @@ int main() {
     for (int i = 0; i < 16; ++i) {
       JobSpec j;
       j.id = next++;
-      j.app = "probe";
       j.nodes = 128;
       j.requested_walltime = Duration::hours(1.0);
       j.submit_time = now;

@@ -21,14 +21,14 @@ UsageBreakdown account_usage(const std::vector<JobRecord>& records,
   require(intensity.gkwh() >= 0.0,
           "account_usage: intensity must be >= 0");
   UsageBreakdown b;
+  const std::string unknown = "(unknown)";
   for (const auto& r : records) {
+    const bool known = catalog.contains(r.spec.app);
     const std::string area =
-        catalog.contains(r.spec.app)
-            ? to_string(catalog.at(r.spec.app).spec().area)
-            : std::string("(unknown)");
+        known ? to_string(catalog.at(r.spec.app).spec().area) : unknown;
+    const std::string& app = known ? catalog.name(r.spec.app) : unknown;
     const CarbonMass scope2 = r.node_energy * intensity;
-    for (UsageBucket* bucket :
-         {&b.by_area[area], &b.by_app[r.spec.app], &b.total}) {
+    for (UsageBucket* bucket : {&b.by_area[area], &b.by_app[app], &b.total}) {
       bucket->jobs += 1;
       bucket->node_hours += r.node_hours();
       bucket->energy += r.node_energy;

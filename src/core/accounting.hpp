@@ -41,8 +41,9 @@ struct UsageBreakdown {
   [[nodiscard]] double area_share(const std::string& area) const;
 };
 
-/// Aggregate records against the catalogue's area labels at a flat carbon
-/// intensity.  Unknown applications are grouped under "(unknown)".
+/// Aggregate records against the catalogue's area labels and names at a
+/// flat carbon intensity.  Ids outside the catalogue are grouped under
+/// "(unknown)", as both area and application.
 [[nodiscard]] UsageBreakdown account_usage(
     const std::vector<JobRecord>& records, const AppCatalog& catalog,
     CarbonIntensity intensity);

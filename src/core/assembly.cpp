@@ -106,12 +106,12 @@ SimComposition FacilityAssembly::composition(
   return c;
 }
 
-std::unique_ptr<FacilitySimulator> FacilityAssembly::make_simulator() const {
+std::unique_ptr<FacilitySimulator> FacilityAssembly::make_simulator() const& {
   return make_simulator(spec_.seed);
 }
 
 std::unique_ptr<FacilitySimulator> FacilityAssembly::make_simulator(
-    std::uint64_t seed) const {
+    std::uint64_t seed) const& {
   const FacilitySimConfig cfg = sim_config(seed);
   auto sim = std::make_unique<FacilitySimulator>(facility_->catalog(), cfg,
                                                  composition(cfg));
@@ -125,7 +125,7 @@ std::unique_ptr<FacilitySimulator> FacilityAssembly::make_simulator(
   return sim;
 }
 
-std::unique_ptr<FacilitySimulator> FacilityAssembly::run_simulator() const {
+std::unique_ptr<FacilitySimulator> FacilityAssembly::run_simulator() const& {
   auto sim = make_simulator();
   sim->run(spec_.window_start - spec_.warmup, spec_.window_end);
   return sim;

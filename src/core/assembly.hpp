@@ -165,13 +165,21 @@ class FacilityAssembly {
   /// and maintenance armed.  Call sim->run(spec window - warmup, end) (or
   /// sim->run_trace), or use run_simulator()/run() below.  The seeded
   /// overload serves the campaign layer's per-replicate streams.
-  [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator() const;
+  ///
+  /// The simulator borrows this assembly's catalogue (job records carry
+  /// AppIds only it can name), so the assembly must outlive it: building
+  /// one from a temporary assembly does not compile.
+  [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator() const&;
   [[nodiscard]] std::unique_ptr<FacilitySimulator> make_simulator(
-      std::uint64_t seed) const;
+      std::uint64_t seed) const&;
+  std::unique_ptr<FacilitySimulator> make_simulator() const&& = delete;
+  std::unique_ptr<FacilitySimulator> make_simulator(
+      std::uint64_t seed) const&& = delete;
 
   /// Build and run to completion (warmup + window) at the spec's seed;
   /// returns the simulator for telemetry/job-record access.
-  [[nodiscard]] std::unique_ptr<FacilitySimulator> run_simulator() const;
+  [[nodiscard]] std::unique_ptr<FacilitySimulator> run_simulator() const&;
+  std::unique_ptr<FacilitySimulator> run_simulator() const&& = delete;
 
   /// Build, run and analyse the measurement window.
   [[nodiscard]] TimelineResult run() const;

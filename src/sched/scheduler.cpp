@@ -14,7 +14,7 @@ Scheduler::Scheduler(SchedulerConfig config)
 
 void Scheduler::submit(JobSpec job) {
   require(job.nodes >= 1 && job.nodes <= config_.nodes,
-          "Scheduler::submit: job size must fit the machine: ", job.app);
+          "Scheduler::submit: job size must fit the machine: job ", job.id);
   require(job.requested_walltime.sec() > 0.0,
           "Scheduler::submit: walltime must be positive");
   queue_.push_back(std::move(job));

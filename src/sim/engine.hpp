@@ -37,7 +37,7 @@ enum class SimEventKind : std::uint8_t {
   kSubmit,            ///< payload: caller's job-slot index
   kWorkloadHour,      ///< lazy periodic tick (no payload)
   kSample,            ///< lazy periodic tick (no payload)
-  kFinish,            ///< payload: JobId
+  kFinish,            ///< payload: caller's running-job slot index
 };
 
 /// One due event, as handed to the caller by `next`.

@@ -93,8 +93,8 @@ void FacilitySimulator::run(SimTime start, SimTime end) {
   run_impl({}, /*use_trace=*/false, start, end);
 }
 
-void FacilitySimulator::run_trace(std::vector<JobSpec> jobs, SimTime start,
-                                  SimTime end) {
+void FacilitySimulator::run_trace(const std::vector<JobSpec>& jobs,
+                                  SimTime start, SimTime end) {
   // Job ids key the running set: a repeated id would finish the wrong job.
   std::vector<JobId> ids;
   ids.reserve(jobs.size());
@@ -104,11 +104,11 @@ void FacilitySimulator::run_trace(std::vector<JobSpec> jobs, SimTime start,
     require(ids[i] != ids[i - 1], "run_trace: duplicate job id in trace: ",
             ids[i]);
   }
-  run_impl(std::move(jobs), /*use_trace=*/true, start, end);
+  run_impl(jobs, /*use_trace=*/true, start, end);
 }
 
-void FacilitySimulator::run_impl(std::vector<JobSpec> trace, bool use_trace,
-                                 SimTime start, SimTime end) {
+void FacilitySimulator::run_impl(const std::vector<JobSpec>& trace,
+                                 bool use_trace, SimTime start, SimTime end) {
   require_state(!ran_, "FacilitySimulator::run: may only run once");
   require(end > start, "FacilitySimulator::run: end must follow start");
   ran_ = true;
@@ -150,15 +150,19 @@ void FacilitySimulator::run_impl(std::vector<JobSpec> trace, bool use_trace,
     }
   }
 
+  // The completed log is reserved once, from the job source, rather than
+  // grown by doubling (a doubling holds the old and new buffers at once).
   if (use_trace) {
     // Replay an explicit trace: one submit event per in-window job.
-    for (auto& job : trace) {
+    for (const JobSpec& job : trace) {
       require(catalog_->contains(job.app),
-              "run_trace: unknown application in trace: ", job.app);
+              "run_trace: unknown application id in trace: ",
+              static_cast<std::uint32_t>(job.app), " (catalogue holds ",
+              catalog_->size(), ")");
       if (job.submit_time < start || job.submit_time >= end) continue;
-      const SimTime at = job.submit_time;
-      engine_.schedule_static(at, SimEventKind::kSubmit,
-                              park_job(std::move(job)));
+      engine_.schedule_static(job.submit_time, SimEventKind::kSubmit,
+                              job_slots_.put(job));
+      ++completed_reserved_;
     }
   } else {
     // Hourly on-the-fly workload generation, as a lazy tick train.  The
@@ -170,7 +174,18 @@ void FacilitySimulator::run_impl(std::vector<JobSpec> trace, bool use_trace,
         *catalog_, config_.inventory.compute_nodes, config_.gen,
         rng_.split());
     engine_.set_workload_stream(start, Duration::hours(1.0), end);
+    // Every hour is drawn at the demand scale of one of the policies this
+    // run arms, so the largest of those scales bounds the arrival rate.
+    double max_scale = policy_cache_.demand_scale();
+    for (const OperatingPolicy& policy : armed_policies_) {
+      PolicyFactorCache cache(*catalog_);
+      cache.set_policy(policy);
+      max_scale = std::max(max_scale, cache.demand_scale());
+    }
+    completed_reserved_ =
+        generator_->jobs_upper_estimate((end - start).hrs(), max_scale);
   }
+  completed_.reserve(completed_reserved_);
 
   // Telemetry sampling on a fixed cadence, as a lazy tick train.
   engine_.set_sample_stream(start, config_.sample_interval, end);
@@ -203,7 +218,7 @@ void FacilitySimulator::dispatch(const SimEvent& ev) {
       start_ready_jobs();  // release the accumulated queue
       break;
     case SimEventKind::kSubmit:
-      on_submit(take_job(ev.payload));
+      on_submit(job_slots_.take(ev.payload));
       break;
     case SimEventKind::kWorkloadHour:
       generate_hour(ev.time);
@@ -219,28 +234,11 @@ void FacilitySimulator::dispatch(const SimEvent& ev) {
 
 void FacilitySimulator::generate_hour(SimTime t) {
   HPCEM_OBS_SPAN("sim.workload.generate");
-  for (auto& job : generator_->generate_hour(t, demand_scale())) {
+  for (const JobSpec& job : generator_->generate_hour(t, demand_scale())) {
     if (job.submit_time >= run_end_) continue;
-    const SimTime at = job.submit_time;
-    engine_.schedule(at, SimEventKind::kSubmit, park_job(std::move(job)));
+    engine_.schedule(job.submit_time, SimEventKind::kSubmit,
+                     job_slots_.put(job));
   }
-}
-
-std::uint64_t FacilitySimulator::park_job(JobSpec job) {
-  if (free_job_slots_.empty()) {
-    job_slots_.push_back(std::move(job));
-    return job_slots_.size() - 1;
-  }
-  const std::uint64_t slot = free_job_slots_.back();
-  free_job_slots_.pop_back();
-  job_slots_[slot] = std::move(job);
-  return slot;
-}
-
-JobSpec FacilitySimulator::take_job(std::uint64_t slot) {
-  JobSpec job = std::move(job_slots_[slot]);
-  free_job_slots_.push_back(slot);
-  return job;
 }
 
 void FacilitySimulator::schedule_maintenance(SimTime block_from,
@@ -258,9 +256,9 @@ double FacilitySimulator::demand_scale() const {
   return policy_cache_.demand_scale();
 }
 
-void FacilitySimulator::on_submit(JobSpec job) {
+void FacilitySimulator::on_submit(const JobSpec& job) {
   power_dirty_ = true;  // queue length is part of the sampled state
-  scheduler_->submit(std::move(job));
+  scheduler_->submit(job);
   start_ready_jobs();
 }
 
@@ -268,17 +266,15 @@ void FacilitySimulator::start_ready_jobs() {
   if (starts_blocked_) return;
   const obs::ScopedTimer pass_timer(sched_pass_hist());
   const SimTime now = engine_.now();
-  for (auto& start : scheduler_->schedule_pass(now)) {
+  for (const JobStart& start : scheduler_->schedule_pass(now)) {
     jobs_started_counter().add();
     power_dirty_ = true;
     // Per-start policy math comes from the policy-epoch cache: the same
     // guards and the same floating-point expressions as the uncached
     // ApplicationModel calls, evaluated once per policy change.
-    const std::size_t app_index = catalog_->index(start.job.app);
     require(start.job.ref_runtime.sec() > 0.0,
             "ApplicationModel::runtime: reference runtime must be positive");
-    const PolicyFactorCache::JobFactors& f =
-        policy_cache_.factors(app_index, start.job);
+    const PolicyFactorCache::JobFactors& f = policy_cache_.factors(start.job);
     const Duration runtime = start.job.ref_runtime * f.time_factor;
     require(start.job.silicon_factor >= 0.0,
             "node_power: silicon_factor must be non-negative");
@@ -286,9 +282,8 @@ void FacilitySimulator::start_ready_jobs() {
         Power::watts(f.draw.watts(start.job.silicon_factor));
     const Power fleet_w = per_node_w * static_cast<double>(start.job.nodes);
 
-    const JobId id = start.job.id;
     RunningJob rj;
-    rj.record.spec = std::move(start.job);
+    rj.record.spec = start.job;
     rj.record.start_time = now;
     rj.record.end_time = now + runtime;
     rj.record.pstate = f.pstate;
@@ -298,25 +293,23 @@ void FacilitySimulator::start_ready_jobs() {
     rj.fleet_power_w = fleet_w;
 
     busy_node_power_w_.add(fleet_w.w());
-    scheduler_->set_expected_end(id, rj.record.end_time);
-    engine_.schedule(rj.record.end_time, SimEventKind::kFinish, id);
-    running_.emplace(id, std::move(rj));
+    scheduler_->set_expected_end(start.job.id, rj.record.end_time);
+    engine_.schedule(rj.record.end_time, SimEventKind::kFinish,
+                     running_.put(rj));
   }
 }
 
-void FacilitySimulator::on_finish(JobId id) {
-  auto it = running_.find(id);
-  HPCEM_ASSERT(it != running_.end(), "finish event for unknown job");
+void FacilitySimulator::on_finish(std::uint64_t slot) {
+  const RunningJob rj = running_.take(slot);
   power_dirty_ = true;
-  busy_node_power_w_.subtract(it->second.fleet_power_w.w());
+  busy_node_power_w_.subtract(rj.fleet_power_w.w());
   // Compensated summation keeps the residual at a rounding of the peak
   // magnitude, so anything visibly negative is an accounting bug.
   HPCEM_ASSERT(busy_node_power_w_.value() > -1e-3,
                "busy power went negative");
-  if (running_.size() == 1) busy_node_power_w_.reset();  // exact empty
-  scheduler_->finish(id, engine_.now());
-  completed_.push_back(std::move(it->second.record));
-  running_.erase(it);
+  if (running_.live() == 0) busy_node_power_w_.reset();  // exact empty
+  scheduler_->finish(rj.record.spec.id, engine_.now());
+  completed_.push_back(rj.record);
   start_ready_jobs();
 }
 

@@ -15,8 +15,8 @@
 // simulator.
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "power/facility_power.hpp"
@@ -24,6 +24,7 @@
 #include "sim/composition.hpp"
 #include "sim/engine.hpp"
 #include "telemetry/recorder.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workload/catalog.hpp"
@@ -91,9 +92,11 @@ class FacilitySimulator {
   /// workload/trace.hpp).  Jobs submitted outside the window are ignored:
   /// `submit_time == start` is inside, `submit_time == end` is outside
   /// (the window is half-open, matching run()).  Job ids must be unique
-  /// across the whole trace (throws InvalidArgument otherwise).
+  /// and every job's AppId must name a catalogue entry, across the whole
+  /// trace (throws InvalidArgument otherwise).
   /// May be called once, instead of run().
-  void run_trace(std::vector<JobSpec> jobs, SimTime start, SimTime end);
+  void run_trace(const std::vector<JobSpec>& jobs, SimTime start,
+                 SimTime end);
 
   [[nodiscard]] const Recorder& telemetry() const { return recorder_; }
   /// Interned handle of the cabinet-meter channel (resolved at
@@ -103,6 +106,12 @@ class FacilitySimulator {
   }
   [[nodiscard]] const std::vector<JobRecord>& completed() const {
     return completed_;
+  }
+  /// Jobs the completed log was reserved for when the run started: the
+  /// in-window trace size, or the generator's upper estimate (see
+  /// run_impl).  Exceeding it costs one reallocation, never an output.
+  [[nodiscard]] std::size_t completed_reserved() const {
+    return completed_reserved_;
   }
   [[nodiscard]] const Scheduler& scheduler() const { return *scheduler_; }
 
@@ -119,17 +128,42 @@ class FacilitySimulator {
     Power fleet_power_w;    ///< nodes x per-node draw
   };
 
+  /// Payloads parked by integer slot (an event payload indexes them);
+  /// freed slots are recycled, so the pool is bounded by its peak number
+  /// of live entries.
+  template <class T>
+  class SlotPool {
+   public:
+    [[nodiscard]] std::uint64_t put(const T& item) {
+      if (free_.empty()) {
+        items_.push_back(item);
+        return items_.size() - 1;
+      }
+      const std::uint64_t slot = free_.back();
+      free_.pop_back();
+      items_[slot] = item;
+      return slot;
+    }
+    [[nodiscard]] T take(std::uint64_t slot) {
+      HPCEM_ASSERT(slot < items_.size(), "slot out of range");
+      free_.push_back(slot);
+      return items_[slot];
+    }
+    [[nodiscard]] std::size_t live() const {
+      return items_.size() - free_.size();
+    }
+
+   private:
+    std::vector<T> items_;
+    std::vector<std::uint64_t> free_;
+  };
+
   void dispatch(const SimEvent& ev);
-  void on_submit(JobSpec job);
-  void on_finish(JobId id);
+  void on_submit(const JobSpec& job);
+  void on_finish(std::uint64_t slot);
   void start_ready_jobs();
   void generate_hour(SimTime t);
   void sample();
-
-  /// Park a job payload for a queued submit event; returns its slot.
-  [[nodiscard]] std::uint64_t park_job(JobSpec job);
-  /// Reclaim a parked job payload.
-  [[nodiscard]] JobSpec take_job(std::uint64_t slot);
 
   /// Machine state at the current instant (power accumulators zeroed).
   [[nodiscard]] SimSnapshot snapshot() const;
@@ -138,8 +172,8 @@ class FacilitySimulator {
   [[nodiscard]] double demand_scale() const;
 
   /// Shared run skeleton; `trace` empty means generate synthetically.
-  void run_impl(std::vector<JobSpec> trace, bool use_trace, SimTime start,
-                SimTime end);
+  void run_impl(const std::vector<JobSpec>& trace, bool use_trace,
+                SimTime start, SimTime end);
 
   const AppCatalog* catalog_;
   FacilitySimConfig config_;
@@ -158,8 +192,10 @@ class FacilitySimulator {
   std::vector<std::pair<SimTime, OperatingPolicy>> pending_changes_;
   std::vector<std::pair<SimTime, SimTime>> maintenance_;
   bool starts_blocked_ = false;
-  std::unordered_map<JobId, RunningJob> running_;
+  /// Running jobs by slot (the kFinish payload).
+  SlotPool<RunningJob> running_;
   std::vector<JobRecord> completed_;
+  std::size_t completed_reserved_ = 0;
   /// Fleet power of running jobs; compensated because a long campaign
   /// accumulates hundreds of thousands of add/subtract pairs.
   CompensatedSum busy_node_power_w_;
@@ -171,10 +207,8 @@ class FacilitySimulator {
   /// indexes this).
   std::vector<OperatingPolicy> armed_policies_;
   /// Parked JobSpec payloads for queued submit events (kSubmit payload
-  /// indexes this); freed slots are recycled, so the pool is bounded by
-  /// the peak number of in-flight submits.
-  std::vector<JobSpec> job_slots_;
-  std::vector<std::uint64_t> free_job_slots_;
+  /// indexes this), bounded by the peak number of in-flight submits.
+  SlotPool<JobSpec> job_slots_;
   SimTime run_end_{};
   /// All composed sources time-invariant => quiescent samples may reuse
   /// the previous power evaluation (see PowerSource::time_invariant).

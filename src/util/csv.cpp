@@ -61,8 +61,10 @@ std::string csv_quote(std::string_view cell) {
 CsvTable parse_csv(std::string_view text) {
   CsvTable table;
   std::size_t pos = 0;
+  std::size_t line_no = 0;
   bool first = true;
   while (pos <= text.size()) {
+    ++line_no;
     std::size_t nl = text.find('\n', pos);
     std::string_view line = (nl == std::string_view::npos)
                                 ? text.substr(pos)
@@ -80,6 +82,7 @@ CsvTable parse_csv(std::string_view text) {
                            std::to_string(cells.size()));
         }
         table.rows.push_back(std::move(cells));
+        table.lines.push_back(line_no);
       }
     }
     if (nl == std::string_view::npos) break;

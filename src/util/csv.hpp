@@ -16,6 +16,9 @@ namespace hpcem {
 struct CsvTable {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
+  /// 1-based source line of each row (blank lines are skipped, so rows
+  /// and lines can drift apart).
+  std::vector<std::size_t> lines;
 
   /// Index of a named column; throws ParseError if absent.
   [[nodiscard]] std::size_t column(std::string_view name) const;

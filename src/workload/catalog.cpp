@@ -1,6 +1,7 @@
 #include "workload/catalog.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -227,6 +228,8 @@ void AppCatalog::add(ApplicationSpec spec, const NodePowerParams& node_params,
                      std::vector<PaperReference> references) {
   require(!contains(spec.name),
           "AppCatalog::add: duplicate application name: ", spec.name);
+  require(apps_.size() < std::numeric_limits<std::uint32_t>::max(),
+          "AppCatalog::add: too many applications for an AppId");
   apps_.emplace_back(std::move(spec), node_params);
   refs_.push_back(std::move(references));
   index_by_name_.emplace(apps_.back().name(), apps_.size() - 1);
@@ -248,13 +251,20 @@ const ApplicationModel& AppCatalog::at(const std::string& name) const {
   return apps_[index_of(name)];
 }
 
-std::size_t AppCatalog::index(const std::string& name) const {
-  return index_of(name);
+AppId AppCatalog::id(const std::string& name) const {
+  return static_cast<AppId>(index_of(name));
 }
 
-const ApplicationModel& AppCatalog::at_index(std::size_t index) const {
-  require(index < apps_.size(), "AppCatalog::at_index: index out of range");
-  return apps_[index];
+std::optional<AppId> AppCatalog::find(const std::string& name) const {
+  const auto it = index_by_name_.find(name);
+  if (it == index_by_name_.end()) return std::nullopt;
+  return static_cast<AppId>(it->second);
+}
+
+const ApplicationModel& AppCatalog::at(AppId id) const {
+  require(contains(id), "AppCatalog: application id out of range: ",
+          static_cast<std::uint32_t>(id));
+  return apps_[static_cast<std::size_t>(id)];
 }
 
 std::span<const PaperReference> AppCatalog::references(

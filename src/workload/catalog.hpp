@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "workload/app_model.hpp"
+#include "workload/jobs.hpp"
 
 namespace hpcem {
 
@@ -56,14 +57,24 @@ class AppCatalog {
   /// Lookup by name; throws InvalidArgument if absent.
   [[nodiscard]] const ApplicationModel& at(const std::string& name) const;
 
-  /// Stable insertion index of an entry (O(1) hash lookup); throws
-  /// InvalidArgument if absent.  Lets hot paths key flat per-app caches by
-  /// index instead of repeating string lookups.
-  [[nodiscard]] std::size_t index(const std::string& name) const;
+  /// Stable id (insertion index) of an entry; throws InvalidArgument if
+  /// absent.  Jobs carry the id, so hot paths never repeat a string
+  /// lookup.
+  [[nodiscard]] AppId id(const std::string& name) const;
+  /// Id of an entry, or nullopt if absent.
+  [[nodiscard]] std::optional<AppId> find(const std::string& name) const;
 
-  /// Entry by stable insertion index; throws InvalidArgument if out of
-  /// range.
-  [[nodiscard]] const ApplicationModel& at_index(std::size_t index) const;
+  /// Whether an id names an entry (is in range).
+  [[nodiscard]] bool contains(AppId id) const {
+    return static_cast<std::size_t>(id) < apps_.size();
+  }
+  /// Entry by id; throws InvalidArgument if out of range.
+  [[nodiscard]] const ApplicationModel& at(AppId id) const;
+  /// Name of an entry: how an id is rendered at output.  Throws
+  /// InvalidArgument if out of range.
+  [[nodiscard]] const std::string& name(AppId id) const {
+    return at(id).name();
+  }
 
   /// All paper references attached to an entry (empty for production apps).
   [[nodiscard]] std::span<const PaperReference> references(

@@ -10,13 +10,8 @@ namespace hpcem {
 WorkloadGenerator::WorkloadGenerator(const AppCatalog& catalog,
                                      std::size_t machine_nodes,
                                      WorkloadGenParams params, Rng rng)
-    : catalog_(&catalog),
-      machine_nodes_(machine_nodes),
-      params_(params),
-      rng_(rng),
-      mix_(catalog.production_mix()) {
+    : machine_nodes_(machine_nodes), params_(params), rng_(rng) {
   require(machine_nodes_ > 0, "WorkloadGenerator: machine must have nodes");
-  require(!mix_.empty(), "WorkloadGenerator: catalogue has no production mix");
   require(params_.offered_load > 0.0 && params_.offered_load <= 1.5,
           "WorkloadGenerator: offered_load out of range");
   require(params_.weekend_factor > 0.0 && params_.weekend_factor <= 1.0,
@@ -24,12 +19,25 @@ WorkloadGenerator::WorkloadGenerator(const AppCatalog& catalog,
   require(params_.max_job_nodes >= 1 &&
               params_.max_job_nodes <= machine_nodes_,
           "WorkloadGenerator: max_job_nodes out of range");
+  const std::vector<const ApplicationModel*> production =
+      catalog.production_mix();
+  require(!production.empty(),
+          "WorkloadGenerator: catalogue has no production mix");
+  // Log-normal around the application's typical geometry, parameterised so
+  // the mean equals the typical value: mu = ln(m) - sigma^2 / 2.
+  //
   // mix_weight is a *node-hour* share; converting to a per-job draw
   // probability divides out the app's typical job size so that big-job
   // applications do not swallow the machine.
-  weights_.reserve(mix_.size());
-  for (const auto* app : mix_) {
+  const double ns = params_.nodes_sigma;
+  const double rs = params_.runtime_sigma;
+  mix_.reserve(production.size());
+  weights_.reserve(production.size());
+  for (const auto* app : production) {
     const auto& s = app->spec();
+    mix_.push_back({app, catalog.id(app->name()),
+                    std::log(s.typical_nodes) - ns * ns / 2.0,
+                    std::log(s.typical_runtime_h) - rs * rs / 2.0});
     weights_.push_back(s.mix_weight /
                        (s.typical_nodes * s.typical_runtime_h));
   }
@@ -42,8 +50,8 @@ double WorkloadGenerator::mean_job_node_hours() const {
   // job size is sum(p_i * nh_i) / sum(p_i) = sum(w_i) / sum(w_i / nh_i).
   double num = 0.0;
   double den = 0.0;
-  for (const auto* app : mix_) {
-    const auto& s = app->spec();
+  for (const MixEntry& entry : mix_) {
+    const auto& s = entry.model->spec();
     num += s.mix_weight;
     den += s.mix_weight / (s.typical_nodes * s.typical_runtime_h);
   }
@@ -55,28 +63,37 @@ double WorkloadGenerator::offered_node_hours_per_hour() const {
   return params_.offered_load * static_cast<double>(machine_nodes_);
 }
 
+double WorkloadGenerator::weekday_rate_per_hour() const {
+  // Average weekly modulation factor (5 weekdays + 2 weekend days) keeps
+  // the long-run offered load at the configured level.
+  const double avg_week = (5.0 + 2.0 * params_.weekend_factor) / 7.0;
+  return offered_node_hours_per_hour() / mean_job_node_hours() / avg_week;
+}
+
+std::size_t WorkloadGenerator::jobs_upper_estimate(
+    double hours, double max_rate_scale) const {
+  require(hours >= 0.0 && max_rate_scale >= 0.0,
+          "WorkloadGenerator::jobs_upper_estimate: negative input");
+  const double mean =
+      weekday_rate_per_hour() * max_rate_scale * std::ceil(hours);
+  return static_cast<std::size_t>(std::ceil(mean + 4.0 * std::sqrt(mean)));
+}
+
 JobSpec WorkloadGenerator::make_job(SimTime submit) {
-  const std::size_t app_idx = rng_.discrete(weights_);
-  const ApplicationModel& app = *mix_[app_idx];
-  const auto& s = app.spec();
+  const MixEntry& app = mix_[rng_.discrete(weights_)];
 
   JobSpec job;
   job.id = next_id_++;
-  job.app = app.name();
+  job.app = app.id;
   job.submit_time = submit;
 
-  // Log-normal around the application's typical geometry, parameterised so
-  // the mean equals the typical value: mu = ln(m) - sigma^2 / 2.
-  const double ns = params_.nodes_sigma;
-  const double nodes_f =
-      rng_.lognormal(std::log(s.typical_nodes) - ns * ns / 2.0, ns);
+  const double nodes_f = rng_.lognormal(app.nodes_mu, params_.nodes_sigma);
   job.nodes = std::clamp<std::size_t>(
       static_cast<std::size_t>(std::llround(nodes_f)), 1,
       params_.max_job_nodes);
 
-  const double rs = params_.runtime_sigma;
   const double runtime_h =
-      rng_.lognormal(std::log(s.typical_runtime_h) - rs * rs / 2.0, rs);
+      rng_.lognormal(app.runtime_mu, params_.runtime_sigma);
   job.ref_runtime = Duration::hours(std::max(0.05, runtime_h));
   // Twice the reference runtime comfortably covers the worst slowdown the
   // hardware can express (1.5 GHz cap on a fully compute-bound code: 1.87x).
@@ -112,14 +129,8 @@ std::vector<JobSpec> WorkloadGenerator::generate_hour(SimTime hour_start,
                                                       double rate_scale) {
   require(rate_scale >= 0.0,
           "WorkloadGenerator::generate_hour: rate_scale must be >= 0");
-  // Average weekly modulation factor (5 weekdays + 2 weekend days) keeps
-  // the long-run offered load at the configured level.
-  const double avg_week = (5.0 + 2.0 * params_.weekend_factor) / 7.0;
-  const double base_rate_per_hour =
-      offered_node_hours_per_hour() / mean_job_node_hours() / avg_week;
-
   const bool weekend = day_of_week(hour_start) >= 5;
-  const double rate = base_rate_per_hour * rate_scale *
+  const double rate = weekday_rate_per_hour() * rate_scale *
                       (weekend ? params_.weekend_factor : 1.0);
   std::vector<JobSpec> jobs;
   const std::uint64_t n = rng_.poisson(rate);

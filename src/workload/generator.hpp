@@ -59,6 +59,17 @@ class WorkloadGenerator {
   [[nodiscard]] std::vector<JobSpec> generate_hour(SimTime hour_start,
                                                    double rate_scale = 1.0);
 
+  /// Mean arrivals per weekday hour at rate_scale 1 (weekend hours arrive
+  /// at weekend_factor times this): the highest hourly rate, and so the
+  /// basis of an upper estimate of a run's job count.
+  [[nodiscard]] double weekday_rate_per_hour() const;
+
+  /// Upper estimate of the jobs `hours` hourly draws submit when no hour's
+  /// rate_scale exceeds `max_rate_scale`: every hour at the weekday rate,
+  /// plus four Poisson standard deviations.
+  [[nodiscard]] std::size_t jobs_upper_estimate(double hours,
+                                                double max_rate_scale) const;
+
   /// Expected node-hours per hour of wall clock at the offered load.
   [[nodiscard]] double offered_node_hours_per_hour() const;
 
@@ -66,13 +77,21 @@ class WorkloadGenerator {
   [[nodiscard]] double mean_job_node_hours() const;
 
  private:
+  /// A production application with its log-normal location parameters,
+  /// mu = ln(typical) - sigma^2 / 2, computed once rather than per job.
+  struct MixEntry {
+    const ApplicationModel* model;
+    AppId id;
+    double nodes_mu;
+    double runtime_mu;
+  };
+
   JobSpec make_job(SimTime submit);
 
-  const AppCatalog* catalog_;
   std::size_t machine_nodes_;
   WorkloadGenParams params_;
   Rng rng_;
-  std::vector<const ApplicationModel*> mix_;
+  std::vector<MixEntry> mix_;
   std::vector<double> weights_;
   JobId next_id_ = 1;
 };

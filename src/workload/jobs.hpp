@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "power/pstate.hpp"
 #include "util/sim_time.hpp"
@@ -12,6 +13,11 @@
 namespace hpcem {
 
 using JobId = std::uint64_t;
+
+/// An application, by its catalogue insertion index (AppCatalog::id).
+/// Jobs carry the id; the name is rendered through the catalogue only at
+/// output (trace CSV, accounting, tool text).
+enum class AppId : std::uint32_t {};
 
 /// Quality-of-service class, shaped like the ARCHER2 Slurm QoS set.
 enum class QosClass {
@@ -26,7 +32,6 @@ enum class QosClass {
 /// A job as submitted: what to run, how big, and any user frequency choice.
 struct JobSpec {
   JobId id = 0;
-  std::string app;  ///< catalogue application name
   std::size_t nodes = 1;
   /// Runtime at reference conditions (boost clock, performance
   /// determinism); actual runtime depends on the policy at start.
@@ -40,6 +45,8 @@ struct JobSpec {
   std::optional<PState> user_pstate;
   /// Per-job mean silicon quality of the allocated nodes (fleet mean 1.0).
   double silicon_factor = 1.0;
+  /// Catalogue application (packed beside `qos`).
+  AppId app{};
   /// Scheduling class (only consulted by the priority discipline).
   QosClass qos = QosClass::kStandard;
 };
@@ -62,5 +69,10 @@ struct JobRecord {
     return static_cast<double>(spec.nodes) * runtime().hrs();
   }
 };
+
+// Plain bytes: parking, queueing and logging a job is a memcpy, never a
+// heap allocation.
+static_assert(std::is_trivially_copyable_v<JobSpec>);
+static_assert(std::is_trivially_copyable_v<JobRecord>);
 
 }  // namespace hpcem

@@ -56,11 +56,12 @@ void PolicyFactorCache::set_policy(const OperatingPolicy& policy) {
 }
 
 const PolicyFactorCache::JobFactors& PolicyFactorCache::factors(
-    std::size_t app_index, const JobSpec& job) const {
+    const JobSpec& job) const {
   require_state(epoch_ > 0,
                 "PolicyFactorCache::factors: set_policy not called");
+  const auto app_index = static_cast<std::size_t>(job.app);
   require(app_index < by_app_.size(),
-          "PolicyFactorCache::factors: app index out of range");
+          "PolicyFactorCache::factors: app id out of range");
   const std::size_t slot = job.user_pstate ? slot_of(*job.user_pstate)
                                            : default_slot_[app_index];
   return by_app_[app_index][slot];

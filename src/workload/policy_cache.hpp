@@ -46,10 +46,9 @@ class PolicyFactorCache {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Factors a job runs at: its user P-state pin if present, else the
-  /// policy resolution (auto-revert or service default) for the
-  /// application.  `app_index` is the catalogue insertion index.
-  [[nodiscard]] const JobFactors& factors(std::size_t app_index,
-                                          const JobSpec& job) const;
+  /// policy resolution (auto-revert or service default) for its
+  /// application.
+  [[nodiscard]] const JobFactors& factors(const JobSpec& job) const;
 
   /// Arrival-rate multiplier keeping the offered node-hour stream
   /// constant under the active policy: 1 / mix-average time factor

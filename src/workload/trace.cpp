@@ -55,11 +55,13 @@ PState parse_pstate(const std::string& s) {
 
 }  // namespace
 
-std::string jobs_to_csv(const std::vector<JobSpec>& jobs) {
+std::string jobs_to_csv(const std::vector<JobSpec>& jobs,
+                        const AppCatalog& catalog) {
   CsvWriter w({"id", "app", "nodes", "ref_runtime_s", "submit_s",
                "walltime_s", "user_pstate", "silicon"});
   for (const auto& j : jobs) {
-    w.add_row({std::to_string(j.id), j.app, std::to_string(j.nodes),
+    w.add_row({std::to_string(j.id), catalog.name(j.app),
+               std::to_string(j.nodes),
                TextTable::num(j.ref_runtime.sec(), 3),
                TextTable::num(j.submit_time.sec(), 3),
                TextTable::num(j.requested_walltime.sec(), 3),
@@ -69,7 +71,8 @@ std::string jobs_to_csv(const std::vector<JobSpec>& jobs) {
   return w.str();
 }
 
-std::vector<JobSpec> jobs_from_csv(const std::string& text) {
+std::vector<JobSpec> jobs_from_csv(const std::string& text,
+                                   const AppCatalog& catalog) {
   const CsvTable t = parse_csv(text);
   const std::size_t c_id = t.column("id");
   const std::size_t c_app = t.column("app");
@@ -83,13 +86,19 @@ std::vector<JobSpec> jobs_from_csv(const std::string& text) {
   std::vector<JobSpec> jobs;
   jobs.reserve(t.rows.size());
   std::unordered_set<JobId> ids;
-  for (const auto& row : t.rows) {
+  for (std::size_t r = 0; r < t.rows.size(); ++r) {
+    const auto& row = t.rows[r];
     JobSpec j;
     j.id = parse_integer(row[c_id], "id", 0);
     if (!ids.insert(j.id).second) {
       throw ParseError("job trace: duplicate id: " + std::to_string(j.id));
     }
-    j.app = row[c_app];
+    const std::optional<AppId> app = catalog.find(row[c_app]);
+    if (!app) {
+      throw ParseError("job trace: line " + std::to_string(t.lines[r]) +
+                       ": unknown application: " + row[c_app]);
+    }
+    j.app = *app;
     j.nodes = parse_integer(row[c_nodes], "nodes", 1);
     j.ref_runtime =
         Duration::seconds(parse_double(row[c_ref], "ref_runtime_s"));
@@ -98,33 +107,36 @@ std::vector<JobSpec> jobs_from_csv(const std::string& text) {
         Duration::seconds(parse_double(row[c_wall], "walltime_s"));
     if (!row[c_ps].empty()) j.user_pstate = parse_pstate(row[c_ps]);
     j.silicon_factor = parse_double(row[c_sil], "silicon");
-    jobs.push_back(std::move(j));
+    jobs.push_back(j);
   }
   return jobs;
 }
 
 void write_jobs_file(const std::filesystem::path& path,
-                     const std::vector<JobSpec>& jobs) {
-  const std::string text = jobs_to_csv(jobs);
+                     const std::vector<JobSpec>& jobs,
+                     const AppCatalog& catalog) {
+  const std::string text = jobs_to_csv(jobs, catalog);
   std::ofstream out(path);
   if (!out) throw ParseError("cannot write jobs file: " + path.string());
   out << text;
   if (!out) throw ParseError("I/O error writing jobs file: " + path.string());
 }
 
-std::vector<JobSpec> read_jobs_file(const std::filesystem::path& path) {
+std::vector<JobSpec> read_jobs_file(const std::filesystem::path& path,
+                                    const AppCatalog& catalog) {
   std::ifstream in(path);
   if (!in) throw ParseError("cannot open jobs file: " + path.string());
   std::ostringstream buf;
   buf << in.rdbuf();
-  return jobs_from_csv(buf.str());
+  return jobs_from_csv(buf.str(), catalog);
 }
 
-std::string records_to_csv(const std::vector<JobRecord>& recs) {
+std::string records_to_csv(const std::vector<JobRecord>& recs,
+                           const AppCatalog& catalog) {
   CsvWriter w({"id", "app", "nodes", "submit", "start", "end", "pstate",
                "mode", "node_energy_kwh", "node_power_w", "node_hours"});
   for (const auto& r : recs) {
-    w.add_row({std::to_string(r.spec.id), r.spec.app,
+    w.add_row({std::to_string(r.spec.id), catalog.name(r.spec.app),
                std::to_string(r.spec.nodes),
                iso_date_time(r.spec.submit_time), iso_date_time(r.start_time),
                iso_date_time(r.end_time), pstate_code(r.pstate),

@@ -6,23 +6,33 @@
 #include <string>
 #include <vector>
 
+#include "workload/catalog.hpp"
 #include "workload/jobs.hpp"
 
 namespace hpcem {
 
-/// Serialise submitted jobs (a workload) to CSV text.
-[[nodiscard]] std::string jobs_to_csv(const std::vector<JobSpec>& jobs);
+// The CSV `app` column holds catalogue names: ids are rendered through the
+// catalogue on write and resolved through it on read.
 
-/// Parse a workload written by jobs_to_csv; throws ParseError on bad input.
-[[nodiscard]] std::vector<JobSpec> jobs_from_csv(const std::string& text);
+/// Serialise submitted jobs (a workload) to CSV text.  Throws
+/// InvalidArgument on an id the catalogue does not hold.
+[[nodiscard]] std::string jobs_to_csv(const std::vector<JobSpec>& jobs,
+                                      const AppCatalog& catalog);
+
+/// Parse a workload written by jobs_to_csv; throws ParseError on bad input,
+/// including an application name the catalogue does not hold.
+[[nodiscard]] std::vector<JobSpec> jobs_from_csv(const std::string& text,
+                                                 const AppCatalog& catalog);
 
 /// Write/read workload files.
 void write_jobs_file(const std::filesystem::path& path,
-                     const std::vector<JobSpec>& jobs);
+                     const std::vector<JobSpec>& jobs,
+                     const AppCatalog& catalog);
 [[nodiscard]] std::vector<JobSpec> read_jobs_file(
-    const std::filesystem::path& path);
+    const std::filesystem::path& path, const AppCatalog& catalog);
 
 /// Serialise completed-job accounting records (sacct-like) to CSV text.
-[[nodiscard]] std::string records_to_csv(const std::vector<JobRecord>& recs);
+[[nodiscard]] std::string records_to_csv(const std::vector<JobRecord>& recs,
+                                         const AppCatalog& catalog);
 
 }  // namespace hpcem

@@ -15,7 +15,7 @@ class AccountingTest : public ::testing::Test {
   JobRecord record(const std::string& app, std::size_t nodes,
                    double runtime_h, double node_w = 460.0) const {
     JobRecord r;
-    r.spec.app = app;
+    r.spec.app = cat_.find(app).value_or(static_cast<AppId>(cat_.size()));
     r.spec.nodes = nodes;
     r.spec.submit_time = SimTime(0.0);
     r.start_time = SimTime(0.0);
@@ -58,10 +58,15 @@ TEST_F(AccountingTest, EnergyAndEmissionsConsistent) {
 }
 
 TEST_F(AccountingTest, UnknownAppsGrouped) {
-  const std::vector<JobRecord> recs = {record("mystery-code", 1, 1.0)};
+  // An id outside the catalogue (record() maps unknown names past its
+  // end) is grouped, never looked up.
+  const std::vector<JobRecord> recs = {record("mystery-code", 1, 1.0),
+                                       record("VASP (production)", 1, 1.0)};
   const UsageBreakdown b =
       account_usage(recs, cat_, CarbonIntensity::g_per_kwh(100.0));
   EXPECT_EQ(b.by_area.count("(unknown)"), 1u);
+  EXPECT_EQ(b.by_app.count("(unknown)"), 1u);
+  EXPECT_EQ(b.by_app.count("VASP (production)"), 1u);
 }
 
 TEST_F(AccountingTest, RenderSortsByNodeHours) {

@@ -123,7 +123,8 @@ TEST(Assembly, MaintenanceWindowsAreArmed) {
   const SimTime block = t0() + Duration::days(3.0);
   const SimTime resume = block + Duration::hours(12.0);
   spec.maintenance.push_back({block, resume});
-  const auto sim = FacilityAssembly(spec).run_simulator();
+  const FacilityAssembly assembly(spec);
+  const auto sim = assembly.run_simulator();
   for (const auto& r : sim->completed()) {
     EXPECT_FALSE(r.start_time >= block && r.start_time < resume);
   }
@@ -161,7 +162,8 @@ TEST(Assembly, PlantExtrasAppendSources) {
   spec.cooling_outdoor_c = 12.0;
   spec.warmup = Duration::days(1.0);
   spec.window_end = t0() + Duration::days(3.0);
-  const auto sim = FacilityAssembly(spec).run_simulator();
+  const FacilityAssembly assembly(spec);
+  const auto sim = assembly.run_simulator();
   EXPECT_TRUE(sim->telemetry().has_channel(channels::kCduKw));
   EXPECT_TRUE(sim->telemetry().has_channel(channels::kFilesystemKw));
   EXPECT_TRUE(sim->telemetry().has_channel(channels::kCoolingKw));

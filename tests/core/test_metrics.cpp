@@ -11,7 +11,6 @@ JobRecord record(double wait_h, double runtime_h, std::size_t nodes,
                  PState ps, double node_w = 460.0) {
   JobRecord r;
   r.spec.id = 1;
-  r.spec.app = "x";
   r.spec.nodes = nodes;
   r.spec.submit_time = SimTime(0.0);
   r.start_time = SimTime(wait_h * 3600.0);

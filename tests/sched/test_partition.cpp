@@ -12,7 +12,6 @@ PartitionedJob pjob(JobId id, const std::string& partition,
   PartitionedJob p;
   p.partition = partition;
   p.job.id = id;
-  p.job.app = "app";
   p.job.nodes = nodes;
   p.job.requested_walltime = Duration::hours(walltime_h);
   p.job.submit_time = SimTime(0.0);

@@ -11,7 +11,6 @@ JobSpec job(JobId id, std::size_t nodes, double walltime_h, QosClass qos,
             SimTime submit = SimTime(0.0)) {
   JobSpec j;
   j.id = id;
-  j.app = "app";
   j.nodes = nodes;
   j.requested_walltime = Duration::hours(walltime_h);
   j.submit_time = submit;

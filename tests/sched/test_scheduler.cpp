@@ -20,7 +20,6 @@ JobSpec job(JobId id, std::size_t nodes, double walltime_h,
             SimTime submit = SimTime(0.0)) {
   JobSpec j;
   j.id = id;
-  j.app = "app";
   j.nodes = nodes;
   j.requested_walltime = Duration::hours(walltime_h);
   j.ref_runtime = Duration::hours(walltime_h / 2.0);

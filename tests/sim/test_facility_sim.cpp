@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <set>
 
+#include "core/scenario_library.hpp"
 #include "sim/facility_sim.hpp"
 #include "util/error.hpp"
 
@@ -381,7 +382,8 @@ TEST_F(FacilitySimTest, TraceReplayRunsExactlyTheGivenJobs) {
   for (int i = 0; i < 20; ++i) {
     JobSpec j;
     j.id = static_cast<JobId>(i + 1);
-    j.app = (i % 2 == 0) ? "VASP (production)" : "GROMACS (production)";
+    j.app = cat_.id((i % 2 == 0) ? "VASP (production)"
+                                 : "GROMACS (production)");
     j.nodes = 8;
     j.ref_runtime = Duration::hours(2.0);
     j.requested_walltime = Duration::hours(4.0);
@@ -403,7 +405,7 @@ TEST_F(FacilitySimTest, TraceReplayRejectsDuplicateIdsBeforeRunning) {
   for (const JobId id : {1u, 2u, 1u}) {
     JobSpec j;
     j.id = id;
-    j.app = "VASP (production)";
+    j.app = cat_.id("VASP (production)");
     j.nodes = 4;
     j.ref_runtime = Duration::hours(1.0);
     j.requested_walltime = Duration::hours(2.0);
@@ -423,19 +425,22 @@ TEST_F(FacilitySimTest, TraceReplayRejectsDuplicateIdsBeforeRunning) {
 TEST_F(FacilitySimTest, TraceReplayRejectsUnknownApps) {
   std::vector<JobSpec> jobs(1);
   jobs[0].id = 1;
-  jobs[0].app = "not-in-catalogue";
+  // Names are resolved when a trace is read (jobs_from_csv); here the
+  // first id past the catalogue must be rejected before anything runs.
+  jobs[0].app = static_cast<AppId>(cat_.size());
   jobs[0].nodes = 1;
   jobs[0].submit_time = start() + Duration::hours(1.0);
   jobs[0].requested_walltime = Duration::hours(1.0);
   FacilitySimulator sim(cat_, small_config(31));
   EXPECT_THROW(sim.run_trace(jobs, start(), start() + Duration::days(1.0)),
                InvalidArgument);
+  EXPECT_TRUE(sim.completed().empty());
 }
 
 TEST_F(FacilitySimTest, TraceReplayIgnoresOutOfWindowJobs) {
   std::vector<JobSpec> jobs(2);
   jobs[0].id = 1;
-  jobs[0].app = "VASP (production)";
+  jobs[0].app = cat_.id("VASP (production)");
   jobs[0].nodes = 4;
   jobs[0].ref_runtime = Duration::hours(1.0);
   jobs[0].requested_walltime = Duration::hours(2.0);
@@ -446,6 +451,8 @@ TEST_F(FacilitySimTest, TraceReplayIgnoresOutOfWindowJobs) {
   FacilitySimulator sim(cat_, small_config(33));
   sim.run_trace(jobs, start(), start() + Duration::days(2.0));
   EXPECT_EQ(sim.completed().size(), 1u);
+  // The completed log is reserved for the in-window jobs only.
+  EXPECT_EQ(sim.completed_reserved(), 1u);
 }
 
 
@@ -454,7 +461,7 @@ TEST_F(FacilitySimTest, TraceWindowBoundariesAreHalfOpen) {
   auto make_job = [&](JobId id, SimTime submit) {
     JobSpec j;
     j.id = id;
-    j.app = "VASP (production)";
+    j.app = cat_.id("VASP (production)");
     j.nodes = 4;
     j.ref_runtime = Duration::hours(1.0);
     j.requested_walltime = Duration::hours(2.0);
@@ -549,6 +556,29 @@ TEST_F(FacilitySimTest, EnergyConservationAcrossAccountingViews) {
   const double idle_allowance = 512.0 * 0.230 * window_h;
   EXPECT_LT(node_fleet.to_kwh(), job_kwh + idle_allowance * 1.5);
 }
+
+// The completed log is reserved once from the generator's own rate
+// formula; the estimate must cover every job the paper's campaigns
+// complete, whatever the seed, or the log would double mid-run.
+class ReservationEstimate : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ReservationEstimate, CoversTheFigureCampaigns) {
+  for (const char* name : {"figure1", "figure2", "figure3"}) {
+    ScenarioSpec spec = load_named_scenario(name);
+    spec.seed = GetParam();
+    const FacilityAssembly assembly(spec);
+    const auto sim = assembly.run_simulator();
+    EXPECT_GE(sim->completed_reserved(), sim->completed().size())
+        << name << " seed " << GetParam();
+    // An upper estimate, not a blanket: within a fifth of the count.
+    EXPECT_LE(static_cast<double>(sim->completed_reserved()),
+              1.2 * static_cast<double>(sim->completed().size()))
+        << name << " seed " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReservationEstimate,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 }  // namespace
 }  // namespace hpcem

@@ -125,11 +125,10 @@ TEST(RequireAlloc, SchedulerMessages) {
             "Scheduler::set_expected_end: job not running: 7");
   JobSpec wide;
   wide.id = 1;
-  wide.app = "wide app";
   wide.nodes = 11;
   wide.requested_walltime = Duration::hours(1.0);
   EXPECT_EQ(message_of([&] { s.submit(wide); }),
-            "Scheduler::submit: job size must fit the machine: wide app");
+            "Scheduler::submit: job size must fit the machine: job 1");
 }
 
 TEST(RequireAlloc, PartitionedSchedulerMessages) {
@@ -207,14 +206,16 @@ TEST(RequireAlloc, RunTraceMessage) {
   FacilitySimulator sim(catalog, cfg);
   std::vector<JobSpec> jobs(1);
   jobs[0].id = 1;
-  jobs[0].app = "not-in-catalogue";
+  jobs[0].app = static_cast<AppId>(catalog.size());
   jobs[0].nodes = 1;
   jobs[0].requested_walltime = Duration::hours(1.0);
   const SimTime start = sim_time_from_date({2022, 3, 1});
+  const std::string n = std::to_string(catalog.size());
   EXPECT_EQ(message_of([&] {
               sim.run_trace(jobs, start, start + Duration::days(1.0));
             }),
-            "run_trace: unknown application in trace: not-in-catalogue");
+            "run_trace: unknown application id in trace: " + n +
+                " (catalogue holds " + n + ")");
 }
 
 TEST(RequireAlloc, ServeMessages) {

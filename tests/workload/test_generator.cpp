@@ -98,7 +98,7 @@ TEST_F(GeneratorTest, NodeHourMixFollowsCatalogWeights) {
   double total = 0.0;
   for (const auto& j : jobs) {
     const double h = static_cast<double>(j.nodes) * j.ref_runtime.hrs();
-    nh[j.app] += h;
+    nh[cat_.name(j.app)] += h;
     total += h;
   }
   double weight_total = 0.0;

@@ -18,7 +18,7 @@ class PolicyCacheTest : public ::testing::Test {
 TEST_F(PolicyCacheTest, LookupBeforeSetPolicyThrows) {
   const PolicyFactorCache cache(cat_);
   EXPECT_EQ(cache.epoch(), 0u);
-  EXPECT_THROW((void)cache.factors(0, JobSpec{}), StateError);
+  EXPECT_THROW((void)cache.factors(JobSpec{}), StateError);
 }
 
 TEST_F(PolicyCacheTest, FactorsMatchUncachedCallsExactly) {
@@ -27,11 +27,12 @@ TEST_F(PolicyCacheTest, FactorsMatchUncachedCallsExactly) {
        {OperatingPolicy::baseline(), OperatingPolicy::performance_determinism(),
         OperatingPolicy::low_frequency_default()}) {
     cache.set_policy(policy);
-    const JobSpec job;  // no user pin: policy resolution applies
+    JobSpec job;  // no user pin: policy resolution applies
     for (std::size_t a = 0; a < cat_.apps().size(); ++a) {
-      const ApplicationModel& app = cat_.at_index(a);
+      job.app = static_cast<AppId>(a);
+      const ApplicationModel& app = cat_.at(job.app);
       const PState resolved = policy.resolve_pstate(app, job);
-      const auto& f = cache.factors(a, job);
+      const auto& f = cache.factors(job);
       EXPECT_EQ(f.pstate, resolved);
       EXPECT_EQ(f.time_factor, app.time_factor(policy.bios_mode, resolved));
       // The hoisted draw terms reproduce node_draw bit-for-bit across the
@@ -49,14 +50,15 @@ TEST_F(PolicyCacheTest, UserPinnedPStateOverridesThePolicySlot) {
   PolicyFactorCache cache(cat_);
   const OperatingPolicy policy = OperatingPolicy::low_frequency_default();
   cache.set_policy(policy);
-  const std::size_t a = cat_.index("LAMMPS Ethanol");
-  const ApplicationModel& app = cat_.at_index(a);
+  const AppId a = cat_.id("LAMMPS Ethanol");
+  const ApplicationModel& app = cat_.at(a);
   for (const PState& pin :
        {pstates::kLow, pstates::kMid, pstates::kHighTurbo,
         pstates::kHighNoTurbo}) {
     JobSpec job;
+    job.app = a;
     job.user_pstate = pin;
-    const auto& f = cache.factors(a, job);
+    const auto& f = cache.factors(job);
     EXPECT_EQ(f.pstate, pin);
     EXPECT_EQ(f.time_factor, app.time_factor(policy.bios_mode, pin));
   }
@@ -77,11 +79,12 @@ TEST_F(PolicyCacheTest, DemandScaleMatchesMixAverage) {
 TEST_F(PolicyCacheTest, InvalidInputsRejected) {
   PolicyFactorCache cache(cat_);
   cache.set_policy(OperatingPolicy::baseline());
-  EXPECT_THROW((void)cache.factors(cat_.apps().size(), JobSpec{}),
-               InvalidArgument);
+  JobSpec past_end;
+  past_end.app = static_cast<AppId>(cat_.apps().size());
+  EXPECT_THROW((void)cache.factors(past_end), InvalidArgument);
   JobSpec job;
   job.user_pstate = PState{Frequency::ghz(3.1), false};  // not expressible
-  EXPECT_THROW((void)cache.factors(0, job), InvalidArgument);
+  EXPECT_THROW((void)cache.factors(job), InvalidArgument);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <string>
+#include <type_traits>
 
 #include "util/error.hpp"
 #include "workload/trace.hpp"
@@ -10,10 +11,34 @@
 namespace hpcem {
 namespace {
 
+// Jobs are plain bytes: an AppId, not a heap-allocated name.  The size
+// bounds record the layout (JobSpec was 112 bytes and JobRecord 168 while
+// the name was a std::string).
+static_assert(std::is_trivially_copyable_v<JobSpec>);
+static_assert(std::is_trivially_copyable_v<JobRecord>);
+static_assert(sizeof(JobSpec) <= 80);
+static_assert(sizeof(JobRecord) <= 136);
+
+/// The ARCHER2 catalogue plus short-named entries "x", "y" and "z" (copies
+/// of a production application) for terse CSV rows.
+const AppCatalog& catalog() {
+  static const AppCatalog cat = [] {
+    const NodePowerParams np;
+    AppCatalog c = AppCatalog::archer2(np);
+    for (const char* name : {"x", "y", "z"}) {
+      ApplicationSpec spec = c.at("VASP (production)").spec();
+      spec.name = name;
+      c.add(spec, np);
+    }
+    return c;
+  }();
+  return cat;
+}
+
 std::vector<JobSpec> sample_jobs() {
   JobSpec a;
   a.id = 1;
-  a.app = "VASP (production)";
+  a.app = catalog().id("VASP (production)");
   a.nodes = 8;
   a.ref_runtime = Duration::hours(2.5);
   a.submit_time = sim_time_from_date({2022, 5, 9});
@@ -22,7 +47,7 @@ std::vector<JobSpec> sample_jobs() {
 
   JobSpec b;
   b.id = 2;
-  b.app = "LAMMPS Ethanol";
+  b.app = catalog().id("LAMMPS Ethanol");
   b.nodes = 4;
   b.ref_runtime = Duration::hours(1.0);
   b.submit_time = a.submit_time + Duration::minutes(10.0);
@@ -34,10 +59,12 @@ std::vector<JobSpec> sample_jobs() {
 
 TEST(Trace, RoundTripPreservesJobs) {
   const auto jobs = sample_jobs();
-  const auto parsed = jobs_from_csv(jobs_to_csv(jobs));
+  const auto parsed =
+      jobs_from_csv(jobs_to_csv(jobs, catalog()), catalog());
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_EQ(parsed[0].id, 1u);
-  EXPECT_EQ(parsed[0].app, "VASP (production)");
+  EXPECT_EQ(parsed[0].app, catalog().id("VASP (production)"));
+  EXPECT_EQ(parsed[1].app, catalog().id("LAMMPS Ethanol"));
   EXPECT_EQ(parsed[0].nodes, 8u);
   EXPECT_NEAR(parsed[0].ref_runtime.hrs(), 2.5, 1e-3);
   EXPECT_FALSE(parsed[0].user_pstate.has_value());
@@ -49,20 +76,24 @@ TEST(Trace, RoundTripPreservesJobs) {
 TEST(Trace, FileRoundTrip) {
   const auto path =
       std::filesystem::temp_directory_path() / "hpcem_jobs_test.csv";
-  write_jobs_file(path, sample_jobs());
-  const auto parsed = read_jobs_file(path);
+  write_jobs_file(path, sample_jobs(), catalog());
+  const auto parsed = read_jobs_file(path, catalog());
   EXPECT_EQ(parsed.size(), 2u);
   std::filesystem::remove(path);
 }
 
 TEST(Trace, MalformedInputThrows) {
-  EXPECT_THROW(jobs_from_csv("id,app\n1,x\n"), ParseError);  // cols missing
+  EXPECT_THROW(jobs_from_csv("id,app\n1,x\n", catalog()),
+               ParseError);  // cols missing
   const std::string header =
       "id,app,nodes,ref_runtime_s,submit_s,walltime_s,user_pstate,silicon\n";
-  EXPECT_THROW(jobs_from_csv(header + "1,x,0,100,0,200,,1\n"), ParseError);
-  EXPECT_THROW(jobs_from_csv(header + "1,x,abc,100,0,200,,1\n"), ParseError);
-  EXPECT_THROW(jobs_from_csv(header + "1,x,4,100,0,200,3.70+turbo,1\n"),
+  EXPECT_THROW(jobs_from_csv(header + "1,x,0,100,0,200,,1\n", catalog()),
                ParseError);
+  EXPECT_THROW(jobs_from_csv(header + "1,x,abc,100,0,200,,1\n", catalog()),
+               ParseError);
+  EXPECT_THROW(
+      jobs_from_csv(header + "1,x,4,100,0,200,3.70+turbo,1\n", catalog()),
+      ParseError);
 }
 
 /// The ParseError text `jobs_from_csv` gives for `rows`, or "accepted".
@@ -70,7 +101,7 @@ std::string trace_error(const std::string& rows) {
   const std::string header =
       "id,app,nodes,ref_runtime_s,submit_s,walltime_s,user_pstate,silicon\n";
   try {
-    (void)jobs_from_csv(header + rows);
+    (void)jobs_from_csv(header + rows, catalog());
   } catch (const ParseError& e) {
     return e.what();
   }
@@ -115,7 +146,8 @@ TEST(Trace, IdAbove2To53IsAOneLineParseError) {
   const auto jobs = jobs_from_csv(
       "id,app,nodes,ref_runtime_s,submit_s,walltime_s,user_pstate,silicon\n"
       "0,x,1,100,0,200,,1\n"
-      "9007199254740992,x,4,100,0,200,,1\n");
+      "9007199254740992,x,4,100,0,200,,1\n",
+      catalog());
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0].id, 0u);
   EXPECT_EQ(jobs[1].id, 9007199254740992u);
@@ -128,6 +160,37 @@ TEST(Trace, RepeatedIdIsAOneLineParseError) {
             "job trace: duplicate id: 1");
 }
 
+TEST(Trace, NamesRoundTripThroughTheCatalogue) {
+  // Every entry's id is written as its name and read back as the same id.
+  std::vector<JobSpec> jobs(catalog().size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].id = i;
+    jobs[i].app = static_cast<AppId>(i);
+  }
+  const std::string csv = jobs_to_csv(jobs, catalog());
+  const auto parsed = jobs_from_csv(csv, catalog());
+  ASSERT_EQ(parsed.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(parsed[i].app, jobs[i].app);
+    EXPECT_NE(csv.find("," + catalog().name(jobs[i].app) + ","),
+              std::string::npos);
+  }
+  // An id the catalogue does not hold has no name to write.
+  jobs[0].app = static_cast<AppId>(catalog().size());
+  EXPECT_THROW((void)jobs_to_csv(jobs, catalog()), InvalidArgument);
+}
+
+TEST(Trace, UnknownApplicationIsAOneLineParseError) {
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "2,not-in-catalogue,4,100,0,200,,1\n"),
+            "job trace: line 3: unknown application: not-in-catalogue");
+  // Lines count from the header, blank lines included.
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "\n"
+                        "2,VASP,4,100,0,200,,1\n"),
+            "job trace: line 4: unknown application: VASP");
+}
+
 TEST(Trace, RecordsExportHasAccountingColumns) {
   JobRecord r;
   r.spec = sample_jobs()[0];
@@ -137,7 +200,8 @@ TEST(Trace, RecordsExportHasAccountingColumns) {
   r.mode = DeterminismMode::kPerformanceDeterminism;
   r.node_energy = Energy::kwh(7.5);
   r.node_power_w = Power::watts(375.0);
-  const std::string csv = records_to_csv({r});
+  const std::string csv = records_to_csv({r}, catalog());
+  EXPECT_NE(csv.find(",VASP (production),"), std::string::npos);
   EXPECT_NE(csv.find("node_energy_kwh"), std::string::npos);
   EXPECT_NE(csv.find("performance determinism"), std::string::npos);
   EXPECT_NE(csv.find("7.500"), std::string::npos);

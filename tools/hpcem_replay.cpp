@@ -60,16 +60,26 @@ int main(int argc, char** argv) {
 
   return tools::tool_main([&] {
     const obs::ObsSession session("hpcem_replay");
-    const auto jobs = read_jobs_file(args.get("trace"));
-    if (jobs.empty()) {
-      std::cerr << "error: trace is empty: " << args.get("trace") << '\n';
-      return tools::kExitFailure;
-    }
     const auto policy = parse_policy(args.get("policy"));
     if (!policy) {
       return tools::usage_error(
           args, "bad --policy (want baseline | perfdet | lowfreq), got: " +
                     args.get("policy"));
+    }
+
+    // The baseline spec supplies the machine, and with it the catalogue
+    // that names the trace's applications; the trace replaces its
+    // workload generator and window.
+    ScenarioSpec spec = load_named_scenario("archer2-baseline");
+    spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+    spec.policy = *policy;
+    const FacilityAssembly assembly(std::move(spec));
+    const AppCatalog& catalog = assembly.facility().catalog();
+
+    const auto jobs = read_jobs_file(args.get("trace"), catalog);
+    if (jobs.empty()) {
+      std::cerr << "error: trace is empty: " << args.get("trace") << '\n';
+      return tools::kExitFailure;
     }
 
     SimTime first = jobs.front().submit_time;
@@ -81,12 +91,6 @@ int main(int argc, char** argv) {
     const SimTime end =
         last + Duration::hours(args.get_double("pad-hours"));
 
-    // The baseline spec supplies the machine; the trace replaces its
-    // workload generator and window.
-    ScenarioSpec spec = load_named_scenario("archer2-baseline");
-    spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    spec.policy = *policy;
-    const FacilityAssembly assembly(std::move(spec));
     auto sim = assembly.make_simulator();
     sim->run_trace(jobs, first, end);
 
@@ -100,7 +104,7 @@ int main(int argc, char** argv) {
                      compute_service_metrics(sim->completed()))
               << '\n';
     std::cout << render_usage_breakdown(account_usage(
-        sim->completed(), assembly.facility().catalog(),
+        sim->completed(), catalog,
         CarbonIntensity::g_per_kwh(args.get_double("intensity"))));
 
     if (!args.get("artifact-out").empty()) {
