@@ -1,5 +1,6 @@
 #include "core/assembly.hpp"
 
+#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -53,6 +54,25 @@ void validate(const ScenarioSpec& spec) {
 }
 
 }  // namespace
+
+CarbonIntensity GridIntensitySeries::at(SimTime t) const {
+  if (constant) return *constant;
+  HPCEM_ASSERT(!points.empty(), "GridIntensitySeries: empty breakpoint list");
+  const double x = t.sec();
+  if (x <= points.front().first) {
+    return CarbonIntensity::g_per_kwh(points.front().second);
+  }
+  if (x >= points.back().first) {
+    return CarbonIntensity::g_per_kwh(points.back().second);
+  }
+  const auto hi = std::lower_bound(
+      points.begin(), points.end(), x,
+      [](const std::pair<double, double>& p, double v) { return p.first < v; });
+  const auto lo = hi - 1;
+  const double f = (x - lo->first) / (hi->first - lo->first);
+  return CarbonIntensity::g_per_kwh(lo->second +
+                                    f * (hi->second - lo->second));
+}
 
 std::optional<SimTime> ScenarioSpec::first_change_in_window() const {
   std::optional<SimTime> first;

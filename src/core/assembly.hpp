@@ -44,13 +44,15 @@ struct MaintenanceWindow {
 
 /// Grid carbon-intensity context a scenario is priced against: a constant
 /// or a piecewise-linear breakpoint curve ((epoch s, gCO2/kWh), strictly
-/// time-sorted, clamped outside its span).  Mirrors the serve layer's
-/// IntensitySpec; the simulator itself does not consume it — it rides on
-/// the spec so emissions pricing (serve regimes/whatif) and the committed
-/// scenario files speak one language.
+/// time-sorted, clamped outside its span).  The one intensity type of the
+/// spec files and of serve regimes/whatif requests, both parsed by
+/// spec_io's `grid` codec; the simulator itself does not consume it.
 struct GridIntensitySeries {
   std::optional<CarbonIntensity> constant;
   std::vector<std::pair<double, double>> points;
+
+  /// Interpolated intensity at an instant (clamped at the ends).
+  [[nodiscard]] CarbonIntensity at(SimTime t) const;
 
   friend bool operator==(const GridIntensitySeries&,
                          const GridIntensitySeries&) = default;

@@ -167,6 +167,17 @@ MachineModel machine_from_json(const JsonValue& v, const std::string& path) {
   fail(path, "unknown machine '" + s + "' (archer2 | testbed | micro)");
 }
 
+}  // namespace
+
+std::optional<OperatingPolicy> policy_from_name(std::string_view name) {
+  if (name == "baseline") return OperatingPolicy::baseline();
+  if (name == "perfdet") return OperatingPolicy::performance_determinism();
+  if (name == "lowfreq") return OperatingPolicy::low_frequency_default();
+  return std::nullopt;
+}
+
+namespace {
+
 // ---------------------------------------------------------------------------
 // Policy codec.  The three service policies collapse to their paper names;
 // anything else is spelled out as an explicit object.
@@ -194,9 +205,7 @@ OperatingPolicy policy_from_json(const JsonValue& v,
                                  const std::string& path) {
   if (v.is_string()) {
     const std::string& s = v.as_string();
-    if (s == "baseline") return OperatingPolicy::baseline();
-    if (s == "perfdet") return OperatingPolicy::performance_determinism();
-    if (s == "lowfreq") return OperatingPolicy::low_frequency_default();
+    if (const auto p = policy_from_name(s)) return *p;
     fail(path, "unknown policy '" + s + "' (baseline | perfdet | lowfreq)");
   }
   const auto& obj = expect_object(v, path);
@@ -331,8 +340,10 @@ IdlePowerPolicy idle_from_json(const JsonValue& v, const std::string& path) {
   return p;
 }
 
+}  // namespace
+
 // ---------------------------------------------------------------------------
-// Grid / scope-3 codec (shared with the serve inline-override fragment).
+// Grid / scope-3 codec (shared with the serve request members).
 
 JsonValue grid_to_json(const GridIntensitySeries& g) {
   JsonValue o = JsonValue::object();
@@ -373,18 +384,23 @@ GridIntensitySeries grid_from_json(const JsonValue& v,
   const auto& arr = expect_array(*points, path + ".points");
   if (arr.empty()) fail(path + ".points", "must not be empty");
   for (std::size_t i = 0; i < arr.size(); ++i) {
-    const std::string at = path + ".points[" + std::to_string(i) + "]";
-    const auto& pair = expect_array(arr[i], at);
-    if (pair.size() != 2) {
-      fail(at, "expected a [time, g_per_kwh] pair");
-    }
-    const double t = pair[0].is_string()
-                         ? time_from_json(pair[0], at + "[0]").sec()
-                         : expect_number(pair[0], at + "[0]");
-    const double gkwh = expect_number(pair[1], at + "[1]");
-    if (!(gkwh >= 0.0)) fail(at + "[1]", "must be non-negative");
+    // The point's path is built only to report a violation: serve parses
+    // a request's curve on every first-time query.
+    const auto at = [&](const char* member) {
+      return path + ".points[" + std::to_string(i) + "]" + member;
+    };
+    if (!arr[i].is_array()) expect_array(arr[i], at(""));  // throws
+    const auto& pair = arr[i].as_array();
+    if (pair.size() != 2) fail(at(""), "expected a [time, g_per_kwh] pair");
+    const double t = pair[0].is_number()
+                         ? pair[0].as_number()
+                         : time_from_json(pair[0], at("[0]")).sec();
+    const double gkwh = pair[1].is_number()
+                            ? pair[1].as_number()
+                            : expect_number(pair[1], at("[1]"));
+    if (!(gkwh >= 0.0)) fail(at("[1]"), "must be non-negative");
     if (!g.points.empty() && t <= g.points.back().first) {
-      fail(at + "[0]", "breakpoints must be strictly time-sorted");
+      fail(at("[0]"), "breakpoints must be strictly time-sorted");
     }
     g.points.emplace_back(t, gkwh);
   }
@@ -415,6 +431,8 @@ EmbodiedParams scope3_from_json(const JsonValue& v, const std::string& path) {
   }
   return e;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // Duration members: exactly one of <key>_days / <key>_s, or neither.

@@ -55,6 +55,25 @@ inline constexpr int kScenarioSpecVersion = 1;
 /// failure.
 void save_scenario_file(const ScenarioSpec& spec, const std::string& path);
 
+/// One of the three service policies by its paper name (baseline |
+/// perfdet | lowfreq), the names a spec's `policy` string takes; nullopt
+/// for any other name.
+[[nodiscard]] std::optional<OperatingPolicy> policy_from_name(
+    std::string_view name);
+
+/// The `grid` and `scope3` section codecs: the one grammar for grid
+/// intensity and scope-3 inputs, in scenario files and in `hpcem_serve`
+/// requests alike.  `path` names where the section sits (`$.grid`,
+/// `$.intensity`, ...); a violation throws ParseError
+/// `spec: <path>...: why`.  Each `*_to_json` is the canonical rendering
+/// its `*_from_json` inverts.
+[[nodiscard]] JsonValue grid_to_json(const GridIntensitySeries& g);
+[[nodiscard]] GridIntensitySeries grid_from_json(const JsonValue& v,
+                                                 const std::string& path);
+[[nodiscard]] JsonValue scope3_to_json(const EmbodiedParams& e);
+[[nodiscard]] EmbodiedParams scope3_from_json(const JsonValue& v,
+                                              const std::string& path);
+
 /// The spec language's emissions-context fragment: the `grid` and
 /// `scope3` sections alone.  This is what `hpcem_serve` whatif/regimes
 /// requests accept as an inline spec override (`"spec": {...}`), so a

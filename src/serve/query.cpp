@@ -29,66 +29,6 @@ SimTime time_member(const JsonValue& v, const std::string& member) {
                    " must be epoch seconds or an ISO date-time string");
 }
 
-IntensitySpec intensity_from_json(const JsonValue& v) {
-  IntensitySpec spec;
-  const JsonValue* constant = v.get("constant_g_per_kwh");
-  const JsonValue* points = v.get("points");
-  if ((constant == nullptr) == (points == nullptr)) {
-    throw ParseError(
-        "query: intensity needs exactly one of constant_g_per_kwh | points");
-  }
-  if (constant != nullptr) {
-    spec.constant = CarbonIntensity::g_per_kwh(constant->as_number());
-    return spec;
-  }
-  for (const JsonValue& p : points->as_array()) {
-    const auto& pair = p.as_array();
-    if (pair.size() != 2) {
-      throw ParseError("query: intensity points must be [time, g_per_kwh]");
-    }
-    const SimTime t = time_member(pair[0], "intensity point");
-    spec.points.emplace_back(t.sec(), pair[1].as_number());
-  }
-  if (spec.points.empty()) {
-    throw ParseError("query: intensity points must be non-empty");
-  }
-  for (std::size_t i = 1; i < spec.points.size(); ++i) {
-    if (spec.points[i].first <= spec.points[i - 1].first) {
-      throw ParseError(
-          "query: intensity point times must be strictly increasing");
-    }
-  }
-  return spec;
-}
-
-JsonValue intensity_to_json(const IntensitySpec& spec) {
-  JsonValue v = JsonValue::object();
-  if (spec.constant) {
-    v.set("constant_g_per_kwh", spec.constant->gkwh());
-    return v;
-  }
-  JsonValue pts = JsonValue::array();
-  for (const auto& [t, g] : spec.points) {
-    JsonValue pair = JsonValue::array();
-    pair.push_back(t);
-    pair.push_back(g);
-    pts.push_back(std::move(pair));
-  }
-  v.set("points", std::move(pts));
-  return v;
-}
-
-EmbodiedParams embodied_from_json(const JsonValue& v) {
-  EmbodiedParams p;
-  p.total = CarbonMass::tonnes(v.at("total_tonnes").as_number());
-  p.lifetime_years = v.at("lifetime_years").as_number();
-  if (p.total.t() <= 0.0 || p.lifetime_years <= 0.0) {
-    throw ParseError("query: scope3 total_tonnes and lifetime_years must "
-                     "be positive");
-  }
-  return p;
-}
-
 const char* strategy_name(OperationalStrategy s) {
   switch (s) {
     case OperationalStrategy::kMaximisePerformance: return "performance";
@@ -129,7 +69,7 @@ OperationalStrategy strategy_from_share(double scope2_share) {
 /// sum of A_j (m_j - t0) (prefix_moment); taking the slope term relative
 /// to the segment start limits the cancellation.  Midpoints at or before
 /// the first point and after the last are charged at the end-point
-/// intensities, as IntensitySpec::at clamps them.
+/// intensities, as GridIntensitySeries::at clamps them.
 double curve_scope2_g(const StoredChannel& ch,
                       const std::vector<std::pair<double, double>>& points,
                       std::size_t a, std::size_t b) {
@@ -180,25 +120,6 @@ void reject_unknown_members(const JsonValue& v,
 }
 
 }  // namespace
-
-CarbonIntensity IntensitySpec::at(SimTime t) const {
-  if (constant) return *constant;
-  HPCEM_ASSERT(!points.empty(), "IntensitySpec: empty breakpoint list");
-  const double x = t.sec();
-  if (x <= points.front().first) {
-    return CarbonIntensity::g_per_kwh(points.front().second);
-  }
-  if (x >= points.back().first) {
-    return CarbonIntensity::g_per_kwh(points.back().second);
-  }
-  const auto hi = std::lower_bound(
-      points.begin(), points.end(), x,
-      [](const std::pair<double, double>& p, double v) { return p.first < v; });
-  const auto lo = hi - 1;
-  const double f = (x - lo->first) / (hi->first - lo->first);
-  return CarbonIntensity::g_per_kwh(lo->second +
-                                    f * (hi->second - lo->second));
-}
 
 std::string QueryRequest::op_name(Op op) {
   switch (op) {
@@ -269,31 +190,27 @@ QueryRequest QueryRequest::from_json(const JsonValue& v) {
   if (r.start && r.end && *r.end < *r.start) {
     throw ParseError("query: end must not precede start");
   }
+  // `intensity` / `scope3` are the scenario-file `grid` / `scope3`
+  // sections (docs/SCENARIO_SCHEMA.md), parsed by the same codec, so a
+  // request and a committed scenario state pricing inputs one way.
   if (const JsonValue* intensity = v.get("intensity")) {
-    r.intensity = intensity_from_json(*intensity);
+    r.intensity = grid_from_json(*intensity, "$.intensity");
   }
   if (const JsonValue* scope3 = v.get("scope3")) {
-    r.embodied = embodied_from_json(*scope3);
+    r.embodied = scope3_from_json(*scope3, "$.scope3");
   }
   if (const JsonValue* spec = v.get("spec")) {
-    // Inline scenario-spec override: the `grid` / `scope3` sections in the
-    // scenario-file grammar (docs/SCENARIO_SCHEMA.md), so a what-if is
-    // phrased in exactly the language of the committed scenario library.
-    // Mutually exclusive with the wire-level members it resolves into —
-    // the canonical key (and so the cache) only ever sees the resolved
+    // Inline scenario-spec fragment holding the same two sections.
+    // Mutually exclusive with the members it resolves into — the
+    // canonical key (and so the cache) only ever sees the resolved
     // intensity/scope3 form.
     if (r.intensity || r.embodied) {
       throw ParseError(
           "query: spec excludes the intensity and scope3 members");
     }
-    const SpecOverrides o = spec_overrides_from_json(*spec);
-    if (o.grid) {
-      IntensitySpec resolved;
-      resolved.constant = o.grid->constant;
-      resolved.points = o.grid->points;
-      r.intensity = std::move(resolved);
-    }
-    if (o.scope3) r.embodied = *o.scope3;
+    SpecOverrides o = spec_overrides_from_json(*spec);
+    r.intensity = std::move(o.grid);
+    r.embodied = o.scope3;
   }
   if ((r.op == Op::kRegimes || r.op == Op::kWhatIf) && !r.intensity) {
     throw ParseError("query: " + op_name(r.op) +
@@ -321,13 +238,8 @@ JsonValue QueryRequest::to_canonical_json() const {
   if (!channel.empty()) v.set("channel", channel);
   if (start) v.set("start", start->sec());
   if (end) v.set("end", end->sec());
-  if (intensity) v.set("intensity", intensity_to_json(*intensity));
-  if (embodied) {
-    JsonValue s3 = JsonValue::object();
-    s3.set("total_tonnes", embodied->total.t());
-    s3.set("lifetime_years", embodied->lifetime_years);
-    v.set("scope3", std::move(s3));
-  }
+  if (intensity) v.set("intensity", grid_to_json(*intensity));
+  if (embodied) v.set("scope3", scope3_to_json(*embodied));
   return v;
 }
 
@@ -465,14 +377,14 @@ JsonValue QueryEngine::regimes(const QueryRequest& r) const {
   HPCEM_OBS_SPAN("serve.query.regimes");
   const StoredScenario& s = stores_.at(r.scenario);
   HPCEM_ASSERT(r.intensity.has_value(), "regimes: parsed without intensity");
-  const IntensitySpec& intensity = *r.intensity;
+  const GridIntensitySeries& intensity = *r.intensity;
   const SimTime start = r.start.value_or(s.window_start);
   const SimTime end = r.end.value_or(s.window_end);
   require(end > start, "query: regimes needs a non-empty [start, end)");
 
   // Segment boundaries: the window ends plus every breakpoint inside it.
   std::vector<double> bounds{start.sec()};
-  if (!intensity.is_constant()) {
+  if (!intensity.constant) {
     for (const auto& [t, g] : intensity.points) {
       if (t > start.sec() && t < end.sec()) bounds.push_back(t);
     }
@@ -583,7 +495,7 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
           r.channel, "' is in ",
           ch->unit.empty() ? std::string_view("(no unit)") : ch->unit);
   HPCEM_ASSERT(r.intensity.has_value(), "whatif: parsed without intensity");
-  const IntensitySpec& intensity = *r.intensity;
+  const GridIntensitySeries& intensity = *r.intensity;
   // No explicit window means the whole stored channel — including its last
   // sample, which an end-exclusive window at window_end would drop.
   const bool whole_channel = !r.start && !r.end;
@@ -602,7 +514,7 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
   const EnergyKwh energy_kwh{
       (ch->prefix_integral[last] - ch->prefix_integral[first + 1]) / 3600.0};
   const double scope2_g =
-      intensity.is_constant()
+      intensity.constant
           ? (energy_kwh * *intensity.constant).g()
           : curve_scope2_g(*ch, intensity.points, first, last - 1);
   const SimTime covered_start(ch->times[first]);

@@ -33,24 +33,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/assembly.hpp"
 #include "core/emissions.hpp"
 #include "serve/artifact_store.hpp"
 #include "serve/multi_store.hpp"
 #include "util/json.hpp"
 
 namespace hpcem::serve {
-
-/// Carbon-intensity curve for regimes/whatif: a constant, or a
-/// piecewise-linear breakpoint list (clamped outside its span).
-struct IntensitySpec {
-  std::optional<CarbonIntensity> constant;
-  /// (epoch seconds, g/kWh) breakpoints, strictly time-sorted.
-  std::vector<std::pair<double, double>> points;
-
-  [[nodiscard]] bool is_constant() const { return constant.has_value(); }
-  /// Interpolated intensity at an instant (clamped at the ends).
-  [[nodiscard]] CarbonIntensity at(SimTime t) const;
-};
 
 /// One parsed, validated query.  kStats and kTrace are serve-front admin
 /// commands (live telemetry exposition, docs/SERVE_SCHEMA.md): the front
@@ -77,8 +66,10 @@ struct QueryRequest {
   /// Window; absent = the scenario's artifact window.
   std::optional<SimTime> start;
   std::optional<SimTime> end;
-  std::optional<IntensitySpec> intensity;   ///< regimes / whatif
-  std::optional<EmbodiedParams> embodied;   ///< whatif scope-3 override
+  /// regimes / whatif: the spec grammar's `grid` and `scope3` sections
+  /// (core/spec_io.hpp), under either spelling.
+  std::optional<GridIntensitySeries> intensity;
+  std::optional<EmbodiedParams> embodied;
   std::uint64_t trace_request = 0;          ///< trace: the request id asked for
 
   /// Parse and validate one request object.  Throws ParseError on a

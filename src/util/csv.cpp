@@ -77,7 +77,8 @@ CsvTable parse_csv(std::string_view text) {
         first = false;
       } else {
         if (cells.size() != table.header.size()) {
-          throw ParseError("CSV row width mismatch: expected " +
+          throw ParseError("CSV line " + std::to_string(line_no) +
+                           ": row width mismatch: expected " +
                            std::to_string(table.header.size()) + ", got " +
                            std::to_string(cells.size()));
         }

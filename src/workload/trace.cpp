@@ -1,6 +1,7 @@
 #include "workload/trace.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -15,11 +16,20 @@ namespace hpcem {
 
 namespace {
 
-double parse_double(const std::string& s, const char* field) {
+// Row parsers: every error names the row's source line,
+// `job trace: line N: ...`.
+
+[[noreturn]] void bad_row(std::size_t line, const std::string& why) {
+  throw ParseError("job trace: line " + std::to_string(line) + ": " + why);
+}
+
+/// A finite number, the whole cell consumed.
+double parse_double(const std::string& s, const char* field,
+                    std::size_t line) {
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') {
-    throw ParseError(std::string("job trace: bad ") + field + ": " + s);
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(v)) {
+    bad_row(line, std::string("bad ") + field + ": " + s);
   }
   return v;
 }
@@ -28,15 +38,15 @@ double parse_double(const std::string& s, const char* field) {
 /// Only decimal digits are accepted, read exactly (no sign, exponent or
 /// fraction), so 2^53 + 1 is rejected rather than rounded to 2^53.
 std::uint64_t parse_integer(const std::string& s, const char* field,
-                            std::uint64_t min) {
+                            std::uint64_t min, std::size_t line) {
   constexpr std::uint64_t kMax = std::uint64_t{1} << 53;
   std::uint64_t v = 0;
   const char* last = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(s.data(), last, v);
   if (ec != std::errc{} || ptr != last || v < min || v > kMax) {
-    throw ParseError(std::string("job trace: bad ") + field + ": " + s +
-                     " (must be an integer in [" + std::to_string(min) +
-                     ", 2^53])");
+    bad_row(line, std::string("bad ") + field + ": " + s +
+                      " (must be an integer in [" + std::to_string(min) +
+                      ", 2^53])");
   }
   return v;
 }
@@ -45,11 +55,11 @@ std::string pstate_code(const PState& p) {
   return TextTable::num(p.nominal.to_ghz(), 2) + (p.turbo ? "+turbo" : "");
 }
 
-PState parse_pstate(const std::string& s) {
+PState parse_pstate(const std::string& s, std::size_t line) {
   const bool turbo = s.ends_with("+turbo");
   const std::string num = turbo ? s.substr(0, s.size() - 6) : s;
-  PState p{Frequency::ghz(parse_double(num, "pstate")), turbo};
-  if (!is_valid_pstate(p)) throw ParseError("job trace: bad pstate: " + s);
+  PState p{Frequency::ghz(parse_double(num, "pstate", line)), turbo};
+  if (!is_valid_pstate(p)) bad_row(line, "bad pstate: " + s);
   return p;
 }
 
@@ -88,25 +98,23 @@ std::vector<JobSpec> jobs_from_csv(const std::string& text,
   std::unordered_set<JobId> ids;
   for (std::size_t r = 0; r < t.rows.size(); ++r) {
     const auto& row = t.rows[r];
+    const std::size_t line = t.lines[r];
     JobSpec j;
-    j.id = parse_integer(row[c_id], "id", 0);
+    j.id = parse_integer(row[c_id], "id", 0, line);
     if (!ids.insert(j.id).second) {
-      throw ParseError("job trace: duplicate id: " + std::to_string(j.id));
+      bad_row(line, "duplicate id: " + std::to_string(j.id));
     }
     const std::optional<AppId> app = catalog.find(row[c_app]);
-    if (!app) {
-      throw ParseError("job trace: line " + std::to_string(t.lines[r]) +
-                       ": unknown application: " + row[c_app]);
-    }
+    if (!app) bad_row(line, "unknown application: " + row[c_app]);
     j.app = *app;
-    j.nodes = parse_integer(row[c_nodes], "nodes", 1);
+    j.nodes = parse_integer(row[c_nodes], "nodes", 1, line);
     j.ref_runtime =
-        Duration::seconds(parse_double(row[c_ref], "ref_runtime_s"));
-    j.submit_time = SimTime(parse_double(row[c_sub], "submit_s"));
+        Duration::seconds(parse_double(row[c_ref], "ref_runtime_s", line));
+    j.submit_time = SimTime(parse_double(row[c_sub], "submit_s", line));
     j.requested_walltime =
-        Duration::seconds(parse_double(row[c_wall], "walltime_s"));
-    if (!row[c_ps].empty()) j.user_pstate = parse_pstate(row[c_ps]);
-    j.silicon_factor = parse_double(row[c_sil], "silicon");
+        Duration::seconds(parse_double(row[c_wall], "walltime_s", line));
+    if (!row[c_ps].empty()) j.user_pstate = parse_pstate(row[c_ps], line);
+    j.silicon_factor = parse_double(row[c_sil], "silicon", line);
     jobs.push_back(j);
   }
   return jobs;

@@ -19,8 +19,9 @@ namespace hpcem {
 [[nodiscard]] std::string jobs_to_csv(const std::vector<JobSpec>& jobs,
                                       const AppCatalog& catalog);
 
-/// Parse a workload written by jobs_to_csv; throws ParseError on bad input,
-/// including an application name the catalogue does not hold.
+/// Parse a workload written by jobs_to_csv; throws ParseError on bad input
+/// (a non-finite number, an application name the catalogue does not hold,
+/// ...), naming the row's line: `job trace: line N: ...`.
 [[nodiscard]] std::vector<JobSpec> jobs_from_csv(const std::string& text,
                                                  const AppCatalog& catalog);
 

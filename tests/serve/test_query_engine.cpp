@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <string>
 
 #include "telemetry/timeseries.hpp"
 #include "util/json.hpp"
@@ -351,6 +353,124 @@ TEST_F(QueryEngineTest, ResponsesAreByteStableAcrossRepeats) {
       R"("intensity":{"points":[[0,20],[864000,120]]}})";
   const std::string first = engine.handle_line(line);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(engine.handle_line(line), first);
+}
+
+// ---------------------------------------------------------------------------
+// One grammar for pricing inputs: the wire members `intensity` / `scope3`
+// are the scenario spec's `grid` / `scope3` sections, so each fragment
+// answers the same under `"spec": {...}` — identical bytes when valid, the
+// same reason at the spelling's own path when not.
+
+struct InputCase {
+  const char* name;
+  const char* member;    ///< "intensity" or "scope3"
+  const char* fragment;  ///< the member's JSON value
+  const char* error;     ///< wire-spelling error; nullptr when valid
+};
+
+constexpr InputCase kInputCases[] = {
+    {"valid constant", "intensity", R"({"constant_g_per_kwh":75})", nullptr},
+    {"valid curve", "intensity", R"({"points":[[0,20],[864000,120]]})",
+     nullptr},
+    {"valid ISO curve", "intensity",
+     R"({"points":[["1970-01-01",20],["1970-01-11",120]]})", nullptr},
+    {"unknown member", "intensity", R"({"constant_g_per_kwh":50,"bogus":1})",
+     "spec: $.intensity.bogus: unknown member"},
+    {"negative constant", "intensity", R"({"constant_g_per_kwh":-5})",
+     "spec: $.intensity.constant_g_per_kwh: must be non-negative"},
+    {"negative point", "intensity", R"({"points":[[0,20],[100,-1]]})",
+     "spec: $.intensity.points[1][1]: must be non-negative"},
+    {"string constant", "intensity", R"({"constant_g_per_kwh":"50"})",
+     "spec: $.intensity.constant_g_per_kwh: expected a number, got a "
+     "string"},
+    {"string point", "intensity", R"({"points":[[0,"20"]]})",
+     "spec: $.intensity.points[0][1]: expected a number, got a string"},
+    {"empty points", "intensity", R"({"points":[]})",
+     "spec: $.intensity.points: must not be empty"},
+    {"unsorted points", "intensity", R"({"points":[[10,1],[5,2]]})",
+     "spec: $.intensity.points[1][0]: breakpoints must be strictly "
+     "time-sorted"},
+    {"neither form", "intensity", "{}",
+     "spec: $.intensity: exactly one of constant_g_per_kwh or points is "
+     "required"},
+    {"valid scope3", "scope3", R"({"total_tonnes":1461,"lifetime_years":4})",
+     nullptr},
+    {"scope3 unknown member", "scope3",
+     R"({"total_tonnes":1461,"lifetime_years":4,"x":1})",
+     "spec: $.scope3.x: unknown member"},
+    {"scope3 missing member", "scope3", R"({"total_tonnes":1461})",
+     "spec: $.scope3.lifetime_years: missing required member"},
+    {"scope3 zero total", "scope3", R"({"total_tonnes":0,"lifetime_years":4})",
+     "spec: $.scope3.total_tonnes: must be positive"},
+};
+
+/// `text` with every `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+TEST_F(QueryEngineTest, PricingInputsAnswerAlikeUnderBothSpellings) {
+  const QueryEngine engine(stores_);
+  for (const InputCase& c : kInputCases) {
+    const bool is_grid = std::string(c.member) == "intensity";
+    const std::string grid =
+        is_grid ? c.fragment : R"({"constant_g_per_kwh":100})";
+    const std::string scope3 =
+        is_grid ? "" : std::string(R"(,"scope3":)") + c.fragment;
+    for (const std::string head :
+         {R"({"op":"whatif","scenario":"base","channel":"cabinet_kw",)",
+          R"({"op":"regimes","scenario":"base",)"}) {
+      const std::string wire = engine.handle_line(
+          head + R"("intensity":)" + grid + scope3 + "}");
+      const std::string spec = engine.handle_line(
+          head + R"("spec":{"grid":)" + grid + scope3 + "}}");
+      if (c.error == nullptr) {
+        EXPECT_EQ(wire.rfind(R"({"ok":true,)", 0), 0u) << c.name << wire;
+        EXPECT_EQ(spec, wire) << c.name;
+        continue;
+      }
+      EXPECT_EQ(wire, render_error("", c.error)) << c.name;
+      // The spec spelling roots the same reason at $.spec.<section>.
+      const std::string section = is_grid ? "grid" : "scope3";
+      EXPECT_EQ(spec, replaced(wire, std::string("$.") + c.member,
+                               "$.spec." + section))
+          << c.name;
+    }
+  }
+}
+
+TEST(QueryRequest, CommittedRequestsKeepTheirCanonicalKeys) {
+  // Cache keys of the committed request streams, as rendered before the
+  // intensity/scope3 members moved onto the spec codec: the move must not
+  // change one byte of any key (or of the goldens keyed by them).
+  const std::string root = HPCEM_SOURCE_DIR;
+  std::ifstream golden(root +
+                       "/tests/data/serve-canonical-keys.golden.ndjson");
+  ASSERT_TRUE(golden) << "missing canonical-key golden";
+  std::size_t checked = 0;
+  for (const char* requests :
+       {"/scenarios/ci/requests.ndjson",
+        "/bench/baselines/serve/requests.ndjson"}) {
+    std::ifstream in(root + requests);
+    ASSERT_TRUE(in) << requests;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      std::string want;
+      ASSERT_TRUE(std::getline(golden, want)) << "golden too short";
+      EXPECT_EQ(QueryRequest::from_json_text(line).canonical_key(), want)
+          << requests << ": " << line;
+      ++checked;
+    }
+  }
+  std::string extra;
+  EXPECT_FALSE(std::getline(golden, extra)) << "golden too long";
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace

@@ -75,7 +75,7 @@ std::vector<Sample> random_channel(Rng& rng, std::size_t n) {
 
 /// 1..6 breakpoints at 25..250 g/kWh on a grid a sixth of the channel span
 /// apart, from half a span before the channel to half a span after it.
-IntensitySpec random_curve(Rng& rng, double first, double last) {
+GridIntensitySeries random_curve(Rng& rng, double first, double last) {
   const double step = std::max(last - first, 60.0) / 6.0;
   std::vector<std::int64_t> grid;
   for (std::int64_t u = -3; u <= 9; ++u) grid.push_back(u);
@@ -87,7 +87,7 @@ IntensitySpec random_curve(Rng& rng, double first, double last) {
   }
   grid.resize(k);
   std::sort(grid.begin(), grid.end());
-  IntensitySpec spec;
+  GridIntensitySeries spec;
   for (const std::int64_t u : grid) {
     spec.points.emplace_back(first + step * static_cast<double>(u),
                              rng.uniform(25.0, 250.0));
@@ -104,7 +104,8 @@ struct Window {
 };
 
 JsonValue ask(const QueryEngine& engine, QueryRequest::Op op,
-              const Window& w, const IntensitySpec* intensity = nullptr) {
+              const Window& w,
+              const GridIntensitySeries* intensity = nullptr) {
   QueryRequest q;
   q.op = op;
   q.scenario = "s";
@@ -129,7 +130,7 @@ struct Priced {
 /// column: every interval's trapezoid energy charged at the intensity at
 /// its midpoint, both sums compensated.  O(n) per query.
 Priced per_interval_reference(const StoredChannel& ch,
-                              const IntensitySpec& intensity,
+                              const GridIntensitySeries& intensity,
                               std::size_t first, std::size_t last) {
   CompensatedSum energy;
   CompensatedSum grams;
@@ -167,8 +168,9 @@ TEST(WhatIfIndex, MatchesThePerIntervalReferenceOnSeededChannels) {
     const double last_t = ch.times.back();
 
     for (int q = 0; q < 25; ++q) {
-      IntensitySpec intensity =
-          q % 5 == 0 ? IntensitySpec{} : random_curve(rng, first_t, last_t);
+      GridIntensitySeries intensity = q % 5 == 0
+                                          ? GridIntensitySeries{}
+                                          : random_curve(rng, first_t, last_t);
       if (q % 5 == 0) {
         intensity.constant =
             CarbonIntensity::g_per_kwh(rng.uniform(25.0, 250.0));
@@ -233,7 +235,7 @@ class WhatIfRelations : public ::testing::Test {
 
 TEST_F(WhatIfRelations, EnergyEqualsWindowAggregateBitForBit) {
   const QueryEngine engine(stores_);
-  IntensitySpec curve;
+  GridIntensitySeries curve;
   curve.points = {{kT0, 40.0}, {kT0 + 20000.0, 200.0}};
   for (const Window& w : {samples(0, 299), samples(3, 5), samples(17, 211),
                           samples(64, 128), samples(150, 151)}) {
@@ -249,7 +251,7 @@ TEST_F(WhatIfRelations, EnergyEqualsWindowAggregateBitForBit) {
 TEST_F(WhatIfRelations, ConstantIntensityIsExactlyCTimesEnergy) {
   const QueryEngine engine(stores_);
   for (const double c : {25.0, 38.0, 90.0, 237.5}) {
-    IntensitySpec constant;
+    GridIntensitySeries constant;
     constant.constant = CarbonIntensity::g_per_kwh(c);
     for (const Window& w : {Window{true}, samples(10, 250)}) {
       const JsonValue r = ask(engine, kWhatIf, w, &constant);
@@ -265,9 +267,9 @@ TEST_F(WhatIfRelations, ScalingTheCurveScalesScope2) {
   const QueryEngine engine(stores_);
   Rng rng(0xC0FFEE);
   for (int q = 0; q < 20; ++q) {
-    const IntensitySpec curve =
+    const GridIntensitySeries curve =
         random_curve(rng, channel().times.front(), channel().times.back());
-    IntensitySpec doubled = curve;
+    GridIntensitySeries doubled = curve;
     for (auto& [t, g] : doubled.points) g *= 2.0;
     for (const Window& w : {Window{true}, samples(40, 260)}) {
       const double once = ask(engine, kWhatIf, w, &curve)
@@ -286,7 +288,7 @@ TEST_F(WhatIfRelations, AdjacentWindowsAddUpWithTheStraddlingInterval) {
   const StoredChannel& ch = channel();
   Rng rng(0xADD);
   for (int q = 0; q < 20; ++q) {
-    const IntensitySpec curve =
+    const GridIntensitySeries curve =
         random_curve(rng, ch.times.front(), ch.times.back());
     const auto a = static_cast<std::size_t>(rng.uniform_int(0, 100));
     const auto b = static_cast<std::size_t>(rng.uniform_int(110, 190));

@@ -110,39 +110,45 @@ std::string trace_error(const std::string& rows) {
 
 TEST(Trace, NegativeWidthIsAOneLineParseError) {
   EXPECT_EQ(trace_error("1,x,-3,100,0,200,,1\n"),
-            "job trace: bad nodes: -3 (must be an integer in [1, 2^53])");
+            "job trace: line 2: bad nodes: -3 (must be an integer in "
+            "[1, 2^53])");
   EXPECT_EQ(trace_error("1,x,0,100,0,200,,1\n"),
-            "job trace: bad nodes: 0 (must be an integer in [1, 2^53])");
+            "job trace: line 2: bad nodes: 0 (must be an integer in "
+            "[1, 2^53])");
   EXPECT_EQ(trace_error("1,x,2.5,100,0,200,,1\n"),
-            "job trace: bad nodes: 2.5 (must be an integer in [1, 2^53])");
+            "job trace: line 2: bad nodes: 2.5 (must be an integer in "
+            "[1, 2^53])");
   EXPECT_EQ(trace_error("1,x,1e30,100,0,200,,1\n"),
-            "job trace: bad nodes: 1e30 (must be an integer in [1, 2^53])");
+            "job trace: line 2: bad nodes: 1e30 (must be an integer in "
+            "[1, 2^53])");
 }
 
 TEST(Trace, FractionalIdIsAOneLineParseError) {
   EXPECT_EQ(trace_error("2.5,x,4,100,0,200,,1\n"),
-            "job trace: bad id: 2.5 (must be an integer in [0, 2^53])");
+            "job trace: line 2: bad id: 2.5 (must be an integer in [0, 2^53])");
   EXPECT_EQ(trace_error("-1,x,4,100,0,200,,1\n"),
-            "job trace: bad id: -1 (must be an integer in [0, 2^53])");
+            "job trace: line 2: bad id: -1 (must be an integer in [0, 2^53])");
   EXPECT_EQ(trace_error("nan,x,4,100,0,200,,1\n"),
-            "job trace: bad id: nan (must be an integer in [0, 2^53])");
+            "job trace: line 2: bad id: nan (must be an integer in [0, 2^53])");
 }
 
 TEST(Trace, IdAbove2To53IsAOneLineParseError) {
   EXPECT_EQ(trace_error("1e30,x,4,100,0,200,,1\n"),
-            "job trace: bad id: 1e30 (must be an integer in [0, 2^53])");
-  EXPECT_EQ(trace_error("9007199254740994,x,4,100,0,200,,1\n"),
-            "job trace: bad id: 9007199254740994 (must be an integer in "
+            "job trace: line 2: bad id: 1e30 (must be an integer in "
             "[0, 2^53])");
+  EXPECT_EQ(trace_error("9007199254740994,x,4,100,0,200,,1\n"),
+            "job trace: line 2: bad id: 9007199254740994 (must be an "
+            "integer in [0, 2^53])");
   // 2^53 + 1 has no double; it is read exactly, not rounded to 2^53.
   EXPECT_EQ(trace_error("9007199254740993,x,4,100,0,200,,1\n"),
-            "job trace: bad id: 9007199254740993 (must be an integer in "
-            "[0, 2^53])");
+            "job trace: line 2: bad id: 9007199254740993 (must be an "
+            "integer in [0, 2^53])");
   // Only decimal digits: exponent and fraction spellings are rejected.
   EXPECT_EQ(trace_error("1e3,x,4,100,0,200,,1\n"),
-            "job trace: bad id: 1e3 (must be an integer in [0, 2^53])");
+            "job trace: line 2: bad id: 1e3 (must be an integer in [0, 2^53])");
   EXPECT_EQ(trace_error("12.0,x,4,100,0,200,,1\n"),
-            "job trace: bad id: 12.0 (must be an integer in [0, 2^53])");
+            "job trace: line 2: bad id: 12.0 (must be an integer in "
+            "[0, 2^53])");
   const auto jobs = jobs_from_csv(
       "id,app,nodes,ref_runtime_s,submit_s,walltime_s,user_pstate,silicon\n"
       "0,x,1,100,0,200,,1\n"
@@ -157,7 +163,41 @@ TEST(Trace, RepeatedIdIsAOneLineParseError) {
   EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
                         "2,y,4,100,0,200,,1\n"
                         "1,z,8,100,60,200,,1\n"),
-            "job trace: duplicate id: 1");
+            "job trace: line 4: duplicate id: 1");
+}
+
+TEST(Trace, NonFiniteNumbersAreOneLineParseErrors) {
+  // A non-finite runtime used to replay as a job that never finishes, and
+  // a NaN submit time to surface far from the trace as a bad window.
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "2,x,4,inf,0,200,,1\n"),
+            "job trace: line 3: bad ref_runtime_s: inf");
+  EXPECT_EQ(trace_error("1,x,4,100,nan,200,,1\n"),
+            "job trace: line 2: bad submit_s: nan");
+  EXPECT_EQ(trace_error("1,x,4,100,0,-inf,,1\n"),
+            "job trace: line 2: bad walltime_s: -inf");
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,NaN\n"),
+            "job trace: line 2: bad silicon: NaN");
+  // Overflow to infinity is rejected too.
+  EXPECT_EQ(trace_error("1,x,4,1e999,0,200,,1\n"),
+            "job trace: line 2: bad ref_runtime_s: 1e999");
+}
+
+TEST(Trace, RowErrorsNameTheirLine) {
+  // Blank lines count: the error names the line in the file.
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "\n"
+                        "2,x,4,100,0,200,3.70+turbo,1\n"),
+            "job trace: line 4: bad pstate: 3.70+turbo");
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "2,x,4,100,0,200,fast,1\n"),
+            "job trace: line 3: bad pstate: fast");
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "2,x,4,100s,0,200,,1\n"),
+            "job trace: line 3: bad ref_runtime_s: 100s");
+  EXPECT_EQ(trace_error("1,x,4,100,0,200,,1\n"
+                        "2,x,4,100,0,200,1\n"),
+            "CSV line 3: row width mismatch: expected 8, got 7");
 }
 
 TEST(Trace, NamesRoundTripThroughTheCatalogue) {

@@ -9,6 +9,7 @@
 //
 // Example:
 //   hpcem_analyze --csv cabinet_power.csv --value-column cabinet_kw
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 
@@ -29,13 +30,21 @@ namespace {
 
 using namespace hpcem;
 
+// A finite number, the whole cell consumed.
+std::optional<double> parse_finite(const std::string& s) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
+}
+
 // Timestamps are either strict ISO date-times (see parse_date_time: field
-// ranges validated, whole string consumed) or plain epoch seconds.
+// ranges validated, whole string consumed) or finite epoch seconds.
 std::optional<SimTime> parse_time(const std::string& s) {
   if (const auto t = parse_date_time(s)) return t;
-  char* end = nullptr;
-  const double epoch = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() && *end == '\0') return SimTime(epoch);
+  if (const auto epoch = parse_finite(s)) return SimTime(*epoch);
   return std::nullopt;
 }
 
@@ -85,13 +94,15 @@ int main(int argc, char** argv) {
     const std::size_t tc = table.column(args.get("time-column"));
     const std::size_t vc = table.column(args.get("value-column"));
     TimeSeries series("kW");
-    for (const auto& row : table.rows) {
+    for (std::size_t r = 0; r < table.rows.size(); ++r) {
+      const auto& row = table.rows[r];
+      const std::string where = args.get("csv") + ": line " +
+                                std::to_string(table.lines[r]) + ": ";
       const auto t = parse_time(row[tc]);
-      if (!t) throw ParseError("bad timestamp: " + row[tc]);
-      char* end = nullptr;
-      const double v = std::strtod(row[vc].c_str(), &end);
-      if (end == row[vc].c_str()) throw ParseError("bad value: " + row[vc]);
-      series.append(*t, v);
+      if (!t) throw ParseError(where + "bad timestamp: " + row[tc]);
+      const auto v = parse_finite(row[vc]);
+      if (!v) throw ParseError(where + "bad value: " + row[vc]);
+      series.append(*t, *v);
     }
     if (series.size() < 32) {
       std::cerr << "error: need at least 32 samples, got "

@@ -17,24 +17,14 @@
 #include "core/metrics.hpp"
 #include "core/run_artifact.hpp"
 #include "core/scenario_library.hpp"
+#include "core/spec_io.hpp"
 #include "obs/session.hpp"
 #include "tool_main.hpp"
 #include "util/cli.hpp"
 #include "util/text_table.hpp"
 #include "workload/trace.hpp"
 
-namespace {
-
 using namespace hpcem;
-
-std::optional<OperatingPolicy> parse_policy(const std::string& s) {
-  if (s == "baseline") return OperatingPolicy::baseline();
-  if (s == "perfdet") return OperatingPolicy::performance_determinism();
-  if (s == "lowfreq") return OperatingPolicy::low_frequency_default();
-  return std::nullopt;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   ArgParser args("hpcem_replay — replay a job trace (trace.hpp CSV layout) "
@@ -60,7 +50,7 @@ int main(int argc, char** argv) {
 
   return tools::tool_main([&] {
     const obs::ObsSession session("hpcem_replay");
-    const auto policy = parse_policy(args.get("policy"));
+    const auto policy = policy_from_name(args.get("policy"));
     if (!policy) {
       return tools::usage_error(
           args, "bad --policy (want baseline | perfdet | lowfreq), got: " +

@@ -1,25 +1,23 @@
 // hpcem_sim: run a facility campaign from the command line.
 //
-// Simulates the ARCHER2 model over a date window under an operating policy,
-// optionally flipping to another policy mid-window (the paper's rollout
-// shape), and reports window means, the recovered changepoint, service
-// metrics and (optionally) the full telemetry as CSV.
-//
-// Scenarios come either from a committed spec file (--spec; see
-// docs/SCENARIO_SCHEMA.md and scenarios/) or from the shaping flags below;
-// --spec-dump prints the canonical spec for either source and --validate
-// schema-checks without simulating.  A campaign manifest (--campaign) fans
-// many specs out over the campaign runner.
+// Simulates the ARCHER2 model over a committed scenario spec (--spec; see
+// docs/SCENARIO_SCHEMA.md and scenarios/) and reports window means, the
+// recovered changepoint, service metrics and (optionally) the full
+// telemetry as CSV.  The spec file is the only description of a run:
+// window, policy, rollouts, seed and warm-up all come from it.
+// --spec-dump prints its canonical form and --validate schema-checks it
+// without simulating.  A campaign manifest (--campaign) fans many specs
+// out over the campaign runner.  One of --spec or --campaign is required.
 //
 // Examples:
 //   hpcem_sim --spec scenarios/figure1.json
 //   hpcem_sim --spec scenarios/ci-smoke.json --validate
-//   hpcem_sim --start 2022-11-01 --end 2023-01-01 --policy perfdet
-//             --change 2022-12-01 --after lowfreq --spec-dump
+//   hpcem_sim --spec scenarios/figure3.json --spec-dump
 //   hpcem_sim --campaign scenarios/campaigns/paper-figures.json
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "core/assembly.hpp"
 #include "core/metrics.hpp"
@@ -37,11 +35,14 @@ namespace {
 
 using namespace hpcem;
 
-std::optional<OperatingPolicy> parse_policy(const std::string& s) {
-  if (s == "baseline") return OperatingPolicy::baseline();
-  if (s == "perfdet") return OperatingPolicy::performance_determinism();
-  if (s == "lowfreq") return OperatingPolicy::low_frequency_default();
-  return std::nullopt;
+/// The --spec file, or nullopt after printing its one-line schema error.
+std::optional<ScenarioSpec> load_spec(const std::string& path) {
+  try {
+    return load_scenario_file(path);
+  } catch (const ParseError& e) {
+    std::cerr << e.what() << '\n';
+    return std::nullopt;
+  }
 }
 
 int run_campaign_manifest(const ArgParser& args) {
@@ -90,31 +91,19 @@ int run_campaign_manifest(const ArgParser& args) {
 
 int main(int argc, char** argv) {
   ArgParser args(
-      "hpcem_sim — simulate the ARCHER2 facility model over a date window");
+      "hpcem_sim — simulate the ARCHER2 facility model from a scenario spec");
   args.add_option("spec", "",
-                  "scenario spec file (docs/SCENARIO_SCHEMA.md); replaces "
-                  "the shaping flags below");
+                  "scenario spec file (docs/SCENARIO_SCHEMA.md); this or "
+                  "--campaign is required");
   args.add_option("campaign", "",
                   "campaign manifest file: run every referenced spec on the "
                   "campaign runner");
   args.add_flag("validate",
-                "schema-check --spec (or the flag-built scenario) and exit; "
-                "first violation prints one line and exits 2");
+                "schema-check --spec and exit; first violation prints one "
+                "line and exits 2");
   args.add_flag("spec-dump",
                 "print the canonical spec JSON without simulating");
-  args.add_option("start", "2021-12-01", "window start (YYYY-MM-DD)");
-  args.add_option("end", "2022-02-01", "window end (YYYY-MM-DD)");
-  args.add_option("policy", "baseline",
-                  "operating policy: baseline | perfdet | lowfreq");
-  args.add_option("change", "",
-                  "date to switch policy mid-window (YYYY-MM-DD)");
-  args.add_option("after", "",
-                  "policy after the change: baseline | perfdet | lowfreq");
-  args.add_option("seed", "24601", "simulation seed");
-  args.add_option("warmup-days", "25", "steady-state pre-roll before start");
   args.add_option("csv", "", "write the window telemetry to this CSV file");
-  args.add_option("scenario", "hpcem_sim",
-                  "scenario id recorded in --serve-export artifacts");
   args.add_option("serve-export", "",
                   "write <basename>.artifact.json with the full telemetry "
                   "series embedded, ready for hpcem_serve --store (with "
@@ -130,56 +119,15 @@ int main(int argc, char** argv) {
     }
     return run_campaign_manifest(args);
   }
-
-  // Assemble the scenario: a spec file is authoritative; otherwise the
-  // shaping flags build one (the historical CLI surface).
-  ScenarioSpec spec;
-  if (!args.get("spec").empty()) {
-    try {
-      spec = load_scenario_file(args.get("spec"));
-    } catch (const ParseError& e) {
-      std::cerr << e.what() << '\n';
-      return tools::kExitUsage;
-    }
-  } else {
-    const auto start = parse_date_time(args.get("start"));
-    const auto end = parse_date_time(args.get("end"));
-    const auto policy = parse_policy(args.get("policy"));
-    if (!start || !end || !policy) {
-      return tools::usage_error(args, "bad --start/--end date or --policy");
-    }
-
-    spec.name = args.get("scenario");
-    spec.window_start = *start;
-    spec.window_end = *end;
-    spec.policy = *policy;
-    spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-    spec.warmup = Duration::days(args.get_double("warmup-days"));
-
-    if (!args.get("change").empty() || !args.get("after").empty()) {
-      const auto change = parse_date_time(args.get("change"));
-      const auto after = parse_policy(args.get("after"));
-      if (!change || !after) {
-        return tools::usage_error(args,
-                                  "--change and --after must both be valid");
-      }
-      if (*change <= spec.window_start || *change >= spec.window_end) {
-        return tools::usage_error(args,
-                                  "--change must fall inside the window");
-      }
-      spec.changes.push_back({*change, *after});
-    }
+  if (args.get("spec").empty()) {
+    return tools::usage_error(args, "--spec or --campaign is required");
   }
 
+  const std::optional<ScenarioSpec> loaded = load_spec(args.get("spec"));
+  if (!loaded) return tools::kExitUsage;
+  const ScenarioSpec& spec = *loaded;
+
   if (args.get_flag("validate")) {
-    // Round through the schema layer so flag-built scenarios are held to
-    // the same rules as files; a loaded spec has already passed.
-    try {
-      (void)scenario_from_json(scenario_to_json(spec));
-    } catch (const ParseError& e) {
-      std::cerr << e.what() << '\n';
-      return tools::kExitUsage;
-    }
     std::cout << "spec ok: " << spec.name << '\n';
     return tools::kExitOk;
   }
@@ -195,12 +143,8 @@ int main(int argc, char** argv) {
     // One run serves the timeline, the service metrics and the CSV dump.
     const auto sim = assembly.run_simulator();
     const TimelineResult result = analyze_timeline(*sim, spec);
-    const std::string title =
-        !args.get("spec").empty()
-            ? "hpcem_sim: " + spec.name + " (" + args.get("spec") + ")"
-            : "hpcem_sim: " + args.get("start") + " .. " + args.get("end") +
-                  " (" + args.get("policy") + ")";
-    std::cout << render_timeline(result, title);
+    std::cout << render_timeline(
+        result, "hpcem_sim: " + spec.name + " (" + args.get("spec") + ")");
 
     if (args.get_flag("metrics")) {
       std::cout << '\n'
