@@ -111,16 +111,16 @@ SimComposition FacilityAssembly::composition(
   SimComposition c =
       FacilitySimulator::standard_composition(config, spec_.idle_policy);
   if (spec_.model_cdus) {
-    c.sources.push_back(std::make_unique<CduSource>(
+    c.push_back(std::make_unique<CduSource>(
         CduPowerModel{}, config.inventory.cdus));
   }
   if (spec_.model_filesystems) {
-    c.sources.push_back(std::make_unique<FilesystemSource>(
+    c.push_back(std::make_unique<FilesystemSource>(
         FilesystemPowerModel{}, config.inventory.filesystems));
   }
   if (spec_.cooling_outdoor_c) {
     // Ordered last so the amplified total includes every upstream source.
-    c.sources.push_back(std::make_unique<CoolingOverheadSource>(
+    c.push_back(std::make_unique<CoolingOverheadSource>(
         CoolingModel{}, *spec_.cooling_outdoor_c));
   }
   return c;

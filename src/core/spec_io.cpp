@@ -5,10 +5,10 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
-#include <sstream>
 
 #include "power/pstate.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 
 namespace hpcem {
 
@@ -742,12 +742,10 @@ ScenarioSpec parse_scenario(std::string_view text) {
 }
 
 ScenarioSpec load_scenario_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("spec: " + path + ": cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const auto text = read_text_file(path);
+  if (!text) throw ParseError("spec: " + path + ": cannot open file");
   try {
-    return parse_scenario(buf.str());
+    return parse_scenario(*text);
   } catch (const ParseError& e) {
     // "spec: $.x: why" -> "spec: <path>: $.x: why"
     const std::string what = e.what();
@@ -796,15 +794,12 @@ namespace {
 }  // namespace
 
 CampaignManifest load_campaign_manifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) fail_manifest(path, "cannot open file");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const auto text = read_text_file(path);
+  if (!text) fail_manifest(path, "cannot open file");
 
   JsonValue doc;
   try {
-    doc = JsonValue::parse(buf.str(),
-                           JsonParseOptions{.allow_comments = true});
+    doc = JsonValue::parse(*text, JsonParseOptions{.allow_comments = true});
   } catch (const ParseError& e) {
     fail_manifest(path, e.what());
   }

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/json.hpp"
 
 namespace hpcem::lint {
@@ -163,11 +164,9 @@ std::vector<std::string> collect_sources(
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  require(in.good(), "hpcem_lint: cannot read ", path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  std::optional<std::string> text = read_text_file(path);
+  require(text.has_value(), "hpcem_lint: cannot read ", path);
+  return std::move(*text);
 }
 
 std::string format_text(const LintReport& report) {

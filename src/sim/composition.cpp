@@ -82,24 +82,4 @@ Power CoolingOverheadSource::power(const SimSnapshot& s) const {
   return model_.overhead_power(s.total_power_so_far_w, outdoor_c_);
 }
 
-void UtilisationProbe::declare_channels(Recorder& recorder) {
-  utilisation_ = recorder.declare(channels::kUtilisation, "fraction");
-}
-
-void UtilisationProbe::on_sample(const SimSnapshot& s, Recorder& recorder) {
-  recorder.record(utilisation_, s.now, s.utilisation);
-}
-
-void QueueStateProbe::declare_channels(Recorder& recorder) {
-  queue_length_ = recorder.declare(channels::kQueueLength, "jobs");
-  running_jobs_ = recorder.declare(channels::kRunningJobs, "jobs");
-}
-
-void QueueStateProbe::on_sample(const SimSnapshot& s, Recorder& recorder) {
-  recorder.record(queue_length_, s.now,
-                  static_cast<double>(s.queue_length));
-  recorder.record(running_jobs_, s.now,
-                  static_cast<double>(s.running_jobs));
-}
-
 }  // namespace hpcem

@@ -1,13 +1,12 @@
-// Pluggable power/telemetry composition for the facility simulator.
+// Pluggable power composition for the facility simulator.
 //
-// The simulator used to hard-code its power breakdown (nodes + switches +
-// cabinet overheads) and its telemetry channel set.  This seam turns both
-// into components: a `PowerSource` contributes a named power channel and,
-// when inside the paper's compute-cabinet metering boundary, to the
-// aggregate `cabinet_kw` channel; a `TelemetryProbe` observes the machine
-// state at each sampling instant and records whatever channels it declares.
-// Cooling/CDU/filesystem/idle-suspension models plug in as additional
-// sources without touching the simulator loop.
+// The facility power breakdown is a list of components: a `PowerSource`
+// contributes a named power channel and, when inside the paper's
+// compute-cabinet metering boundary, to the aggregate `cabinet_kw`
+// channel.  Cooling/CDU/filesystem/idle-suspension models plug in as
+// additional sources without touching the simulator loop.  The
+// scheduler-state channels (utilisation, queue length, running jobs) are
+// recorded by the simulator itself.
 //
 // Sources are evaluated in list order; the snapshot exposes the power
 // accumulated by the sources evaluated so far, which is how derived
@@ -23,13 +22,12 @@
 #include "power/idle.hpp"
 #include "power/node_model.hpp"
 #include "power/plant.hpp"
-#include "telemetry/recorder.hpp"
-#include "util/sim_time.hpp"
 #include "util/units.hpp"
 
 namespace hpcem {
 
-/// Telemetry channel names produced by the standard composition.
+/// Telemetry channel names: the cabinet meter, the scheduler-state
+/// channels the simulator records, and the sources' power channels.
 namespace channels {
 inline constexpr const char* kCabinetKw = "cabinet_kw";
 inline constexpr const char* kNodeFleetKw = "node_fleet_kw";
@@ -44,17 +42,15 @@ inline constexpr const char* kFilesystemKw = "filesystem_kw";
 inline constexpr const char* kCoolingKw = "cooling_kw";
 }  // namespace channels
 
-/// Instantaneous machine state handed to sources and probes at a sampling
-/// instant.  Everything is a value: sources must not reach back into the
-/// simulator.
+/// Instantaneous machine state handed to sources at a sampling instant.
+/// Everything is a value and nothing in it is a clock: a source's power is
+/// a pure function of the snapshot, so the simulator re-evaluates only
+/// after a job start or finish changes it.
 struct SimSnapshot {
-  SimTime now{};
   std::size_t total_nodes = 0;
   std::size_t busy_nodes = 0;
   /// Node-allocation fraction in [0, 1].
   double utilisation = 0.0;
-  std::size_t queue_length = 0;
-  std::size_t running_jobs = 0;
   /// Sum of the per-node draws of all running jobs, W.
   Power busy_node_power_w;
   /// Power of the metered (cabinet-boundary) sources evaluated before this
@@ -87,39 +83,10 @@ class PowerSource {
   /// multiplicative noise (sub-meters derived from the cabinet meter do;
   /// independently modelled plant does not).
   [[nodiscard]] virtual bool noisy() const { return false; }
-
-  /// True if `power` depends only on the machine-state fields of the
-  /// snapshot (busy nodes, utilisation, accumulated power) and never on
-  /// `SimSnapshot::now` or hidden mutable state.  When every composed
-  /// source is time-invariant the simulator may reuse the previous
-  /// sample's powers across quiescent intervals — stretches with no job
-  /// start/finish or submit between samples (DESIGN.md §9).  Sources
-  /// with their own dynamics (e.g. weather-driven cooling) must return
-  /// false, which disables the skip for the whole composition.
-  [[nodiscard]] virtual bool time_invariant() const { return false; }
 };
 
-/// Observer invoked at every sampling instant after the power sources.
-class TelemetryProbe {
- public:
-  virtual ~TelemetryProbe() = default;
-
-  /// Declare the channels the probe records (called once, at simulator
-  /// construction).  Implementations should keep the `ChannelId` handles
-  /// `Recorder::declare` returns and record through them in `on_sample` —
-  /// the name is resolved once here, never on the per-sample path.
-  virtual void declare_channels(Recorder& recorder) = 0;
-
-  /// Record this instant's values.  `s` carries the fully-accumulated
-  /// `total_power_so_far_w` / `metered_power_so_far_w` of all sources.
-  virtual void on_sample(const SimSnapshot& s, Recorder& recorder) = 0;
-};
-
-/// Ordered component list the simulator runs with.
-struct SimComposition {
-  std::vector<std::unique_ptr<PowerSource>> sources;
-  std::vector<std::unique_ptr<TelemetryProbe>> probes;
-};
+/// Ordered power-source list the simulator runs with.
+using SimComposition = std::vector<std::unique_ptr<PowerSource>>;
 
 // ---------------------------------------------------------------------------
 // Standard sources (the canonical cabinet-boundary breakdown).
@@ -134,7 +101,6 @@ class NodeFleetSource final : public PowerSource {
   [[nodiscard]] const std::string& channel() const override;
   [[nodiscard]] Power power(const SimSnapshot& s) const override;
   [[nodiscard]] bool noisy() const override { return true; }
-  [[nodiscard]] bool time_invariant() const override { return true; }
 
  private:
   NodePowerParams params_;
@@ -148,7 +114,6 @@ class SwitchFabricSource final : public PowerSource {
 
   [[nodiscard]] const std::string& channel() const override;
   [[nodiscard]] Power power(const SimSnapshot& s) const override;
-  [[nodiscard]] bool time_invariant() const override { return true; }
 
  private:
   SwitchPowerModel model_;
@@ -163,7 +128,6 @@ class CabinetOverheadSource final : public PowerSource {
 
   [[nodiscard]] const std::string& channel() const override;
   [[nodiscard]] Power power(const SimSnapshot& s) const override;
-  [[nodiscard]] bool time_invariant() const override { return true; }
 
  private:
   CabinetOverheadModel model_;
@@ -181,7 +145,6 @@ class CduSource final : public PowerSource {
   [[nodiscard]] const std::string& channel() const override;
   [[nodiscard]] Power power(const SimSnapshot& s) const override;
   [[nodiscard]] bool metered() const override { return false; }
-  [[nodiscard]] bool time_invariant() const override { return true; }
 
  private:
   CduPowerModel model_;
@@ -196,7 +159,6 @@ class FilesystemSource final : public PowerSource {
   [[nodiscard]] const std::string& channel() const override;
   [[nodiscard]] Power power(const SimSnapshot& s) const override;
   [[nodiscard]] bool metered() const override { return false; }
-  [[nodiscard]] bool time_invariant() const override { return true; }
 
  private:
   FilesystemPowerModel model_;
@@ -213,35 +175,10 @@ class CoolingOverheadSource final : public PowerSource {
   [[nodiscard]] const std::string& channel() const override;
   [[nodiscard]] Power power(const SimSnapshot& s) const override;
   [[nodiscard]] bool metered() const override { return false; }
-  [[nodiscard]] bool time_invariant() const override { return true; }
 
  private:
   CoolingModel model_;
   double outdoor_c_;
-};
-
-// ---------------------------------------------------------------------------
-// Standard probes (the scheduler-state channels).
-
-/// Records the node-allocation fraction.
-class UtilisationProbe final : public TelemetryProbe {
- public:
-  void declare_channels(Recorder& recorder) override;
-  void on_sample(const SimSnapshot& s, Recorder& recorder) override;
-
- private:
-  ChannelId utilisation_;
-};
-
-/// Records queue length and running-job count.
-class QueueStateProbe final : public TelemetryProbe {
- public:
-  void declare_channels(Recorder& recorder) override;
-  void on_sample(const SimSnapshot& s, Recorder& recorder) override;
-
- private:
-  ChannelId queue_length_;
-  ChannelId running_jobs_;
 };
 
 }  // namespace hpcem

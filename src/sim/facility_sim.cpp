@@ -29,19 +29,24 @@ const obs::Counter& samples_counter() {
   return c;
 }
 
+SchedulerConfig scheduler_config(const FacilitySimConfig& config) {
+  SchedulerConfig sched_cfg;
+  sched_cfg.nodes = config.inventory.compute_nodes;
+  sched_cfg.discipline = config.sched_discipline;
+  sched_cfg.weights = config.sched_weights;
+  return sched_cfg;
+}
+
 }  // namespace
 
 SimComposition FacilitySimulator::standard_composition(
     const FacilitySimConfig& config, IdlePowerPolicy idle) {
   SimComposition c;
-  c.sources.push_back(
-      std::make_unique<NodeFleetSource>(config.node_params, idle));
-  c.sources.push_back(std::make_unique<SwitchFabricSource>(
+  c.push_back(std::make_unique<NodeFleetSource>(config.node_params, idle));
+  c.push_back(std::make_unique<SwitchFabricSource>(
       config.switch_model, config.inventory.switches));
-  c.sources.push_back(std::make_unique<CabinetOverheadSource>(
+  c.push_back(std::make_unique<CabinetOverheadSource>(
       config.cabinet_model, config.inventory.cabinets));
-  c.probes.push_back(std::make_unique<UtilisationProbe>());
-  c.probes.push_back(std::make_unique<QueueStateProbe>());
   return c;
 }
 
@@ -56,30 +61,23 @@ FacilitySimulator::FacilitySimulator(const AppCatalog& catalog,
       config_(config),
       composition_(std::move(composition)),
       rng_(config.seed),
+      scheduler_(scheduler_config(config)),
       policy_cache_(catalog) {
   require(config_.sample_interval.sec() > 0.0,
           "FacilitySimulator: sample interval must be positive");
   require(config_.metering_noise_sigma >= 0.0,
           "FacilitySimulator: noise sigma must be non-negative");
-  require(!composition_.sources.empty(),
+  require(!composition_.empty(),
           "FacilitySimulator: composition needs at least one power source");
-  SchedulerConfig sched_cfg;
-  sched_cfg.nodes = config_.inventory.compute_nodes;
-  sched_cfg.discipline = config_.sched_discipline;
-  sched_cfg.weights = config_.sched_weights;
-  scheduler_ = std::make_unique<Scheduler>(sched_cfg);
 
   cabinet_channel_ = recorder_.declare(channels::kCabinetKw, "kW");
-  source_channels_.reserve(composition_.sources.size());
-  for (const auto& source : composition_.sources) {
+  source_channels_.reserve(composition_.size());
+  for (const auto& source : composition_) {
     source_channels_.push_back(recorder_.declare(source->channel(), "kW"));
   }
-  for (const auto& probe : composition_.probes) {
-    probe->declare_channels(recorder_);
-  }
-  sources_time_invariant_ =
-      std::all_of(composition_.sources.begin(), composition_.sources.end(),
-                  [](const auto& s) { return s->time_invariant(); });
+  utilisation_channel_ = recorder_.declare(channels::kUtilisation, "fraction");
+  queue_length_channel_ = recorder_.declare(channels::kQueueLength, "jobs");
+  running_jobs_channel_ = recorder_.declare(channels::kRunningJobs, "jobs");
 }
 
 void FacilitySimulator::schedule_policy_change(SimTime when,
@@ -170,9 +168,8 @@ void FacilitySimulator::run_impl(const std::vector<JobSpec>& trace,
     // policy: allocations are charged in node-hours, so budget-capped
     // users offer a constant node-hour stream no matter how fast
     // individual jobs run.
-    generator_ = std::make_unique<WorkloadGenerator>(
-        *catalog_, config_.inventory.compute_nodes, config_.gen,
-        rng_.split());
+    generator_.emplace(*catalog_, config_.inventory.compute_nodes,
+                       config_.gen, rng_.split());
     engine_.set_workload_stream(start, Duration::hours(1.0), end);
     // Every hour is drawn at the demand scale of one of the policies this
     // run arms, so the largest of those scales bounds the arrival rate.
@@ -208,7 +205,6 @@ void FacilitySimulator::dispatch(const SimEvent& ev) {
     case SimEventKind::kPolicyChange:
       policy_ = armed_policies_[ev.payload];
       policy_cache_.set_policy(policy_);
-      power_dirty_ = true;
       break;
     case SimEventKind::kMaintenanceBegin:
       starts_blocked_ = true;
@@ -234,7 +230,10 @@ void FacilitySimulator::dispatch(const SimEvent& ev) {
 
 void FacilitySimulator::generate_hour(SimTime t) {
   HPCEM_OBS_SPAN("sim.workload.generate");
-  for (const JobSpec& job : generator_->generate_hour(t, demand_scale())) {
+  // The arrival rate follows the active policy's demand scale (see
+  // run_impl).
+  for (const JobSpec& job :
+       generator_->generate_hour(t, policy_cache_.demand_scale())) {
     if (job.submit_time >= run_end_) continue;
     engine_.schedule(job.submit_time, SimEventKind::kSubmit,
                      job_slots_.put(job));
@@ -249,16 +248,8 @@ void FacilitySimulator::schedule_maintenance(SimTime block_from,
   maintenance_.emplace_back(block_from, end);
 }
 
-double FacilitySimulator::demand_scale() const {
-  // Mix-average runtime stretch under the active policy, relative to the
-  // reference conditions the generator's runtimes are expressed in —
-  // served from the policy-epoch cache (same accumulation bit-for-bit).
-  return policy_cache_.demand_scale();
-}
-
 void FacilitySimulator::on_submit(const JobSpec& job) {
-  power_dirty_ = true;  // queue length is part of the sampled state
-  scheduler_->submit(job);
+  scheduler_.submit(job);
   start_ready_jobs();
 }
 
@@ -266,7 +257,7 @@ void FacilitySimulator::start_ready_jobs() {
   if (starts_blocked_) return;
   const obs::ScopedTimer pass_timer(sched_pass_hist());
   const SimTime now = engine_.now();
-  for (const JobStart& start : scheduler_->schedule_pass(now)) {
+  for (const JobStart& start : scheduler_.schedule_pass(now)) {
     jobs_started_counter().add();
     power_dirty_ = true;
     // Per-start policy math comes from the policy-epoch cache: the same
@@ -282,45 +273,44 @@ void FacilitySimulator::start_ready_jobs() {
         Power::watts(f.draw.watts(start.job.silicon_factor));
     const Power fleet_w = per_node_w * static_cast<double>(start.job.nodes);
 
-    RunningJob rj;
-    rj.record.spec = start.job;
-    rj.record.start_time = now;
-    rj.record.end_time = now + runtime;
-    rj.record.pstate = f.pstate;
-    rj.record.mode = policy_.bios_mode;
-    rj.record.node_power_w = per_node_w;
-    rj.record.node_energy = fleet_w * runtime;
-    rj.fleet_power_w = fleet_w;
+    JobRecord record;
+    record.spec = start.job;
+    record.start_time = now;
+    record.end_time = now + runtime;
+    record.pstate = f.pstate;
+    record.mode = policy_.bios_mode;
+    record.node_power_w = per_node_w;
+    record.node_energy = fleet_w * runtime;
 
     busy_node_power_w_.add(fleet_w.w());
-    scheduler_->set_expected_end(start.job.id, rj.record.end_time);
-    engine_.schedule(rj.record.end_time, SimEventKind::kFinish,
-                     running_.put(rj));
+    scheduler_.set_expected_end(start.job.id, record.end_time);
+    engine_.schedule(record.end_time, SimEventKind::kFinish,
+                     running_.put(record));
   }
 }
 
 void FacilitySimulator::on_finish(std::uint64_t slot) {
-  const RunningJob rj = running_.take(slot);
+  const JobRecord record = running_.take(slot);
   power_dirty_ = true;
-  busy_node_power_w_.subtract(rj.fleet_power_w.w());
+  // The start path's expression: the same bits leave as entered.
+  const Power fleet_w =
+      record.node_power_w * static_cast<double>(record.spec.nodes);
+  busy_node_power_w_.subtract(fleet_w.w());
   // Compensated summation keeps the residual at a rounding of the peak
   // magnitude, so anything visibly negative is an accounting bug.
   HPCEM_ASSERT(busy_node_power_w_.value() > -1e-3,
                "busy power went negative");
   if (running_.live() == 0) busy_node_power_w_.reset();  // exact empty
-  scheduler_->finish(rj.record.spec.id, engine_.now());
-  completed_.push_back(rj.record);
+  scheduler_.finish(record.spec.id, engine_.now());
+  completed_.push_back(record);
   start_ready_jobs();
 }
 
 SimSnapshot FacilitySimulator::snapshot() const {
   SimSnapshot s;
-  s.now = engine_.now();
   s.total_nodes = config_.inventory.compute_nodes;
-  s.busy_nodes = scheduler_->busy_nodes();
-  s.utilisation = scheduler_->utilisation();
-  s.queue_length = scheduler_->queue_length();
-  s.running_jobs = scheduler_->running_count();
+  s.busy_nodes = scheduler_.busy_nodes();
+  s.utilisation = scheduler_.utilisation();
   s.busy_node_power_w =
       Power::watts(std::max(0.0, busy_node_power_w_.value()));
   return s;
@@ -328,7 +318,7 @@ SimSnapshot FacilitySimulator::snapshot() const {
 
 void FacilitySimulator::sample() {
   samples_counter().add();
-  SimSnapshot s = snapshot();
+  const SimTime now = engine_.now();
   // With no metering noise configured the draw is skipped entirely (the
   // factor is exactly 1.0 either way, and sample() is the only rng_
   // consumer during the run, so the stream is unperturbed).
@@ -336,17 +326,17 @@ void FacilitySimulator::sample() {
   const double noise = sigma == 0.0 ? 1.0 : 1.0 + rng_.normal(0.0, sigma);
 
   // Evaluate the sources in order, accumulating the boundary totals the
-  // later sources (and the cabinet meter) see.  Quiescent skip: if no
-  // submit/start/finish/policy change happened since the previous sample
-  // and every source is time-invariant, the snapshot the sources consume
-  // is unchanged, so the previous evaluation is reused verbatim.
-  if (power_dirty_ || !sources_time_invariant_) {
+  // later sources (and the cabinet meter) see.  Sources are pure functions
+  // of the snapshot, which only a job start or finish changes, so between
+  // those the previous evaluation is reused verbatim.
+  if (power_dirty_) {
     HPCEM_OBS_SPAN("sim.sample.power");
+    SimSnapshot s = snapshot();
     Power metered_w;
     Power total_w;
-    source_power_kw_.resize(composition_.sources.size());
-    for (std::size_t i = 0; i < composition_.sources.size(); ++i) {
-      const auto& source = composition_.sources[i];
+    source_power_kw_.resize(composition_.size());
+    for (std::size_t i = 0; i < composition_.size(); ++i) {
+      const auto& source = composition_[i];
       s.metered_power_so_far_w = metered_w;
       s.total_power_so_far_w = total_w;
       const Power p = source->power(s);
@@ -355,25 +345,21 @@ void FacilitySimulator::sample() {
       source_power_kw_[i] = p.kw();
     }
     cached_metered_w_ = metered_w;
-    cached_total_w_ = total_w;
     power_dirty_ = false;
   }
-  for (std::size_t i = 0; i < composition_.sources.size(); ++i) {
+  for (std::size_t i = 0; i < composition_.size(); ++i) {
     recorder_.record(
-        source_channels_[i], s.now,
-        source_power_kw_[i] *
-            (composition_.sources[i]->noisy() ? noise : 1.0));
+        source_channels_[i], now,
+        source_power_kw_[i] * (composition_[i]->noisy() ? noise : 1.0));
   }
 
   HPCEM_OBS_SPAN("sim.sample.telemetry");
-  recorder_.record(cabinet_channel_, s.now,
-                   cached_metered_w_.kw() * noise);
-
-  s.metered_power_so_far_w = cached_metered_w_;
-  s.total_power_so_far_w = cached_total_w_;
-  for (const auto& probe : composition_.probes) {
-    probe->on_sample(s, recorder_);
-  }
+  recorder_.record(cabinet_channel_, now, cached_metered_w_.kw() * noise);
+  recorder_.record(utilisation_channel_, now, scheduler_.utilisation());
+  recorder_.record(queue_length_channel_, now,
+                   static_cast<double>(scheduler_.queue_length()));
+  recorder_.record(running_jobs_channel_, now,
+                   static_cast<double>(scheduler_.running_count()));
 }
 
 PowerKw FacilitySimulator::mean_cabinet_kw(SimTime a, SimTime b) const {
@@ -381,7 +367,7 @@ PowerKw FacilitySimulator::mean_cabinet_kw(SimTime a, SimTime b) const {
 }
 
 double FacilitySimulator::mean_utilisation(SimTime a, SimTime b) const {
-  return recorder_.channel(channels::kUtilisation).mean_over(a, b);
+  return recorder_.series(utilisation_channel_).mean_over(a, b);
 }
 
 Energy FacilitySimulator::cabinet_energy() const {

@@ -7,16 +7,16 @@
 // and operational policy changes (BIOS mode, default CPU frequency) taking
 // effect at scheduled instants for newly started jobs.
 //
-// The power breakdown and the telemetry channel set are composable: the
-// simulator drives an ordered list of `PowerSource` components and
-// `TelemetryProbe` observers (sim/composition.hpp).  The default
-// composition reproduces the paper's cabinet boundary exactly; cooling,
-// CDU, filesystem and idle-suspension models plug in without touching the
-// simulator.
+// The power breakdown is composable: the simulator drives an ordered list
+// of `PowerSource` components (sim/composition.hpp) and records the
+// scheduler-state channels (utilisation, queue length, running jobs)
+// itself.  The default composition reproduces the paper's cabinet boundary
+// exactly; cooling, CDU, filesystem and idle-suspension models plug in
+// without touching the simulator.
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "power/facility_power.hpp"
@@ -55,7 +55,7 @@ struct FacilitySimConfig {
 class FacilitySimulator {
  public:
   /// Run with the standard composition (nodes + switches + cabinet
-  /// overheads inside the metering boundary; utilisation/queue probes).
+  /// overheads inside the metering boundary).
   FacilitySimulator(const AppCatalog& catalog, FacilitySimConfig config);
 
   /// Run with an explicit component list (see sim/composition.hpp).
@@ -113,7 +113,7 @@ class FacilitySimulator {
   [[nodiscard]] std::size_t completed_reserved() const {
     return completed_reserved_;
   }
-  [[nodiscard]] const Scheduler& scheduler() const { return *scheduler_; }
+  [[nodiscard]] const Scheduler& scheduler() const { return scheduler_; }
 
   /// Mean cabinet power over a window, kW.
   [[nodiscard]] PowerKw mean_cabinet_kw(SimTime a, SimTime b) const;
@@ -123,11 +123,6 @@ class FacilitySimulator {
   [[nodiscard]] Energy cabinet_energy() const;
 
  private:
-  struct RunningJob {
-    JobRecord record;       ///< filled in progressively
-    Power fleet_power_w;    ///< nodes x per-node draw
-  };
-
   /// Payloads parked by integer slot (an event payload indexes them);
   /// freed slots are recycled, so the pool is bounded by its peak number
   /// of live entries.
@@ -168,9 +163,6 @@ class FacilitySimulator {
   /// Machine state at the current instant (power accumulators zeroed).
   [[nodiscard]] SimSnapshot snapshot() const;
 
-  /// Budget-feedback multiplier on the arrival rate (see run()).
-  [[nodiscard]] double demand_scale() const;
-
   /// Shared run skeleton; `trace` empty means generate synthetically.
   void run_impl(const std::vector<JobSpec>& trace, bool use_trace,
                 SimTime start, SimTime end);
@@ -179,21 +171,26 @@ class FacilitySimulator {
   FacilitySimConfig config_;
   SimComposition composition_;
   /// Interned channel handles, resolved once at construction: the cabinet
-  /// meter plus one per source (in composition order).  sample() records
-  /// through these — no per-sample name lookup.
+  /// meter, one per source (in composition order) and the scheduler-state
+  /// channels.  sample() records through these — no per-sample name lookup.
   ChannelId cabinet_channel_;
   std::vector<ChannelId> source_channels_;
+  ChannelId utilisation_channel_;
+  ChannelId queue_length_channel_;
+  ChannelId running_jobs_channel_;
   OperatingPolicy policy_ = OperatingPolicy::baseline();
   Rng rng_;
   SimEngine engine_;
-  std::unique_ptr<Scheduler> scheduler_;
-  std::unique_ptr<WorkloadGenerator> generator_;
+  Scheduler scheduler_;
+  /// Engaged by run() (a trace replay has no generator).
+  std::optional<WorkloadGenerator> generator_;
   Recorder recorder_;
   std::vector<std::pair<SimTime, OperatingPolicy>> pending_changes_;
   std::vector<std::pair<SimTime, SimTime>> maintenance_;
   bool starts_blocked_ = false;
-  /// Running jobs by slot (the kFinish payload).
-  SlotPool<RunningJob> running_;
+  /// Running jobs by slot (the kFinish payload); each record is complete
+  /// from its start.
+  SlotPool<JobRecord> running_;
   std::vector<JobRecord> completed_;
   std::size_t completed_reserved_ = 0;
   /// Fleet power of running jobs; compensated because a long campaign
@@ -210,17 +207,13 @@ class FacilitySimulator {
   /// indexes this), bounded by the peak number of in-flight submits.
   SlotPool<JobSpec> job_slots_;
   SimTime run_end_{};
-  /// All composed sources time-invariant => quiescent samples may reuse
-  /// the previous power evaluation (see PowerSource::time_invariant).
-  bool sources_time_invariant_ = false;
-  /// Set by anything that can change the sampled machine state (submit,
-  /// start, finish, policy change); cleared when sample() re-evaluates.
+  /// Set by a job start or finish, the only events that change the
+  /// snapshot the sources read; cleared when sample() re-evaluates.
   bool power_dirty_ = true;
-  /// Cached per-source powers (kW) and boundary totals of the last
+  /// Cached per-source powers (kW) and metered total of the last
   /// evaluated sample.
   std::vector<double> source_power_kw_;
   Power cached_metered_w_;
-  Power cached_total_w_;
 };
 
 }  // namespace hpcem

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 
 namespace hpcem {
 
@@ -40,7 +41,7 @@ std::vector<std::string> split_csv_line(std::string_view line) {
       cur.push_back(c);
     }
   }
-  if (in_quotes) throw ParseError("unterminated quote in CSV line");
+  if (in_quotes) throw ParseError("unterminated quote");
   cells.push_back(std::move(cur));
   return cells;
 }
@@ -71,7 +72,13 @@ CsvTable parse_csv(std::string_view text) {
                                 : text.substr(pos, nl - pos);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (!line.empty()) {
-      auto cells = split_csv_line(line);
+      std::vector<std::string> cells;
+      try {
+        cells = split_csv_line(line);
+      } catch (const ParseError& e) {
+        throw ParseError("CSV line " + std::to_string(line_no) + ": " +
+                         e.what());
+      }
       if (first) {
         table.header = std::move(cells);
         first = false;
@@ -93,11 +100,9 @@ CsvTable parse_csv(std::string_view text) {
 }
 
 CsvTable read_csv_file(const std::filesystem::path& path) {
-  std::ifstream in(path);
-  if (!in) throw ParseError("cannot open CSV file: " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_csv(buf.str());
+  const auto text = read_text_file(path.string());
+  if (!text) throw ParseError("cannot open CSV file: " + path.string());
+  return parse_csv(*text);
 }
 
 CsvWriter::CsvWriter(std::vector<std::string> header)

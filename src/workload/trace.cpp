@@ -5,11 +5,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <unordered_set>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/file_io.hpp"
 #include "util/text_table.hpp"
 
 namespace hpcem {
@@ -132,11 +132,9 @@ void write_jobs_file(const std::filesystem::path& path,
 
 std::vector<JobSpec> read_jobs_file(const std::filesystem::path& path,
                                     const AppCatalog& catalog) {
-  std::ifstream in(path);
-  if (!in) throw ParseError("cannot open jobs file: " + path.string());
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return jobs_from_csv(buf.str(), catalog);
+  const auto text = read_text_file(path.string());
+  if (!text) throw ParseError("cannot open jobs file: " + path.string());
+  return jobs_from_csv(*text, catalog);
 }
 
 std::string records_to_csv(const std::vector<JobRecord>& recs,

@@ -188,6 +188,25 @@ TEST(SpecErrors, FileErrorsNameTheFile) {
   }
 }
 
+TEST(SpecErrors, DirectoryIsNotAReadableFile) {
+  // A directory opens as a stream but has no bytes to read: it must get
+  // the same one-line error as a missing file, not a JSON parse error.
+  const std::string dir = scenario_library_dir();
+  try {
+    (void)load_scenario_file(dir);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "spec: " + dir + ": cannot open file");
+  }
+  try {
+    (void)load_campaign_manifest(dir);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "manifest: " + dir + ": cannot open file");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Round-trip goldens over the whole committed library.
 

@@ -63,6 +63,15 @@ TEST(CsvParse, SkipsBlankLinesAndCrLf) {
   EXPECT_EQ(t.rows[0][1], "2");
 }
 
+TEST(CsvParse, UnterminatedQuoteNamesItsLine) {
+  try {
+    (void)parse_csv("x,y\n1,2\n\n\"open,3\n");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "CSV line 4: unterminated quote");
+  }
+}
+
 TEST(CsvParse, WidthMismatchThrows) {
   EXPECT_THROW(parse_csv("x,y\n1,2,3\n"), ParseError);
   EXPECT_THROW(parse_csv("x,y\n1\n"), ParseError);
@@ -101,6 +110,16 @@ TEST(CsvFile, WriteAndReadBack) {
 
 TEST(CsvFile, MissingFileThrows) {
   EXPECT_THROW(read_csv_file("/nonexistent/path/x.csv"), ParseError);
+}
+
+TEST(CsvFile, DirectoryThrowsCannotOpen) {
+  const auto dir = std::filesystem::temp_directory_path();
+  try {
+    (void)read_csv_file(dir);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()), "cannot open CSV file: " + dir.string());
+  }
 }
 
 }  // namespace

@@ -7,7 +7,8 @@
 // window, policy, rollouts, seed and warm-up all come from it.
 // --spec-dump prints its canonical form and --validate schema-checks it
 // without simulating.  A campaign manifest (--campaign) fans many specs
-// out over the campaign runner.  One of --spec or --campaign is required.
+// out over the campaign runner; of the other options it takes only
+// --serve-export.  One of --spec or --campaign is required.
 //
 // Examples:
 //   hpcem_sim --spec scenarios/figure1.json
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <string>
 
 #include "core/assembly.hpp"
 #include "core/metrics.hpp"
@@ -97,7 +99,7 @@ int main(int argc, char** argv) {
                   "--campaign is required");
   args.add_option("campaign", "",
                   "campaign manifest file: run every referenced spec on the "
-                  "campaign runner");
+                  "campaign runner (combines only with --serve-export)");
   args.add_flag("validate",
                 "schema-check --spec and exit; first violation prints one "
                 "line and exits 2");
@@ -114,8 +116,17 @@ int main(int argc, char** argv) {
   if (!args.parse(argc, argv)) return tools::parse_exit(args);
 
   if (!args.get("campaign").empty()) {
-    if (!args.get("spec").empty()) {
-      return tools::usage_error(args, "--campaign excludes --spec");
+    // The single-spec options have no campaign meaning: naming one is a
+    // usage error, not a silent no-op.
+    for (const std::string option : {"spec", "csv"}) {
+      if (!args.get(option).empty()) {
+        return tools::usage_error(args, "--campaign excludes --" + option);
+      }
+    }
+    for (const std::string flag : {"validate", "spec-dump", "metrics"}) {
+      if (args.get_flag(flag)) {
+        return tools::usage_error(args, "--campaign excludes --" + flag);
+      }
     }
     return run_campaign_manifest(args);
   }
