@@ -52,6 +52,29 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1024)->Arg(16384);
 
+// The same events handed over as one sorted run (the simulator's hourly
+// submits): they wait in a FIFO beside the heap instead of going through
+// it.
+void BM_EngineSortedRun(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<SimEngine::RunEvent> run;
+  for (std::size_t i = 0; i < n; ++i) {
+    run.push_back({SimTime(static_cast<double>(i)), i});
+  }
+  for (auto _ : state) {
+    SimEngine engine;
+    std::uint64_t sum = 0;
+    engine.schedule_run(SimEventKind::kSubmit, run);
+    SimEvent ev;
+    while (engine.next(SimTime(static_cast<double>(n)), ev)) {
+      sum += ev.payload;
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_EngineSortedRun)->Arg(1024)->Arg(16384);
+
 void BM_SchedulerChurn(benchmark::State& state) {
   for (auto _ : state) {
     SchedulerConfig cfg;

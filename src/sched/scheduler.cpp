@@ -32,36 +32,47 @@ It end_lower_bound(It first, It last, SimTime end, JobId id) {
   });
 }
 
-}  // namespace
-
-std::vector<Scheduler::EndEntry>::iterator Scheduler::ends_find(SimTime end,
-                                                                JobId id) {
-  const auto pos = end_lower_bound(ends_.begin(), ends_.end(), end, id);
-  HPCEM_ASSERT(pos != ends_.end() && pos->id == id && pos->end == end,
-               "shadow buffer out of sync with running set");
-  return pos;
+/// The entry of job `id` in [first, last), scanning from `first`.
+template <class It>
+It find_id(It first, It last, JobId id) {
+  return std::find_if(first, last, [id](const auto& e) { return e.id == id; });
 }
 
+}  // namespace
+
 void Scheduler::ends_insert(SimTime end, JobId id, std::size_t nodes) {
-  ends_.insert(end_lower_bound(ends_.begin(), ends_.end(), end, id),
+  ends_.insert(end_lower_bound(ends_first(), ends_.end(), end, id),
                EndEntry{end, id, nodes});
 }
 
-void Scheduler::ends_erase(SimTime end, JobId id) {
-  ends_.erase(ends_find(end, id));
+void Scheduler::ends_erase(std::vector<EndEntry>::iterator pos) {
+  const auto first = ends_first();
+  if (pos - first > ends_.end() - pos) {
+    ends_.erase(pos);
+    return;
+  }
+  // Nearer the front, where finishes land: shift the prefix up one and
+  // retire the first slot, so a front erase moves nothing.
+  std::move_backward(first, pos, pos + 1);
+  ++ends_head_;
+  // Compact once the retired prefix outgrows the live entries: each
+  // compaction moves at most as many entries as erases retired since.
+  if (2 * ends_head_ >= ends_.size()) {
+    ends_.erase(ends_.begin(), ends_first());
+    ends_head_ = 0;
+  }
 }
 
-void Scheduler::ends_move(SimTime from, SimTime to, JobId id) {
+void Scheduler::ends_move(std::vector<EndEntry>::iterator pos, SimTime to) {
   // One shift of the entries between the old and the new position, where
   // an erase plus an insert would shift everything behind either of them.
-  const auto pos = ends_find(from, id);
-  const EndEntry moved{to, id, pos->nodes};
-  if (to > from) {
-    const auto dest = end_lower_bound(pos + 1, ends_.end(), to, id);
+  const EndEntry moved{to, pos->id, pos->nodes};
+  if (to > pos->end) {
+    const auto dest = end_lower_bound(pos + 1, ends_.end(), to, moved.id);
     std::move(pos + 1, dest, pos);
     *(dest - 1) = moved;
   } else {
-    const auto dest = end_lower_bound(ends_.begin(), pos, to, id);
+    const auto dest = end_lower_bound(ends_first(), pos, to, moved.id);
     std::move_backward(dest, pos, pos + 1);
     *dest = moved;
   }
@@ -70,10 +81,19 @@ void Scheduler::ends_move(SimTime from, SimTime to, JobId id) {
 Scheduler::Shadow Scheduler::shadow_for(std::size_t count) const {
   HPCEM_ASSERT(count <= config_.nodes && count > free_,
                "shadow for a job that fits or can never fit");
-  // Sweep running jobs in expected-end order, accumulating freed nodes —
-  // a prefix scan of the incrementally maintained buffer.
+  // Sweep running jobs in (expected end, id) order, accumulating freed
+  // nodes: a prefix scan of the filed buffer merged with this pass's
+  // starts, which still wait at their walltime ends.
   std::size_t freed = free_;
-  for (const EndEntry& e : ends_) {
+  auto filed = ends_.begin() + static_cast<std::ptrdiff_t>(ends_head_);
+  auto fresh = starting_.begin();
+  while (filed != ends_.end() || fresh != starting_.end()) {
+    const bool take_fresh =
+        filed == ends_.end() ||
+        (fresh != starting_.end() &&
+         (fresh->end != filed->end ? fresh->end < filed->end
+                                   : fresh->id < filed->id));
+    const EndEntry& e = take_fresh ? *fresh++ : *filed++;
     freed += e.nodes;
     if (freed >= count) return {e.end, freed - count};
   }
@@ -128,6 +148,10 @@ void Scheduler::order_queue(SimTime now) {
 
 std::vector<JobStart> Scheduler::schedule_pass(SimTime now) {
   ++passes_total_;
+  // Starts of the previous pass that were never retimed keep their
+  // walltime ends.
+  for (const EndEntry& e : starting_) ends_insert(e.end, e.id, e.nodes);
+  starting_.clear();
   std::vector<JobStart> starts;
 
   // A settled pass carries over only while time advances far enough for
@@ -190,35 +214,51 @@ std::vector<JobStart> Scheduler::schedule_pass(SimTime now) {
 void Scheduler::start(JobSpec job, SimTime now,
                       std::vector<JobStart>& starts) {
   const JobId id = job.id;
+  require_state(running_ids_.insert(id),
+                "Scheduler: job id already running: ", id);
   const SimTime expected_end = now + job.requested_walltime;
-  const bool fresh =
-      running_.emplace(id, Running{job.nodes, expected_end}).second;
-  require_state(fresh, "Scheduler: job id already running: ", id);
   free_ -= job.nodes;
-  ends_insert(expected_end, id, job.nodes);
+  starting_.insert(
+      end_lower_bound(starting_.begin(), starting_.end(), expected_end, id),
+      EndEntry{expected_end, id, job.nodes});
   starts.push_back({std::move(job)});
   ++started_total_;
   settled_.reset();
 }
 
 void Scheduler::finish(JobId id, SimTime /*now*/) {
-  auto it = running_.find(id);
-  require_state(it != running_.end(), "Scheduler::finish: job not running: ",
-                id);
-  free_ += it->second.nodes;
-  ends_erase(it->second.expected_end, id);
-  running_.erase(it);
+  if (const auto s = find_id(starting_.begin(), starting_.end(), id);
+      s != starting_.end()) {
+    free_ += s->nodes;
+    starting_.erase(s);
+  } else {
+    // Finishes come in end order, so this scan almost always stops at the
+    // front.
+    const auto pos = find_id(ends_first(), ends_.end(), id);
+    require_state(pos != ends_.end(), "Scheduler::finish: job not running: ",
+                  id);
+    free_ += pos->nodes;
+    ends_erase(pos);
+  }
+  running_ids_.erase(id);
   ++finished_total_;
   settled_.reset();
 }
 
 void Scheduler::set_expected_end(JobId id, SimTime end) {
-  auto it = running_.find(id);
-  require_state(it != running_.end(),
+  if (const auto s = find_id(starting_.begin(), starting_.end(), id);
+      s != starting_.end()) {
+    // A start is filed once, at its realised end.  Nothing is settled:
+    // the pass that started the job was not, and no pass ran since.
+    ends_insert(end, id, s->nodes);
+    starting_.erase(s);
+    return;
+  }
+  const auto pos = find_id(ends_first(), ends_.end(), id);
+  require_state(pos != ends_.end(),
                 "Scheduler::set_expected_end: job not running: ", id);
-  if (it->second.expected_end != end) {
-    ends_move(it->second.expected_end, end, id);
-    it->second.expected_end = end;
+  if (pos->end != end) {
+    ends_move(pos, end);
     settled_.reset();
   }
 }

@@ -18,13 +18,19 @@
 // finish or a retime that moves an end: the free count and the shadow are
 // unchanged and every job it examined stays rejected, so the next pass
 // examines only the jobs submitted since, against the cached shadow.
+//
+// Running jobs sit in one buffer sorted by (expected end, id), which the
+// shadow sweeps as a prefix.  Finishes land at its front, where an erase
+// moves nothing.  A pass's starts wait in a short side list at their
+// walltime ends until the caller retimes them, so each job is inserted
+// into the buffer once, at its realised end.
 #pragma once
 
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "sched/id_set.hpp"
 #include "util/sim_time.hpp"
 #include "workload/jobs.hpp"
 
@@ -78,16 +84,20 @@ class Scheduler {
   /// The caller must later call `finish` for each started job.
   [[nodiscard]] std::vector<JobStart> schedule_pass(SimTime now);
 
-  /// Record that a started job finished and free its nodes.
+  /// Record that a started job finished and free its nodes.  O(1) for the
+  /// job with the earliest expected end; others cost a scan.
   void finish(JobId id, SimTime now);
 
   /// Tell the scheduler the actual expected end of a started job (the
   /// caller knows the realised runtime under the active policy).  Improves
   /// backfill planning; falls back to the walltime estimate otherwise.
+  /// Cheapest before the next pass; a later retime costs a scan.
   void set_expected_end(JobId id, SimTime end);
 
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
-  [[nodiscard]] std::size_t running_count() const { return running_.size(); }
+  [[nodiscard]] std::size_t running_count() const {
+    return ends_.size() - ends_head_ + starting_.size();
+  }
   [[nodiscard]] std::size_t free_nodes() const { return free_; }
   [[nodiscard]] std::size_t busy_nodes() const {
     return config_.nodes - free_;
@@ -112,10 +122,6 @@ class Scheduler {
  private:
   /// Reorder the queue per the discipline (no-op under kFifo).
   void order_queue(SimTime now);
-  struct Running {
-    std::size_t nodes;
-    SimTime expected_end;
-  };
   /// Record a job as running and queue its JobStart.
   void start(JobSpec job, SimTime now, std::vector<JobStart>& starts);
 
@@ -125,14 +131,16 @@ class Scheduler {
     JobId id;
     std::size_t nodes;
   };
-  /// Maintain the sorted end-time buffer across passes: O(log n) locate +
-  /// one contiguous shift per start/finish/retime, instead of rebuilding
-  /// and sorting the whole buffer on every scheduling pass.
-  [[nodiscard]] std::vector<EndEntry>::iterator ends_find(SimTime end,
-                                                          JobId id);
+  /// Maintain the sorted end-time buffer across passes instead of
+  /// rebuilding and sorting it on every scheduling pass: a binary-search
+  /// insert per retimed start, an O(1) erase at the front (where finishes
+  /// land) and one contiguous shift per later retime.
   void ends_insert(SimTime end, JobId id, std::size_t nodes);
-  void ends_erase(SimTime end, JobId id);
-  void ends_move(SimTime from, SimTime to, JobId id);
+  void ends_erase(std::vector<EndEntry>::iterator pos);
+  void ends_move(std::vector<EndEntry>::iterator pos, SimTime to);
+  [[nodiscard]] std::vector<EndEntry>::iterator ends_first() {
+    return ends_.begin() + static_cast<std::ptrdiff_t>(ends_head_);
+  }
 
   /// The expected end by which `count` (more than the free) nodes will be
   /// free, assuming running jobs end at their expected ends, and how many
@@ -159,10 +167,17 @@ class Scheduler {
   SchedulerConfig config_;
   std::size_t free_;
   std::deque<JobSpec> queue_;
-  std::unordered_map<JobId, Running> running_;
+  /// Ids of the running jobs, for the duplicate-start check.
+  JobIdSet running_ids_;
   /// Running jobs sorted by (expected end, id) — the backfill shadow
   /// sweeps a prefix of this instead of re-sorting per pass.
   std::vector<EndEntry> ends_;
+  /// Entries of `ends_` before this index are retired finishes.
+  std::size_t ends_head_ = 0;
+  /// Starts of the latest pass not yet retimed, at their walltime ends in
+  /// the same order.  A retime files the job in `ends_` at its realised
+  /// end, so each start is inserted there once.
+  std::vector<EndEntry> starting_;
   /// Set while only tail submits followed a FIFO pass that started
   /// nothing; cleared by any start, finish or end-moving retime.
   std::optional<Settled> settled_;

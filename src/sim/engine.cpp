@@ -17,7 +17,23 @@ void SimEngine::schedule_static(SimTime when, SimEventKind kind,
 
 void SimEngine::schedule(SimTime when, SimEventKind kind,
                          std::uint64_t payload) {
-  push(when, (kRuntimeBand << kBandShift) | next_runtime_++, kind, payload);
+  push(when, runtime_key(), kind, payload);
+}
+
+void SimEngine::schedule_run(SimEventKind kind,
+                             std::span<const RunEvent> events) {
+  run_.erase(run_.begin(),
+             run_.begin() + static_cast<std::ptrdiff_t>(run_head_));
+  run_head_ = 0;
+  for (const RunEvent& e : events) {
+    if (!run_.empty() && e.time < run_.back().time) {
+      push(e.time, runtime_key(), kind, e.payload);
+      continue;
+    }
+    // Keys only grow, so appending keeps the FIFO in (time, key) order.
+    require(e.time >= now_, "SimEngine::schedule: cannot schedule in the past");
+    run_.push_back(QueuedEvent{e.time, runtime_key(), kind, e.payload});
+  }
 }
 
 void SimEngine::set_workload_stream(SimTime start, Duration period,
@@ -35,14 +51,14 @@ void SimEngine::set_sample_stream(SimTime start, Duration period,
 }
 
 bool SimEngine::next(SimTime until, SimEvent& out) {
-  // Best of three candidates: heap top, workload tick, sample tick —
-  // minimum (time, band-key).  Stream candidates carry a bare band key:
-  // a train never has two ticks at one instant, so the counter half is
-  // irrelevant.
+  // Best of four candidates: heap top, run head, workload tick, sample
+  // tick — minimum (time, band-key).  Stream candidates carry a bare band
+  // key: a train never has two ticks at one instant, so the counter half
+  // is irrelevant.
   bool found = false;
   SimTime best_time{};
   std::uint64_t best_key = 0;
-  int best = -1;  // 0 = heap, 1 = workload, 2 = sample
+  int best = -1;  // 0 = heap, 1 = workload, 2 = sample, 3 = run
 
   if (!queue_.empty()) {
     const QueuedEvent& top = queue_.top();
@@ -50,6 +66,16 @@ bool SimEngine::next(SimTime until, SimEvent& out) {
     best_time = top.time;
     best_key = top.key;
     best = 0;
+  }
+  if (run_head_ < run_.size()) {
+    const QueuedEvent& head = run_[run_head_];
+    if (!found || head.time < best_time ||
+        (head.time == best_time && head.key < best_key)) {
+      found = true;
+      best_time = head.time;
+      best_key = head.key;
+      best = 3;
+    }
   }
   const auto consider = [&](const Stream& s, std::uint64_t band, int which) {
     if (!s.active) return;
@@ -71,6 +97,13 @@ bool SimEngine::next(SimTime until, SimEvent& out) {
     const QueuedEvent& top = queue_.top();
     out = SimEvent{top.time, top.kind, top.payload};
     queue_.pop();
+  } else if (best == 3) {
+    const QueuedEvent& head = run_[run_head_];
+    out = SimEvent{head.time, head.kind, head.payload};
+    if (++run_head_ == run_.size()) {
+      run_.clear();
+      run_head_ = 0;
+    }
   } else {
     Stream& s = best == 1 ? workload_ : sample_;
     out = SimEvent{s.next_tick,

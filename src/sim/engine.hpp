@@ -17,11 +17,15 @@
 //     <  runtime events (scheduled during the run, FIFO)
 //
 // encoded as a (band, counter) key — see `SimEngine::schedule` /
-// `schedule_static` and DESIGN.md §9.
+// `schedule_static` and DESIGN.md §9.  Runtime events handed over as a
+// run sorted by time (the hourly generated submits) take their counters
+// when they are handed over, as `schedule` would, but wait in a FIFO beside
+// the heap, which then holds only finishes and statics.
 #pragma once
 
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "util/sim_time.hpp"
@@ -53,8 +57,10 @@ class SimEngine {
   explicit SimEngine(SimTime start = SimTime{0.0}) : now_(start) {}
 
   [[nodiscard]] SimTime now() const { return now_; }
-  /// Heap-resident events (lazy stream ticks are not counted).
-  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  /// Scheduled events not yet popped (lazy stream ticks are not counted).
+  [[nodiscard]] std::size_t pending() const {
+    return queue_.size() + run_.size() - run_head_;
+  }
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
 
   /// Schedule a pre-run event; same-time statics pop in call order, ahead
@@ -67,6 +73,20 @@ class SimEngine {
   /// runtime events pop in call order, after every static and tick at
   /// that instant.  `when` must not be in the past.
   void schedule(SimTime when, SimEventKind kind, std::uint64_t payload = 0);
+
+  /// One event of a run (see `schedule_run`).
+  struct RunEvent {
+    SimTime time;
+    std::uint64_t payload;
+  };
+
+  /// Schedule runtime events of one kind: the same as calling `schedule`
+  /// for each in turn, so they take one contiguous block of runtime
+  /// sequence numbers.  An event no earlier than the last one queued this
+  /// way waits in a FIFO beside the heap, so a run sorted by time costs no
+  /// heap push or pop, even when it is queued behind an undrained one.
+  /// No event may be in the past.
+  void schedule_run(SimEventKind kind, std::span<const RunEvent> events);
 
   /// Arm the lazy workload-hour tick train: kWorkloadHour at `start`,
   /// then every `period`, strictly before `end`.
@@ -114,6 +134,9 @@ class SimEngine {
 
   void push(SimTime when, std::uint64_t key, SimEventKind kind,
             std::uint64_t payload);
+  [[nodiscard]] std::uint64_t runtime_key() {
+    return (kRuntimeBand << kBandShift) | next_runtime_++;
+  }
 
   SimTime now_;
   std::uint64_t next_static_ = 0;
@@ -122,6 +145,9 @@ class SimEngine {
   Stream workload_;
   Stream sample_;
   std::priority_queue<QueuedEvent, std::vector<QueuedEvent>, Later> queue_;
+  /// Run events in (time, key) order; those before `run_head_` are popped.
+  std::vector<QueuedEvent> run_;
+  std::size_t run_head_ = 0;
 };
 
 }  // namespace hpcem

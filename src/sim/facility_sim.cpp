@@ -231,13 +231,15 @@ void FacilitySimulator::dispatch(const SimEvent& ev) {
 void FacilitySimulator::generate_hour(SimTime t) {
   HPCEM_OBS_SPAN("sim.workload.generate");
   // The arrival rate follows the active policy's demand scale (see
-  // run_impl).
+  // run_impl).  The hour comes sorted by submit time, so it reaches the
+  // engine as one run, off the event heap.
+  submit_run_.clear();
   for (const JobSpec& job :
        generator_->generate_hour(t, policy_cache_.demand_scale())) {
     if (job.submit_time >= run_end_) continue;
-    engine_.schedule(job.submit_time, SimEventKind::kSubmit,
-                     job_slots_.put(job));
+    submit_run_.push_back({job.submit_time, job_slots_.put(job)});
   }
+  engine_.schedule_run(SimEventKind::kSubmit, submit_run_);
 }
 
 void FacilitySimulator::schedule_maintenance(SimTime block_from,

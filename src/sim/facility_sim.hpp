@@ -206,6 +206,8 @@ class FacilitySimulator {
   /// Parked JobSpec payloads for queued submit events (kSubmit payload
   /// indexes this), bounded by the peak number of in-flight submits.
   SlotPool<JobSpec> job_slots_;
+  /// generate_hour scratch: the hour's submits as one engine run.
+  std::vector<SimEngine::RunEvent> submit_run_;
   SimTime run_end_{};
   /// Set by a job start or finish, the only events that change the
   /// snapshot the sources read; cleared when sample() re-evaluates.

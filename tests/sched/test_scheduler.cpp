@@ -2,13 +2,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
+#include <limits>
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "sched/allocator.hpp"
+#include "sched/id_set.hpp"
 #include "sched/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -168,10 +172,11 @@ TEST(Scheduler, RandomChurnInvariants) {
   EXPECT_EQ(s.started_total(), s.finished_total() + running.size());
 }
 
-// Regression pin on a recorded churn trace.  The backfill shadow buffer is
-// maintained incrementally across passes (sorted end-time vector, O(log n)
-// locate per start/finish/retime); this digest of the exact start sequence
-// was recorded from the per-pass rebuild-and-sort implementation, so any
+// Regression pin on a recorded churn trace.  The backfill shadow sweeps a
+// running set maintained across passes (an end-sorted buffer filed once per
+// retimed start and erased at its front by in-order finishes, merged with
+// the pass's own starts); this digest of the exact start sequence was
+// recorded from the per-pass rebuild-and-sort implementation, so any
 // divergence in ordering or backfill decisions fails here, not just in the
 // end-to-end figure goldens.
 TEST(Scheduler, RecordedChurnTraceReproducesStartSequence) {
@@ -349,6 +354,8 @@ class ReferenceScheduler {
   }
   void set_expected_end(JobId id, SimTime end) { running_.at(id).end = end; }
   [[nodiscard]] std::uint64_t passes_total() const { return passes_; }
+  [[nodiscard]] std::size_t free_nodes() const { return free_; }
+  [[nodiscard]] std::size_t running_count() const { return running_.size(); }
 
  private:
   struct Running {
@@ -362,17 +369,24 @@ class ReferenceScheduler {
   std::uint64_t passes_ = 0;
 };
 
-/// Every start of a churn run, tagged with the pass that made it.
+/// Every start of a churn run, tagged with the pass that made it, and the
+/// free-node and running-job counts after every call that can change them.
 struct ChurnLog {
   std::vector<std::pair<std::uint64_t, JobId>> starts;
+  std::vector<std::pair<std::size_t, std::size_t>> counts;
   std::uint64_t passes = 0;
 };
 
 /// Seeded FIFO churn near a real epoch: bursts of tail submits, each
-/// followed by a pass at the same `now`; finishes; starts that keep their
-/// walltime estimate; retimes that keep the end, move it earlier (most
-/// starts) or later; and, in every 200 steps, a 20-step stretch in which
-/// nothing calls a pass, as during maintenance.
+/// followed by a pass at the same `now`; finishes, mostly in end order but
+/// some early (a crash) and some right after the start (a launch failure,
+/// before any retime); starts that keep their walltime estimate; retimes
+/// that keep the end, or move it earlier (most starts, and later on) or
+/// later; and, in every 200 steps, a 20-step stretch in which nothing
+/// calls a pass, as during maintenance.  Time moves in whole minutes, some
+/// walltimes are whole quarter-hours and some realised ends snap to a
+/// quarter-hour grid, so running jobs share expected ends, including a
+/// start at its walltime end and a job filed at its realised end.
 template <class Sched>
 ChurnLog fifo_churn(std::size_t backfill_depth, std::uint64_t seed) {
   SchedulerConfig cfg;
@@ -380,23 +394,40 @@ ChurnLog fifo_churn(std::size_t backfill_depth, std::uint64_t seed) {
   cfg.backfill_depth = backfill_depth;
   Sched s(cfg);
   Rng rng(seed);
-  SimTime now(1.6e9);
+  const SimTime t0(1.6e9);
+  SimTime now = t0;
   JobId id = 1;
   std::vector<std::pair<SimTime, JobId>> running;  // (expected end, id)
   ChurnLog log;
   bool blocked = false;
+  const auto note = [&] {
+    log.counts.emplace_back(s.free_nodes(), s.running_count());
+  };
+  const auto on_grid = [&](SimTime t) {
+    return t0 + Duration::seconds(std::ceil((t - t0).sec() / 900.0) * 900.0);
+  };
+  const auto finish = [&](std::size_t i) {
+    s.finish(running[i].second, now);
+    running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
+    note();
+  };
   const auto pass = [&] {
     if (blocked) return;
     const std::uint64_t pass_no = s.passes_total();
+    bool last_retimed = true;
     for (const JobStart& st : s.schedule_pass(now)) {
       log.starts.emplace_back(pass_no, st.job.id);
       SimTime end = now + st.job.requested_walltime;
-      if (rng.bernoulli(0.7)) {  // otherwise the estimate stands
+      last_retimed = rng.bernoulli(0.7);  // otherwise the estimate stands
+      if (last_retimed) {
         end = now + st.job.requested_walltime * (0.3 + 0.6 * rng.uniform());
+        if (rng.bernoulli(0.3)) end = on_grid(end);
         s.set_expected_end(st.job.id, end);
       }
       running.emplace_back(end, st.job.id);
     }
+    note();
+    if (!last_retimed && rng.bernoulli(0.2)) finish(running.size() - 1);
   };
   const auto pick = [&] {
     return static_cast<std::size_t>(rng.uniform_int(
@@ -408,8 +439,7 @@ ChurnLog fifo_churn(std::size_t backfill_depth, std::uint64_t seed) {
     if (was_blocked && !blocked) pass();  // the queue is released
     std::sort(running.begin(), running.end());
     while (!running.empty() && running.front().first <= now) {
-      s.finish(running.front().second, now);
-      running.erase(running.begin());
+      finish(0);
       pass();
     }
     const auto burst = rng.bernoulli(0.1) ? rng.uniform_int(1, 6) : 0;
@@ -417,8 +447,13 @@ ChurnLog fifo_churn(std::size_t backfill_depth, std::uint64_t seed) {
       // Wide heads block; narrow jobs arrive behind them and backfill.
       const auto nodes = rng.bernoulli(0.2) ? rng.uniform_int(128, 384)
                                             : rng.uniform_int(1, 48);
-      s.submit(job(id++, static_cast<std::size_t>(nodes),
-                   0.25 + 7.75 * rng.uniform(), now));
+      const double walltime_h =
+          rng.bernoulli(0.3)
+              ? 0.25 * static_cast<double>(rng.uniform_int(1, 32))
+              : 0.25 + 7.75 * rng.uniform();
+      s.submit(
+          job(id++, static_cast<std::size_t>(nodes), walltime_h, now));
+      note();
       pass();
     }
     if (!running.empty() && rng.bernoulli(0.4)) {
@@ -432,7 +467,18 @@ ChurnLog fifo_churn(std::size_t backfill_depth, std::uint64_t seed) {
       s.set_expected_end(r.second, r.first);
       pass();
     }
-    now += Duration::minutes(rng.uniform(1.0, 15.0));
+    if (!running.empty() && rng.bernoulli(0.05)) {
+      auto& r = running[pick()];
+      r.first = std::max(
+          now, on_grid(r.first - Duration::hours(rng.uniform(0.05, 2.0))));
+      s.set_expected_end(r.second, r.first);
+      pass();
+    }
+    if (!running.empty() && rng.bernoulli(0.03)) {
+      finish(pick());
+      pass();
+    }
+    now += Duration::minutes(static_cast<double>(rng.uniform_int(1, 15)));
   }
   log.passes = s.passes_total();
   return log;
@@ -446,8 +492,81 @@ TEST(Scheduler, SettledPassPruneMatchesTheFullScanReference) {
       EXPECT_GT(want.starts.size(), 900u) << depth << '/' << seed;
       EXPECT_EQ(got.passes, want.passes) << depth << '/' << seed;
       EXPECT_EQ(got.starts, want.starts) << depth << '/' << seed;
+      EXPECT_EQ(got.counts, want.counts) << depth << '/' << seed;
     }
   }
+}
+
+TEST(Scheduler, ShadowOrdersThisPassesStartsAmongFiledEndsById) {
+  // Job 2 (40 nodes) is filed at its realised end, 2 h.  At 1 h, job 1
+  // (20 nodes) starts with its walltime end at 2 h too, leaving 10 free.
+  // Head job 4 needs 45: in (end, id) order job 1 then job 2 free 70 at
+  // 2 h, 25 spare, so job 5 (8 nodes, 10 h) backfills into the slack.
+  // Taking job 2 first would cross at 50 with 5 spare and reject it.
+  const auto run = [](auto s) {
+    std::vector<JobId> started;
+    const auto pass = [&](SimTime now) {
+      for (const JobStart& st : s.schedule_pass(now)) {
+        started.push_back(st.job.id);
+      }
+    };
+    s.submit(job(2, 40, 3.0));
+    s.submit(job(3, 30, 10.0));
+    pass(SimTime(0.0));
+    s.set_expected_end(2, SimTime(7200.0));
+    const SimTime t1(3600.0);
+    s.submit(job(1, 20, 1.0, t1));
+    s.submit(job(4, 45, 1.0, t1));
+    s.submit(job(5, 8, 10.0, t1));
+    pass(t1);
+    started.push_back(s.free_nodes());
+    started.push_back(s.running_count());
+    return started;
+  };
+  const std::vector<JobId> want = run(ReferenceScheduler({100, 200}));
+  EXPECT_EQ(want, (std::vector<JobId>{2, 3, 1, 5, 2, 4}));
+  EXPECT_EQ(run(Scheduler({100, 200})), want);
+}
+
+TEST(JobIdSet, MatchesAnOrderedSetUnderSeededChurn) {
+  // A narrow id range forces repeats, long probe runs and erases that pull
+  // entries back across the table's wrap; the extremes of the id range
+  // ride along.
+  JobIdSet got;
+  std::set<JobId> want;
+  Rng rng(77);
+  const JobId wide[] = {0, 1, std::numeric_limits<JobId>::max(),
+                        JobId{1} << 53, 0x9E3779B97F4A7C15ull};
+  for (int step = 0; step < 20000; ++step) {
+    const JobId id = rng.bernoulli(0.05)
+                         ? wide[rng.uniform_int(0, 4)]
+                         : static_cast<JobId>(rng.uniform_int(0, 300));
+    if (rng.bernoulli(0.55)) {
+      ASSERT_EQ(got.insert(id), want.insert(id).second) << step;
+    } else if (want.erase(id) == 1) {
+      got.erase(id);
+    }
+    ASSERT_EQ(got.size(), want.size()) << step;
+  }
+  for (const JobId id : want) EXPECT_FALSE(got.insert(id)) << id;
+  for (const JobId id : want) got.erase(id);
+  EXPECT_EQ(got.size(), 0u);
+  EXPECT_TRUE(got.insert(7));
+}
+
+TEST(Scheduler, StartingAnIdThatIsRunningThrows) {
+  Scheduler s({100, 200});
+  s.submit(job(1, 10, 1.0));
+  ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
+  s.submit(job(1, 20, 1.0));
+  EXPECT_THROW((void)s.schedule_pass(SimTime(0.0)), StateError);
+  // The running job keeps its nodes; once it finishes, the id runs again.
+  EXPECT_EQ(s.free_nodes(), 90u);
+  EXPECT_EQ(s.running_count(), 1u);
+  s.finish(1, SimTime(60.0));
+  s.submit(job(1, 20, 1.0, SimTime(60.0)));
+  ASSERT_EQ(s.schedule_pass(SimTime(60.0)).size(), 1u);
+  EXPECT_EQ(s.free_nodes(), 80u);
 }
 
 /// Starts of a two-pass scenario: jobs 1 (50 nodes) and 2 (30 nodes) run

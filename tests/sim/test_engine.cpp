@@ -3,11 +3,13 @@
 // sim/engine.hpp file comment and DESIGN.md §9).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace hpcem {
 namespace {
@@ -179,6 +181,130 @@ TEST(Engine, EventsScheduledDuringRunHonouredWithinWindow) {
   EXPECT_EQ(e.pending(), 1u);
 }
 
+// A run is shorthand for one `schedule` call per event: at one instant,
+// run events and scheduled runtime events pop in call order, whichever way
+// they were queued.
+TEST(Engine, RunAndScheduledEventsAtOneInstantPopInCallOrder) {
+  SimEngine e;
+  const SimTime t(5.0);
+  e.schedule(t, SimEventKind::kFinish, 1);
+  const std::vector<SimEngine::RunEvent> first = {{t, 2}, {t, 3}};
+  e.schedule_run(SimEventKind::kSubmit, first);
+  e.schedule(t, SimEventKind::kFinish, 4);
+  const std::vector<SimEngine::RunEvent> second = {{t, 5}};
+  e.schedule_run(SimEventKind::kSubmit, second);
+  e.schedule_static(t, SimEventKind::kPolicyChange, 0);
+  EXPECT_EQ(e.pending(), 6u);
+  const auto events = drain(e);
+  ASSERT_EQ(events.size(), 6u);
+  EXPECT_EQ(events[0].kind, SimEventKind::kPolicyChange);
+  for (std::uint64_t i = 1; i < 6; ++i) {
+    EXPECT_EQ(events[i].payload, i);
+    EXPECT_EQ(events[i].kind, i % 3 == 1 ? SimEventKind::kFinish
+                                         : SimEventKind::kSubmit);
+  }
+}
+
+/// Pops of a seeded mix of streams, statics, runtime events and hourly
+/// runs, each run sorted by time except now and then; `as_runs` false
+/// queues every run event through `schedule` instead.
+std::vector<SimEvent> seeded_mix(bool as_runs) {
+  SimEngine e;
+  Rng rng(2024);
+  const SimTime end(48.0 * 3600.0);
+  e.set_workload_stream(SimTime(0.0), Duration::hours(1.0), end);
+  e.set_sample_stream(SimTime(0.0), Duration::minutes(30.0), end);
+  for (int i = 0; i < 20; ++i) {
+    e.schedule_static(SimTime(1800.0 * static_cast<double>(rng.uniform_int(0, 95))),
+                      SimEventKind::kPolicyChange,
+                      static_cast<std::uint64_t>(i));
+  }
+  std::uint64_t payload = 100;
+  std::vector<SimEngine::RunEvent> run;
+  std::vector<SimEvent> out;
+  SimEvent ev;
+  while (e.next(end, ev)) {
+    out.push_back(ev);
+    if (ev.kind == SimEventKind::kWorkloadHour) {
+      run.clear();
+      const auto n = rng.uniform_int(0, 30);
+      for (std::int64_t i = 0; i < n; ++i) {
+        // Whole minutes, so events share instants within and across runs.
+        const double at = 60.0 * static_cast<double>(rng.uniform_int(0, 60));
+        run.push_back({ev.time + Duration::seconds(at), payload++});
+      }
+      if (!rng.bernoulli(0.2)) {
+        std::sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
+          return a.time < b.time;
+        });
+      }
+      if (as_runs) {
+        e.schedule_run(SimEventKind::kSubmit, run);
+      } else {
+        for (const auto& r : run) {
+          e.schedule(r.time, SimEventKind::kSubmit, r.payload);
+        }
+      }
+    } else if (ev.kind == SimEventKind::kSubmit && rng.bernoulli(0.5)) {
+      const double after = 60.0 * static_cast<double>(rng.uniform_int(0, 90));
+      e.schedule(ev.time + Duration::seconds(after), SimEventKind::kFinish,
+                 payload++);
+    }
+  }
+  return out;
+}
+
+TEST(Engine, SeededRunsPopAsTheSameEventsScheduledOneByOne) {
+  const auto want = seeded_mix(false);
+  const auto got = seeded_mix(true);
+  EXPECT_GT(want.size(), 1000u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].time, want[i].time) << i;
+    ASSERT_EQ(got[i].kind, want[i].kind) << i;
+    ASSERT_EQ(got[i].payload, want[i].payload) << i;
+  }
+}
+
+// A submit at hour_start + hours(u), u < 1, can round onto the next hour's
+// tick.  The tick pops first, so the next hour's run is queued while the
+// current one still holds that submit; it must still pop before the next
+// run's events at the same instant.
+TEST(Engine, RunQueuedBeforeThePreviousOneDrainedKeepsItsOrder) {
+  const SimTime t0(1.6e9);
+  const SimTime t1 = t0 + Duration::hours(1.0);
+  const SimTime rounded = t0 + Duration::hours(1.0 - 1e-12);
+  ASSERT_EQ(rounded, t1);
+  SimEngine e(t0);
+  e.set_workload_stream(t0, Duration::hours(1.0), t0 + Duration::hours(2.0));
+  SimEvent ev;
+  ASSERT_TRUE(e.next(kFar, ev));
+  ASSERT_EQ(ev.kind, SimEventKind::kWorkloadHour);
+  const std::vector<SimEngine::RunEvent> hour0 = {
+      {t0 + Duration::hours(0.5), 1}, {rounded, 2}};
+  e.schedule_run(SimEventKind::kSubmit, hour0);
+  ASSERT_TRUE(e.next(kFar, ev));
+  EXPECT_EQ(ev.payload, 1u);
+  ASSERT_TRUE(e.next(kFar, ev));
+  EXPECT_EQ(ev.kind, SimEventKind::kWorkloadHour);
+  EXPECT_EQ(ev.time, t1);
+  EXPECT_EQ(e.pending(), 1u);
+  const std::vector<SimEngine::RunEvent> hour1 = {
+      {t1, 3}, {t1 + Duration::hours(0.25), 4}};
+  e.schedule_run(SimEventKind::kSubmit, hour1);
+  EXPECT_EQ(e.pending(), 3u);
+  e.schedule(t1, SimEventKind::kFinish, 5);
+  const auto rest = drain(e);
+  ASSERT_EQ(rest.size(), 4u);
+  EXPECT_EQ(rest[0].payload, 2u);
+  EXPECT_EQ(rest[0].time, t1);
+  EXPECT_EQ(rest[1].payload, 3u);
+  EXPECT_EQ(rest[2].payload, 5u);
+  EXPECT_EQ(rest[2].kind, SimEventKind::kFinish);
+  EXPECT_EQ(rest[3].payload, 4u);
+  EXPECT_EQ(e.pending(), 0u);
+}
+
 TEST(Engine, SchedulingInThePastThrows) {
   SimEngine e(SimTime(100.0));
   EXPECT_THROW(e.schedule(SimTime(50.0), SimEventKind::kFinish),
@@ -186,6 +312,8 @@ TEST(Engine, SchedulingInThePastThrows) {
   EXPECT_THROW(e.schedule_static(SimTime(50.0), SimEventKind::kSample),
                InvalidArgument);
   EXPECT_NO_THROW(e.schedule(SimTime(100.0), SimEventKind::kFinish));
+  const std::vector<SimEngine::RunEvent> past = {{SimTime(50.0), 0}};
+  EXPECT_THROW(e.schedule_run(SimEventKind::kSubmit, past), InvalidArgument);
 }
 
 TEST(Engine, NonPositiveStreamPeriodRejected) {

@@ -129,6 +129,13 @@ TEST(RequireAlloc, SchedulerMessages) {
   wide.requested_walltime = Duration::hours(1.0);
   EXPECT_EQ(message_of([&] { s.submit(wide); }),
             "Scheduler::submit: job size must fit the machine: job 1");
+  JobSpec one = wide;
+  one.nodes = 1;
+  s.submit(one);
+  ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
+  s.submit(one);
+  EXPECT_EQ(message_of([&] { (void)s.schedule_pass(SimTime(0.0)); }),
+            "Scheduler: job id already running: 1");
 }
 
 TEST(RequireAlloc, PartitionedSchedulerMessages) {
