@@ -1,61 +1,92 @@
-// Ablation: suspending idle nodes.
+// Ablation: suspending idle nodes, simulated.
 //
 // The paper's conclusion: idle nodes draw ~50% of loaded power, so the
 // efficient operating point is ~100% utilisation.  The complementary lever
-// is putting idle nodes into a low-power state.  This harness quantifies
-// the annual saving across utilisation levels and the responsiveness cost
-// (expected extra start latency by job size).
+// is putting idle nodes into a low-power state.  This harness simulates
+// the committed `idle-suspend` and `archer2-baseline` specs as a pair:
+// same seed, start date and warm-up, so the job stream and every
+// scheduling decision are the same and only the idle draw differs.  It
+// reports the saving over the idle-suspend window, annualised, and exits 1
+// if the pair's scheduler channels differ.
 #include <iostream>
 
-#include "core/facility.hpp"
-#include "power/idle.hpp"
+#include "core/assembly.hpp"
+#include "core/scenario_library.hpp"
 #include "util/text_table.hpp"
 
 int main() {
   using namespace hpcem;
-  const Facility facility = Facility::archer2();
-  const Power idle_each = facility.node_params().idle;
-  const std::size_t nodes = facility.inventory().compute_nodes;
-
-  IdlePowerPolicy policy;
-  policy.suspend_enabled = true;
-
-  TextTable t({"Utilisation", "Idle nodes", "Idle draw, no policy (kW)",
-               "Idle draw, suspend (kW)", "Annual saving (MWh)"},
-              {Align::kRight, Align::kRight, Align::kRight, Align::kRight,
-               Align::kRight});
-  for (double util : {0.80, 0.85, 0.90, 0.95, 0.99}) {
-    const auto idle_nodes = static_cast<std::size_t>(
-        static_cast<double>(nodes) * (1.0 - util));
-    t.add_row(
-        {TextTable::pct(util, 0), TextTable::grouped(
-                                      static_cast<double>(idle_nodes)),
-         TextTable::grouped(
-             (idle_each * static_cast<double>(idle_nodes)).kw()),
-         TextTable::grouped(
-             fleet_idle_power(idle_each, policy, idle_nodes).kw()),
-         TextTable::grouped(
-             annual_idle_saving(idle_each, policy, nodes, util)
-                 .to_mwh())});
+  const ScenarioSpec suspend_spec = load_named_scenario("idle-suspend");
+  const ScenarioSpec base_spec = load_named_scenario("archer2-baseline");
+  if (suspend_spec.seed != base_spec.seed ||
+      suspend_spec.window_start != base_spec.window_start ||
+      suspend_spec.warmup != base_spec.warmup) {
+    std::cerr << "idle-suspend and archer2-baseline must share seed, start "
+                 "and warm-up\n";
+    return 1;
   }
-  std::cout << "Ablation: idle-node suspension (45 W suspended, 70% of "
-               "idle nodes eligible, 3 min wake)\n"
-            << t.str() << '\n';
+  const FacilityAssembly suspend_assembly(suspend_spec);
+  const FacilityAssembly base_assembly(base_spec);
+  const auto suspend = suspend_assembly.run_simulator();
+  const auto base = base_assembly.run_simulator();
 
-  TextTable lat({"Job size (nodes)", "Extra start latency at 90% util"},
-                {Align::kRight, Align::kRight});
-  const auto idle_at_90 = static_cast<std::size_t>(
-      static_cast<double>(nodes) * 0.10);
-  for (std::size_t size : {8u, 64u, 128u, 256u, 512u}) {
-    lat.add_row({std::to_string(size),
-                 TextTable::num(expected_extra_start_latency(
-                                    policy, idle_at_90, size)
-                                    .min(),
-                                1) +
-                     " min"});
+  // The pair differs only in idle draw: scheduler state must match on
+  // every sample of the idle-suspend run, warm-up included.
+  const SimTime from = suspend_spec.window_start - suspend_spec.warmup;
+  const SimTime a = suspend_spec.window_start;
+  const SimTime b = suspend_spec.window_end;
+  std::size_t samples = 0;
+  for (const char* name :
+       {channels::kUtilisation, channels::kQueueLength,
+        channels::kRunningJobs}) {
+    const TimeSeries x = suspend->telemetry().channel(name).slice(from, b);
+    const TimeSeries y = base->telemetry().channel(name).slice(from, b);
+    bool same = x.size() == y.size();
+    for (std::size_t i = 0; same && i < x.size(); ++i) {
+      same = x[i].time == y[i].time && x[i].value == y[i].value;
+    }
+    if (!same) {
+      std::cerr << "idle-suspend and archer2-baseline differ in " << name
+                << ": the pair no longer isolates the idle draw\n";
+      return 1;
+    }
+    samples = x.size();
   }
-  std::cout << lat.str() << '\n';
-  std::cout << "Reading: at the paper's >90% utilisation the idle fleet is "
+
+  const auto mean_kw = [&](const FacilitySimulator& sim, const char* name) {
+    return PowerKw{sim.telemetry().channel(name).mean_over(a, b)};
+  };
+  const double util = suspend->mean_utilisation(a, b);
+  TextTable t({"Scenario", "Utilisation", "Node fleet (kW)", "Cabinet (kW)"},
+              {Align::kLeft, Align::kRight, Align::kRight, Align::kRight});
+  for (const auto* run : {base.get(), suspend.get()}) {
+    t.add_row({run == base.get() ? base_spec.name : suspend_spec.name,
+               TextTable::pct(run->mean_utilisation(a, b), 1),
+               TextTable::num(mean_kw(*run, channels::kNodeFleetKw).kw(), 2),
+               TextTable::num(mean_kw(*run, channels::kCabinetKw).kw(), 2)});
+  }
+  // Only the node fleet's idle draw moves, so the cabinet falls by the
+  // same amount.
+  const PowerKw saving = mean_kw(*base, channels::kNodeFleetKw) -
+                        mean_kw(*suspend, channels::kNodeFleetKw);
+  const EnergyKwh annual = saving * Duration::days(365.25);
+
+  const IdlePowerPolicy& policy = suspend_spec.idle_policy;
+  std::cout << "Ablation: idle-node suspension, simulated ("
+            << TextTable::num(policy.suspended.w(), 0) << " W suspended, "
+            << TextTable::pct(policy.suspendable_fraction, 0)
+            << " of idle nodes eligible)\n"
+            << "Window " << iso_date_time(a) << " to " << iso_date_time(b)
+            << ", seed " << suspend_spec.seed
+            << "; scheduler state identical on all "
+            << TextTable::grouped(static_cast<double>(samples))
+            << " samples\n"
+            << t.str() << '\n'
+            << "Saving at " << TextTable::pct(util, 1)
+            << " utilisation: " << TextTable::num(saving.kw(), 1)
+            << " kW, " << TextTable::grouped(annual.to_energy().to_mwh())
+            << " MWh a year\n\n"
+            << "Reading: at the paper's >90% utilisation the idle fleet is "
                "small, so suspension saves little on ARCHER2 — which is "
                "exactly why the paper's levers target *loaded* power. The "
                "lever matters for facilities running below ~85%.\n";

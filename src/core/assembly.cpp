@@ -234,6 +234,7 @@ CampaignScenario make_campaign_scenario(
   const ScenarioSpec& spec = assembly->spec();
   CampaignScenario scenario;
   scenario.name = spec.name;
+  scenario.seed = spec.seed;
   scenario.window_start = spec.window_start;
   scenario.window_end = spec.window_end;
   scenario.warmup = spec.warmup;

@@ -76,7 +76,8 @@ struct ScenarioSpec {
   /// Steady-state pre-roll simulated before the window opens.
   Duration warmup = Duration::days(25.0);
 
-  /// Default seed for single runs (campaigns derive per-task streams).
+  /// Seed of a single run and of replicate 0 in a campaign (later
+  /// replicates run at `replicate_seed(seed, r)`).
   std::uint64_t seed = 0x5EED;
 
   /// Operating policy at simulation start.

@@ -292,20 +292,13 @@ JsonValue idle_to_json(const IdlePowerPolicy& p) {
   o.set("suspend_enabled", p.suspend_enabled);
   o.set("suspended_w", p.suspended.w());
   o.set("suspendable_fraction", p.suspendable_fraction);
-  if (Duration::minutes(p.wake_latency.min()).sec() ==
-      p.wake_latency.sec()) {
-    o.set("wake_latency_min", p.wake_latency.min());
-  } else {
-    o.set("wake_latency_s", p.wake_latency.sec());
-  }
   return o;
 }
 
 IdlePowerPolicy idle_from_json(const JsonValue& v, const std::string& path) {
   const auto& obj = expect_object(v, path);
   reject_unknown(obj, path,
-                 {"suspend_enabled", "suspended_w", "suspendable_fraction",
-                  "wake_latency_min", "wake_latency_s"});
+                 {"suspend_enabled", "suspended_w", "suspendable_fraction"});
   IdlePowerPolicy p;
   const JsonValue* enabled = v.get("suspend_enabled");
   if (!enabled) fail(path + ".suspend_enabled", "missing required member");
@@ -321,21 +314,6 @@ IdlePowerPolicy idle_from_json(const JsonValue& v, const std::string& path) {
     if (!(p.suspendable_fraction >= 0.0 && p.suspendable_fraction <= 1.0)) {
       fail(path + ".suspendable_fraction", "must be in [0,1]");
     }
-  }
-  if (v.get("wake_latency_min") && v.get("wake_latency_s")) {
-    fail(path + ".wake_latency_min", "conflicts with wake_latency_s");
-  }
-  if (const JsonValue* m = v.get("wake_latency_min")) {
-    const double mins = expect_number(*m, path + ".wake_latency_min");
-    if (!(mins >= 0.0)) {
-      fail(path + ".wake_latency_min", "must be non-negative");
-    }
-    p.wake_latency = Duration::minutes(mins);
-  }
-  if (const JsonValue* s = v.get("wake_latency_s")) {
-    const double sec = expect_number(*s, path + ".wake_latency_s");
-    if (!(sec >= 0.0)) fail(path + ".wake_latency_s", "must be non-negative");
-    p.wake_latency = Duration::seconds(sec);
   }
   return p;
 }
@@ -806,7 +784,7 @@ CampaignManifest load_campaign_manifest(const std::string& path) {
   if (!doc.is_object()) fail_manifest(path, "$: expected an object");
   reject_unknown(doc.as_object(), "manifest: " + path + ": $",
                  {"manifest_version", "specs", "workers",
-                  "seeds_per_scenario", "campaign_seed"});
+                  "seeds_per_scenario"});
 
   const JsonValue* version = doc.get("manifest_version");
   if (!version) fail_manifest(path, "$.manifest_version: missing required member");
@@ -836,10 +814,6 @@ CampaignManifest load_campaign_manifest(const std::string& path) {
     }
     manifest.config.seeds_per_scenario = static_cast<std::size_t>(n);
   }
-  if (const JsonValue* s = doc.get("campaign_seed")) {
-    manifest.config.campaign_seed = expect_integer(
-        *s, "manifest: " + path + ": $.campaign_seed", 9007199254740992.0);
-  }
 
   const std::filesystem::path base =
       std::filesystem::path(path).parent_path();
@@ -852,7 +826,18 @@ CampaignManifest load_campaign_manifest(const std::string& path) {
     const std::filesystem::path ref(arr[i].as_string());
     const std::string resolved =
         ref.is_absolute() ? ref.string() : (base / ref).string();
-    manifest.specs.push_back(load_scenario_file(resolved));
+    ScenarioSpec spec = load_scenario_file(resolved);
+    // Names key the campaign's rows and artifact files, so a repeat would
+    // overwrite an earlier scenario's artifact.
+    for (std::size_t j = 0; j < manifest.specs.size(); ++j) {
+      if (manifest.specs[j].name == spec.name) {
+        fail_manifest(path, "$.specs[" + std::to_string(i) +
+                                "]: duplicate scenario name '" + spec.name +
+                                "' (also $.specs[" + std::to_string(j) +
+                                "])");
+      }
+    }
+    manifest.specs.push_back(std::move(spec));
     manifest.spec_files.push_back(resolved);
   }
   return manifest;

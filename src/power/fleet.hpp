@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "power/node_model.hpp"
@@ -31,51 +30,16 @@ struct FleetParams {
   double silicon_max = 1.5;
 };
 
-/// Structure-of-arrays fleet state: the per-node silicon factors as one
-/// flat column, evaluated against hoisted `NodePowerTerms` in a single
-/// vectorizable pass (two multiply-adds per node, no per-node validation
-/// or DVFS re-derivation).  `powers_into` reproduces a per-node
-/// `node_power` loop bit-for-bit — the expression is the same, only the
-/// loop-invariant work is hoisted.
-struct FleetState {
-  std::vector<double> silicon;
-
-  [[nodiscard]] std::size_t size() const { return silicon.size(); }
-
-  /// Batched per-node power: out[i] = terms.watts(silicon[i]).
-  /// `out.size()` must equal `size()`.
-  void powers_into(const NodePowerTerms& terms, std::span<double> out) const;
-
-  /// Batched fleet total (plain left-to-right sum, matching an
-  /// accumulate over a per-node `node_power` loop).
-  [[nodiscard]] Power total_power_w(const NodePowerTerms& terms) const;
-};
-
 /// Immutable fleet of nodes with persistent silicon factors.
 class NodeFleet {
  public:
   NodeFleet(FleetParams params, std::uint64_t seed);
 
-  [[nodiscard]] std::size_t size() const { return state_.size(); }
+  [[nodiscard]] std::size_t size() const { return silicon_.size(); }
   [[nodiscard]] double silicon_factor(std::size_t node) const;
 
-  /// The structure-of-arrays silicon column (batched evaluation).
-  [[nodiscard]] const FleetState& state() const { return state_; }
-
-  /// Fleet statistics of the silicon factor.
-  [[nodiscard]] Summary silicon_summary() const;
-
-  /// Mean silicon factor of an arbitrary node subset (what a job sees).
-  [[nodiscard]] double mean_silicon(const std::vector<std::size_t>& nodes)
-      const;
-
-  /// Per-node power draws for the whole fleet running one activity
-  /// (the activity's silicon factor field is overridden per node).
-  [[nodiscard]] std::vector<double> node_powers_w(
-      const NodePowerParams& node_params, const DynamicPowerProfile& profile,
-      NodeActivity activity) const;
-
-  /// Distribution summary of node_powers_w.
+  /// Distribution of per-node power for the whole fleet running one
+  /// activity (the activity's silicon factor is replaced per node).
   [[nodiscard]] Summary power_summary(const NodePowerParams& node_params,
                                       const DynamicPowerProfile& profile,
                                       const NodeActivity& activity) const;
@@ -86,7 +50,7 @@ class NodeFleet {
                                   const NodeActivity& activity) const;
 
  private:
-  FleetState state_;
+  std::vector<double> silicon_;
 };
 
 }  // namespace hpcem

@@ -10,8 +10,6 @@ void validate(const IdlePowerPolicy& p) {
           "IdlePowerPolicy: suspended draw must be non-negative");
   require(p.suspendable_fraction >= 0.0 && p.suspendable_fraction <= 1.0,
           "IdlePowerPolicy: suspendable_fraction must be in [0, 1]");
-  require(p.wake_latency.sec() >= 0.0,
-          "IdlePowerPolicy: wake latency must be non-negative");
 }
 }  // namespace
 
@@ -23,38 +21,6 @@ Power fleet_idle_power(Power idle_each, const IdlePowerPolicy& policy,
   const double suspended = n * policy.suspendable_fraction;
   const double warm = n - suspended;
   return idle_each * warm + policy.suspended * suspended;
-}
-
-Energy annual_idle_saving(Power idle_each, const IdlePowerPolicy& policy,
-                          std::size_t total_nodes, double utilisation) {
-  validate(policy);
-  require(utilisation >= 0.0 && utilisation <= 1.0,
-          "annual_idle_saving: utilisation must be in [0, 1]");
-  const auto idle_nodes = static_cast<std::size_t>(
-      static_cast<double>(total_nodes) * (1.0 - utilisation));
-  const Power without =
-      idle_each * static_cast<double>(idle_nodes);
-  const Power with = fleet_idle_power(idle_each, policy, idle_nodes);
-  return (without - with) * Duration::days(365.25);
-}
-
-Duration expected_extra_start_latency(const IdlePowerPolicy& policy,
-                                      std::size_t idle_nodes,
-                                      std::size_t job_nodes) {
-  validate(policy);
-  require(job_nodes > 0,
-          "expected_extra_start_latency: job must need nodes");
-  if (!policy.suspend_enabled || idle_nodes == 0) {
-    return Duration::seconds(0.0);
-  }
-  const double warm = static_cast<double>(idle_nodes) *
-                      (1.0 - policy.suspendable_fraction);
-  // A job fitting inside the warm buffer starts immediately; otherwise it
-  // waits one wake cycle (wakes proceed in parallel).
-  if (static_cast<double>(job_nodes) <= warm) {
-    return Duration::seconds(0.0);
-  }
-  return policy.wake_latency;
 }
 
 }  // namespace hpcem

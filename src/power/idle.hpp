@@ -4,12 +4,12 @@
 // draws ~50% of a loaded node (230 W vs ~510 W), so energy efficiency
 // demands near-100% utilisation.  The complementary lever — not exercised
 // on ARCHER2, modelled here as an ablation — is suspending idle nodes to a
-// low-power state at the cost of a wake-up latency that hurts scheduler
-// responsiveness.  The model quantifies the trade:
-//   * fleet idle power as a function of utilisation and policy;
-//   * the effective extra wait time jobs see when they land on suspended
-//     nodes (wake latency x probability of needing a wake).
+// low-power state.  The simulator's node-fleet source prices it per sample
+// from the idle node count (`fleet_idle_power`); `idle-suspend.json`
+// against `archer2-baseline.json` is the simulated comparison.
 #pragma once
+
+#include <cstddef>
 
 #include "util/units.hpp"
 
@@ -23,8 +23,6 @@ struct IdlePowerPolicy {
   /// Fraction of idle nodes eligible for suspension; the rest stay warm as
   /// a responsiveness buffer for incoming jobs.
   double suspendable_fraction = 0.7;
-  /// Time to bring a suspended node back to service.
-  Duration wake_latency = Duration::minutes(3.0);
 
   friend bool operator==(const IdlePowerPolicy&,
                          const IdlePowerPolicy&) = default;
@@ -34,20 +32,5 @@ struct IdlePowerPolicy {
 [[nodiscard]] Power fleet_idle_power(Power idle_each,
                                      const IdlePowerPolicy& policy,
                                      std::size_t idle_nodes);
-
-/// Annualised energy saved by the policy at a given utilisation, for a
-/// fleet of `total_nodes`.
-[[nodiscard]] Energy annual_idle_saving(Power idle_each,
-                                        const IdlePowerPolicy& policy,
-                                        std::size_t total_nodes,
-                                        double utilisation);
-
-/// Expected extra start latency a job sees: the probability that its
-/// allocation must wake suspended nodes times the wake latency.  With a
-/// warm buffer of (1 - suspendable_fraction) x idle nodes, jobs needing no
-/// more than the buffer start immediately.
-[[nodiscard]] Duration expected_extra_start_latency(
-    const IdlePowerPolicy& policy, std::size_t idle_nodes,
-    std::size_t job_nodes);
 
 }  // namespace hpcem

@@ -17,6 +17,11 @@ void Scheduler::submit(JobSpec job) {
           "Scheduler::submit: job size must fit the machine: job ", job.id);
   require(job.requested_walltime.sec() > 0.0,
           "Scheduler::submit: walltime must be positive");
+  // Checked before any state changes: a rejected submit leaves the queue,
+  // the running jobs and the free nodes as they were.
+  require_state(live_ids_.insert(job.id),
+                "Scheduler::submit: job id already queued or running: ",
+                job.id);
   queue_.push_back(std::move(job));
 }
 
@@ -214,8 +219,6 @@ std::vector<JobStart> Scheduler::schedule_pass(SimTime now) {
 void Scheduler::start(JobSpec job, SimTime now,
                       std::vector<JobStart>& starts) {
   const JobId id = job.id;
-  require_state(running_ids_.insert(id),
-                "Scheduler: job id already running: ", id);
   const SimTime expected_end = now + job.requested_walltime;
   free_ -= job.nodes;
   starting_.insert(
@@ -240,7 +243,7 @@ void Scheduler::finish(JobId id, SimTime /*now*/) {
     free_ += pos->nodes;
     ends_erase(pos);
   }
-  running_ids_.erase(id);
+  live_ids_.erase(id);
   ++finished_total_;
   settled_.reset();
 }

@@ -77,7 +77,8 @@ class Scheduler {
  public:
   explicit Scheduler(SchedulerConfig config);
 
-  /// Enqueue a job.  Jobs wider than the machine are rejected (throws).
+  /// Enqueue a job.  Jobs wider than the machine, and jobs whose id is
+  /// already queued or running, are rejected (throws, nothing changes).
   void submit(JobSpec job);
 
   /// Run a scheduling pass at time `now`; returns the jobs to start.
@@ -167,8 +168,8 @@ class Scheduler {
   SchedulerConfig config_;
   std::size_t free_;
   std::deque<JobSpec> queue_;
-  /// Ids of the running jobs, for the duplicate-start check.
-  JobIdSet running_ids_;
+  /// Ids of the queued and running jobs: a submit of a live id throws.
+  JobIdSet live_ids_;
   /// Running jobs sorted by (expected end, id) — the backfill shadow
   /// sweeps a prefix of this instead of re-sorting per pass.
   std::vector<EndEntry> ends_;

@@ -73,6 +73,15 @@ ScenarioOutcome run_one(const CampaignScenario& scenario,
 
 }  // namespace
 
+std::uint64_t replicate_seed(std::uint64_t seed, std::size_t replicate) {
+  if (replicate == 0) return seed;
+  // Decorrelate the seed, then fold in the replicate through its own
+  // mixing step.  Depends only on (seed, replicate).
+  std::uint64_t state = seed;
+  state = splitmix64(state) ^ static_cast<std::uint64_t>(replicate);
+  return splitmix64(state);
+}
+
 void ScenarioOutcome::merge(const ScenarioOutcome& other) {
   if (name.empty()) name = other.name;
   replicates += other.replicates;
@@ -87,20 +96,6 @@ void ScenarioOutcome::merge(const ScenarioOutcome& other) {
 CampaignRunner::CampaignRunner(CampaignConfig config) : config_(config) {
   require(config_.seeds_per_scenario >= 1,
           "CampaignRunner: need at least one seed per scenario");
-}
-
-std::uint64_t CampaignRunner::stream_seed(std::uint64_t campaign_seed,
-                                          std::size_t scenario_index,
-                                          std::size_t replicate_index) {
-  // A short splitmix64 chain: decorrelate the campaign seed, then fold in
-  // each coordinate through its own mixing step.  Depends only on the
-  // coordinates, never on execution order.
-  std::uint64_t state = campaign_seed;
-  std::uint64_t h = splitmix64(state);
-  state = h ^ (static_cast<std::uint64_t>(scenario_index) + 1);
-  h = splitmix64(state);
-  state = h ^ ((static_cast<std::uint64_t>(replicate_index) + 1) << 32);
-  return splitmix64(state);
 }
 
 CampaignResult CampaignRunner::run(
@@ -141,8 +136,7 @@ CampaignResult CampaignRunner::run(
     for (std::size_t si = 0; si < scenarios.size(); ++si) {
       for (std::size_t ri = 0; ri < reps; ++ri) {
         const std::size_t idx = si * reps + ri;
-        const std::uint64_t seed =
-            stream_seed(config_.campaign_seed, si, ri);
+        const std::uint64_t seed = replicate_seed(scenarios[si].seed, ri);
         const CampaignScenario* scenario = &scenarios[si];
         const obs::NameId task_name =
             obs::enabled() ? task_names[si] : obs::NameId{};

@@ -4,15 +4,16 @@
 // (policies, machines, windows) x several seeds each, not single runs.
 // `CampaignRunner` executes N scenarios x M replicate seeds on a fixed-size
 // thread pool; every (scenario, seed) task owns a shared-nothing simulator
-// built from an immutable scenario description, and draws from a
-// deterministic RNG stream derived from the campaign seed and the task's
-// (scenario, replicate) indices — never from thread identity or scheduling
-// order.  Results are reduced per scenario through the RunningStats merge
+// built from an immutable scenario description.  Replicate 0 runs at the
+// scenario's own seed, so a campaign row repeats the single run of the
+// same spec; replicate r >= 1 runs at a fixed mix of (seed, r) — never a
+// function of thread identity, scheduling order or the scenario's position
+// in the campaign.  Results are reduced per scenario through the RunningStats merge
 // hook in task-index order, so a campaign's merged output is bit-identical
 // regardless of the worker count.
 //
-// The scenario description here is deliberately thin (a name, a window and
-// a simulator factory): the declarative `ScenarioSpec` -> simulator wiring
+// The scenario description here is deliberately thin (a name, a seed, a
+// window and a simulator factory): the declarative `ScenarioSpec` -> simulator wiring
 // lives one layer up in core/assembly.hpp, keeping sim/ free of a core/
 // dependency.
 #pragma once
@@ -29,12 +30,14 @@
 
 namespace hpcem {
 
-/// One executable scenario: a window plus a factory that builds a
-/// ready-to-run simulator (policy, changes and maintenance already armed)
+/// One executable scenario: a seed and a window plus a factory that builds
+/// a ready-to-run simulator (policy, changes and maintenance already armed)
 /// for a given seed.  The factory is called from worker threads and must be
 /// safe to invoke concurrently (i.e. close over immutable state only).
 struct CampaignScenario {
   std::string name = "scenario";
+  /// Seed of replicate 0 (the spec's `seed`).
+  std::uint64_t seed = 0x5EED;
   SimTime window_start{};
   SimTime window_end{};
   /// Steady-state pre-roll simulated before the window opens.
@@ -52,9 +55,12 @@ struct CampaignConfig {
   std::size_t workers = 0;
   /// Replicate seeds per scenario.
   std::size_t seeds_per_scenario = 1;
-  /// Root seed every per-task stream is derived from.
-  std::uint64_t campaign_seed = 0xA2C4E6;
 };
+
+/// The seed replicate `replicate` of a scenario runs at: `seed` itself for
+/// replicate 0, a splitmix64 mix of (seed, replicate) for the others.
+[[nodiscard]] std::uint64_t replicate_seed(std::uint64_t seed,
+                                           std::size_t replicate);
 
 /// Merged per-scenario outcome: each RunningStats accumulates one value per
 /// replicate seed, merged in replicate order.
@@ -91,13 +97,6 @@ class CampaignRunner {
   /// task index) exception raised by any task, after all tasks drained.
   [[nodiscard]] CampaignResult run(
       const std::vector<CampaignScenario>& scenarios) const;
-
-  /// The deterministic per-task seed: a splitmix64 chain over the campaign
-  /// seed and the task's coordinates.  Exposed so tests and external
-  /// schedulers can reproduce a single task in isolation.
-  [[nodiscard]] static std::uint64_t stream_seed(
-      std::uint64_t campaign_seed, std::size_t scenario_index,
-      std::size_t replicate_index);
 
  private:
   CampaignConfig config_;

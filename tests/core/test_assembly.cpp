@@ -154,6 +154,30 @@ TEST(Assembly, RunCampaignOverSpecsKeepsOrderAndMerges) {
   EXPECT_EQ(r.total_runs, 6u);
 }
 
+TEST(Assembly, OneReplicateCampaignRepeatsTheSingleRun) {
+  // Replicate 0 runs at the spec's own seed, so a campaign row is the
+  // single run of the same spec, bit for bit.
+  const ScenarioSpec spec = load_named_scenario("ci-smoke");
+  const FacilityAssembly assembly(spec);
+  const auto sim = assembly.run_simulator();
+  const SimTime a = spec.window_start;
+  const SimTime b = spec.window_end;
+  const double mean_kw =
+      sim->telemetry().series(sim->cabinet_channel()).slice(a, b).mean();
+  std::size_t jobs = 0;
+  for (const auto& r : sim->completed()) {
+    if (r.end_time >= a && r.end_time < b) ++jobs;
+  }
+  ASSERT_GT(jobs, 0u);
+
+  CampaignConfig cfg;
+  cfg.workers = 1;
+  const CampaignResult r = run_campaign({spec}, cfg);
+  ASSERT_EQ(r.scenarios.size(), 1u);
+  EXPECT_EQ(r.scenarios[0].mean_kw.mean(), mean_kw);
+  EXPECT_EQ(r.scenarios[0].completed_jobs.mean(), static_cast<double>(jobs));
+}
+
 TEST(Assembly, PlantExtrasAppendSources) {
   ScenarioSpec spec = testbed_spec();
   spec.machine = MachineModel::kMicro;

@@ -147,8 +147,6 @@ ScenarioSpec random_spec(Rng& rng) {
     spec.idle_policy.suspend_enabled = true;
     spec.idle_policy.suspended = Power::watts(rng.uniform(10.0, 100.0));
     spec.idle_policy.suspendable_fraction = rng.uniform(0.0, 1.0);
-    spec.idle_policy.wake_latency =
-        Duration::seconds(static_cast<double>(rng.uniform_int(0, 600)));
   }
 
   if (rng.bernoulli(0.4)) {

@@ -3,6 +3,7 @@
 // library, and the campaign-manifest / serve-override fragments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -52,6 +53,11 @@ TEST(SpecErrors, UnknownMembersNamedInDocumentOrder) {
                     "spec: $.frequency: unknown member");
   expect_spec_error(doc(R"(,"scheduler":{"discipline":"fifo","qos":1})"),
                     "spec: $.scheduler.qos: unknown member");
+  // The simulator never modelled a wake latency, so the spec has no key
+  // for one.
+  expect_spec_error(
+      doc(R"(,"plant":{"idle":{"suspend_enabled":true,"wake_latency_min":3}})"),
+      "spec: $.plant.idle.wake_latency_min: unknown member");
 }
 
 TEST(SpecErrors, Name) {
@@ -382,6 +388,59 @@ TEST(CampaignManifest, ErrorsNameManifestAndPath) {
                   ": $.manifest_version: missing required member");
   }
   fs::remove_all(dir);
+}
+
+TEST(CampaignManifest, DuplicateScenarioNamesAreRejected) {
+  // Names key the rows and the artifact files of a campaign, so a repeat
+  // is one line naming both positions.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / "hpcem_spec_io_manifest_dup_test";
+  fs::create_directories(dir);
+  const std::string lib = scenario_library_dir();
+  const std::string bad = (dir / "dup.json").string();
+  {
+    std::ofstream out(bad);
+    out << R"({"manifest_version":1,"specs":[")" << lib
+        << R"(/figure1.json",")" << lib << R"(/ci-smoke.json",")" << lib
+        << R"(/figure1.json"]})";
+  }
+  try {
+    (void)load_campaign_manifest(bad);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "manifest: " + bad +
+                  ": $.specs[2]: duplicate scenario name "
+                  "'figure1-baseline' (also $.specs[0])");
+  }
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
+// The library campaign.
+
+TEST(ScenarioLibrary, ManifestListsEverySpec) {
+  // campaigns/library.json runs every committed spec against a golden, so
+  // a new spec file must be added to it (once) to be checked.
+  const std::string dir = scenario_library_dir();
+  const CampaignManifest m =
+      load_campaign_manifest(dir + "/campaigns/library.json");
+  std::vector<std::string> listed;
+  for (const std::string& file : m.spec_files) {
+    listed.push_back(
+        std::filesystem::weakly_canonical(file).filename().string());
+  }
+  std::vector<std::string> committed;
+  for (const std::string& file : list_scenario_files(dir)) {
+    committed.push_back(std::filesystem::path(file).filename().string());
+  }
+  std::vector<std::string> sorted = listed;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end())
+      << "a spec is listed twice";
+  EXPECT_EQ(sorted, committed);
+  EXPECT_EQ(m.config.seeds_per_scenario, 1u);
 }
 
 }  // namespace

@@ -12,6 +12,14 @@ DynamicPowerProfile default_profile(const NodePowerParams& np) {
                                    Frequency::ghz(2.8));
 }
 
+std::vector<double> silicon_of(const NodeFleet& fleet) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    out.push_back(fleet.silicon_factor(i));
+  }
+  return out;
+}
+
 NodeActivity loaded(DeterminismMode mode) {
   NodeActivity a;
   a.load = 1.0;
@@ -23,7 +31,7 @@ NodeActivity loaded(DeterminismMode mode) {
 TEST(Fleet, SiliconDistributionShape) {
   const NodeFleet fleet(FleetParams{}, 11);
   EXPECT_EQ(fleet.size(), 5860u);
-  const Summary s = fleet.silicon_summary();
+  const Summary s = summarize(silicon_of(fleet));
   EXPECT_NEAR(s.mean, 1.0, 0.02);
   EXPECT_NEAR(s.stddev, 0.25, 0.03);
   EXPECT_GE(s.min, 0.5);
@@ -82,15 +90,6 @@ TEST(Fleet, FleetSavingMatchesMeanUplift) {
               expected_per_node * 0.05);
 }
 
-TEST(Fleet, MeanSiliconOfSubset) {
-  const NodeFleet fleet(FleetParams{}, 3);
-  std::vector<std::size_t> nodes = {0, 1, 2, 3};
-  double manual = 0.0;
-  for (auto n : nodes) manual += fleet.silicon_factor(n);
-  EXPECT_NEAR(fleet.mean_silicon(nodes), manual / 4.0, 1e-12);
-  EXPECT_THROW(fleet.mean_silicon({}), InvalidArgument);
-}
-
 TEST(Fleet, ValidationErrors) {
   FleetParams bad;
   bad.node_count = 0;
@@ -107,8 +106,8 @@ TEST(Fleet, ValidationErrors) {
 }
 
 TEST(Fleet, BatchedPowersMatchScalarNodePowerExactly) {
-  // The SoA fast path must be a pure hoist: powers_into against the
-  // silicon column reproduces a per-node node_power() loop bit-for-bit.
+  // The fleet evaluation must be a pure hoist: the fleet total and the
+  // power distribution reproduce a per-node node_power() loop bit-for-bit.
   const NodePowerParams np;
   const auto profile = default_profile(np);
   FleetParams p;
@@ -116,20 +115,20 @@ TEST(Fleet, BatchedPowersMatchScalarNodePowerExactly) {
   const NodeFleet fleet(p, 29);
   const NodeActivity act = loaded(DeterminismMode::kPowerDeterminism);
 
-  const NodePowerTerms terms = node_power_terms(np, profile, act);
-  std::vector<double> batched(fleet.size());
-  fleet.state().powers_into(terms, batched);
-
+  std::vector<double> scalar;
   double manual_total = 0.0;
   for (std::size_t i = 0; i < fleet.size(); ++i) {
     NodeActivity per_node = act;
     per_node.silicon_factor = fleet.silicon_factor(i);
-    const double scalar = node_power(np, profile, per_node).w();
-    ASSERT_EQ(batched[i], scalar) << "node " << i;
-    manual_total += scalar;
+    scalar.push_back(node_power(np, profile, per_node).w());
+    manual_total += scalar.back();
   }
-  EXPECT_EQ(fleet.state().total_power_w(terms).w(), manual_total);
   EXPECT_EQ(fleet.total_power(np, profile, act).w(), manual_total);
+  const Summary batched = fleet.power_summary(np, profile, act);
+  const Summary expected = summarize(scalar);
+  EXPECT_EQ(batched.mean, expected.mean);
+  EXPECT_EQ(batched.min, expected.min);
+  EXPECT_EQ(batched.max, expected.max);
 }
 
 TEST(Fleet, ZeroSigmaFleetIsUniform) {
@@ -137,7 +136,7 @@ TEST(Fleet, ZeroSigmaFleetIsUniform) {
   p.node_count = 100;
   p.silicon_sigma = 0.0;
   const NodeFleet fleet(p, 5);
-  const Summary s = fleet.silicon_summary();
+  const Summary s = summarize(silicon_of(fleet));
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 1.0);
 }

@@ -22,33 +22,6 @@ TEST(IdlePower, SuspendReducesDraw) {
   EXPECT_NEAR(fleet_idle_power(kIdleEach, on, 100).kw(), expected, 1e-9);
 }
 
-TEST(IdlePower, AnnualSavingScalesWithIdleFraction) {
-  IdlePowerPolicy on;
-  on.suspend_enabled = true;
-  const Energy at90 = annual_idle_saving(kIdleEach, on, 5860, 0.90);
-  const Energy at95 = annual_idle_saving(kIdleEach, on, 5860, 0.95);
-  EXPECT_GT(at90.to_mwh(), at95.to_mwh());
-  // 10% of 5,860 nodes, 185 W saved on 70% of them, for a year:
-  // 586 * 0.7 * 185 W * 8766 h ~ 665 MWh.
-  EXPECT_NEAR(at90.to_mwh(), 665.0, 30.0);
-  // Full utilisation: nothing idle, nothing saved.
-  EXPECT_NEAR(annual_idle_saving(kIdleEach, on, 5860, 1.0).j(), 0.0, 1e-6);
-}
-
-TEST(IdlePower, LatencyDependsOnWarmBuffer) {
-  IdlePowerPolicy on;
-  on.suspend_enabled = true;  // 30% of idle nodes stay warm
-  // 1000 idle nodes -> 300 warm.  A 100-node job starts instantly.
-  EXPECT_DOUBLE_EQ(
-      expected_extra_start_latency(on, 1000, 100).sec(), 0.0);
-  // A 500-node job must wake nodes: one wake cycle.
-  EXPECT_DOUBLE_EQ(expected_extra_start_latency(on, 1000, 500).min(), 3.0);
-  // Disabled policy never delays.
-  EXPECT_DOUBLE_EQ(
-      expected_extra_start_latency(IdlePowerPolicy{}, 1000, 500).sec(),
-      0.0);
-}
-
 TEST(IdlePower, ValidationErrors) {
   IdlePowerPolicy bad;
   bad.suspendable_fraction = 1.5;
@@ -56,13 +29,6 @@ TEST(IdlePower, ValidationErrors) {
   bad = {};
   bad.suspended = Power::watts(-1.0);
   EXPECT_THROW(fleet_idle_power(kIdleEach, bad, 10), InvalidArgument);
-  bad = {};
-  bad.wake_latency = Duration::seconds(-1.0);
-  EXPECT_THROW(expected_extra_start_latency(bad, 10, 1), InvalidArgument);
-  EXPECT_THROW(annual_idle_saving(kIdleEach, IdlePowerPolicy{}, 100, 1.5),
-               InvalidArgument);
-  EXPECT_THROW(expected_extra_start_latency(IdlePowerPolicy{}, 10, 0),
-               InvalidArgument);
 }
 
 }  // namespace

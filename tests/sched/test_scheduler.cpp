@@ -554,18 +554,39 @@ TEST(JobIdSet, MatchesAnOrderedSetUnderSeededChurn) {
   EXPECT_TRUE(got.insert(7));
 }
 
-TEST(Scheduler, StartingAnIdThatIsRunningThrows) {
+TEST(Scheduler, SubmittingALiveIdThrows) {
   Scheduler s({100, 200});
   s.submit(job(1, 10, 1.0));
+  // Queued: the id is taken before the job ever starts.
+  EXPECT_THROW(s.submit(job(1, 20, 1.0)), StateError);
   ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
-  s.submit(job(1, 20, 1.0));
-  EXPECT_THROW((void)s.schedule_pass(SimTime(0.0)), StateError);
-  // The running job keeps its nodes; once it finishes, the id runs again.
+  // Running: still taken.
+  EXPECT_THROW(s.submit(job(1, 20, 1.0)), StateError);
   EXPECT_EQ(s.free_nodes(), 90u);
   EXPECT_EQ(s.running_count(), 1u);
+  // Once it finishes, the id runs again.
   s.finish(1, SimTime(60.0));
   s.submit(job(1, 20, 1.0, SimTime(60.0)));
   ASSERT_EQ(s.schedule_pass(SimTime(60.0)).size(), 1u);
+  EXPECT_EQ(s.free_nodes(), 80u);
+}
+
+TEST(Scheduler, RejectedDuplicateSubmitChangesNothing) {
+  // Job 1 runs; job 2 and a second job 1 are submitted.  The second job 1
+  // is refused at submit, so the next pass starts job 2 and nothing else.
+  Scheduler s({100, 200});
+  s.submit(job(1, 10, 1.0));
+  ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
+  s.submit(job(2, 10, 1.0));
+  EXPECT_THROW(s.submit(job(1, 10, 1.0)), StateError);
+  EXPECT_EQ(s.queue_length(), 1u);
+  EXPECT_EQ(s.running_count(), 1u);
+  EXPECT_EQ(s.free_nodes(), 90u);
+  const auto starts = s.schedule_pass(SimTime(0.0));
+  ASSERT_EQ(starts.size(), 1u);
+  EXPECT_EQ(starts.front().job.id, 2u);
+  EXPECT_EQ(s.queue_length(), 0u);
+  EXPECT_EQ(s.running_count(), 2u);
   EXPECT_EQ(s.free_nodes(), 80u);
 }
 

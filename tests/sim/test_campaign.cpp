@@ -153,20 +153,33 @@ TEST_F(CampaignTest, ReplicatesAccumulateIntoTheOutcome) {
   EXPECT_GT(out.mean_utilisation.mean(), 0.5);
 }
 
-TEST_F(CampaignTest, StreamSeedsDependOnlyOnCoordinates) {
-  // Distinct across a grid of coordinates, stable across calls.
+TEST_F(CampaignTest, ReplicateSeedsDependOnlyOnTheScenarioSeed) {
+  // Replicate 0 is the scenario's own seed; later ones are distinct across
+  // a grid of (seed, replicate) and stable across calls.
   std::set<std::uint64_t> seen;
-  for (std::size_t si = 0; si < 16; ++si) {
-    for (std::size_t ri = 0; ri < 16; ++ri) {
-      const std::uint64_t s = CampaignRunner::stream_seed(0xA2C4E6, si, ri);
-      EXPECT_EQ(s, CampaignRunner::stream_seed(0xA2C4E6, si, ri));
-      seen.insert(s);
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    EXPECT_EQ(replicate_seed(seed, 0), seed);
+    for (std::size_t r = 1; r <= 16; ++r) {
+      EXPECT_EQ(replicate_seed(seed, r), replicate_seed(seed, r));
+      seen.insert(replicate_seed(seed, r));
     }
   }
   EXPECT_EQ(seen.size(), 256u);
-  // And on the campaign seed itself.
-  EXPECT_NE(CampaignRunner::stream_seed(1, 0, 0),
-            CampaignRunner::stream_seed(2, 0, 0));
+
+  // A scenario's row does not depend on its position in the campaign:
+  // the same scenario first and last gives bit-identical outcomes.
+  CampaignScenario first = scenario("x");
+  first.seed = 77;
+  CampaignScenario other = scenario("y", 2.0);
+  CampaignConfig cfg;
+  cfg.workers = 2;
+  cfg.seeds_per_scenario = 2;
+  const CampaignResult r = CampaignRunner(cfg).run({first, other, first});
+  EXPECT_EQ(r.scenarios[0].mean_kw.mean(), r.scenarios[2].mean_kw.mean());
+  EXPECT_EQ(r.scenarios[0].mean_kw.variance(),
+            r.scenarios[2].mean_kw.variance());
+  EXPECT_EQ(r.scenarios[0].completed_jobs.mean(),
+            r.scenarios[2].completed_jobs.mean());
 }
 
 TEST_F(CampaignTest, SplitAtSeparatesBeforeAndAfterMeans) {

@@ -133,9 +133,8 @@ TEST(RequireAlloc, SchedulerMessages) {
   one.nodes = 1;
   s.submit(one);
   ASSERT_EQ(s.schedule_pass(SimTime(0.0)).size(), 1u);
-  s.submit(one);
-  EXPECT_EQ(message_of([&] { (void)s.schedule_pass(SimTime(0.0)); }),
-            "Scheduler: job id already running: 1");
+  EXPECT_EQ(message_of([&] { s.submit(one); }),
+            "Scheduler::submit: job id already queued or running: 1");
 }
 
 TEST(RequireAlloc, PartitionedSchedulerMessages) {

@@ -47,11 +47,24 @@ std::optional<ScenarioSpec> load_spec(const std::string& path) {
   }
 }
 
+/// The --campaign manifest, or nullopt after printing its one-line error
+/// (a manifest error or one of its specs' schema errors).
+std::optional<CampaignManifest> load_manifest(const std::string& path) {
+  try {
+    return load_campaign_manifest(path);
+  } catch (const ParseError& e) {
+    std::cerr << e.what() << '\n';
+    return std::nullopt;
+  }
+}
+
 int run_campaign_manifest(const ArgParser& args) {
   return tools::tool_main([&] {
     const obs::ObsSession session("hpcem_sim");
-    const CampaignManifest manifest =
-        load_campaign_manifest(args.get("campaign"));
+    const std::optional<CampaignManifest> loaded =
+        load_manifest(args.get("campaign"));
+    if (!loaded) return tools::kExitUsage;
+    const CampaignManifest& manifest = *loaded;
     const CampaignResult result =
         run_campaign(manifest.specs, manifest.config);
 
