@@ -8,14 +8,14 @@
 // scenario's own seed, so a campaign row repeats the single run of the
 // same spec; replicate r >= 1 runs at a fixed mix of (seed, r) — never a
 // function of thread identity, scheduling order or the scenario's position
-// in the campaign.  Results are reduced per scenario through the RunningStats merge
-// hook in task-index order, so a campaign's merged output is bit-identical
-// regardless of the worker count.
+// in the campaign.  Results are reduced per scenario through the
+// RunningStats merge hook in task-index order, so a campaign's merged
+// output is bit-identical regardless of the worker count.
 //
 // The scenario description here is deliberately thin (a name, a seed, a
-// window and a simulator factory): the declarative `ScenarioSpec` -> simulator wiring
-// lives one layer up in core/assembly.hpp, keeping sim/ free of a core/
-// dependency.
+// window and a simulator factory): the declarative `ScenarioSpec` ->
+// simulator wiring lives one layer up in core/assembly.hpp, keeping sim/
+// free of a core/ dependency.
 #pragma once
 
 #include <cstdint>
