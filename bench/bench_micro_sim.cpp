@@ -7,6 +7,7 @@
 #include <cmath>
 #include <deque>
 
+#include "core/campaign.hpp"
 #include "core/facility.hpp"
 #include "core/scenario_library.hpp"
 #include "sched/allocator.hpp"

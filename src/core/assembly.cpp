@@ -156,6 +156,31 @@ TimelineResult FacilityAssembly::run() const {
   return analyze_timeline(*sim, spec_);
 }
 
+RunHeadline window_headline(const FacilitySimulator& sim,
+                            const ScenarioSpec& spec,
+                            const TimeSeries& window) {
+  const SimTime start = spec.window_start;
+  const SimTime end = spec.window_end;
+  RunHeadline h;
+  h.mean_kw = PowerKw{window.mean()};
+  if (const std::optional<SimTime> change = spec.first_change_in_window()) {
+    h.mean_before_kw = PowerKw{window.mean_over(start, *change)};
+    h.mean_after_kw = PowerKw{window.mean_over(*change, end)};
+  } else {
+    h.mean_before_kw = h.mean_kw;
+    h.mean_after_kw = h.mean_kw;
+  }
+  h.mean_utilisation = sim.mean_utilisation(start, end);
+  // integrate() returns kW-seconds over the sliced window.
+  h.window_energy_kwh = EnergyKwh{window.integrate() / 3600.0};
+  std::size_t in_window = 0;
+  for (const auto& r : sim.completed()) {
+    if (r.end_time >= start && r.end_time < end) ++in_window;
+  }
+  h.completed_jobs = static_cast<double>(in_window);
+  return h;
+}
+
 TimelineResult analyze_timeline(const FacilitySimulator& sim,
                                 const ScenarioSpec& spec) {
   const SimTime start = spec.window_start;
@@ -170,15 +195,11 @@ TimelineResult analyze_timeline(const FacilitySimulator& sim,
       sim.telemetry().series(sim.cabinet_channel()).slice(start, end);
   require_state(r.cabinet_kw.size() >= 16,
                 "analyze_timeline: window produced too few samples");
-  r.mean_kw = PowerKw{r.cabinet_kw.mean()};
-  r.mean_utilisation = sim.mean_utilisation(start, end);
-  if (change) {
-    r.mean_before_kw = PowerKw{r.cabinet_kw.mean_over(start, *change)};
-    r.mean_after_kw = PowerKw{r.cabinet_kw.mean_over(*change, end)};
-  } else {
-    r.mean_before_kw = r.mean_kw;
-    r.mean_after_kw = r.mean_kw;
-  }
+  const RunHeadline headline = window_headline(sim, spec, r.cabinet_kw);
+  r.mean_kw = headline.mean_kw;
+  r.mean_before_kw = headline.mean_before_kw;
+  r.mean_after_kw = headline.mean_after_kw;
+  r.mean_utilisation = headline.mean_utilisation;
   // Recover the step from the data alone (min segment: one day of
   // samples).  For a campaign with a known rollout the exact single-step
   // segmentation is appropriate; for a no-change window use the penalised
@@ -226,35 +247,6 @@ Conclusions conclusions(const TimelineResult& fig1,
   c.total_saving_kw = c.baseline_kw - c.after_freq_kw;
   c.total_saving_fraction = c.total_saving_kw / c.baseline_kw;
   return c;
-}
-
-CampaignScenario make_campaign_scenario(
-    std::shared_ptr<const FacilityAssembly> assembly) {
-  require(assembly != nullptr, "make_campaign_scenario: null assembly");
-  const ScenarioSpec& spec = assembly->spec();
-  CampaignScenario scenario;
-  scenario.name = spec.name;
-  scenario.seed = spec.seed;
-  scenario.window_start = spec.window_start;
-  scenario.window_end = spec.window_end;
-  scenario.warmup = spec.warmup;
-  scenario.split_at = spec.first_change_in_window();
-  scenario.build = [assembly](std::uint64_t seed) {
-    return assembly->make_simulator(seed);
-  };
-  return scenario;
-}
-
-CampaignResult run_campaign(const std::vector<ScenarioSpec>& specs,
-                            const CampaignConfig& config) {
-  require(!specs.empty(), "run_campaign: no scenarios");
-  std::vector<CampaignScenario> scenarios;
-  scenarios.reserve(specs.size());
-  for (const auto& spec : specs) {
-    scenarios.push_back(make_campaign_scenario(
-        std::make_shared<const FacilityAssembly>(spec)));
-  }
-  return CampaignRunner(config).run(scenarios);
 }
 
 }  // namespace hpcem

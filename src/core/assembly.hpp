@@ -8,8 +8,7 @@
 // window, which operating policy, which mid-window changes, which plant
 // extras — and `FacilityAssembly` turns a spec into the canonical
 // configuration, composition (sim/composition.hpp) and armed simulator.
-// The campaign layer (sim/campaign.hpp) fans specs out over a thread pool
-// via `run_campaign` below.
+// The campaign layer (core/campaign.hpp) fans specs out over a thread pool.
 #pragma once
 
 #include <memory>
@@ -19,7 +18,6 @@
 
 #include "core/emissions.hpp"
 #include "core/facility.hpp"
-#include "sim/campaign.hpp"
 #include "telemetry/changepoint.hpp"
 #include "telemetry/timeseries.hpp"
 
@@ -121,6 +119,16 @@ struct ScenarioSpec {
   [[nodiscard]] std::optional<SimTime> first_change_in_window() const;
 };
 
+/// The headline numbers every figure/campaign reports.
+struct RunHeadline {
+  PowerKw mean_kw;
+  PowerKw mean_before_kw;
+  PowerKw mean_after_kw;
+  double mean_utilisation = 0.0;
+  EnergyKwh window_energy_kwh;
+  double completed_jobs = 0.0;  ///< replicate mean for campaigns
+};
+
 /// Result of one scenario run.
 struct TimelineResult {
   /// Cabinet power over the measurement window (kW channel).
@@ -194,6 +202,14 @@ class FacilityAssembly {
   std::shared_ptr<const Facility> facility_;
 };
 
+/// Headline of a finished run of `spec`: `window` is its cabinet channel
+/// sliced to the spec's window.  Means split at the first in-window change
+/// (before == after == window mean without one); the job count takes jobs
+/// that ended inside the window.
+[[nodiscard]] RunHeadline window_headline(const FacilitySimulator& sim,
+                                          const ScenarioSpec& spec,
+                                          const TimeSeries& window);
+
 /// Window analysis on a finished run: slice the cabinet channel, compute
 /// window/before/after means and recover the changepoint from the data
 /// alone — the same analysis an operator would run on real cabinet
@@ -219,16 +235,5 @@ struct Conclusions {
 [[nodiscard]] Conclusions conclusions(const TimelineResult& fig1,
                                       const TimelineResult& fig2,
                                       const TimelineResult& fig3);
-
-/// Bind a spec-built assembly into a campaign scenario (sim/campaign.hpp).
-/// The returned factory shares the assembly immutably across workers.
-[[nodiscard]] CampaignScenario make_campaign_scenario(
-    std::shared_ptr<const FacilityAssembly> assembly);
-
-/// Assemble every spec and execute the campaign on a worker pool.
-/// Merged results are bit-identical for any worker count.
-[[nodiscard]] CampaignResult run_campaign(
-    const std::vector<ScenarioSpec>& specs,
-    const CampaignConfig& config = {});
 
 }  // namespace hpcem

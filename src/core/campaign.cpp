@@ -1,7 +1,6 @@
-#include "sim/campaign.hpp"
+#include "core/campaign.hpp"
 
 #include <exception>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -32,42 +31,31 @@ const obs::Gauge& workers_gauge() {
   return g;
 }
 
-/// One (scenario, seed) run reduced to a single-replicate outcome.
-ScenarioOutcome run_one(const CampaignScenario& scenario,
+/// One (spec, seed) run reduced to a single-replicate outcome.
+ScenarioOutcome run_one(const FacilityAssembly& assembly,
                         std::uint64_t seed) {
-  auto sim = scenario.build(seed);
-  require(sim != nullptr, "CampaignRunner: scenario '", scenario.name,
-          "' produced no simulator");
-  sim->run(scenario.window_start - scenario.warmup, scenario.window_end);
+  const ScenarioSpec& spec = assembly.spec();
+  const auto sim = assembly.make_simulator(seed);
+  sim->run(spec.window_start - spec.warmup, spec.window_end);
 
-  const SimTime a = scenario.window_start;
-  const SimTime b = scenario.window_end;
   // Handle-based access: the simulator interned the cabinet channel at
   // composition time.
-  const TimeSeries window =
-      sim->telemetry().series(sim->cabinet_channel()).slice(a, b);
-  require_state(!window.empty(), "CampaignRunner: scenario '", scenario.name,
+  const TimeSeries window = sim->telemetry()
+                                .series(sim->cabinet_channel())
+                                .slice(spec.window_start, spec.window_end);
+  require_state(!window.empty(), "run_campaign: scenario '", spec.name,
                 "' produced no window samples");
+  const RunHeadline h = window_headline(*sim, spec, window);
 
   ScenarioOutcome out;
-  out.name = scenario.name;
+  out.name = spec.name;
   out.replicates = 1;
-  out.mean_kw.add(window.mean());
-  if (scenario.split_at) {
-    out.mean_before_kw.add(window.mean_over(a, *scenario.split_at));
-    out.mean_after_kw.add(window.mean_over(*scenario.split_at, b));
-  } else {
-    out.mean_before_kw.add(window.mean());
-    out.mean_after_kw.add(window.mean());
-  }
-  out.mean_utilisation.add(sim->mean_utilisation(a, b));
-  // integrate() returns kW-seconds over the sliced window.
-  out.window_energy_kwh.add(window.integrate() / 3600.0);
-  std::size_t in_window = 0;
-  for (const auto& r : sim->completed()) {
-    if (r.end_time >= a && r.end_time < b) ++in_window;
-  }
-  out.completed_jobs.add(static_cast<double>(in_window));
+  out.mean_kw.add(h.mean_kw.kw());
+  out.mean_before_kw.add(h.mean_before_kw.kw());
+  out.mean_after_kw.add(h.mean_after_kw.kw());
+  out.mean_utilisation.add(h.mean_utilisation);
+  out.window_energy_kwh.add(h.window_energy_kwh.kwh());
+  out.completed_jobs.add(h.completed_jobs);
   return out;
 }
 
@@ -93,36 +81,30 @@ void ScenarioOutcome::merge(const ScenarioOutcome& other) {
   completed_jobs.merge(other.completed_jobs);
 }
 
-CampaignRunner::CampaignRunner(CampaignConfig config) : config_(config) {
-  require(config_.seeds_per_scenario >= 1,
-          "CampaignRunner: need at least one seed per scenario");
-}
+CampaignResult run_campaign(const std::vector<ScenarioSpec>& specs,
+                            const CampaignConfig& config) {
+  require(config.seeds_per_scenario >= 1,
+          "run_campaign: need at least one seed per scenario");
+  require(!specs.empty(), "run_campaign: no scenarios");
 
-CampaignResult CampaignRunner::run(
-    const std::vector<CampaignScenario>& scenarios) const {
-  require(!scenarios.empty(), "CampaignRunner::run: no scenarios");
-  for (const auto& s : scenarios) {
-    require(s.window_end > s.window_start, "CampaignRunner::run: scenario '",
-            s.name, "' window end must follow start");
-    require(s.warmup.sec() >= 0.0, "CampaignRunner::run: scenario '", s.name,
-            "' warmup must be non-negative");
-    require(s.build != nullptr, "CampaignRunner::run: scenario '", s.name,
-            "' has no simulator factory");
-  }
+  // Assembling validates each spec (window, warm-up, overrides) before any
+  // task starts; workers share the assemblies immutably.
+  std::vector<FacilityAssembly> assemblies;
+  assemblies.reserve(specs.size());
+  for (const auto& spec : specs) assemblies.emplace_back(spec);
 
-  const std::size_t reps = config_.seeds_per_scenario;
-  const std::size_t total = scenarios.size() * reps;
+  const std::size_t reps = config.seeds_per_scenario;
+  const std::size_t total = specs.size() * reps;
   const std::size_t workers =
-      config_.workers == 0 ? ThreadPool::default_workers()
-                           : config_.workers;
+      config.workers == 0 ? ThreadPool::default_workers() : config.workers;
 
   // Intern the per-scenario span names up front on this thread: interning
   // takes the registry lock, and the worker hot path should not.
   std::vector<obs::NameId> task_names;
   if (obs::enabled()) {
     workers_gauge().set(workers);
-    task_names.reserve(scenarios.size());
-    for (const auto& s : scenarios) {
+    task_names.reserve(specs.size());
+    for (const auto& s : specs) {
       task_names.push_back(obs::intern_name("campaign.task:" + s.name));
     }
   }
@@ -133,18 +115,18 @@ CampaignResult CampaignRunner::run(
   std::vector<std::exception_ptr> errors(total);
   {
     ThreadPool pool(workers);
-    for (std::size_t si = 0; si < scenarios.size(); ++si) {
+    for (std::size_t si = 0; si < specs.size(); ++si) {
       for (std::size_t ri = 0; ri < reps; ++ri) {
         const std::size_t idx = si * reps + ri;
-        const std::uint64_t seed = replicate_seed(scenarios[si].seed, ri);
-        const CampaignScenario* scenario = &scenarios[si];
+        const std::uint64_t seed = replicate_seed(specs[si].seed, ri);
+        const FacilityAssembly* assembly = &assemblies[si];
         const obs::NameId task_name =
             obs::enabled() ? task_names[si] : obs::NameId{};
         const std::uint64_t enqueued_ns =
             obs::enabled() && !obs::deterministic()
                 ? obs::detail::wall_now_ns()
                 : 0;
-        pool.submit([scenario, seed, idx, task_name, enqueued_ns,
+        pool.submit([assembly, seed, idx, task_name, enqueued_ns,
                      &partials, &errors] {
           if (obs::enabled()) {
             obs::set_thread_label("campaign-worker");
@@ -159,7 +141,7 @@ CampaignResult CampaignRunner::run(
           }
           const obs::ScopedSpan task_span(task_name);
           try {
-            partials[idx] = run_one(*scenario, seed);
+            partials[idx] = run_one(*assembly, seed);
           } catch (...) {
             errors[idx] = std::current_exception();
           }
@@ -178,10 +160,10 @@ CampaignResult CampaignRunner::run(
   CampaignResult result;
   result.workers_used = workers;
   result.total_runs = total;
-  result.scenarios.resize(scenarios.size());
-  for (std::size_t si = 0; si < scenarios.size(); ++si) {
+  result.scenarios.resize(specs.size());
+  for (std::size_t si = 0; si < specs.size(); ++si) {
     ScenarioOutcome& merged = result.scenarios[si];
-    merged.name = scenarios[si].name;
+    merged.name = specs[si].name;
     for (std::size_t ri = 0; ri < reps; ++ri) {
       merged.merge(partials[si * reps + ri]);
     }

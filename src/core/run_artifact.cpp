@@ -441,19 +441,7 @@ RunArtifact make_run_artifact(const FacilitySimulator& sim,
   a.window_end = result.window_end;
   a.replicates = 1;
 
-  a.headline.mean_kw = result.mean_kw;
-  a.headline.mean_before_kw = result.mean_before_kw;
-  a.headline.mean_after_kw = result.mean_after_kw;
-  a.headline.mean_utilisation = result.mean_utilisation;
-  a.headline.window_energy_kwh =
-      EnergyKwh{result.cabinet_kw.integrate() / 3600.0};
-  std::size_t in_window = 0;
-  for (const auto& r : sim.completed()) {
-    if (r.end_time >= result.window_start && r.end_time < result.window_end) {
-      ++in_window;
-    }
-  }
-  a.headline.completed_jobs = static_cast<double>(in_window);
+  a.headline = window_headline(sim, spec, result.cabinet_kw);
 
   if (result.change_time) {
     a.change_points.push_back({*result.change_time, result.mean_before_kw,
@@ -494,12 +482,6 @@ RunArtifact make_run_artifact(const ScenarioOutcome& outcome,
   }
   a.obs = collected_obs_metrics();
   return a;
-}
-
-RunArtifact run_spec_artifact(const FacilityAssembly& assembly) {
-  const auto sim = assembly.run_simulator();
-  const TimelineResult result = analyze_timeline(*sim, assembly.spec());
-  return make_run_artifact(*sim, assembly.spec(), result);
 }
 
 std::vector<RunArtifact> make_campaign_artifacts(

@@ -11,10 +11,11 @@
 // long-format CSV.  Two artifacts with the same schema diff cleanly, which
 // makes "did the replay match the meter?" a file diff.
 //
-// Producers: `run_spec_artifact` / the figure benches (simulation runs of
-// a `FacilityAssembly`), `CampaignRunner` results via
-// `make_campaign_artifacts`, `hpcem_replay` (trace replays through an
-// assembly's simulator) and `hpcem_analyze` (real telemetry CSVs).
+// Producers: `make_run_artifact` over a finished simulator (the figure
+// benches, `hpcem_sim --spec`), `run_campaign` results via
+// `make_campaign_artifacts` (`hpcem_sim --campaign`), `hpcem_replay` (trace
+// replays through an assembly's simulator) and `hpcem_analyze` (real
+// telemetry CSVs).
 #pragma once
 
 #include <optional>
@@ -23,7 +24,7 @@
 #include <vector>
 
 #include "core/assembly.hpp"
-#include "sim/campaign.hpp"
+#include "core/campaign.hpp"
 #include "telemetry/recorder.hpp"
 #include "util/json.hpp"
 
@@ -59,16 +60,6 @@ struct ArtifactChangePoint {
   /// True when recovered from the telemetry alone, false for the
   /// scheduled rollout record.
   bool detected = false;
-};
-
-/// The headline numbers every figure/campaign reports.
-struct RunHeadline {
-  PowerKw mean_kw;
-  PowerKw mean_before_kw;
-  PowerKw mean_after_kw;
-  double mean_utilisation = 0.0;
-  EnergyKwh window_energy_kwh;
-  double completed_jobs = 0.0;  ///< replicate mean for campaigns
 };
 
 /// Structured record of one run (or one merged campaign scenario).
@@ -136,10 +127,10 @@ struct RunArtifact {
 /// Producers call this once, at artifact-assembly time.
 [[nodiscard]] JsonValue collected_obs_metrics();
 
-/// Artifact of a finished single run: headline and change points from the
-/// window analysis, channel aggregates over the whole simulated span
-/// (warmup included — the aggregates describe the stream, the headline
-/// describes the window).
+/// Artifact of a finished single run: the window_headline of the result's
+/// window slice, change points from the window analysis, and channel
+/// aggregates over the whole simulated span (warmup included — the
+/// aggregates describe the stream, the headline describes the window).
 [[nodiscard]] RunArtifact make_run_artifact(const FacilitySimulator& sim,
                                             const ScenarioSpec& spec,
                                             const TimelineResult& result);
@@ -153,10 +144,6 @@ struct RunArtifact {
 /// the spec list the campaign ran (matched by index).
 [[nodiscard]] std::vector<RunArtifact> make_campaign_artifacts(
     const CampaignResult& result, const std::vector<ScenarioSpec>& specs);
-
-/// Run an assembled spec end-to-end (simulate, analyse, package): the
-/// one-call producer the figure benches use.
-[[nodiscard]] RunArtifact run_spec_artifact(const FacilityAssembly& assembly);
 
 /// Write `<basename>.artifact.json` (and, when the artifact carries channel
 /// aggregates, `<basename>.aggregates.csv`); returns the JSON path.

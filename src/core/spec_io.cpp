@@ -17,8 +17,10 @@ namespace {
 // ---------------------------------------------------------------------------
 // Diagnostics.  Every schema violation is one line: `spec: $.path: why`.
 
+constexpr std::string_view kSpecPrefix = "spec: ";
+
 [[noreturn]] void fail(const std::string& path, const std::string& why) {
-  throw ParseError("spec: " + path + ": " + why);
+  throw ParseError(std::string(kSpecPrefix) + path + ": " + why);
 }
 
 std::string type_name(JsonValue::Type t) {
@@ -769,6 +771,18 @@ namespace {
   throw ParseError("manifest: " + path + ": " + why);
 }
 
+/// Run one of the spec codecs' checks on a manifest member: its
+/// `spec: $.path: why` error becomes `manifest: <file>: $.path: why`.
+template <typename Check>
+decltype(auto) check_manifest_member(const std::string& file,
+                                     const Check& check) {
+  try {
+    return check();
+  } catch (const ParseError& e) {
+    fail_manifest(file, std::string(e.what()).substr(kSpecPrefix.size()));
+  }
+}
+
 }  // namespace
 
 CampaignManifest load_campaign_manifest(const std::string& path) {
@@ -782,9 +796,11 @@ CampaignManifest load_campaign_manifest(const std::string& path) {
     fail_manifest(path, e.what());
   }
   if (!doc.is_object()) fail_manifest(path, "$: expected an object");
-  reject_unknown(doc.as_object(), "manifest: " + path + ": $",
-                 {"manifest_version", "specs", "workers",
-                  "seeds_per_scenario"});
+  check_manifest_member(path, [&] {
+    reject_unknown(doc.as_object(), "$",
+                   {"manifest_version", "specs", "workers",
+                    "seeds_per_scenario"});
+  });
 
   const JsonValue* version = doc.get("manifest_version");
   if (!version) fail_manifest(path, "$.manifest_version: missing required member");
@@ -802,13 +818,15 @@ CampaignManifest load_campaign_manifest(const std::string& path) {
 
   CampaignManifest manifest;
   if (const JsonValue* w = doc.get("workers")) {
-    manifest.config.workers = static_cast<std::size_t>(expect_integer(
-        *w, "manifest: " + path + ": $.workers", 9007199254740992.0));
+    manifest.config.workers =
+        static_cast<std::size_t>(check_manifest_member(path, [&] {
+          return expect_integer(*w, "$.workers", 9007199254740992.0);
+        }));
   }
   if (const JsonValue* s = doc.get("seeds_per_scenario")) {
-    const std::uint64_t n = expect_integer(
-        *s, "manifest: " + path + ": $.seeds_per_scenario",
-        9007199254740992.0);
+    const std::uint64_t n = check_manifest_member(path, [&] {
+      return expect_integer(*s, "$.seeds_per_scenario", 9007199254740992.0);
+    });
     if (n < 1) {
       fail_manifest(path, "$.seeds_per_scenario: must be >= 1");
     }

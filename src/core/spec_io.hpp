@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "core/assembly.hpp"
-#include "sim/campaign.hpp"
+#include "core/campaign.hpp"
 #include "util/json.hpp"
 
 namespace hpcem {

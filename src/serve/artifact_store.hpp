@@ -4,11 +4,13 @@
 // An `ArtifactStore` has one ingest path: a validated HCAF shard
 // (colstore/hcaf.hpp).  `load_hcaf_file` reads a compacted shard;
 // `add(RunArtifact)` and the JSON loaders (`load_file`, `load_directory`
-// over `hpcem_sim --serve-export` / `hpcem_replay --artifact-out` /
-// `hpcem_analyze --serve-export` output) first encode the artifact as a
-// one-artifact shard in memory with the compactor's writer and then read
-// it back through the same routine, so a JSON store cannot drift from an
-// HCAF one.  That routine turns the shard into a query-ready shape:
+// over `hpcem_sim --serve-export` / `hpcem_analyze --serve-export` output,
+// whose channels carry their series; aggregate-only output such as
+// `hpcem_replay --artifact-out` writes is rejected) first encode the
+// artifact as a one-artifact shard in memory with the compactor's writer
+// and then read it back through the same routine, so a JSON store cannot
+// drift from an HCAF one.  That routine turns the shard into a query-ready
+// shape:
 //   * scenario and channel names are interned to dense ids assigned in
 //     lexicographic order, so every iteration over the store is
 //     deterministic regardless of ingest order;

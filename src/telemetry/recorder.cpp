@@ -1,11 +1,7 @@
 #include "telemetry/recorder.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
-#include "util/csv.hpp"
 #include "util/error.hpp"
-#include "util/text_table.hpp"
 
 namespace hpcem {
 
@@ -75,10 +71,6 @@ const TimeSeries& Recorder::channel(const std::string& name) const {
   return channels_[it->second]->series;
 }
 
-bool Recorder::has_channel(const std::string& name) const {
-  return index_.contains(name);
-}
-
 std::vector<std::string> Recorder::channel_names() const {
   std::vector<std::string> names;
   names.reserve(index_.size());
@@ -97,46 +89,6 @@ std::uint64_t Recorder::total_appended() const {
   std::uint64_t total = 0;
   for (const auto& c : channels_) total += c->series.size();
   return total;
-}
-
-std::string Recorder::to_csv() const {
-  CsvWriter w({"time", "channel", "unit", "value"});
-  for (const auto& [name, idx] : index_) {
-    const TimeSeries& series = channels_[idx]->series;
-    for (const auto& s : series.samples()) {
-      w.add_row({iso_date_time(s.time), name, series.unit(),
-                 TextTable::num(s.value, 6)});
-    }
-  }
-  return w.str();
-}
-
-RollingWindow::RollingWindow(std::size_t capacity) : capacity_(capacity) {
-  require(capacity >= 1, "RollingWindow: capacity must be >= 1");
-}
-
-void RollingWindow::add(double x) {
-  buf_.push_back(x);
-  sum_.add(x);
-  if (buf_.size() > capacity_) {
-    sum_.subtract(buf_.front());
-    buf_.pop_front();
-  }
-}
-
-double RollingWindow::mean() const {
-  require_state(!buf_.empty(), "RollingWindow::mean: empty window");
-  return sum_.value() / static_cast<double>(buf_.size());
-}
-
-double RollingWindow::min() const {
-  require_state(!buf_.empty(), "RollingWindow::min: empty window");
-  return *std::min_element(buf_.begin(), buf_.end());
-}
-
-double RollingWindow::max() const {
-  require_state(!buf_.empty(), "RollingWindow::max: empty window");
-  return *std::max_element(buf_.begin(), buf_.end());
 }
 
 }  // namespace hpcem

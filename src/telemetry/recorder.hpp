@@ -1,8 +1,7 @@
-// Multi-channel telemetry recorder and rolling-window statistics.
+// Multi-channel telemetry recorder.
 //
 // `Recorder` is the facility simulator's sink: named channels ("cabinet_kw",
-// "utilisation", ...) each backed by a TimeSeries, with CSV export matching
-// the layout a real telemetry database dump would have.
+// "utilisation", ...) each backed by a TimeSeries.
 //
 // Channels are *interned*: `declare()` resolves a name to a dense
 // `ChannelId` exactly once, at composition time, and the per-sample hot
@@ -13,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,7 +20,6 @@
 
 #include "telemetry/timeseries.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace hpcem {
 
@@ -98,17 +95,12 @@ class Recorder {
   /// Fetch an existing channel; throws StateError if absent.
   [[nodiscard]] const TimeSeries& channel(const std::string& name) const;
 
-  [[nodiscard]] bool has_channel(const std::string& name) const;
   /// Channel names in lexicographic order.
   [[nodiscard]] std::vector<std::string> channel_names() const;
 
   /// Record one sample on a channel that must already exist (resolves the
   /// name per call; prefer the ChannelId overload on hot paths).
   void record(const std::string& name, SimTime t, double value);
-
-  /// Export all channels as long-format CSV: time_iso,channel,unit,value.
-  /// Channels appear in name order, samples in time order.
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   struct Channel {
@@ -123,26 +115,6 @@ class Recorder {
   std::vector<std::unique_ptr<Channel>> channels_;
   // Sorted name -> index intern map (also drives export ordering).
   std::map<std::string, std::uint32_t> index_;
-};
-
-/// Fixed-width rolling window over a scalar stream (mean/min/max).
-class RollingWindow {
- public:
-  explicit RollingWindow(std::size_t capacity);
-
-  void add(double x);
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] bool full() const { return buf_.size() == capacity_; }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
- private:
-  std::size_t capacity_;
-  std::deque<double> buf_;
-  /// Compensated: a long stream performs one add+subtract per sample and a
-  /// naive running sum drifts by an ulp per operation.
-  CompensatedSum sum_;
 };
 
 }  // namespace hpcem

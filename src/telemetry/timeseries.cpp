@@ -112,20 +112,4 @@ TimeSeries TimeSeries::resample(Duration interval) const {
   return out;
 }
 
-TimeSeries TimeSeries::map(const std::function<double(double)>& f) const {
-  TimeSeries out(unit_);
-  for (const auto& s : samples_) out.append(s.time, f(s.value));
-  return out;
-}
-
-TimeSeries TimeSeries::sum(const TimeSeries& a, const TimeSeries& b) {
-  require(a.size() == b.size(), "TimeSeries::sum: size mismatch");
-  TimeSeries out(a.unit());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    require(a[i].time == b[i].time, "TimeSeries::sum: timestamp mismatch");
-    out.append(a[i].time, a[i].value + b[i].value);
-  }
-  return out;
-}
-
 }  // namespace hpcem

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -25,7 +24,6 @@
 #include "util/error.hpp"
 #include "util/sim_time.hpp"
 #include "util/stats.hpp"
-#include "util/units.hpp"
 
 namespace hpcem {
 
@@ -84,11 +82,6 @@ class TimeSeries {
   /// (e.g. W -> J).  Exact over every appended sample.
   [[nodiscard]] double integrate() const { return integral_.value(); }
 
-  /// Convenience for power series in watts: integral as Energy.
-  [[nodiscard]] Energy integrate_power() const {
-    return Energy::joules(integrate());
-  }
-
   [[nodiscard]] SimTime start_time() const;
   [[nodiscard]] SimTime end_time() const;
   [[nodiscard]] Duration span() const;
@@ -118,14 +111,6 @@ class TimeSeries {
   /// Resample to a fixed interval by bucket-averaging; buckets with no
   /// samples take the interpolated value at the bucket centre.
   [[nodiscard]] TimeSeries resample(Duration interval) const;
-
-  /// Element-wise transform into a new series (same timestamps).
-  [[nodiscard]] TimeSeries map(
-      const std::function<double(double)>& f) const;
-
-  /// Sum of two series sampled at identical timestamps.
-  [[nodiscard]] static TimeSeries sum(const TimeSeries& a,
-                                      const TimeSeries& b);
 
  private:
   std::string unit_;

@@ -1,6 +1,6 @@
 // Fixed-size worker thread pool.
 //
-// The campaign layer (sim/campaign.hpp) fans N scenarios x M seeds out over
+// The campaign layer (core/campaign.hpp) fans N scenarios x M seeds out over
 // a pool of workers; each task owns a shared-nothing simulator, so the pool
 // needs no task-to-task synchronisation beyond the queue itself.  Tasks are
 // dequeued in FIFO order; `wait_idle` gives the submit-then-barrier shape a

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/campaign.hpp"
 #include "core/scenario_library.hpp"
 #include "util/error.hpp"
 
@@ -188,9 +189,9 @@ TEST(Assembly, PlantExtrasAppendSources) {
   spec.window_end = t0() + Duration::days(3.0);
   const FacilityAssembly assembly(spec);
   const auto sim = assembly.run_simulator();
-  EXPECT_TRUE(sim->telemetry().has_channel(channels::kCduKw));
-  EXPECT_TRUE(sim->telemetry().has_channel(channels::kFilesystemKw));
-  EXPECT_TRUE(sim->telemetry().has_channel(channels::kCoolingKw));
+  EXPECT_TRUE(sim->telemetry().find(channels::kCduKw).has_value());
+  EXPECT_TRUE(sim->telemetry().find(channels::kFilesystemKw).has_value());
+  EXPECT_TRUE(sim->telemetry().find(channels::kCoolingKw).has_value());
 }
 
 TEST(Assembly, ValidationErrors) {

@@ -1,63 +1,41 @@
-// CampaignRunner: parallel N-scenario x M-seed execution with a merged
-// result that is bit-identical for every worker count (the acceptance
-// requirement of the campaign layer).
-#include "sim/campaign.hpp"
+// run_campaign: parallel N-spec x M-seed execution with a merged result
+// that is bit-identical for every worker count (the acceptance requirement
+// of the campaign layer).
+#include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
 
 #include <set>
-#include <stdexcept>
 
 #include "core/run_artifact.hpp"
 #include "core/scenario_library.hpp"
 #include "obs/registry.hpp"
 #include "util/error.hpp"
-#include "workload/catalog.hpp"
 
 namespace hpcem {
 namespace {
 
-FacilitySimConfig micro_config(std::uint64_t seed) {
-  FacilitySimConfig cfg;
-  cfg.inventory.compute_nodes = 64;
-  cfg.inventory.switches = 16;
-  cfg.inventory.cabinets = 1;
-  cfg.gen.offered_load = 0.91;
-  cfg.gen.max_job_nodes = 16;
-  cfg.seed = seed;
-  return cfg;
+/// A week on the 64-node machine after a one-day warm-up.
+ScenarioSpec micro_spec(const std::string& name, double offset_days = 0.0) {
+  ScenarioSpec s;
+  s.name = name;
+  s.machine = MachineModel::kMicro;
+  s.window_start =
+      sim_time_from_date({2022, 3, 1}) + Duration::days(offset_days);
+  s.window_end = s.window_start + Duration::days(7.0);
+  s.warmup = Duration::days(1.0);
+  return s;
 }
 
-class CampaignTest : public ::testing::Test {
- protected:
-  NodePowerParams np_;
-  AppCatalog cat_ = AppCatalog::archer2(np_);
-
-  static SimTime start() { return sim_time_from_date({2022, 3, 1}); }
-
-  CampaignScenario scenario(const std::string& name,
-                            double offset_days = 0.0) const {
-    CampaignScenario s;
-    s.name = name;
-    s.window_start = start() + Duration::days(offset_days);
-    s.window_end = s.window_start + Duration::days(7.0);
-    s.warmup = Duration::days(1.0);
-    s.build = [this](std::uint64_t seed) {
-      return std::make_unique<FacilitySimulator>(cat_, micro_config(seed));
-    };
-    return s;
-  }
-};
-
-TEST_F(CampaignTest, MergedResultBitIdenticalAcrossWorkerCounts) {
-  const std::vector<CampaignScenario> scenarios = {
-      scenario("a"), scenario("b", 3.0), scenario("c", 6.0)};
+TEST(CampaignTest, MergedResultBitIdenticalAcrossWorkerCounts) {
+  const std::vector<ScenarioSpec> specs = {
+      micro_spec("a"), micro_spec("b", 3.0), micro_spec("c", 6.0)};
 
   auto run_with = [&](std::size_t workers) {
     CampaignConfig cfg;
     cfg.workers = workers;
     cfg.seeds_per_scenario = 3;
-    return CampaignRunner(cfg).run(scenarios);
+    return run_campaign(specs, cfg);
   };
 
   const CampaignResult r1 = run_with(1);
@@ -90,7 +68,7 @@ TEST_F(CampaignTest, MergedResultBitIdenticalAcrossWorkerCounts) {
 // The campaign path end to end with obs collecting wall-clock timings on
 // every worker: the artifact bytes are the same at 1 and 4 workers once
 // the `obs` member (the timings themselves) is cleared.
-TEST_F(CampaignTest, ArtifactBytesWorkerCountInvariantWithObsOn) {
+TEST(CampaignTest, ArtifactBytesWorkerCountInvariantWithObsOn) {
   ScenarioSpec spec = load_named_scenario("figure2");
   spec.machine = MachineModel::kMicro;
   spec.name = "early";
@@ -125,23 +103,23 @@ TEST_F(CampaignTest, ArtifactBytesWorkerCountInvariantWithObsOn) {
   EXPECT_EQ(one, four);
 }
 
-TEST_F(CampaignTest, OutcomesKeepInputScenarioOrder) {
-  const std::vector<CampaignScenario> scenarios = {
-      scenario("zulu"), scenario("alpha", 2.0), scenario("mike", 4.0)};
+TEST(CampaignTest, OutcomesKeepInputScenarioOrder) {
+  const std::vector<ScenarioSpec> specs = {
+      micro_spec("zulu"), micro_spec("alpha", 2.0), micro_spec("mike", 4.0)};
   CampaignConfig cfg;
   cfg.workers = 4;
-  const CampaignResult r = CampaignRunner(cfg).run(scenarios);
+  const CampaignResult r = run_campaign(specs, cfg);
   ASSERT_EQ(r.scenarios.size(), 3u);
   EXPECT_EQ(r.scenarios[0].name, "zulu");
   EXPECT_EQ(r.scenarios[1].name, "alpha");
   EXPECT_EQ(r.scenarios[2].name, "mike");
 }
 
-TEST_F(CampaignTest, ReplicatesAccumulateIntoTheOutcome) {
+TEST(CampaignTest, ReplicatesAccumulateIntoTheOutcome) {
   CampaignConfig cfg;
   cfg.workers = 2;
   cfg.seeds_per_scenario = 4;
-  const CampaignResult r = CampaignRunner(cfg).run({scenario("a")});
+  const CampaignResult r = run_campaign({micro_spec("a")}, cfg);
   ASSERT_EQ(r.scenarios.size(), 1u);
   const ScenarioOutcome& out = r.scenarios[0];
   EXPECT_EQ(out.replicates, 4u);
@@ -153,7 +131,7 @@ TEST_F(CampaignTest, ReplicatesAccumulateIntoTheOutcome) {
   EXPECT_GT(out.mean_utilisation.mean(), 0.5);
 }
 
-TEST_F(CampaignTest, ReplicateSeedsDependOnlyOnTheScenarioSeed) {
+TEST(CampaignTest, ReplicateSeedsDependOnlyOnTheScenarioSeed) {
   // Replicate 0 is the scenario's own seed; later ones are distinct across
   // a grid of (seed, replicate) and stable across calls.
   std::set<std::uint64_t> seen;
@@ -168,13 +146,13 @@ TEST_F(CampaignTest, ReplicateSeedsDependOnlyOnTheScenarioSeed) {
 
   // A scenario's row does not depend on its position in the campaign:
   // the same scenario first and last gives bit-identical outcomes.
-  CampaignScenario first = scenario("x");
+  ScenarioSpec first = micro_spec("x");
   first.seed = 77;
-  CampaignScenario other = scenario("y", 2.0);
+  const ScenarioSpec other = micro_spec("y", 2.0);
   CampaignConfig cfg;
   cfg.workers = 2;
   cfg.seeds_per_scenario = 2;
-  const CampaignResult r = CampaignRunner(cfg).run({first, other, first});
+  const CampaignResult r = run_campaign({first, other, first}, cfg);
   EXPECT_EQ(r.scenarios[0].mean_kw.mean(), r.scenarios[2].mean_kw.mean());
   EXPECT_EQ(r.scenarios[0].mean_kw.variance(),
             r.scenarios[2].mean_kw.variance());
@@ -182,51 +160,45 @@ TEST_F(CampaignTest, ReplicateSeedsDependOnlyOnTheScenarioSeed) {
             r.scenarios[2].completed_jobs.mean());
 }
 
-TEST_F(CampaignTest, SplitAtSeparatesBeforeAndAfterMeans) {
-  CampaignScenario s = scenario("split");
-  s.split_at = s.window_start + Duration::days(3.0);
-  // Arm a policy change at the split so before != after.
-  s.build = [this, at = *s.split_at](std::uint64_t seed) {
-    auto sim = std::make_unique<FacilitySimulator>(cat_, micro_config(seed));
-    sim->set_policy(OperatingPolicy::baseline());
-    sim->schedule_policy_change(at, OperatingPolicy::low_frequency_default());
-    return sim;
-  };
+TEST(CampaignTest, SplitAtSeparatesBeforeAndAfterMeans) {
+  // A policy change inside the window splits the means, so before != after.
+  ScenarioSpec s = micro_spec("split");
+  s.changes = {{s.window_start + Duration::days(3.0),
+                OperatingPolicy::low_frequency_default()}};
   CampaignConfig cfg;
   cfg.workers = 2;
-  const CampaignResult r = CampaignRunner(cfg).run({s});
+  const CampaignResult r = run_campaign({s}, cfg);
   const ScenarioOutcome& out = r.scenarios[0];
   EXPECT_LT(out.mean_after_kw.mean(), out.mean_before_kw.mean() * 0.95);
 }
 
-TEST_F(CampaignTest, TaskExceptionPropagatesAfterDraining) {
-  CampaignScenario bad = scenario("bad");
-  bad.build = [](std::uint64_t) -> std::unique_ptr<FacilitySimulator> {
-    throw std::runtime_error("factory exploded");
-  };
+TEST(CampaignTest, TaskExceptionPropagatesAfterDraining) {
+  // One sample at the run start, the next a month later: the window holds
+  // no sample, so every replicate of "bad" throws on a worker.
+  ScenarioSpec bad = micro_spec("bad");
+  bad.sample_interval = Duration::days(30.0);
   CampaignConfig cfg;
   cfg.workers = 4;
   cfg.seeds_per_scenario = 2;
-  EXPECT_THROW(
-      (void)CampaignRunner(cfg).run({scenario("good"), bad}),
-      std::runtime_error);
+  try {
+    (void)run_campaign({micro_spec("good"), bad}, cfg);
+    FAIL() << "expected StateError";
+  } catch (const StateError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_campaign: scenario 'bad' produced no window samples");
+  }
 }
 
-TEST_F(CampaignTest, ValidationErrors) {
+TEST(CampaignTest, ValidationErrors) {
   CampaignConfig cfg;
   cfg.seeds_per_scenario = 0;
-  EXPECT_THROW(CampaignRunner{cfg}, InvalidArgument);
+  EXPECT_THROW((void)run_campaign({micro_spec("a")}, cfg), InvalidArgument);
 
-  const CampaignRunner runner;
-  EXPECT_THROW((void)runner.run({}), InvalidArgument);
+  EXPECT_THROW((void)run_campaign({}), InvalidArgument);
 
-  CampaignScenario no_factory = scenario("no-factory");
-  no_factory.build = nullptr;
-  EXPECT_THROW((void)runner.run({no_factory}), InvalidArgument);
-
-  CampaignScenario bad_window = scenario("bad-window");
+  ScenarioSpec bad_window = micro_spec("bad-window");
   bad_window.window_end = bad_window.window_start;
-  EXPECT_THROW((void)runner.run({bad_window}), InvalidArgument);
+  EXPECT_THROW((void)run_campaign({bad_window}), InvalidArgument);
 }
 
 }  // namespace

@@ -23,6 +23,13 @@
 namespace hpcem {
 namespace {
 
+/// Simulate, analyse and package one assembled spec.
+RunArtifact simulated_artifact(const FacilityAssembly& assembly) {
+  const auto sim = assembly.run_simulator();
+  return make_run_artifact(*sim, assembly.spec(),
+                           analyze_timeline(*sim, assembly.spec()));
+}
+
 RunArtifact sample_artifact() {
   RunArtifact a;
   a.scenario = "test-scenario";
@@ -186,7 +193,7 @@ TEST(RunArtifact, MicroSimulationProducesConsistentArtifact) {
   spec.machine = MachineModel::kMicro;
   spec.name = "micro-fig2";
   const FacilityAssembly assembly(spec);
-  const RunArtifact a = run_spec_artifact(assembly);
+  const RunArtifact a = simulated_artifact(assembly);
 
   EXPECT_EQ(a.scenario, "micro-fig2");
   EXPECT_EQ(a.source, "simulation");
@@ -220,12 +227,12 @@ TEST(RunArtifact, ObsCollectionLeavesSimulatedBytesUnchanged) {
   spec.machine = MachineModel::kMicro;
   spec.name = "micro-fig2";
   const FacilityAssembly assembly(spec);
-  const std::string off = run_spec_artifact(assembly).to_json_text();
+  const std::string off = simulated_artifact(assembly).to_json_text();
 
   obs::set_enabled(true);
   obs::set_deterministic(false);
   obs::reset_collected();
-  RunArtifact on = run_spec_artifact(assembly);
+  RunArtifact on = simulated_artifact(assembly);
   obs::set_enabled(false);
   obs::reset_collected();
 

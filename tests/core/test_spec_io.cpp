@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "core/scenario_library.hpp"
 #include "core/spec_io.hpp"
@@ -386,6 +387,25 @@ TEST(CampaignManifest, ErrorsNameManifestAndPath) {
     EXPECT_EQ(std::string(e.what()),
               "manifest: " + bad +
                   ": $.manifest_version: missing required member");
+  }
+  // Member checks shared with the spec codecs still name the manifest.
+  const std::string spec =
+      "\"" + scenario_library_dir() + "/ci-smoke.json\"";
+  const std::pair<std::string, std::string> member_cases[] = {
+      {R"("campaign_seed":5)", "$.campaign_seed: unknown member"},
+      {R"("workers":-1)", "$.workers: must be an integer in [0, 2^53)"}};
+  for (const auto& [member, why] : member_cases) {
+    {
+      std::ofstream out(bad);
+      out << R"({"manifest_version":1,"specs":[)" << spec << "]," << member
+          << "}";
+    }
+    try {
+      (void)load_campaign_manifest(bad);
+      FAIL() << "expected ParseError for " << member;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), "manifest: " + bad + ": " + why);
+    }
   }
   fs::remove_all(dir);
 }

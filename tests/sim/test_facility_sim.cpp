@@ -41,7 +41,7 @@ TEST_F(FacilitySimTest, ProducesAllTelemetryChannels) {
        {channels::kCabinetKw, channels::kNodeFleetKw, channels::kUtilisation,
         channels::kQueueLength, channels::kRunningJobs, channels::kSwitchKw,
         channels::kOverheadKw}) {
-    ASSERT_TRUE(sim.telemetry().has_channel(ch)) << ch;
+    ASSERT_TRUE(sim.telemetry().find(ch).has_value()) << ch;
     EXPECT_GT(sim.telemetry().channel(ch).size(), 300u) << ch;
   }
 }

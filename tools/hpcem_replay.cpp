@@ -108,6 +108,7 @@ int main(int argc, char** argv) {
       artifact.headline.mean_kw = mean_kw;
       artifact.headline.mean_before_kw = mean_kw;
       artifact.headline.mean_after_kw = mean_kw;
+      artifact.headline.mean_utilisation = sim->mean_utilisation(first, end);
       artifact.headline.window_energy_kwh = EnergyKwh{
           sim->telemetry().series(sim->cabinet_channel()).integrate() /
           3600.0};
