@@ -4,34 +4,30 @@
 
 namespace hpcem::colstore {
 
-ChannelColumns build_columns(const std::vector<Sample>& series) {
-  ChannelColumns c;
-  const std::size_t n = series.size();
-  if (n == 0) return c;
+PrefixSums build_prefix_sums(std::span<const double> times,
+                             std::span<const double> values) {
+  PrefixSums p;
+  const std::size_t n = values.size();
+  if (n == 0) return p;
 
-  c.times.reserve(n);
-  c.values.reserve(n);
-  c.prefix_value_sum.reserve(n + 1);
-  c.prefix_integral.reserve(n + 1);
+  p.value_sum.reserve(n + 1);
+  p.integral.reserve(n + 1);
   // Compensated prefix accumulators: windowed sums are differences of
   // prefixes, so per-element drift would surface directly in responses.
   CompensatedSum value_sum;
   CompensatedSum integral;
-  c.prefix_value_sum.push_back(0.0);
-  c.prefix_integral.push_back(0.0);
+  p.value_sum.push_back(0.0);
+  p.integral.push_back(0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const Sample& s = series[i];
     if (i > 0) {
-      integral.add(0.5 * (s.value + c.values.back()) *
-                   (s.time.sec() - c.times.back()));
+      integral.add(0.5 * (values[i] + values[i - 1]) *
+                   (times[i] - times[i - 1]));
     }
-    c.times.push_back(s.time.sec());
-    c.values.push_back(s.value);
-    value_sum.add(s.value);
-    c.prefix_value_sum.push_back(value_sum.value());
-    c.prefix_integral.push_back(integral.value());
+    value_sum.add(values[i]);
+    p.value_sum.push_back(value_sum.value());
+    p.integral.push_back(integral.value());
   }
-  return c;
+  return p;
 }
 
 }  // namespace hpcem::colstore

@@ -1,37 +1,33 @@
-// The columnar shape of one telemetry channel, and the single
-// implementation that builds it from a sample series.
+// The prefix-sum companions of one telemetry channel's columns, and the
+// single implementation that builds them.
 //
-// The HCAF writer runs this code for every shard, whether compacted
-// offline or encoded in memory by serve::ArtifactStore for a JSON
-// artifact, which is what makes the serving layer's byte-identical-
-// response guarantee hold across input formats: the Neumaier-compensated
-// prefix sums a query differences are always these doubles, read back
-// from a shard.
+// HCAF stores a channel as a time column (its scenario's clock) and a
+// value column only; `serve::ArtifactStore` builds these prefix sums at
+// ingest, for a compacted shard and for a JSON artifact alike (a JSON
+// artifact is encoded as a one-artifact shard first).  So the Neumaier-
+// compensated prefixes a windowed query differences are always this
+// function's doubles, which is what makes the serving layer's
+// byte-identical-response guarantee hold across input formats.
 #pragma once
 
+#include <span>
 #include <vector>
-
-#include "telemetry/timeseries.hpp"
 
 namespace hpcem::colstore {
 
-/// Parallel columns of one channel's retained samples plus the
-/// prefix-sum companions windowed aggregates difference.
-struct ChannelColumns {
-  std::vector<double> times;   ///< seconds since epoch, non-decreasing
-  std::vector<double> values;
-  /// prefix_value_sum[i] = sum of values[0..i); size == values.size() + 1.
-  std::vector<double> prefix_value_sum;
-  /// prefix_integral[i] = trapezoidal integral over samples [0..i);
+/// Prefix sums of one channel's (times, values) columns.
+struct PrefixSums {
+  /// value_sum[i] = sum of values[0..i); size == values.size() + 1.
+  std::vector<double> value_sum;
+  /// integral[i] = trapezoidal integral over samples [0..i);
   /// size == values.size() + 1 (unit-seconds, e.g. kW s).
-  std::vector<double> prefix_integral;
-
-  [[nodiscard]] bool empty() const { return times.empty(); }
+  std::vector<double> integral;
 };
 
-/// Columnise a time-ordered sample series: split into time/value columns
-/// and accumulate the compensated prefix sums.  Deterministic: the same
-/// series always produces bit-identical columns.
-[[nodiscard]] ChannelColumns build_columns(const std::vector<Sample>& series);
+/// Accumulate the compensated prefix sums of a time-ordered channel.
+/// `times` and `values` are parallel columns of equal size.
+/// Deterministic: the same columns always give bit-identical prefixes.
+[[nodiscard]] PrefixSums build_prefix_sums(std::span<const double> times,
+                                           std::span<const double> values);
 
 }  // namespace hpcem::colstore

@@ -1,6 +1,7 @@
 #include "colstore/hcaf.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -23,13 +24,66 @@ struct BlockRef {
   std::uint64_t count = 0;   ///< number of f64 elements
 };
 
-struct ChannelBlocks {
-  BlockRef times, values, prefix_value_sum, prefix_integral;
+/// Where one artifact's columns landed in the block region.
+struct ScenarioBlocks {
+  std::vector<BlockRef> clocks;
+  /// Per channel: its clock index (kNoClock without a series) and its
+  /// value block.
+  std::vector<std::uint32_t> clock_of;
+  std::vector<BlockRef> values;
 };
 
 void write_block_ref(ByteWriter& dir, const BlockRef& ref) {
   dir.u64(ref.offset);
   dir.u64(ref.count);
+}
+
+/// True when two series have bit-equal time columns (so -0.0 and 0.0 are
+/// different clocks, and the round trip stays exact).
+[[nodiscard]] bool same_times(const std::vector<Sample>& a,
+                              const std::vector<Sample>& b) {
+  return std::ranges::equal(a, b, [](const Sample& x, const Sample& y) {
+    return std::bit_cast<std::uint64_t>(x.time.sec()) ==
+           std::bit_cast<std::uint64_t>(y.time.sec());
+  });
+}
+
+/// Append one artifact's clocks and value columns to the block region: a
+/// clock the first time a channel uses it, then that channel's values.
+[[nodiscard]] ScenarioBlocks append_blocks(ByteWriter& out,
+                                           const RunArtifact& a) {
+  ScenarioBlocks b;
+  b.clock_of.assign(a.channels.size(), kNoClock);
+  b.values.resize(a.channels.size());
+  std::vector<const std::vector<Sample>*> clock_series;  // first user's
+  std::vector<double> column;
+  const auto append = [&out, &column] {
+    BlockRef ref{out.size(), column.size()};
+    out.f64_block(column);
+    return ref;
+  };
+  for (std::size_t j = 0; j < a.channels.size(); ++j) {
+    const std::vector<Sample>& series = a.channels[j].series;
+    if (series.empty()) continue;
+    const auto it = std::ranges::find_if(
+        clock_series,
+        [&series](const auto* clock) { return same_times(*clock, series); });
+    b.clock_of[j] = static_cast<std::uint32_t>(it - clock_series.begin());
+    if (it == clock_series.end()) {
+      clock_series.push_back(&series);
+      column.clear();
+      for (const Sample& x : series) column.push_back(x.time.sec());
+      b.clocks.push_back(append());
+    }
+    column.clear();
+    for (const Sample& x : series) column.push_back(x.value);
+    b.values[j] = append();
+  }
+  return b;
+}
+
+[[nodiscard]] bool all_finite(const std::vector<double>& column) {
+  return std::ranges::all_of(column, [](double x) { return std::isfinite(x); });
 }
 
 [[nodiscard]] std::string scenario_path(std::size_t i) {
@@ -46,30 +100,14 @@ std::string write_shard_bytes(const std::vector<RunArtifact>& artifacts) {
   ByteWriter out;
   for (const std::uint8_t b : kMagic) out.u8(b);
   out.u32(static_cast<std::uint32_t>(kFormatVersion));
-  out.u64(0);  // flags: none defined in v1
+  out.u64(0);  // flags: none defined
 
-  // Block region: build the four columns of every series-bearing channel
-  // and append them, recording the extents for the directory.  A JSON-backed
-  // store is loaded through this writer too, so the stored prefix sums
-  // are the exact doubles it serves.
-  std::vector<std::vector<ChannelBlocks>> blocks(artifacts.size());
-  for (std::size_t i = 0; i < artifacts.size(); ++i) {
-    blocks[i].resize(artifacts[i].channels.size());
-    for (std::size_t j = 0; j < artifacts[i].channels.size(); ++j) {
-      const ChannelAggregate& c = artifacts[i].channels[j];
-      if (c.series.empty()) continue;
-      const ChannelColumns cols = build_columns(c.series);
-      const auto append = [&out](const std::vector<double>& col) {
-        BlockRef ref{out.size(), col.size()};
-        out.f64_block(col);
-        return ref;
-      };
-      ChannelBlocks& b = blocks[i][j];
-      b.times = append(cols.times);
-      b.values = append(cols.values);
-      b.prefix_value_sum = append(cols.prefix_value_sum);
-      b.prefix_integral = append(cols.prefix_integral);
-    }
+  // Block region: every artifact's clocks and value columns, recording the
+  // extents for the directory.
+  std::vector<ScenarioBlocks> blocks;
+  blocks.reserve(artifacts.size());
+  for (const RunArtifact& a : artifacts) {
+    blocks.push_back(append_blocks(out, a));
   }
 
   // Directory.
@@ -77,6 +115,7 @@ std::string write_shard_bytes(const std::vector<RunArtifact>& artifacts) {
   dir.u32(static_cast<std::uint32_t>(artifacts.size()));
   for (std::size_t i = 0; i < artifacts.size(); ++i) {
     const RunArtifact& a = artifacts[i];
+    const ScenarioBlocks& b = blocks[i];
     dir.str(a.scenario);
     dir.str(a.source);
     dir.str(a.machine);
@@ -97,6 +136,8 @@ std::string write_shard_bytes(const std::vector<RunArtifact>& artifacts) {
       dir.u8(cp.detected ? 1 : 0);
     }
     dir.str(a.obs.is_null() ? std::string() : a.obs.dump(0));
+    dir.u32(static_cast<std::uint32_t>(b.clocks.size()));
+    for (const BlockRef& clock : b.clocks) write_block_ref(dir, clock);
     dir.u32(static_cast<std::uint32_t>(a.channels.size()));
     for (std::size_t j = 0; j < a.channels.size(); ++j) {
       const ChannelAggregate& c = a.channels[j];
@@ -109,14 +150,8 @@ std::string write_shard_bytes(const std::vector<RunArtifact>& artifacts) {
       dir.f64(c.integral);
       dir.f64(c.first_time.sec());
       dir.f64(c.last_time.sec());
-      dir.u8(c.series.empty() ? 0 : 1);
-      if (!c.series.empty()) {
-        const ChannelBlocks& b = blocks[i][j];
-        write_block_ref(dir, b.times);
-        write_block_ref(dir, b.values);
-        write_block_ref(dir, b.prefix_value_sum);
-        write_block_ref(dir, b.prefix_integral);
-      }
+      dir.u32(b.clock_of[j]);
+      if (b.clock_of[j] != kNoClock) write_block_ref(dir, b.values[j]);
     }
   }
 
@@ -169,13 +204,13 @@ std::vector<ShardScenario> read_shard_bytes(std::string_view bytes,
     }
   }
   const std::uint32_t version = head.u32("$.version");
-  if (version < 1 || version > static_cast<std::uint32_t>(kFormatVersion)) {
+  if (version != static_cast<std::uint32_t>(kFormatVersion)) {
     fail("$.version", "unsupported HCAF format version " +
-                          std::to_string(version) + " (this build reads 1.." +
+                          std::to_string(version) + " (this build reads " +
                           std::to_string(kFormatVersion) + ")");
   }
   if (head.u64("$.flags") != 0) {
-    fail("$.flags", "unknown flags set (v1 defines none)");
+    fail("$.flags", "unknown flags set (none are defined)");
   }
 
   // Footer.
@@ -276,6 +311,22 @@ std::vector<ShardScenario> read_shard_bytes(std::string_view bytes,
 
     s.obs_json = dir.str(sp + ".obs");
 
+    // Clocks.  A NaN time passes the ordering check but breaks every
+    // windowed query's binary search, so finiteness is checked first.
+    const std::uint32_t clock_count = dir.u32(sp + ".clocks");
+    for (std::size_t k = 0; k < clock_count; ++k) {
+      const std::string kp = sp + ".clocks[" + std::to_string(k) + "]";
+      const BlockRef ref = read_block_ref(kp);
+      if (ref.count == 0) fail(kp, "a clock must hold at least one sample");
+      std::vector<double>& t = s.clocks.emplace_back();
+      ByteReader::f64_block(bytes, label, ref.offset, ref.count, t, kp);
+      if (!all_finite(t)) fail(kp, "series times must be finite");
+      if (!std::ranges::is_sorted(t)) {
+        fail(kp, "series times must be non-decreasing");
+      }
+    }
+    std::vector<bool> clock_used(clock_count, false);
+
     const std::uint32_t channel_count = dir.u32(sp + ".channels");
     for (std::size_t j = 0; j < channel_count; ++j) {
       const std::string cp = channel_path(i, j);
@@ -289,54 +340,36 @@ std::vector<ShardScenario> read_shard_bytes(std::string_view bytes,
       ch.aggregate.integral = dir.f64(cp + ".integral");
       ch.aggregate.first_time = SimTime(dir.f64(cp + ".first_time"));
       ch.aggregate.last_time = SimTime(dir.f64(cp + ".last_time"));
-      const std::uint8_t has_series = dir.u8(cp + ".has_series");
-      if (has_series > 1) {
-        fail(cp + ".has_series", "boolean byte must be 0 or 1, got " +
-                                     std::to_string(has_series));
-      }
-      if (has_series == 1) {
-        const BlockRef times = read_block_ref(cp + ".times");
+      const std::uint32_t clock = dir.u32(cp + ".clock");
+      if (clock != kNoClock) {
+        if (clock >= clock_count) {
+          fail(cp + ".clock", "clock index " + std::to_string(clock) +
+                                  " out of range (the scenario has " +
+                                  std::to_string(clock_count) + " clocks)");
+        }
         const BlockRef values = read_block_ref(cp + ".values");
-        const BlockRef psum = read_block_ref(cp + ".prefix_value_sum");
-        const BlockRef pint = read_block_ref(cp + ".prefix_integral");
-        if (times.count == 0 || times.count != values.count ||
-            psum.count != values.count + 1 ||
-            pint.count != values.count + 1) {
-          fail(cp, "column counts disagree: times " +
-                       std::to_string(times.count) + ", values " +
-                       std::to_string(values.count) + ", prefix sums " +
-                       std::to_string(psum.count) + "/" +
-                       std::to_string(pint.count) +
-                       " (prefixes must be values + 1)");
+        if (values.count != s.clocks[clock].size()) {
+          fail(cp + ".values",
+               "value count " + std::to_string(values.count) +
+                   " does not match clock " + std::to_string(clock) + "'s " +
+                   std::to_string(s.clocks[clock].size()) + " samples");
         }
-        ByteReader::f64_block(bytes, label, times.offset, times.count,
-                              ch.columns.times, cp + ".times");
         ByteReader::f64_block(bytes, label, values.offset, values.count,
-                              ch.columns.values, cp + ".values");
-        ByteReader::f64_block(bytes, label, psum.offset, psum.count,
-                              ch.columns.prefix_value_sum,
-                              cp + ".prefix_value_sum");
-        ByteReader::f64_block(bytes, label, pint.offset, pint.count,
-                              ch.columns.prefix_integral,
-                              cp + ".prefix_integral");
-        // A NaN passes the ordering check below but breaks every windowed
-        // query's binary search and the serve tier's block min/max index.
-        for (const auto& [col, name] :
-             {std::pair{&ch.columns.times, "times"},
-              std::pair{&ch.columns.values, "values"}}) {
-          if (!std::ranges::all_of(
-                  *col, [](double x) { return std::isfinite(x); })) {
-            fail(cp + "." + name,
-                 std::string("series ") + name + " must be finite");
-          }
+                              ch.values, cp + ".values");
+        // A NaN value would break the serve tier's block min/max index.
+        if (!all_finite(ch.values)) {
+          fail(cp + ".values", "series values must be finite");
         }
-        for (std::size_t k = 1; k < ch.columns.times.size(); ++k) {
-          if (ch.columns.times[k] < ch.columns.times[k - 1]) {
-            fail(cp + ".times", "series times must be non-decreasing");
-          }
-        }
+        ch.clock = clock;
+        clock_used[clock] = true;
       }
       s.channels.push_back(std::move(ch));
+    }
+    for (std::size_t k = 0; k < clock_count; ++k) {
+      if (!clock_used[k]) {
+        fail(sp + ".clocks[" + std::to_string(k) + "]",
+             "clock is referenced by no channel");
+      }
     }
     scenarios.push_back(std::move(s));
   }
@@ -386,9 +419,15 @@ RunArtifact to_artifact(const ShardScenario& s) {
   a.channels.reserve(s.channels.size());
   for (const ShardChannel& ch : s.channels) {
     ChannelAggregate c = ch.aggregate;
-    c.series.reserve(ch.columns.times.size());
-    for (std::size_t i = 0; i < ch.columns.times.size(); ++i) {
-      c.series.push_back({SimTime(ch.columns.times[i]), ch.columns.values[i]});
+    if (ch.has_series()) {
+      const std::vector<double>& t = s.clocks.at(ch.clock);
+      require(t.size() == ch.values.size(), "to_artifact: channel '", c.name,
+              "' has ", ch.values.size(), " values on a clock of ", t.size(),
+              " samples");
+      c.series.reserve(t.size());
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        c.series.push_back({SimTime(t[i]), ch.values[i]});
+      }
     }
     a.channels.push_back(std::move(c));
   }

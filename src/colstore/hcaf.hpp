@@ -1,38 +1,43 @@
 // HCAF shard writer and strict reader (see colstore/format.hpp for the
 // byte layout and docs/ARTIFACT_BINARY.md for the specification).
 //
-// A shard carries N run artifacts.  The writer columnises every channel
-// series once (colstore/columns.hpp) and embeds the prefix sums next to
-// the raw columns, so a reader can hand the serving layer query-ready
-// columns without recomputing anything.  The reader is strict: magic,
-// version, flags, footer, the directory checksum, every directory field
-// and every column-block extent are validated before any data is
-// trusted, and every failure is a one-line `hcaf: <file>: $.path: ...`
-// ParseError.
+// A shard carries N run artifacts.  The writer stores each scenario's
+// distinct time columns once, as "clocks" (two channels share a clock when
+// their times are bit-equal, so a simulated artifact has exactly one), and
+// each series channel as a clock index plus one value column.  No prefix
+// sum is stored: the serving layer builds them at ingest
+// (colstore/columns.hpp).  The reader is strict: magic, version, flags,
+// footer, the directory checksum, every directory field and every
+// column-block extent are validated before any data is trusted, and every
+// failure is a one-line `hcaf: <file>: $.path: ...` ParseError.
 //
 // Round-trip contract: `read_artifacts_*(write_shard_bytes(artifacts))`
 // reconstructs `RunArtifact`s whose `to_json_text()` is byte-identical to
-// the inputs' — HCAF v1 is exactly as expressive as JSON schema v3.
+// the inputs' — HCAF v2 is exactly as expressive as JSON schema v3.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "colstore/columns.hpp"
 #include "core/run_artifact.hpp"
 
 namespace hpcem::colstore {
 
-/// One channel as stored in a shard: the whole-run aggregate scalars plus
-/// the ready-to-serve columns (empty for aggregate-only channels).
+/// One channel as stored in a shard: the whole-run aggregate scalars plus,
+/// for a series channel, its clock and value column.
 struct ShardChannel {
-  /// Aggregate with `series` left empty — the raw samples live in
-  /// `columns.times` / `columns.values`.
+  /// Aggregate with `series` left empty — the raw samples are
+  /// `ShardScenario::clocks[clock]` zipped with `values`.
   ChannelAggregate aggregate;
-  ChannelColumns columns;
+  /// Index into the scenario's `clocks`; meaningful only with a series.
+  std::size_t clock = 0;
+  /// Sample values, parallel to the clock; empty for an aggregate-only
+  /// channel.
+  std::vector<double> values;
 
-  [[nodiscard]] bool has_series() const { return !columns.empty(); }
+  [[nodiscard]] bool has_series() const { return !values.empty(); }
 };
 
 /// One artifact as stored in a shard (channel order preserved from the
@@ -48,6 +53,9 @@ struct ShardScenario {
   std::vector<ArtifactChangePoint> change_points;
   /// The artifact's "obs" member as compact JSON text; empty == null.
   std::string obs_json;
+  /// The scenario's distinct time columns (seconds since epoch, each
+  /// non-empty and non-decreasing), in order of first use by a channel.
+  std::vector<std::vector<double>> clocks;
   std::vector<ShardChannel> channels;
 };
 

@@ -195,11 +195,7 @@ TimelineResult analyze_timeline(const FacilitySimulator& sim,
       sim.telemetry().series(sim.cabinet_channel()).slice(start, end);
   require_state(r.cabinet_kw.size() >= 16,
                 "analyze_timeline: window produced too few samples");
-  const RunHeadline headline = window_headline(sim, spec, r.cabinet_kw);
-  r.mean_kw = headline.mean_kw;
-  r.mean_before_kw = headline.mean_before_kw;
-  r.mean_after_kw = headline.mean_after_kw;
-  r.mean_utilisation = headline.mean_utilisation;
+  r.headline = window_headline(sim, spec, r.cabinet_kw);
   // Recover the step from the data alone (min segment: one day of
   // samples).  For a campaign with a known rollout the exact single-step
   // segmentation is appropriate; for a no-change window use the penalised
@@ -237,9 +233,9 @@ Conclusions conclusions(const TimelineResult& fig1,
                         const TimelineResult& fig2,
                         const TimelineResult& fig3) {
   Conclusions c;
-  c.baseline_kw = fig1.mean_kw;
-  c.after_bios_kw = fig2.mean_after_kw;
-  c.after_freq_kw = fig3.mean_after_kw;
+  c.baseline_kw = fig1.headline.mean_kw;
+  c.after_bios_kw = fig2.headline.mean_after_kw;
+  c.after_freq_kw = fig3.headline.mean_after_kw;
   c.bios_saving_kw = c.baseline_kw - c.after_bios_kw;
   c.bios_saving_fraction = c.bios_saving_kw / c.baseline_kw;
   c.freq_saving_kw = c.after_bios_kw - c.after_freq_kw;

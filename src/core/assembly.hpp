@@ -133,14 +133,10 @@ struct RunHeadline {
 struct TimelineResult {
   /// Cabinet power over the measurement window (kW channel).
   TimeSeries cabinet_kw;
-  /// Mean utilisation over the window.
-  double mean_utilisation = 0.0;
-  /// Window mean (whole window).
-  PowerKw mean_kw;
-  /// Means before/after the scheduled change (equal to mean_kw when the
-  /// scenario has no change).
-  PowerKw mean_before_kw;
-  PowerKw mean_after_kw;
+  /// window_headline of `cabinet_kw`, computed once per run: the window
+  /// mean, the means before/after the scheduled change (equal to mean_kw
+  /// when the scenario has no change), utilisation, energy and jobs.
+  RunHeadline headline;
   /// Change point recovered from the data by least-squares segmentation.
   std::optional<TimedStepChange> detected;
   /// When the operational change was actually applied (if any).

@@ -74,10 +74,10 @@ std::string render_timeline(const TimelineResult& result,
   opts.width = 96;
   opts.height = 18;
   if (result.change_time) {
-    opts.reference_lines = {result.mean_before_kw.kw(),
-                            result.mean_after_kw.kw()};
+    opts.reference_lines = {result.headline.mean_before_kw.kw(),
+                            result.headline.mean_after_kw.kw()};
   } else {
-    opts.reference_lines = {result.mean_kw.kw()};
+    opts.reference_lines = {result.headline.mean_kw.kw()};
   }
   // Month labels across the window.
   CivilDate d = date_from_sim_time(result.window_start);
@@ -93,13 +93,13 @@ std::string render_timeline(const TimelineResult& result,
 
   std::ostringstream os;
   os << ascii_plot(result.cabinet_kw.values(), opts);
-  os << "window mean: " << TextTable::grouped(result.mean_kw.kw()) << " kW"
+  os << "window mean: " << TextTable::grouped(result.headline.mean_kw.kw()) << " kW"
      << " | mean utilisation: "
-     << TextTable::pct(result.mean_utilisation, 1) << '\n';
+     << TextTable::pct(result.headline.mean_utilisation, 1) << '\n';
   if (result.change_time) {
     os << "policy change applied " << iso_date_time(*result.change_time)
-       << ": mean " << TextTable::grouped(result.mean_before_kw.kw())
-       << " kW before -> " << TextTable::grouped(result.mean_after_kw.kw())
+       << ": mean " << TextTable::grouped(result.headline.mean_before_kw.kw())
+       << " kW before -> " << TextTable::grouped(result.headline.mean_after_kw.kw())
        << " kW after\n";
   }
   if (result.detected) {

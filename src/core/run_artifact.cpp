@@ -441,11 +441,13 @@ RunArtifact make_run_artifact(const FacilitySimulator& sim,
   a.window_end = result.window_end;
   a.replicates = 1;
 
-  a.headline = window_headline(sim, spec, result.cabinet_kw);
+  a.headline = result.headline;
 
   if (result.change_time) {
-    a.change_points.push_back({*result.change_time, result.mean_before_kw,
-                               result.mean_after_kw, /*detected=*/false});
+    a.change_points.push_back({*result.change_time,
+                               result.headline.mean_before_kw,
+                               result.headline.mean_after_kw,
+                               /*detected=*/false});
   }
   if (result.detected) {
     a.change_points.push_back({result.detected->time,

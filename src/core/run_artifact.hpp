@@ -127,8 +127,8 @@ struct RunArtifact {
 /// Producers call this once, at artifact-assembly time.
 [[nodiscard]] JsonValue collected_obs_metrics();
 
-/// Artifact of a finished single run: the window_headline of the result's
-/// window slice, change points from the window analysis, and channel
+/// Artifact of a finished single run: the result's headline (computed once,
+/// by analyze_timeline), change points from the window analysis, and channel
 /// aggregates over the whole simulated span (warmup included — the
 /// aggregates describe the stream, the headline describes the window).
 [[nodiscard]] RunArtifact make_run_artifact(const FacilitySimulator& sim,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "colstore/columns.hpp"
 #include "colstore/hcaf.hpp"
 #include "obs/request_context.hpp"
 #include "util/file_io.hpp"
@@ -12,9 +13,15 @@ namespace hpcem::serve {
 
 namespace {
 
-/// Build a channel's query indexes from its columns: the block min/max
-/// index, and for a kW channel the midpoint-moment prefix column.
+/// Build a channel's query indexes from its columns: the prefix sums, the
+/// block min/max index, and for a kW channel the midpoint-moment prefix
+/// column.
 void build_indexes(StoredChannel& ch) {
+  colstore::PrefixSums prefix =
+      colstore::build_prefix_sums(ch.times, ch.values);
+  ch.prefix_value_sum = std::move(prefix.value_sum);
+  ch.prefix_integral = std::move(prefix.integral);
+
   const std::vector<double>& v = ch.values;
   const std::size_t n = v.size();
   constexpr std::size_t kB = StoredChannel::kBlock;
@@ -33,12 +40,12 @@ void build_indexes(StoredChannel& ch) {
 
   // whatif re-prices kW channels only.
   if (ch.unit != "kW" || n == 0) return;
-  const std::vector<double>& t = ch.times;
+  const std::span<const double> t = ch.times;
   ch.prefix_moment.reserve(n + 1);
   ch.prefix_moment.assign(2, 0.0);  // same slots as prefix_integral
   CompensatedSum moment;
   for (std::size_t j = 0; j + 1 < n; ++j) {
-    // A_j exactly as colstore::build_columns accumulates it.
+    // A_j exactly as colstore::build_prefix_sums accumulates it.
     const double a = 0.5 * (v[j + 1] + v[j]) * (t[j + 1] - t[j]);
     moment.add(a * (0.5 * (t[j] + t[j + 1]) - t.front()));
     ch.prefix_moment.push_back(moment.value());
@@ -47,7 +54,8 @@ void build_indexes(StoredChannel& ch) {
 
 /// Move one shard scenario into the store's shape: channels sorted by name
 /// (dense per-scenario ids are lexicographic ranks, independent of the
-/// order the producer emitted them in), each carrying its columns.
+/// order the producer emitted them in), each viewing its clock and
+/// carrying its values and indexes.
 StoredScenario stored_scenario(colstore::ShardScenario&& sc,
                                const std::string& label) {
   StoredScenario s;
@@ -60,6 +68,7 @@ StoredScenario stored_scenario(colstore::ShardScenario&& sc,
   s.replicates = sc.replicates;
   s.headline = sc.headline;
   s.change_points = std::move(sc.change_points);
+  s.clocks = std::move(sc.clocks);
   s.channels.reserve(sc.channels.size());
   for (colstore::ShardChannel& c : sc.channels) {
     // Every windowed and what-if answer reads the series, so a channel
@@ -75,12 +84,8 @@ StoredScenario stored_scenario(colstore::ShardScenario&& sc,
     ch.name = c.aggregate.name;
     ch.unit = c.aggregate.unit;
     ch.aggregate = std::move(c.aggregate);
-    // The shard stores the columns build_columns computed at encode time;
-    // ingest moves them instead of re-deriving anything.
-    ch.times = std::move(c.columns.times);
-    ch.values = std::move(c.columns.values);
-    ch.prefix_value_sum = std::move(c.columns.prefix_value_sum);
-    ch.prefix_integral = std::move(c.columns.prefix_integral);
+    if (c.has_series()) ch.times = s.clocks[c.clock];
+    ch.values = std::move(c.values);
     build_indexes(ch);
     s.channels.push_back(std::move(ch));
   }

@@ -14,8 +14,10 @@
 //   * scenario and channel names are interned to dense ids assigned in
 //     lexicographic order, so every iteration over the store is
 //     deterministic regardless of ingest order;
-//   * every channel is stored as separate time/value columns with prefix
-//     sums (value sum and trapezoidal integral) and, built at ingest, a
+//   * a scenario owns its clocks (the shard's distinct time columns, one
+//     for a simulated run); each channel views its clock and owns its
+//     value column, and ingest builds next to them the prefix sums (value
+//     sum and trapezoidal integral, colstore::build_prefix_sums) and a
 //     block min/max index over 64-sample blocks, so a windowed aggregate
 //     costs two binary searches, prefix differences and at most two
 //     partial blocks plus n/64 block entries — never a pass over the
@@ -38,6 +40,7 @@
 
 #include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,15 +69,17 @@ struct StoredChannel {
 
   // Column store of the retained raw samples; empty only for a channel
   // that recorded no samples.
-  std::vector<double> times;   ///< seconds since epoch, non-decreasing
+  /// Seconds since epoch, non-decreasing: a view of the owning
+  /// StoredScenario's clock, shared by every channel sampled with it.
+  std::span<const double> times;
   std::vector<double> values;
+
+  // Query indexes built at ingest (not stored in HCAF).
   /// prefix_value_sum[i] = sum of values[0..i); size == values.size() + 1.
   std::vector<double> prefix_value_sum;
   /// prefix_integral[i] = trapezoidal integral over samples [0..i);
   /// size == values.size() + 1 (unit-seconds, e.g. kW s).
   std::vector<double> prefix_integral;
-
-  // Query indexes built at ingest (not stored in HCAF).
   /// Samples per block of the min/max index.  A constant, not a knob.
   static constexpr std::size_t kBlock = 64;
   /// block_min[b] / block_max[b]: the left-to-right std::min / std::max
@@ -91,7 +96,15 @@ struct StoredChannel {
 };
 
 /// One ingested scenario: its artifact metadata plus columnised channels.
+/// Move-only: its channels view `clocks`, and a copy's channels would
+/// still view the original's.
 struct StoredScenario {
+  StoredScenario() = default;
+  StoredScenario(StoredScenario&&) = default;
+  StoredScenario& operator=(StoredScenario&&) = default;
+  StoredScenario(const StoredScenario&) = delete;
+  StoredScenario& operator=(const StoredScenario&) = delete;
+
   std::string name;
   std::string source;        ///< artifact "source" member
   std::string machine;
@@ -101,6 +114,9 @@ struct StoredScenario {
   std::size_t replicates = 1;
   RunHeadline headline;
   std::vector<ArtifactChangePoint> change_points;
+  /// The shard's distinct time columns; never resized after ingest, so
+  /// the channels' views stay valid (moving the scenario keeps them).
+  std::vector<std::vector<double>> clocks;
   /// Channels sorted by name; index == dense per-scenario channel id.
   std::vector<StoredChannel> channels;
 
@@ -143,13 +159,13 @@ class ArtifactStore {
   std::size_t load_directory(const std::string& dir);
 
   /// Ingest every scenario of one HCAF shard file (colstore/hcaf.hpp).
-  /// Near-instant: the shard carries the columns and prefix sums
-  /// pre-computed, so ingest is validation, moves and one pass to build
-  /// the query indexes — no JSON parse.  Returns the number of scenarios
-  /// ingested.  Throws ParseError on a truncated/corrupt/over-versioned
-  /// shard, InvalidArgument on an aggregate-only channel,
-  /// DuplicateScenarioError on a duplicate scenario id.  A shard that
-  /// throws ingests nothing.
+  /// Near-instant: the shard carries the clocks and value columns ready to
+  /// move, so ingest is validation, moves and one pass per channel to
+  /// build the prefix sums and query indexes — no JSON parse.  Returns the
+  /// number of scenarios ingested.  Throws ParseError on a truncated,
+  /// corrupt or other-version shard, InvalidArgument on an aggregate-only
+  /// channel, DuplicateScenarioError on a duplicate scenario id.  A shard
+  /// that throws ingests nothing.
   std::size_t load_hcaf_file(const std::string& path);
 
   [[nodiscard]] std::size_t scenario_count() const {

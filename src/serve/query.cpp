@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ranges>
+#include <span>
 
 #include "core/spec_io.hpp"
 #include "obs/span.hpp"
@@ -73,7 +74,7 @@ OperationalStrategy strategy_from_share(double scope2_share) {
 double curve_scope2_g(const StoredChannel& ch,
                       const std::vector<std::pair<double, double>>& points,
                       std::size_t a, std::size_t b) {
-  const std::vector<double>& t = ch.times;
+  const std::span<const double> t = ch.times;
   const double t0 = t.front();
   // Intervals [p, q) are prefix slots q + 1 minus p + 1.
   const auto sum_a = [&ch](std::size_t p, std::size_t q) {

@@ -2,7 +2,8 @@
 // die as a one-line `hcaf: <label>: ...` ParseError — never a crash, an
 // out-of-range read or a silently wrong answer.  Byte surgery targets
 // each validation layer in turn (truncation, magic, version, flags,
-// footer, checksum, block extents, time ordering), and a seeded fuzzer
+// footer, checksum, block extents, clock references, time ordering), and
+// a seeded fuzzer
 // sweeps random mutations (case count scales with HPCEM_HCAF_FUZZ_CASES;
 // CI runs 200 under ASan/UBSan in the scenario-smoke job).
 #include <gtest/gtest.h>
@@ -91,15 +92,29 @@ RunArtifact make_artifact(const std::string& scenario, std::size_t samples) {
   return a;
 }
 
-/// A valid two-scenario shard: scenario "a"'s four column blocks occupy
-/// [16, 1056), scenario "b"'s start at 1056 (32-sample series each).
+/// A valid two-scenario shard of 32-sample series: scenario "a"'s clock
+/// and value blocks occupy [16, 528), scenario "b"'s start at 528.
 std::string valid_shard() {
   return write_shard_bytes({make_artifact("a", 32), make_artifact("b", 32)});
 }
 
-/// Offset of scenario "b"'s first (times) block in valid_shard().
-constexpr std::uint64_t kSecondTimesOffset =
-    kHeaderSize + (32 + 32 + 33 + 33) * 8;
+/// Offsets of scenario "a"'s value block and scenario "b"'s clock block in
+/// valid_shard().
+constexpr std::uint64_t kFirstValuesOffset = kHeaderSize + 32 * 8;
+constexpr std::uint64_t kSecondClockOffset = kHeaderSize + (32 + 32) * 8;
+
+/// Position of the first directory u64 equal to `value` (a block offset:
+/// offsets are unique in the directory), or npos.
+std::size_t find_in_directory(const std::string& b, std::uint64_t value) {
+  const std::size_t f = footer_at(b);
+  const std::size_t dir_offset = static_cast<std::size_t>(get_u64(b, f));
+  const std::size_t dir_length = static_cast<std::size_t>(get_u64(b, f + 8));
+  for (std::size_t pos = dir_offset; pos + 8 <= dir_offset + dir_length;
+       ++pos) {
+    if (get_u64(b, pos) == value) return pos;
+  }
+  return std::string::npos;
+}
 
 void expect_rejected(const std::string& bytes, const std::string& fragment) {
   try {
@@ -132,7 +147,7 @@ TEST(HcafCorruption, RejectsTruncationAtEverySectionBoundary) {
   // footer (or whose directory no longer fits): all must be rejected.
   for (const std::size_t len :
        {kHeaderSize + kFooterSize,                   // blocks gone
-        static_cast<std::size_t>(kSecondTimesOffset),// mid block region
+        static_cast<std::size_t>(kSecondClockOffset),// mid block region
         static_cast<std::size_t>(dir_offset),        // directory gone
         static_cast<std::size_t>(dir_offset) + 2,    // mid directory
         shard.size() - kFooterSize,                  // footer gone
@@ -154,6 +169,16 @@ TEST(HcafCorruption, RejectsOverVersionedHeader) {
   put_u32(shard, 4, 99);
   expect_rejected(shard,
                   "unsupported HCAF format version 99 (this build reads");
+}
+
+TEST(HcafCorruption, RejectsVersion1Shards) {
+  // v1 stored per-channel times and prefix sums; the reader reads only
+  // the current version.
+  std::string shard = valid_shard();
+  put_u32(shard, 4, 1);
+  put_u32(shard, footer_at(shard) + 24, 1);
+  expect_rejected(shard,
+                  "unsupported HCAF format version 1 (this build reads 2)");
 }
 
 TEST(HcafCorruption, RejectsUnknownHeaderFlags) {
@@ -184,22 +209,23 @@ TEST(HcafCorruption, RejectsDirectoryChecksumMismatch) {
 
 TEST(HcafCorruption, RejectsOverlappingColumnBlockExtents) {
   std::string shard = valid_shard();
-  const std::size_t f = footer_at(shard);
-  const std::size_t dir_offset = static_cast<std::size_t>(get_u64(shard, f));
-  const std::size_t dir_length =
-      static_cast<std::size_t>(get_u64(shard, f + 8));
-  // Redirect scenario "b"'s times block onto scenario "a"'s: find its
-  // offset field in the directory and point it back at the first block.
-  bool patched = false;
-  for (std::size_t pos = dir_offset; pos + 8 <= dir_offset + dir_length;
-       ++pos) {
-    if (get_u64(shard, pos) == kSecondTimesOffset) {
-      put_u64(shard, pos, kHeaderSize);
-      patched = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(patched) << "directory layout changed; update the test";
+  // Redirect scenario "b"'s clock onto scenario "a"'s: find its offset
+  // field in the directory and point it back at the first block.
+  const std::size_t pos = find_in_directory(shard, kSecondClockOffset);
+  ASSERT_NE(pos, std::string::npos) << "directory layout changed";
+  put_u64(shard, pos, kHeaderSize);
+  refresh_checksum(shard);
+  expect_rejected(shard, "overlapping column-block extents");
+}
+
+TEST(HcafCorruption, RejectsAClockOverlappingAValueBlock) {
+  // Scenario "b"'s clock pointed at scenario "a"'s values: a valid time
+  // column on its own (the ramp values are finite and non-decreasing), so
+  // only the whole-file extent scan can catch the aliasing.
+  std::string shard = valid_shard();
+  const std::size_t pos = find_in_directory(shard, kSecondClockOffset);
+  ASSERT_NE(pos, std::string::npos);
+  put_u64(shard, pos, kFirstValuesOffset);
   refresh_checksum(shard);
   expect_rejected(shard, "overlapping column-block extents");
 }
@@ -207,36 +233,75 @@ TEST(HcafCorruption, RejectsOverlappingColumnBlockExtents) {
 TEST(HcafCorruption, RejectsMisalignedAndOutOfRegionBlocks) {
   for (const bool misaligned : {true, false}) {
     std::string shard = valid_shard();
-    const std::size_t f = footer_at(shard);
     const std::size_t dir_offset =
-        static_cast<std::size_t>(get_u64(shard, f));
-    const std::size_t dir_length =
-        static_cast<std::size_t>(get_u64(shard, f + 8));
+        static_cast<std::size_t>(get_u64(shard, footer_at(shard)));
     const std::uint64_t bad =
-        misaligned ? kSecondTimesOffset + 1  // breaks 8-alignment
+        misaligned ? kSecondClockOffset + 1  // breaks 8-alignment
                    : static_cast<std::uint64_t>(dir_offset);  // past blocks
-    bool patched = false;
-    for (std::size_t pos = dir_offset; pos + 8 <= dir_offset + dir_length;
-         ++pos) {
-      if (get_u64(shard, pos) == kSecondTimesOffset) {
-        put_u64(shard, pos, bad);
-        patched = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(patched);
+    const std::size_t pos = find_in_directory(shard, kSecondClockOffset);
+    ASSERT_NE(pos, std::string::npos);
+    put_u64(shard, pos, bad);
     refresh_checksum(shard);
     SCOPED_TRACE(misaligned ? "misaligned" : "out-of-region");
     expect_rejected(shard, "misaligned or outside the block region");
   }
 }
 
+TEST(HcafCorruption, RejectsClockIndexOutOfRange) {
+  // A channel's u32 clock index sits just before its value-block ref.
+  for (const std::uint32_t clock : {1U, 7U, kNoClock - 1}) {
+    std::string shard = valid_shard();
+    const std::size_t pos = find_in_directory(shard, kFirstValuesOffset);
+    ASSERT_NE(pos, std::string::npos);
+    put_u32(shard, pos - 4, clock);
+    refresh_checksum(shard);
+    SCOPED_TRACE("clock " + std::to_string(clock));
+    expect_rejected(shard, "$.scenarios[0].channels[0].clock: clock index " +
+                               std::to_string(clock) +
+                               " out of range (the scenario has 1 clocks)");
+  }
+}
+
+TEST(HcafCorruption, RejectsValueCountOtherThanItsClocks) {
+  for (const std::uint64_t count : {31U, 33U, 0U}) {
+    std::string shard = valid_shard();
+    const std::size_t pos = find_in_directory(shard, kFirstValuesOffset);
+    ASSERT_NE(pos, std::string::npos);
+    ASSERT_EQ(get_u64(shard, pos + 8), 32u);
+    put_u64(shard, pos + 8, count);
+    refresh_checksum(shard);
+    SCOPED_TRACE("count " + std::to_string(count));
+    expect_rejected(shard, "$.scenarios[0].channels[0].values: value count " +
+                               std::to_string(count) +
+                               " does not match clock 0's 32 samples");
+  }
+}
+
+TEST(HcafCorruption, RejectsAClockNoChannelUses) {
+  // Turn scenario "a"'s channel into an aggregate-only one (no clock, no
+  // value-block ref) and shrink the directory to match: its clock is left
+  // referenced by nothing, which the writer never produces.
+  std::string shard = valid_shard();
+  const std::size_t pos = find_in_directory(shard, kFirstValuesOffset);
+  ASSERT_NE(pos, std::string::npos);
+  put_u32(shard, pos - 4, kNoClock);
+  shard.erase(pos, 16);
+  const std::size_t f = footer_at(shard);
+  put_u64(shard, f + 8, get_u64(shard, f + 8) - 16);
+  refresh_checksum(shard);
+  expect_rejected(shard,
+                  "$.scenarios[0].clocks[0]: clock is referenced by no "
+                  "channel");
+}
+
 TEST(HcafCorruption, RejectsUnorderedSeriesTimes) {
   // Raw column data is not checksummed (only the directory is); the
   // reader must still catch a time column that goes backwards.
   std::string shard = valid_shard();
-  put_f64(shard, kHeaderSize, 9.0e9);  // times[0] of scenario "a"
-  expect_rejected(shard, "series times must be non-decreasing");
+  put_f64(shard, kHeaderSize, 9.0e9);  // clock[0] of scenario "a"
+  expect_rejected(shard,
+                  "$.scenarios[0].clocks[0]: series times must be "
+                  "non-decreasing");
 }
 
 TEST(HcafCorruption, RejectsNonFiniteTimesAndValues) {
@@ -245,19 +310,22 @@ TEST(HcafCorruption, RejectsNonFiniteTimesAndValues) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   struct Case {
-    std::size_t offset;  // into scenario "a"'s times block, then values
+    std::size_t offset;  // into scenario "a"'s clock block, then values
     double value;
     const char* column;
   };
-  for (const Case& c : {Case{kHeaderSize + 5 * 8, nan, ".times"},
-                        Case{kHeaderSize + 31 * 8, inf, ".times"},
-                        Case{kHeaderSize + (32 + 3) * 8, nan, ".values"},
-                        Case{kHeaderSize + (32 + 0) * 8, -inf, ".values"}}) {
+  constexpr const char* kClock = "$.scenarios[0].clocks[0]: series times";
+  constexpr const char* kValues =
+      "$.scenarios[0].channels[0].values: series values";
+  for (const Case& c : {Case{kHeaderSize + 5 * 8, nan, kClock},
+                        Case{kHeaderSize + 31 * 8, inf, kClock},
+                        Case{kHeaderSize + (32 + 3) * 8, nan, kValues},
+                        Case{kHeaderSize + (32 + 0) * 8, -inf, kValues}}) {
     std::string shard = valid_shard();
     put_f64(shard, c.offset, c.value);
     refresh_checksum(shard);
     SCOPED_TRACE(std::string(c.column) + " at " + std::to_string(c.offset));
-    expect_rejected(shard, std::string(c.column) + ": series");
+    expect_rejected(shard, c.column);
     expect_rejected(shard, "must be finite");
   }
 }

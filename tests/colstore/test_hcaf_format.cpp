@@ -1,24 +1,32 @@
 // HCAF round-trip properties: for any representable RunArtifact,
 // write_shard_bytes -> read_shard_bytes -> to_artifact reconstructs a
-// struct whose to_json_text() is byte-identical to the input's — HCAF v1
+// struct whose to_json_text() is byte-identical to the input's — HCAF v2
 // is exactly as expressive as JSON schema v3.  Exercised over seeded
 // random artifacts, hand-built edge cases (aggregate-only channels,
-// empty shards, multi-scenario shards) and the committed ci-smoke
-// artifact (the obs-bearing, scenario-library-derived case CI serves).
+// empty shards, multi-scenario shards, channels on different clocks) and
+// the committed ci-smoke artifact (the obs-bearing, scenario-library-
+// derived case CI serves).  Also pinned here: the v2 layout stores one
+// clock per distinct time column and no prefix sums, and the prefix sums
+// ArtifactStore builds at ingest are bit-equal to v1's stored ones.
 #include "colstore/hcaf.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "colstore/bytes.hpp"
 #include "colstore/format.hpp"
 #include "core/run_artifact.hpp"
+#include "serve/artifact_store.hpp"
 #include "telemetry/timeseries.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace hpcem::colstore {
 namespace {
@@ -113,35 +121,87 @@ TEST(HcafFormat, WriterIsDeterministic) {
   EXPECT_EQ(write_shard_bytes(artifacts), write_shard_bytes(artifacts));
 }
 
-TEST(HcafFormat, ColumnsCarryQueryReadyPrefixSums) {
-  const std::string bytes =
-      write_shard_bytes({make_artifact("cols", 40, true)});
-  const std::vector<ShardScenario> scenarios =
-      read_shard_bytes(bytes, "cols");
-  ASSERT_EQ(scenarios.size(), 1u);
-  const ShardChannel& ch = scenarios[0].channels.at(0);
-  ASSERT_TRUE(ch.has_series());
-  // Aggregate scalars survive; the duplicated raw series stays empty (the
-  // columns are the one copy).
-  EXPECT_TRUE(ch.aggregate.series.empty());
-  EXPECT_EQ(ch.columns.times.size(), 40u);
-  EXPECT_EQ(ch.columns.values.size(), 40u);
-  EXPECT_EQ(ch.columns.prefix_value_sum.size(), 41u);
-  EXPECT_EQ(ch.columns.prefix_integral.size(), 41u);
-  EXPECT_DOUBLE_EQ(ch.columns.prefix_value_sum.front(), 0.0);
-  // The embedded columns equal a fresh columnisation of the same series.
-  const RunArtifact back = to_artifact(scenarios[0]);
-  const ChannelColumns fresh = build_columns(back.channels[0].series);
-  EXPECT_EQ(ch.columns.prefix_value_sum, fresh.prefix_value_sum);
-  EXPECT_EQ(ch.columns.prefix_integral, fresh.prefix_integral);
+RunArtifact ci_smoke_artifact() {
+  std::ifstream in(HPCEM_CI_ARTIFACT, std::ios::binary);
+  EXPECT_TRUE(in) << "missing " << HPCEM_CI_ARTIFACT;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return RunArtifact::from_json_text(buf.str());
 }
 
 TEST(HcafFormat, RoundTripsTheCommittedCiSmokeArtifact) {
-  std::ifstream in(HPCEM_CI_ARTIFACT, std::ios::binary);
-  ASSERT_TRUE(in) << "missing " << HPCEM_CI_ARTIFACT;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  expect_round_trip({RunArtifact::from_json_text(buf.str())});
+  expect_round_trip({ci_smoke_artifact()});
+}
+
+TEST(HcafFormat, CiSmokeShardHoldsOneClockAndFollowsTheLayout) {
+  // Every channel of a simulated run is sampled at the same instants, so
+  // its shard stores one time column; the file size is the v2 layout
+  // formula term by term, with no per-channel times and no prefix sums.
+  const RunArtifact a = ci_smoke_artifact();
+  const std::string bytes = write_shard_bytes({a});
+  const std::vector<ShardScenario> scenarios = read_shard_bytes(bytes, "ci");
+  ASSERT_EQ(scenarios.size(), 1u);
+  const ShardScenario& s = scenarios[0];
+  ASSERT_EQ(s.clocks.size(), 1u);
+  const std::size_t n = s.clocks[0].size();
+  ASSERT_GT(n, 0u);
+  ASSERT_GE(a.channels.size(), 2u);
+  for (const ShardChannel& ch : s.channels) {
+    EXPECT_TRUE(ch.has_series()) << ch.aggregate.name;
+    EXPECT_EQ(ch.clock, 0u) << ch.aggregate.name;
+    EXPECT_EQ(ch.values.size(), n) << ch.aggregate.name;
+    // The clock and values are the one copy of the samples.
+    EXPECT_TRUE(ch.aggregate.series.empty()) << ch.aggregate.name;
+  }
+
+  const auto str = [](const std::string& x) { return 4 + x.size(); };
+  const std::size_t blocks = 8 * n * (1 + a.channels.size());
+  std::size_t dir = 4;  // scenario count
+  dir += str(a.scenario) + str(a.source) + str(a.machine);
+  dir += 8 + 8 + 8 + 6 * 8;  // window, replicates, headline
+  dir += 4 + a.change_points.size() * (3 * 8 + 1);
+  dir += str(a.obs.is_null() ? std::string() : a.obs.dump(0));
+  dir += 4 + 16;  // one clock reference
+  dir += 4;       // channel count
+  for (const ChannelAggregate& c : a.channels) {
+    dir += str(c.name) + str(c.unit) + 8 + 6 * 8;  // aggregates
+    dir += 4 + 16;  // clock index, value-block reference
+  }
+  EXPECT_EQ(bytes.size(), kHeaderSize + blocks + dir + kFooterSize);
+}
+
+TEST(HcafFormat, ChannelsOnDifferentTimesRoundTripWithTwoClocks) {
+  // Two time columns in one artifact: 600-s and 1,200-s sampling.  The
+  // third channel repeats the first one's times bit for bit and shares its
+  // clock; a column that differs in one sign bit (-0.0 vs 0.0) does not.
+  RunArtifact a = make_artifact("two-clocks", 48, true);
+  const TimeSeries slow = ramp_series(30, 300.0, 1200.0);
+  a.channels.push_back(aggregate_channel("slow_kw", slow, true));
+  a.channels.push_back(aggregate_channel("fast_again", ramp_series(48), true));
+  a.channels.push_back(aggregate_channel("agg_only", slow, false));
+  const std::string bytes = write_shard_bytes({a});
+  const std::vector<ShardScenario> scenarios = read_shard_bytes(bytes, "two");
+  ASSERT_EQ(scenarios.size(), 1u);
+  const ShardScenario& s = scenarios[0];
+  ASSERT_EQ(s.clocks.size(), 2u);
+  EXPECT_EQ(s.clocks[0].size(), 48u);
+  EXPECT_EQ(s.clocks[1].size(), 30u);
+  ASSERT_EQ(s.channels.size(), 4u);
+  EXPECT_EQ(s.channels[0].clock, 0u);
+  EXPECT_EQ(s.channels[1].clock, 1u);
+  EXPECT_EQ(s.channels[2].clock, 0u);
+  EXPECT_FALSE(s.channels[3].has_series());
+  expect_round_trip({a});
+
+  RunArtifact sign = make_artifact("signed-zero", 4, true);
+  ChannelAggregate neg = sign.channels[0];
+  neg.name = "neg_zero_kw";
+  neg.series[0].time = SimTime(-0.0);
+  neg.first_time = SimTime(-0.0);
+  sign.channels.push_back(neg);
+  const std::string sign_bytes = write_shard_bytes({sign});
+  EXPECT_EQ(read_shard_bytes(sign_bytes, "sign")[0].clocks.size(), 2u);
+  expect_round_trip({sign});
 }
 
 TEST(HcafFormat, RoundTripsAnObsBearingArtifact) {
@@ -196,6 +256,67 @@ RunArtifact random_artifact(Rng& rng, const std::string& scenario) {
     a.window_end = SimTime(2e6);
   }
   return a;
+}
+
+/// v1's writer arithmetic (`build_columns`, which stored these prefixes
+/// in the shard), kept as the reference the ingest-built prefixes must
+/// match bit for bit.
+std::pair<std::vector<double>, std::vector<double>> v1_prefix_sums(
+    const std::vector<Sample>& series) {
+  if (series.empty()) return {};
+  std::vector<double> value_sum{0.0};
+  std::vector<double> integral{0.0};
+  CompensatedSum vs;
+  CompensatedSum in;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    if (i > 0) {
+      in.add(0.5 * (series[i].value + series[i - 1].value) *
+             (series[i].time.sec() - series[i - 1].time.sec()));
+    }
+    vs.add(series[i].value);
+    value_sum.push_back(vs.value());
+    integral.push_back(in.value());
+  }
+  return {value_sum, integral};
+}
+
+void expect_bit_equal(const std::vector<double>& got,
+                      const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
+        << "slot " << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(HcafFormat, IngestBuildsPrefixSumsBitEqualToTheSeries) {
+  // The shard stores no prefix sums; ArtifactStore builds them at ingest.
+  // Served answers stay byte-identical only if they are the very doubles
+  // v1 computed from the series and stored.
+  std::vector<RunArtifact> artifacts = {ci_smoke_artifact()};
+  for (std::size_t case_i = 0; case_i < 20; ++case_i) {
+    Rng rng(0x4CAF0002ULL + case_i * 0x9E3779B9ULL);
+    RunArtifact a = random_artifact(rng, "prefix" + std::to_string(case_i));
+    std::erase_if(a.channels, [](const ChannelAggregate& c) {
+      return c.series.empty();  // the store rejects aggregate-only channels
+    });
+    artifacts.push_back(std::move(a));
+  }
+  for (const RunArtifact& a : artifacts) {
+    SCOPED_TRACE(a.scenario);
+    serve::ArtifactStore store;
+    store.add(a);
+    const serve::StoredScenario& s = store.at(a.scenario);
+    for (const ChannelAggregate& c : a.channels) {
+      SCOPED_TRACE(c.name);
+      const serve::StoredChannel* ch = s.find_channel(c.name);
+      ASSERT_NE(ch, nullptr);
+      const auto [value_sum, integral] = v1_prefix_sums(c.series);
+      expect_bit_equal(ch->prefix_value_sum, value_sum);
+      expect_bit_equal(ch->prefix_integral, integral);
+    }
+  }
 }
 
 TEST(HcafFormat, RandomArtifactsRoundTripByteIdentically) {

@@ -48,10 +48,10 @@ TEST_F(ReportTest, TimelineRendersMeansAndChangepoint) {
     r.cabinet_kw.append(r.window_start + Duration::minutes(30.0 * i),
                         i < 1000 ? 3220.0 : 3010.0);
   }
-  r.mean_kw = PowerKw{3115.0};
-  r.mean_before_kw = PowerKw{3220.0};
-  r.mean_after_kw = PowerKw{3010.0};
-  r.mean_utilisation = 0.91;
+  r.headline.mean_kw = PowerKw{3115.0};
+  r.headline.mean_before_kw = PowerKw{3220.0};
+  r.headline.mean_after_kw = PowerKw{3010.0};
+  r.headline.mean_utilisation = 0.91;
   r.change_time = sim_time_from_date({2022, 5, 9});
   TimedStepChange sc;
   sc.time = *r.change_time;

@@ -212,11 +212,20 @@ TEST(RunArtifact, MicroSimulationProducesConsistentArtifact) {
   for (std::size_t i = 1; i < a.channels.size(); ++i) {
     EXPECT_LT(a.channels[i - 1].name, a.channels[i].name);
   }
-  // Headline must agree with the timeline analysis it was built from.
-  const TimelineResult result = assembly.run();
-  EXPECT_EQ(a.headline.mean_kw, result.mean_kw);
-  EXPECT_EQ(a.headline.mean_before_kw, result.mean_before_kw);
-  EXPECT_EQ(a.headline.mean_after_kw, result.mean_after_kw);
+  // The headline is the timeline analysis' one window_headline, all six
+  // numbers bit for bit.
+  const auto sim = assembly.run_simulator();
+  const TimelineResult result = analyze_timeline(*sim, assembly.spec());
+  const RunHeadline fresh =
+      window_headline(*sim, assembly.spec(), result.cabinet_kw);
+  for (const RunHeadline* h : {&result.headline, &fresh}) {
+    EXPECT_EQ(a.headline.mean_kw, h->mean_kw);
+    EXPECT_EQ(a.headline.mean_before_kw, h->mean_before_kw);
+    EXPECT_EQ(a.headline.mean_after_kw, h->mean_after_kw);
+    EXPECT_EQ(a.headline.mean_utilisation, h->mean_utilisation);
+    EXPECT_EQ(a.headline.window_energy_kwh, h->window_energy_kwh);
+    EXPECT_EQ(a.headline.completed_jobs, h->completed_jobs);
+  }
 }
 
 // Obs timing is the tree's one wall-clock read.  With collection on in

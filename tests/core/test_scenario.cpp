@@ -33,10 +33,10 @@ class ScenarioTest : public ::testing::Test {
 TEST_F(ScenarioTest, NoChangeCampaignHasEqualMeans) {
   const TimelineResult r =
       FacilityAssembly(campaign(0, 21, OperatingPolicy::baseline())).run();
-  EXPECT_DOUBLE_EQ(r.mean_before_kw.kw(), r.mean_kw.kw());
-  EXPECT_DOUBLE_EQ(r.mean_after_kw.kw(), r.mean_kw.kw());
+  EXPECT_DOUBLE_EQ(r.headline.mean_before_kw.kw(), r.headline.mean_kw.kw());
+  EXPECT_DOUBLE_EQ(r.headline.mean_after_kw.kw(), r.headline.mean_kw.kw());
   EXPECT_FALSE(r.change_time.has_value());
-  EXPECT_GT(r.mean_utilisation, 0.75);
+  EXPECT_GT(r.headline.mean_utilisation, 0.75);
   EXPECT_GT(r.cabinet_kw.size(), 900u);
 }
 
@@ -44,7 +44,7 @@ TEST_F(ScenarioTest, ChangeCampaignStepsDown) {
   ScenarioSpec spec = campaign(0, 28, OperatingPolicy::baseline());
   spec.changes.push_back({day(14), OperatingPolicy::low_frequency_default()});
   const TimelineResult r = FacilityAssembly(spec).run();
-  EXPECT_LT(r.mean_after_kw, r.mean_before_kw * 0.90);
+  EXPECT_LT(r.headline.mean_after_kw, r.headline.mean_before_kw * 0.90);
   ASSERT_TRUE(r.detected.has_value());
   // The recovered changepoint lands within two days of the rollout.
   EXPECT_LT(std::abs((r.detected->time - day(14)).day()), 2.0);
@@ -53,7 +53,7 @@ TEST_F(ScenarioTest, ChangeCampaignStepsDown) {
 TEST_F(ScenarioTest, PolicyOrderingHoldsOnTheTestbed) {
   // The same three-level cascade as the flagship machine, at 1/11 scale.
   const auto mean_kw = [](const OperatingPolicy& policy) {
-    return FacilityAssembly(campaign(0, 14, policy)).run().mean_kw.kw();
+    return FacilityAssembly(campaign(0, 14, policy)).run().headline.mean_kw.kw();
   };
   const double base = mean_kw(OperatingPolicy::baseline());
   const double perfdet = mean_kw(OperatingPolicy::performance_determinism());

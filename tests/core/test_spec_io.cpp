@@ -437,6 +437,25 @@ TEST(CampaignManifest, DuplicateScenarioNamesAreRejected) {
   fs::remove_all(dir);
 }
 
+TEST(CampaignManifest, EveryCommittedManifestFixesItsWorkers) {
+  // hpcem_sim --campaign prints the worker count in its header line, so a
+  // manifest without `workers` (0: the host's hardware default) makes the
+  // committed campaign's stdout depend on the machine it runs on.
+  std::vector<std::string> manifests;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           scenario_library_dir() + "/campaigns")) {
+    if (entry.path().extension() == ".json") {
+      manifests.push_back(entry.path().string());
+    }
+  }
+  std::sort(manifests.begin(), manifests.end());
+  ASSERT_GE(manifests.size(), 4u);
+  for (const std::string& path : manifests) {
+    SCOPED_TRACE(path);
+    EXPECT_GT(load_campaign_manifest(path).config.workers, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The library campaign.
 

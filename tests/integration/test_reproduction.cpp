@@ -42,12 +42,12 @@ std::unique_ptr<TimelineResult> ReproductionTest::fig3_;
 
 TEST_F(ReproductionTest, Figure1BaselineMeanNear3220) {
   // Paper: mean 3,220 kW over Dec 2021 - Apr 2022.
-  EXPECT_NEAR(fig1_->mean_kw.kw(), 3220.0, 3220.0 * 0.03);
+  EXPECT_NEAR(fig1_->headline.mean_kw.kw(), 3220.0, 3220.0 * 0.03);
 }
 
 TEST_F(ReproductionTest, Figure1UtilisationConsistentlyOverNinety) {
-  EXPECT_GT(fig1_->mean_utilisation, 0.90);
-  EXPECT_LE(fig1_->mean_utilisation, 1.0);
+  EXPECT_GT(fig1_->headline.mean_utilisation, 0.90);
+  EXPECT_LE(fig1_->headline.mean_utilisation, 1.0);
 }
 
 TEST_F(ReproductionTest, Figure1WindowCoversFiveMonths) {
@@ -57,9 +57,9 @@ TEST_F(ReproductionTest, Figure1WindowCoversFiveMonths) {
 
 TEST_F(ReproductionTest, Figure2BiosChangeLevels) {
   // Paper: 3,220 kW -> 3,010 kW (210 kW, 6.5%).
-  EXPECT_NEAR(fig2_->mean_before_kw.kw(), 3220.0, 3220.0 * 0.03);
-  EXPECT_NEAR(fig2_->mean_after_kw.kw(), 3010.0, 3010.0 * 0.03);
-  const double saving = (fig2_->mean_before_kw - fig2_->mean_after_kw).kw();
+  EXPECT_NEAR(fig2_->headline.mean_before_kw.kw(), 3220.0, 3220.0 * 0.03);
+  EXPECT_NEAR(fig2_->headline.mean_after_kw.kw(), 3010.0, 3010.0 * 0.03);
+  const double saving = (fig2_->headline.mean_before_kw - fig2_->headline.mean_after_kw).kw();
   EXPECT_NEAR(saving, 210.0, 70.0);
 }
 
@@ -74,9 +74,9 @@ TEST_F(ReproductionTest, Figure2ChangepointRecoveredNearTheRollout) {
 
 TEST_F(ReproductionTest, Figure3FrequencyChangeLevels) {
   // Paper: 3,010 kW -> 2,530 kW (480 kW; 21% cumulative).
-  EXPECT_NEAR(fig3_->mean_before_kw.kw(), 3010.0, 3010.0 * 0.03);
-  EXPECT_NEAR(fig3_->mean_after_kw.kw(), 2530.0, 2530.0 * 0.03);
-  const double saving = (fig3_->mean_before_kw - fig3_->mean_after_kw).kw();
+  EXPECT_NEAR(fig3_->headline.mean_before_kw.kw(), 3010.0, 3010.0 * 0.03);
+  EXPECT_NEAR(fig3_->headline.mean_after_kw.kw(), 2530.0, 2530.0 * 0.03);
+  const double saving = (fig3_->headline.mean_before_kw - fig3_->headline.mean_after_kw).kw();
   EXPECT_NEAR(saving, 480.0, 100.0);
 }
 
@@ -89,7 +89,7 @@ TEST_F(ReproductionTest, Figure3ChangepointSharpAtTheDefaultFlip) {
 
 TEST_F(ReproductionTest, CumulativeSavingNearTwentyOnePercent) {
   const double total =
-      (fig1_->mean_kw - fig3_->mean_after_kw) / fig1_->mean_kw;
+      (fig1_->headline.mean_kw - fig3_->headline.mean_after_kw) / fig1_->headline.mean_kw;
   EXPECT_NEAR(total, 0.21, 0.035);
 }
 
@@ -97,8 +97,8 @@ TEST_F(ReproductionTest, UtilisationStaysHighThroughBothChanges) {
   // The paper stresses utilisation is "consistently over 90%" across every
   // period considered; the budget-feedback demand model must keep it there
   // even when jobs slow down at 2.0 GHz.
-  EXPECT_GT(fig2_->mean_utilisation, 0.89);
-  EXPECT_GT(fig3_->mean_utilisation, 0.89);
+  EXPECT_GT(fig2_->headline.mean_utilisation, 0.89);
+  EXPECT_GT(fig3_->headline.mean_utilisation, 0.89);
 }
 
 TEST_F(ReproductionTest, TimelineReportsRenderEndToEnd) {

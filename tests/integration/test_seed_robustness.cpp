@@ -32,11 +32,11 @@ TEST_P(SeedSweep, BiosSavingStableAcrossSeeds) {
       sim_time_from_date({2022, 4, 25}), sim_time_from_date({2022, 5, 23}),
       OperatingPolicy::baseline(), sim_time_from_date({2022, 5, 9}),
       OperatingPolicy::performance_determinism());
-  const double saving = (r.mean_before_kw - r.mean_after_kw).kw();
+  const double saving = (r.headline.mean_before_kw - r.headline.mean_after_kw).kw();
   // Paper: 210 kW.  Allow generous seed noise but demand the right scale.
   EXPECT_GT(saving, 120.0) << "seed " << GetParam();
   EXPECT_LT(saving, 320.0) << "seed " << GetParam();
-  EXPECT_NEAR(r.mean_before_kw.kw(), 3220.0, 3220.0 * 0.04);
+  EXPECT_NEAR(r.headline.mean_before_kw.kw(), 3220.0, 3220.0 * 0.04);
 }
 
 TEST_P(SeedSweep, FrequencySavingStableAcrossSeeds) {
@@ -46,13 +46,13 @@ TEST_P(SeedSweep, FrequencySavingStableAcrossSeeds) {
       OperatingPolicy::performance_determinism(),
       sim_time_from_date({2022, 12, 1}),
       OperatingPolicy::low_frequency_default());
-  const double saving = (r.mean_before_kw - r.mean_after_kw).kw();
+  const double saving = (r.headline.mean_before_kw - r.headline.mean_after_kw).kw();
   // Paper: 480 kW.
   EXPECT_GT(saving, 360.0) << "seed " << GetParam();
   EXPECT_LT(saving, 600.0) << "seed " << GetParam();
-  EXPECT_NEAR(r.mean_before_kw.kw(), 3010.0, 3010.0 * 0.04);
+  EXPECT_NEAR(r.headline.mean_before_kw.kw(), 3010.0, 3010.0 * 0.04);
   // Utilisation must stay in the paper's regime under every seed.
-  EXPECT_GT(r.mean_utilisation, 0.87);
+  EXPECT_GT(r.headline.mean_utilisation, 0.87);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,

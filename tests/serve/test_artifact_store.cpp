@@ -10,6 +10,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "colstore/hcaf.hpp"
@@ -59,6 +60,34 @@ TEST(ArtifactStore, IngestsAndColumnisesSeries) {
   EXPECT_EQ(ch.prefix_integral.size(), 201u);
   EXPECT_DOUBLE_EQ(ch.prefix_value_sum.front(), 0.0);
   EXPECT_EQ(store.total_series_samples(), 200u);
+}
+
+// A channel's times view its scenario's clock, so a copied scenario would
+// view the original's clocks: the type allows moves only.
+static_assert(!std::is_copy_constructible_v<StoredScenario>);
+static_assert(!std::is_copy_assignable_v<StoredScenario>);
+static_assert(std::is_nothrow_move_constructible_v<StoredScenario>);
+
+TEST(ArtifactStore, ChannelsViewTheirScenariosOneCopyOfEachClock) {
+  RunArtifact a = make_artifact("clocks", 96, true);
+  a.channels.push_back(aggregate_channel("it_kw", ramp_series(96), true));
+  a.channels.push_back(
+      aggregate_channel("slow_kw", ramp_series(40, 0.0, 1800.0), true));
+  ArtifactStore store;
+  store.add(a);
+  const StoredScenario& s = store.at("clocks");
+  ASSERT_EQ(s.clocks.size(), 2u);
+  const StoredChannel* cabinet = s.find_channel("cabinet_kw");
+  const StoredChannel* it = s.find_channel("it_kw");
+  const StoredChannel* slow = s.find_channel("slow_kw");
+  ASSERT_TRUE(cabinet && it && slow);
+  EXPECT_EQ(cabinet->times.data(), s.clocks[0].data());
+  EXPECT_EQ(it->times.data(), s.clocks[0].data());
+  EXPECT_EQ(cabinet->times.size(), 96u);
+  EXPECT_EQ(slow->times.data(), s.clocks[1].data());
+  EXPECT_EQ(slow->times.size(), 40u);
+  EXPECT_DOUBLE_EQ(slow->times.back(), 39 * 1800.0);
+  EXPECT_EQ(store.total_series_samples(), 96u + 96u + 40u);
 }
 
 TEST(ArtifactStore, RoundTripsThroughJson) {

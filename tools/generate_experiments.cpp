@@ -47,9 +47,9 @@ void print_figures(const hpcem::TimelineResult& f1,
                "(Dec 2021 – Apr 2022)\n\n```\n"
             << render_timeline(f1, "") << "```\n\n"
             << "Paper mean: **3,220 kW**; model window mean: **"
-            << TextTable::grouped(f1.mean_kw.kw()) << " kW** ("
-            << TextTable::pct(f1.mean_kw.kw() / 3220.0 - 1.0, 1)
-            << " off) at " << TextTable::pct(f1.mean_utilisation, 1)
+            << TextTable::grouped(f1.headline.mean_kw.kw()) << " kW** ("
+            << TextTable::pct(f1.headline.mean_kw.kw() / 3220.0 - 1.0, 1)
+            << " off) at " << TextTable::pct(f1.headline.mean_utilisation, 1)
             << " utilisation.\n\n";
   const WeeklyDecomposition weekly = decompose_weekly(f1.cabinet_kw);
   std::cout << "Weekly texture: weekday-weekend swing "
@@ -60,17 +60,17 @@ void print_figures(const hpcem::TimelineResult& f1,
   std::cout << "## F2 — Figure 2: BIOS change (Apr – May 2022)\n\n```\n"
             << render_timeline(f2, "") << "```\n\n"
             << "Paper: 3,220 → 3,010 kW (−210 kW). Model: **"
-            << TextTable::grouped(f2.mean_before_kw.kw()) << " → "
-            << TextTable::grouped(f2.mean_after_kw.kw()) << " kW** (−"
-            << TextTable::grouped((f2.mean_before_kw - f2.mean_after_kw).kw())
+            << TextTable::grouped(f2.headline.mean_before_kw.kw()) << " → "
+            << TextTable::grouped(f2.headline.mean_after_kw.kw()) << " kW** (−"
+            << TextTable::grouped((f2.headline.mean_before_kw - f2.headline.mean_after_kw).kw())
             << " kW).\n\n";
 
   std::cout << "## F3 — Figure 3: frequency change (Nov – Dec 2022)\n\n```\n"
             << render_timeline(f3, "") << "```\n\n"
             << "Paper: 3,010 → 2,530 kW (−480 kW). Model: **"
-            << TextTable::grouped(f3.mean_before_kw.kw()) << " → "
-            << TextTable::grouped(f3.mean_after_kw.kw()) << " kW** (−"
-            << TextTable::grouped((f3.mean_before_kw - f3.mean_after_kw).kw())
+            << TextTable::grouped(f3.headline.mean_before_kw.kw()) << " → "
+            << TextTable::grouped(f3.headline.mean_after_kw.kw()) << " kW** (−"
+            << TextTable::grouped((f3.headline.mean_before_kw - f3.headline.mean_after_kw).kw())
             << " kW).\n\n";
 }
 
