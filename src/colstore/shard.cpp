@@ -4,18 +4,15 @@
 #include <fstream>
 
 #include "colstore/bytes.hpp"
-#include "colstore/format.hpp"
 #include "util/error.hpp"
 
 namespace hpcem::colstore {
 
-HashRing::HashRing(std::size_t shard_count, std::size_t vnodes_per_shard)
-    : shard_count_(shard_count), vnodes_(vnodes_per_shard) {
+HashRing::HashRing(std::size_t shard_count) : shard_count_(shard_count) {
   require(shard_count > 0, "HashRing: shard count must be positive");
-  require(vnodes_per_shard > 0, "HashRing: vnode count must be positive");
-  points_.reserve(shard_count * vnodes_per_shard);
+  points_.reserve(shard_count * kVnodesPerShard);
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    for (std::size_t v = 0; v < vnodes_per_shard; ++v) {
+    for (std::size_t v = 0; v < kVnodesPerShard; ++v) {
       const std::string key =
           "shard-" + std::to_string(shard) + "#" + std::to_string(v);
       points_.push_back(
@@ -62,37 +59,6 @@ JsonValue ShardManifest::to_json() const {
 
 std::string ShardManifest::to_json_text() const { return to_json().dump(2); }
 
-ShardManifest ShardManifest::from_json(const JsonValue& v) {
-  require(v.at("schema").as_string() == kSchema,
-          "ShardManifest: unknown schema '", v.at("schema").as_string(),
-          "' (expected '", kSchema, "')");
-  ShardManifest m;
-  m.format_version = static_cast<int>(v.at("hcaf_format_version").as_number());
-  require(m.format_version >= 1 && m.format_version <= kFormatVersion,
-          "ShardManifest: unsupported HCAF format version ", m.format_version);
-  m.shard_count = static_cast<std::size_t>(v.at("shard_count").as_number());
-  m.vnodes_per_shard =
-      static_cast<std::size_t>(v.at("vnodes_per_shard").as_number());
-  for (const JsonValue& sv : v.at("shards").as_array()) {
-    ManifestShard s;
-    s.file = sv.at("file").as_string();
-    for (const JsonValue& name : sv.at("scenarios").as_array()) {
-      s.scenarios.push_back(name.as_string());
-    }
-    s.bytes = static_cast<std::uint64_t>(sv.at("bytes").as_number());
-    s.checksum_fnv1a64 = sv.at("checksum_fnv1a64").as_string();
-    m.shards.push_back(std::move(s));
-  }
-  require(m.shards.size() == m.shard_count,
-          "ShardManifest: shard list length ", m.shards.size(),
-          " does not match shard_count ", m.shard_count);
-  return m;
-}
-
-ShardManifest ShardManifest::from_json_text(std::string_view text) {
-  return from_json(JsonValue::parse(text));
-}
-
 std::string write_manifest(const ShardManifest& manifest,
                            const std::string& dir) {
   const std::string path = dir + "/manifest.json";
@@ -100,14 +66,6 @@ std::string write_manifest(const ShardManifest& manifest,
   out << manifest.to_json_text() << '\n';
   if (!out) throw ParseError("ShardManifest: cannot write " + path);
   return path;
-}
-
-ShardManifest read_manifest_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("ShardManifest: cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return ShardManifest::from_json_text(text);
 }
 
 }  // namespace hpcem::colstore

@@ -10,9 +10,9 @@
 // knows the shard count reproduces the assignment exactly.
 //
 // `ShardManifest` is the compactor's JSON receipt: shard count, vnode
-// count, per-shard file names with scenario lists and checksums.  The
-// serve tier can load a shard directory with or without it (the manifest
-// is documentation and a verification aid, not a routing dependency).
+// count, per-shard file names with scenario lists and checksums.  It is
+// written for people and scripts; no program reads it back, and the serve
+// tier routes by the shard count alone.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +27,14 @@ namespace hpcem::colstore {
 /// Deterministic consistent-hash ring over `shard_count` shards.
 class HashRing {
  public:
-  /// Default vnodes per shard: enough to keep the spread of scenarios per
-  /// shard tight at small shard counts without bloating the point list.
-  static constexpr std::size_t kDefaultVnodes = 64;
+  /// Vnodes per shard: enough to keep the spread of scenarios per shard
+  /// tight at small shard counts without bloating the point list.
+  static constexpr std::size_t kVnodesPerShard = 64;
 
-  /// Build the ring.  Throws InvalidArgument for a zero shard or vnode
-  /// count.
-  explicit HashRing(std::size_t shard_count,
-                    std::size_t vnodes_per_shard = kDefaultVnodes);
+  /// Build the ring.  Throws InvalidArgument for a zero shard count.
+  explicit HashRing(std::size_t shard_count);
 
   [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
-  [[nodiscard]] std::size_t vnodes_per_shard() const { return vnodes_; }
 
   /// The shard owning `scenario_id`: the shard of the first ring point at
   /// or clockwise after fnv1a64(scenario_id), wrapping at the top.
@@ -50,7 +47,6 @@ class HashRing {
   };
 
   std::size_t shard_count_;
-  std::size_t vnodes_;
   std::vector<Point> points_;  ///< sorted by hash (ties by shard index)
 };
 
@@ -75,15 +71,11 @@ struct ShardManifest {
 
   [[nodiscard]] JsonValue to_json() const;
   [[nodiscard]] std::string to_json_text() const;
-  [[nodiscard]] static ShardManifest from_json(const JsonValue& v);
-  [[nodiscard]] static ShardManifest from_json_text(std::string_view text);
 };
 
 /// Write `manifest.json` under `dir`; returns the path.  Throws ParseError
 /// on I/O failure.
 std::string write_manifest(const ShardManifest& manifest,
                            const std::string& dir);
-/// Read and validate a manifest file.
-[[nodiscard]] ShardManifest read_manifest_file(const std::string& path);
 
 }  // namespace hpcem::colstore

@@ -47,13 +47,16 @@ CarbonIntensity EmissionsModel::crossover_intensity() const {
                                     annual_energy.to_kwh());
 }
 
-OperationalStrategy EmissionsModel::recommend(CarbonIntensity ci) const {
-  const double share = scope2_share(ci);
+OperationalStrategy strategy_for_scope2_share(double share) {
   if (share < 1.0 / 3.0) return OperationalStrategy::kMaximisePerformance;
   if (share > 2.0 / 3.0) {
     return OperationalStrategy::kMaximiseEnergyEfficiency;
   }
   return OperationalStrategy::kBalance;
+}
+
+OperationalStrategy EmissionsModel::recommend(CarbonIntensity ci) const {
+  return strategy_for_scope2_share(scope2_share(ci));
 }
 
 EmissionsScenario EmissionsModel::scenario(CarbonIntensity ci) const {

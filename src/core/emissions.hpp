@@ -47,6 +47,11 @@ enum class OperationalStrategy {
 
 [[nodiscard]] std::string to_string(OperationalStrategy s);
 
+/// §2 strategy from a scope-2 share, scope2 / (scope2 + scope3): below 1/3
+/// maximise performance, above 2/3 maximise energy efficiency, else
+/// balance.
+[[nodiscard]] OperationalStrategy strategy_for_scope2_share(double share);
+
 /// One row of a scenario sweep over carbon intensity.
 struct EmissionsScenario {
   CarbonIntensity intensity;
@@ -75,8 +80,8 @@ class EmissionsModel {
   /// Intensity at which scope 2 equals scope 3.
   [[nodiscard]] CarbonIntensity crossover_intensity() const;
 
-  /// §2 strategy recommendation at an intensity, thresholded on the
-  /// scope-2 share: <1/3 performance, >2/3 energy efficiency, else balance.
+  /// §2 strategy recommendation at an intensity: the strategy for its
+  /// scope-2 share.
   [[nodiscard]] OperationalStrategy recommend(CarbonIntensity ci) const;
 
   /// Evaluate one scenario row.

@@ -172,40 +172,4 @@ std::string render_frequency_sweep(const std::string& app,
   return os.str();
 }
 
-std::string render_run_artifact(const RunArtifact& artifact) {
-  std::ostringstream os;
-  os << "Run artifact: " << artifact.scenario << " (" << artifact.source;
-  if (!artifact.machine.empty()) os << ", " << artifact.machine;
-  os << ")\n"
-     << "window " << iso_date_time(artifact.window_start) << " .. "
-     << iso_date_time(artifact.window_end) << " | replicates "
-     << artifact.replicates << '\n'
-     << "mean " << TextTable::grouped(artifact.headline.mean_kw.kw())
-     << " kW | before "
-     << TextTable::grouped(artifact.headline.mean_before_kw.kw())
-     << " | after " << TextTable::grouped(artifact.headline.mean_after_kw.kw())
-     << " | utilisation "
-     << TextTable::pct(artifact.headline.mean_utilisation, 1) << " | energy "
-     << TextTable::grouped(artifact.headline.window_energy_kwh.kwh())
-     << " kWh\n";
-  for (const auto& cp : artifact.change_points) {
-    os << (cp.detected ? "detected" : "scheduled") << " change at "
-       << iso_date_time(cp.at) << ": "
-       << TextTable::grouped(cp.mean_before_kw.kw()) << " kW -> "
-       << TextTable::grouped(cp.mean_after_kw.kw()) << " kW\n";
-  }
-  if (!artifact.channels.empty()) {
-    TextTable t({"Channel", "Unit", "Samples", "Mean", "Min", "Max"},
-                {Align::kLeft, Align::kLeft, Align::kRight, Align::kRight,
-                 Align::kRight, Align::kRight});
-    for (const auto& c : artifact.channels) {
-      t.add_row({c.name, c.unit, std::to_string(c.samples),
-                 TextTable::num(c.mean, 3), TextTable::num(c.min, 3),
-                 TextTable::num(c.max, 3)});
-    }
-    os << t.str();
-  }
-  return os.str();
-}
-
 }  // namespace hpcem

@@ -13,7 +13,6 @@
 #include "core/efficiency.hpp"
 #include "core/emissions.hpp"
 #include "core/facility.hpp"
-#include "core/run_artifact.hpp"
 #include "power/facility_power.hpp"
 
 namespace hpcem {
@@ -45,9 +44,5 @@ namespace hpcem {
 /// Frequency sweep table for one application (examples/advisor).
 [[nodiscard]] std::string render_frequency_sweep(
     const std::string& app, const std::vector<FrequencyPoint>& sweep);
-
-/// Run-artifact summary: headline numbers, change points and per-channel
-/// aggregates as text (the human view of the JSON artifact).
-[[nodiscard]] std::string render_run_artifact(const RunArtifact& artifact);
 
 }  // namespace hpcem

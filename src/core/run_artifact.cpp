@@ -136,12 +136,13 @@ Column read_column(JsonReader& r, std::vector<Sample>& samples, Store store) {
   return col;
 }
 
-SeriesText read_series(JsonReader& r) {
+SeriesText read_series(JsonReader& r, std::size_t reserve) {
   SeriesText s;
   if (r.peek() != JsonValue::Type::kObject) {
     (void)r.value();
     return s;
   }
+  s.samples.reserve(reserve);
   r.begin_object();
   std::string key;
   while (r.next_member(key)) {
@@ -158,7 +159,24 @@ SeriesText read_series(JsonReader& r) {
   return s;
 }
 
-ChannelText read_channel(JsonReader& r) {
+/// Samples to reserve for a channel's series: its "samples" member when
+/// that has already been read and is an integer >= 0, capped by what is
+/// left of `budget`, which shrinks by the amount reserved.  Each sample
+/// takes at least 4 bytes of text across the two columns, so a budget of
+/// text size / 4 bounds what a lying "samples" can allocate.
+std::size_t take_reserve(const JsonValue& fields, std::size_t& budget) {
+  const JsonValue* count = fields.get("samples");
+  if (count == nullptr || !count->is_number()) return 0;
+  const double x = count->as_number();
+  if (!(x >= 0.0 && std::isfinite(x) && x == std::floor(x))) return 0;
+  const std::size_t n = x < static_cast<double>(budget)
+                            ? static_cast<std::size_t>(x)
+                            : budget;
+  budget -= n;
+  return n;
+}
+
+ChannelText read_channel(JsonReader& r, std::size_t& reserve_budget) {
   ChannelText c;
   if (r.peek() != JsonValue::Type::kObject) {
     c.fields = r.value();
@@ -169,7 +187,7 @@ ChannelText read_channel(JsonReader& r) {
   std::string key;
   while (r.next_member(key)) {
     if (key == "series") {
-      c.series = read_series(r);
+      c.series = read_series(r, take_reserve(c.fields, reserve_budget));
     } else {
       c.fields.set(std::move(key), r.value());
     }
@@ -361,6 +379,7 @@ RunArtifact RunArtifact::from_json_text(std::string_view text) {
   JsonReader r(text);
   JsonValue fields;
   std::vector<ChannelText> channels;
+  std::size_t reserve_budget = text.size() / 4;
   if (r.peek() == JsonValue::Type::kObject) {
     fields = JsonValue::object();
     r.begin_object();
@@ -369,7 +388,9 @@ RunArtifact RunArtifact::from_json_text(std::string_view text) {
       if (key == "channels" && r.peek() == JsonValue::Type::kArray) {
         channels.clear();
         r.begin_array();
-        while (r.next_element()) channels.push_back(read_channel(r));
+        while (r.next_element()) {
+          channels.push_back(read_channel(r, reserve_budget));
+        }
         fields.set(std::move(key), JsonValue::array());
       } else {
         fields.set(std::move(key), r.value());

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
 
 #include "power/pstate.hpp"
@@ -735,13 +734,6 @@ ScenarioSpec load_scenario_file(const std::string& path) {
     }
     throw;
   }
-}
-
-void save_scenario_file(const ScenarioSpec& spec, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw ParseError("spec: " + path + ": cannot open for writing");
-  out << save_scenario(spec);
-  if (!out) throw ParseError("spec: " + path + ": write failed");
 }
 
 // ---------------------------------------------------------------------------

@@ -51,10 +51,6 @@ inline constexpr int kScenarioSpecVersion = 1;
 /// `spec: <path>: $.seed: ...`.
 [[nodiscard]] ScenarioSpec load_scenario_file(const std::string& path);
 
-/// Write `save_scenario(spec)` to a file.  Throws ParseError on I/O
-/// failure.
-void save_scenario_file(const ScenarioSpec& spec, const std::string& path);
-
 /// One of the three service policies by its paper name (baseline |
 /// perfdet | lowfreq), the names a spec's `policy` string takes; nullopt
 /// for any other name.

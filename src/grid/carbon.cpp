@@ -69,10 +69,6 @@ CarbonIntensity CarbonIntensitySeries::at(SimTime t) const {
   return CarbonIntensity::g_per_kwh(series_.value_at(t));
 }
 
-EmissionsRegime CarbonIntensitySeries::regime_at(SimTime t) const {
-  return classify_regime(at(t));
-}
-
 CarbonIntensity CarbonIntensitySeries::mean(SimTime a, SimTime b) const {
   return CarbonIntensity::g_per_kwh(series_.mean_over(a, b));
 }

@@ -51,14 +51,14 @@ struct CarbonIntensityParams {
     const CarbonIntensityParams& params, SimTime start, SimTime end,
     Rng rng);
 
-/// Wrap an intensity series with interpolation and regime queries.
+/// Wrap an intensity series with interpolation, window means and
+/// scope-2 integration.
 class CarbonIntensitySeries {
  public:
   explicit CarbonIntensitySeries(TimeSeries series);
 
   /// Intensity at an instant (interpolated, clamped at the ends).
   [[nodiscard]] CarbonIntensity at(SimTime t) const;
-  [[nodiscard]] EmissionsRegime regime_at(SimTime t) const;
 
   /// Mean intensity over a window.
   [[nodiscard]] CarbonIntensity mean(SimTime a, SimTime b) const;

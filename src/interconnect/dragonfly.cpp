@@ -125,15 +125,4 @@ std::size_t Dragonfly::global_link_count() const {
   return params_.total_switches() * params_.global_links_per_switch;
 }
 
-FabricPowerModel::FabricPowerModel(std::size_t switch_count,
-                                   SwitchPowerModel switch_model)
-    : switch_count_(switch_count), switch_model_(switch_model) {
-  require(switch_count_ > 0, "FabricPowerModel: need at least one switch");
-}
-
-Power FabricPowerModel::power(double traffic_load) const {
-  return switch_model_.power(traffic_load) *
-         static_cast<double>(switch_count_);
-}
-
 }  // namespace hpcem

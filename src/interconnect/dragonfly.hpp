@@ -4,7 +4,8 @@
 // partitioned into groups with all-to-all local connectivity inside a group
 // and a near-uniform spread of global links between groups.  The model
 // captures what the paper's analysis needs:
-//  * the component inventory (switch count feeds the fabric power model);
+//  * the component inventory (switch count feeds the facility's switch
+//    power source);
 //  * routing hop counts between nodes, which determine how sensitive an
 //    application's communication fraction is to job placement (used by the
 //    placement-quality example and ablations).
@@ -15,9 +16,6 @@
 
 #include <cstddef>
 #include <vector>
-
-#include "power/plant.hpp"
-#include "util/units.hpp"
 
 namespace hpcem {
 
@@ -89,20 +87,6 @@ class Dragonfly {
 
   DragonflyParams params_;
   std::size_t node_count_;
-};
-
-/// Fabric power: the paper's conclusion notes switch draw is essentially
-/// flat (200-250 W) regardless of load, so the fabric is a fixed cost.
-class FabricPowerModel {
- public:
-  FabricPowerModel(std::size_t switch_count, SwitchPowerModel switch_model);
-
-  [[nodiscard]] Power power(double traffic_load) const;
-  [[nodiscard]] std::size_t switch_count() const { return switch_count_; }
-
- private:
-  std::size_t switch_count_;
-  SwitchPowerModel switch_model_;
 };
 
 }  // namespace hpcem

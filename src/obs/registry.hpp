@@ -7,8 +7,7 @@
 //
 //   1. Near-zero cost when disabled.  Every collection entry point starts
 //      with one relaxed atomic load and a predictable branch; nothing else
-//      runs.  The `HPCEM_OBS_DISABLE` compile definition removes the span
-//      macro entirely.
+//      runs.
 //   2. No cross-thread synchronisation on the hot path.  Each thread owns a
 //      `ThreadBuffer`; spans and metric shards append to it lock-free.  The
 //      registry mutex is taken only to register a new thread, intern a new

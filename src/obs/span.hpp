@@ -9,8 +9,7 @@
 //
 // The macro interns the name once (thread-safe function-local static) and
 // opens a `ScopedSpan` for the enclosing scope.  When collection is
-// disabled the constructor is one relaxed load and a branch; defining
-// HPCEM_OBS_DISABLE compiles the macro out entirely.
+// disabled the constructor is one relaxed load and a branch.
 //
 // A span records (name, begin, end) into the calling thread's buffer when
 // it closes — nesting is recovered at export/profile time from interval
@@ -60,9 +59,6 @@ class ScopedSpan {
 #define HPCEM_OBS_CONCAT_IMPL(a, b) a##b
 #define HPCEM_OBS_CONCAT(a, b) HPCEM_OBS_CONCAT_IMPL(a, b)
 
-#ifdef HPCEM_OBS_DISABLE
-#define HPCEM_OBS_SPAN(name_literal) ((void)0)
-#else
 /// Open a span named `name_literal` for the rest of the enclosing scope.
 #define HPCEM_OBS_SPAN(name_literal)                                     \
   static const ::hpcem::obs::NameId HPCEM_OBS_CONCAT(hpcem_obs_name_,    \
@@ -71,4 +67,3 @@ class ScopedSpan {
   const ::hpcem::obs::ScopedSpan HPCEM_OBS_CONCAT(                       \
       hpcem_obs_span_, __LINE__){HPCEM_OBS_CONCAT(hpcem_obs_name_,       \
                                                   __LINE__)}
-#endif

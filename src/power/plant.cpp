@@ -20,9 +20,4 @@ Power CabinetOverheadModel::power(double compute_load) const {
   return idle + (loaded - idle) * compute_load;
 }
 
-Power PueModel::facility_power(Power it_power) const {
-  require(pue >= 1.0, "PueModel: PUE must be >= 1");
-  return it_power * pue;
-}
-
 }  // namespace hpcem

@@ -45,13 +45,4 @@ struct FilesystemPowerModel {
   [[nodiscard]] Power power(double /*load*/) const { return draw; }
 };
 
-/// Power usage effectiveness of the hosting datacentre: total facility
-/// power = IT power x PUE.  ARCHER2's ACF hosting is highly efficient
-/// (evaporative cooling); the default is representative, not published.
-struct PueModel {
-  double pue = 1.1;
-
-  [[nodiscard]] Power facility_power(Power it_power) const;
-};
-
 }  // namespace hpcem

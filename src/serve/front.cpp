@@ -52,6 +52,9 @@ ServeInstruments& instruments() {
   return s;
 }
 
+/// Result-cache shards, each behind its own lock.
+constexpr std::size_t kCacheShards = 8;
+
 /// Error responses start with this exact prefix (render_error emits "ok"
 /// first); used to trigger error postmortems without re-parsing.
 constexpr std::string_view kErrorPrefix = "{\"ok\":false";
@@ -69,8 +72,7 @@ ServeFront::ServeFront(MultiStore stores, ServeOptions options)
       slow_request_threshold_(options.slow_request_threshold),
       pool_(options.workers >= 1 ? options.workers : 1) {
   if (options.cache_entries > 0) {
-    cache_.emplace(options.cache_entries,
-                   options.cache_shards >= 1 ? options.cache_shards : 1);
+    cache_.emplace(options.cache_entries, kCacheShards);
   }
   evaluator_ = [this](const QueryRequest& request) {
     try {

@@ -57,7 +57,6 @@ namespace hpcem::serve {
 struct ServeOptions {
   std::size_t workers = 4;        ///< executor threads (>= 1)
   std::size_t cache_entries = 4096;  ///< 0 disables the result cache
-  std::size_t cache_shards = 8;
   std::size_t max_queue = 256;    ///< submit() blocks beyond this depth
   /// Flight-recorder postmortem JSON path; empty disables dumping.
   /// Dumps fire on a query error, or on a latency breach when

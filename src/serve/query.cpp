@@ -50,17 +50,6 @@ const char* regime_name(EmissionsRegime r) {
   return "unknown";
 }
 
-/// §2 strategy from a scope-2 share (EmissionsModel::recommend thresholds).
-OperationalStrategy strategy_from_share(double scope2_share) {
-  if (scope2_share < 1.0 / 3.0) {
-    return OperationalStrategy::kMaximisePerformance;
-  }
-  if (scope2_share > 2.0 / 3.0) {
-    return OperationalStrategy::kMaximiseEnergyEfficiency;
-  }
-  return OperationalStrategy::kBalance;
-}
-
 /// Scope-2 grams of the intervals j in [a, b) of a kW channel, each
 /// charged at a piecewise-linear curve at its midpoint m_j, from prefix
 /// differences in O(k log n).  On segment k the curve is g_k + beta_k (m -
@@ -549,7 +538,7 @@ JsonValue QueryEngine::whatif(const QueryRequest& r) const {
   result.set("scope2_share", share);
   result.set("regime",
              regime_name(classify_regime(CarbonIntensity::g_per_kwh(mean_g))));
-  result.set("strategy", strategy_name(strategy_from_share(share)));
+  result.set("strategy", strategy_name(strategy_for_scope2_share(share)));
   return result;
 }
 

@@ -133,28 +133,4 @@ std::optional<TimedStepChange> detect_single_step(const TimeSeries& ts,
   return out;
 }
 
-Cusum::Cusum(double target, double slack, double threshold)
-    : target_(target), slack_(slack), threshold_(threshold) {
-  require(slack >= 0.0, "Cusum: slack must be non-negative");
-  require(threshold > 0.0, "Cusum: threshold must be positive");
-}
-
-bool Cusum::add(double x) {
-  pos_ = std::max(0.0, pos_ + (x - target_ - slack_));
-  neg_ = std::max(0.0, neg_ + (target_ - x - slack_));
-  if (pos_ > threshold_ || neg_ > threshold_) {
-    ++alarms_;
-    pos_ = 0.0;
-    neg_ = 0.0;
-    return true;
-  }
-  return false;
-}
-
-void Cusum::retarget(double target) {
-  target_ = target;
-  pos_ = 0.0;
-  neg_ = 0.0;
-}
-
 }  // namespace hpcem

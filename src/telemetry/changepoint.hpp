@@ -11,7 +11,6 @@
 //    minimum-segment-length guard.
 //  * `detect_steps` — binary segmentation for multiple steps with a BIC-like
 //    penalty to stop splitting noise.
-//  * `Cusum` — online cumulative-sum drift detector for streaming use.
 #pragma once
 
 #include <cstddef>
@@ -54,31 +53,5 @@ struct TimedStepChange {
 };
 [[nodiscard]] std::optional<TimedStepChange> detect_single_step(
     const TimeSeries& ts, std::size_t min_segment = 8);
-
-/// Two-sided CUSUM detector for online drift detection.
-class Cusum {
- public:
-  /// `target`: reference level; `slack`: allowed drift before accumulation
-  /// (in value units); `threshold`: alarm level for the accumulated sum.
-  Cusum(double target, double slack, double threshold);
-
-  /// Feed one observation; returns true if an alarm fired (and resets).
-  bool add(double x);
-
-  [[nodiscard]] double positive_sum() const { return pos_; }
-  [[nodiscard]] double negative_sum() const { return neg_; }
-  [[nodiscard]] std::size_t alarm_count() const { return alarms_; }
-
-  /// Re-centre on a new target (e.g. after an expected operational change).
-  void retarget(double target);
-
- private:
-  double target_;
-  double slack_;
-  double threshold_;
-  double pos_ = 0.0;
-  double neg_ = 0.0;
-  std::size_t alarms_ = 0;
-};
 
 }  // namespace hpcem

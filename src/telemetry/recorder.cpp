@@ -18,13 +18,12 @@ ChannelId Recorder::declare(const std::string& name,
                             const std::string& unit) {
   auto it = index_.find(name);
   if (it != index_.end()) {
-    require(channels_[it->second]->series.unit() == unit,
-            "Recorder::channel: unit mismatch for existing channel ", name);
+    require(channels_[it->second].series.unit() == unit,
+            "Recorder::declare: unit mismatch for existing channel ", name);
     return ChannelId(it->second);
   }
   const auto idx = static_cast<std::uint32_t>(channels_.size());
-  channels_.push_back(
-      std::make_unique<Channel>(Channel{name, TimeSeries(unit)}));
+  channels_.push_back(Channel{name, TimeSeries(unit)});
   index_.emplace(name, idx);
   return ChannelId(idx);
 }
@@ -44,31 +43,20 @@ ChannelId Recorder::id(const std::string& name) const {
 const TimeSeries& Recorder::series(ChannelId id) const {
   require_state(id.index() < channels_.size(),
                 "Recorder::series: invalid channel id");
-  return channels_[id.index()]->series;
-}
-
-TimeSeries& Recorder::series(ChannelId id) {
-  require_state(id.index() < channels_.size(),
-                "Recorder::series: invalid channel id");
-  return channels_[id.index()]->series;
+  return channels_[id.index()].series;
 }
 
 const std::string& Recorder::name(ChannelId id) const {
   require_state(id.index() < channels_.size(),
                 "Recorder::name: invalid channel id");
-  return channels_[id.index()]->name;
-}
-
-TimeSeries& Recorder::channel(const std::string& name,
-                              const std::string& unit) {
-  return channels_[declare(name, unit).index()]->series;
+  return channels_[id.index()].name;
 }
 
 const TimeSeries& Recorder::channel(const std::string& name) const {
   auto it = index_.find(name);
   require_state(it != index_.end(), "Recorder::channel: no such channel: ",
                 name);
-  return channels_[it->second]->series;
+  return channels_[it->second].series;
 }
 
 std::vector<std::string> Recorder::channel_names() const {
@@ -78,16 +66,9 @@ std::vector<std::string> Recorder::channel_names() const {
   return names;
 }
 
-void Recorder::record(const std::string& name, SimTime t, double value) {
-  auto it = index_.find(name);
-  require_state(it != index_.end(), "Recorder::record: no such channel: ",
-                name);
-  channels_[it->second]->series.append(t, value);
-}
-
 std::uint64_t Recorder::total_appended() const {
   std::uint64_t total = 0;
-  for (const auto& c : channels_) total += c->series.size();
+  for (const auto& c : channels_) total += c.series.size();
   return total;
 }
 

@@ -4,16 +4,16 @@
 // "utilisation", ...) each backed by a TimeSeries.
 //
 // Channels are *interned*: `declare()` resolves a name to a dense
-// `ChannelId` exactly once, at composition time, and the per-sample hot
-// path `record(ChannelId, ...)` is an index into a dense channel table —
-// no string hashing or map walk per sample.  The string-keyed overloads
-// remain for composition-time setup, tools and tests; they resolve through
-// the intern map and cost a lookup per call.
+// `ChannelId` exactly once, at composition time, and the one write path,
+// `record(ChannelId, ...)`, is an index into a dense channel table — no
+// string hashing or map walk per sample.  Reads may go by name
+// (`channel(name)`, `find`, `id`, `channel_names`) for tools and
+// aggregation.  The table is a plain vector, so a later `declare` may move
+// every series: hold a `ChannelId`, never a `TimeSeries&`, across declares.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -71,12 +71,11 @@ class Recorder {
   void record(ChannelId id, SimTime t, double value) {
     HPCEM_ASSERT(id.index() < channels_.size(),
                  "Recorder::record: invalid channel id");
-    channels_[id.index()]->series.append(t, value);
+    channels_[id.index()].series.append(t, value);
   }
 
   /// Series behind a handle.
   [[nodiscard]] const TimeSeries& series(ChannelId id) const;
-  [[nodiscard]] TimeSeries& series(ChannelId id);
   /// Name behind a handle.
   [[nodiscard]] const std::string& name(ChannelId id) const;
 
@@ -86,11 +85,7 @@ class Recorder {
   /// counter is fed from this in bulk.
   [[nodiscard]] std::uint64_t total_appended() const;
 
-  // -- String-keyed API (composition-time setup, tools, tests). -------------
-
-  /// Create (or fetch) a channel with the given unit label.  Re-declaring an
-  /// existing channel with a different unit is an error.
-  TimeSeries& channel(const std::string& name, const std::string& unit);
+  // -- Reads by name (tools, aggregation). ----------------------------------
 
   /// Fetch an existing channel; throws StateError if absent.
   [[nodiscard]] const TimeSeries& channel(const std::string& name) const;
@@ -98,21 +93,14 @@ class Recorder {
   /// Channel names in lexicographic order.
   [[nodiscard]] std::vector<std::string> channel_names() const;
 
-  /// Record one sample on a channel that must already exist (resolves the
-  /// name per call; prefer the ChannelId overload on hot paths).
-  void record(const std::string& name, SimTime t, double value);
-
  private:
   struct Channel {
     std::string name;
     TimeSeries series;
   };
 
-  // Dense handle-indexed table.  One pointer hop per channel keeps
-  // `TimeSeries&` references stable across later declares (callers hold
-  // them across composition) while indexing stays a single vector load on
-  // the per-sample path.
-  std::vector<std::unique_ptr<Channel>> channels_;
+  // Dense handle-indexed table.
+  std::vector<Channel> channels_;
   // Sorted name -> index intern map (also drives export ordering).
   std::map<std::string, std::uint32_t> index_;
 };

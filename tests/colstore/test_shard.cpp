@@ -1,4 +1,4 @@
-// HashRing determinism/coverage and the compaction-manifest JSON codec.
+// HashRing determinism/coverage and the compaction-manifest JSON text.
 // The ring is the routing contract between hpcem_compact and
 // serve::MultiStore: any process that knows the shard count must
 // reproduce the assignment exactly.
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "colstore/format.hpp"
 #include "util/error.hpp"
 
 namespace hpcem::colstore {
@@ -26,7 +25,6 @@ std::vector<std::string> scenario_ids(std::size_t n) {
 
 TEST(HashRing, RejectsZeroCounts) {
   EXPECT_THROW(HashRing(0), InvalidArgument);
-  EXPECT_THROW(HashRing(4, 0), InvalidArgument);
 }
 
 TEST(HashRing, SingleShardOwnsEverything) {
@@ -65,63 +63,41 @@ TEST(HashRing, EveryShardReceivesWorkAtRealisticScale) {
   }
 }
 
-TEST(HashRing, MoreVnodesKeepAssignmentsValid) {
-  const HashRing ring(3, 256);
-  EXPECT_EQ(ring.vnodes_per_shard(), 256u);
-  for (const std::string& id : scenario_ids(64)) {
-    EXPECT_LT(ring.shard_of(id), 3u);
-  }
-}
-
-ShardManifest sample_manifest() {
+TEST(ShardManifest, JsonTextIsPinned) {
+  // CI and people read manifest.json; its text is the whole contract.
   ShardManifest m;
-  m.format_version = kFormatVersion;
+  m.format_version = 2;
   m.shard_count = 2;
-  m.vnodes_per_shard = HashRing::kDefaultVnodes;
+  m.vnodes_per_shard = 64;
   m.shards.push_back({"shard-000.hcaf", {"alpha", "mid"}, 4096,
                       "deadbeefcafef00d"});
   m.shards.push_back({"shard-001.hcaf", {"zeta"}, 2048, "0123456789abcdef"});
-  return m;
+  EXPECT_EQ(m.to_json_text(), R"({
+  "schema": "hpcem.hcaf_manifest.v1",
+  "hcaf_format_version": 2,
+  "shard_count": 2,
+  "vnodes_per_shard": 64,
+  "shards": [
+    {
+      "file": "shard-000.hcaf",
+      "scenarios": [
+        "alpha",
+        "mid"
+      ],
+      "bytes": 4096,
+      "checksum_fnv1a64": "deadbeefcafef00d"
+    },
+    {
+      "file": "shard-001.hcaf",
+      "scenarios": [
+        "zeta"
+      ],
+      "bytes": 2048,
+      "checksum_fnv1a64": "0123456789abcdef"
+    }
+  ]
 }
-
-TEST(ShardManifest, RoundTripsThroughJson) {
-  const ShardManifest m = sample_manifest();
-  const ShardManifest back = ShardManifest::from_json_text(m.to_json_text());
-  EXPECT_EQ(back.format_version, m.format_version);
-  EXPECT_EQ(back.shard_count, m.shard_count);
-  EXPECT_EQ(back.vnodes_per_shard, m.vnodes_per_shard);
-  ASSERT_EQ(back.shards.size(), 2u);
-  EXPECT_EQ(back.shards[0].file, "shard-000.hcaf");
-  EXPECT_EQ(back.shards[0].scenarios,
-            (std::vector<std::string>{"alpha", "mid"}));
-  EXPECT_EQ(back.shards[0].bytes, 4096u);
-  EXPECT_EQ(back.shards[0].checksum_fnv1a64, "deadbeefcafef00d");
-  EXPECT_EQ(back.shards[1].file, "shard-001.hcaf");
-  // Canonical text is a fixed point.
-  EXPECT_EQ(back.to_json_text(), m.to_json_text());
-}
-
-TEST(ShardManifest, RejectsWrongSchemaVersionAndShape) {
-  const ShardManifest m = sample_manifest();
-
-  std::string wrong_schema = m.to_json_text();
-  const auto pos = wrong_schema.find("hpcem.hcaf_manifest.v1");
-  ASSERT_NE(pos, std::string::npos);
-  wrong_schema.replace(pos, 22, "hpcem.other_document.v9");
-  EXPECT_THROW((void)ShardManifest::from_json_text(wrong_schema),
-               InvalidArgument);
-
-  ShardManifest over_versioned = m;
-  over_versioned.format_version = kFormatVersion + 1;
-  EXPECT_THROW(
-      (void)ShardManifest::from_json_text(over_versioned.to_json_text()),
-      InvalidArgument);
-
-  ShardManifest miscounted = m;
-  miscounted.shard_count = 5;  // claims 5 shards, lists 2
-  EXPECT_THROW(
-      (void)ShardManifest::from_json_text(miscounted.to_json_text()),
-      InvalidArgument);
+)");
 }
 
 }  // namespace

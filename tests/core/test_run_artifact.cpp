@@ -294,13 +294,6 @@ TEST(RunArtifact, WriteArtifactFilesEmitsJsonAndCsv) {
   std::remove((base + ".aggregates.csv").c_str());
 }
 
-TEST(RunArtifact, RenderRunArtifactShowsHeadline) {
-  const std::string text = render_run_artifact(sample_artifact());
-  EXPECT_NE(text.find("test-scenario"), std::string::npos);
-  EXPECT_NE(text.find("cabinet_kw"), std::string::npos);
-  EXPECT_NE(text.find("3,141"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // Decode rules and byte identity of the streaming codec.
 
@@ -522,6 +515,20 @@ TEST(RunArtifactDecode, SeriesErrorsComeInIndexOrder) {
   bad = test::edited(doc, {"channels", "0", "series", "values"},
                      JsonValue("x"));
   EXPECT_EQ(error_of(bad.dump()), "JsonValue: not an array");
+}
+
+TEST(RunArtifactDecode, SampleCountBeyondTheTextAllocatesNothingForIt) {
+  // A channel's "samples" is read before its "series" and sizes the
+  // series buffer, but never beyond what the text could hold: a count of
+  // 2^53 over a short series reaches the series checks, not bad_alloc.
+  const JsonValue doc = JsonValue::parse(series_artifact().to_json_text());
+  JsonValue bad =
+      test::edited(doc, {"channels", "0", "samples"}, JsonValue(0x1p53));
+  bad = test::edited(bad, {"channels", "0", "series", "values", "4"},
+                     std::nullopt);
+  EXPECT_EQ(error_of(bad.dump()),
+            "RunArtifact: channel 'cabinet_kw' series times/values length "
+            "mismatch");
 }
 
 TEST(RunArtifactDecode, CountsMustBeNonNegativeIntegers) {

@@ -99,7 +99,7 @@ TEST_F(SyntheticIntensity, SeriesWrapperInterpolatesAndClassifies) {
   const CarbonIntensitySeries ci(series_);
   const SimTime mid = sim_time_from_date({2022, 6, 15});
   EXPECT_GT(ci.at(mid).gkwh(), 0.0);
-  EXPECT_NO_THROW(ci.regime_at(mid));
+  EXPECT_NO_THROW((void)classify_regime(ci.at(mid)));
   EXPECT_NEAR(ci.mean(start_, end_).gkwh(), 200.0, 25.0);
 }
 

@@ -116,14 +116,5 @@ TEST(Dragonfly, LinkInventory) {
   EXPECT_EQ(d.global_link_count(), 768u);
 }
 
-TEST(FabricPower, FlatWithLoadAndCountScaled) {
-  const FabricPowerModel fabric(768, SwitchPowerModel{});
-  EXPECT_NEAR(fabric.power(0.0).kw(), 153.6, 0.1);
-  EXPECT_NEAR(fabric.power(1.0).kw(), 192.0, 0.1);
-  // "Steady ... irrespective of system load": at most a 25% swing.
-  EXPECT_LE(fabric.power(1.0).w() / fabric.power(0.0).w(), 1.25);
-  EXPECT_THROW(FabricPowerModel(0, SwitchPowerModel{}), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace hpcem

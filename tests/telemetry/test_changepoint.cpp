@@ -141,44 +141,5 @@ TEST(MultiStep, ResultsSortedByIndex) {
   }
 }
 
-TEST(Cusum, DetectsUpwardDrift) {
-  Cusum c(100.0, 2.0, 20.0);
-  bool fired = false;
-  for (int i = 0; i < 100 && !fired; ++i) fired = c.add(105.0);
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(c.alarm_count(), 1u);
-}
-
-TEST(Cusum, DetectsDownwardDrift) {
-  Cusum c(100.0, 2.0, 20.0);
-  bool fired = false;
-  for (int i = 0; i < 100 && !fired; ++i) fired = c.add(95.0);
-  EXPECT_TRUE(fired);
-}
-
-TEST(Cusum, SlackAbsorbsSmallWander) {
-  Cusum c(100.0, 5.0, 20.0);
-  Rng rng(15);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(c.add(100.0 + rng.normal(0.0, 1.0)));
-  }
-  EXPECT_EQ(c.alarm_count(), 0u);
-}
-
-TEST(Cusum, ResetsAfterAlarmAndRetarget) {
-  Cusum c(100.0, 1.0, 10.0);
-  for (int i = 0; i < 50; ++i) c.add(110.0);
-  EXPECT_GE(c.alarm_count(), 1u);
-  c.retarget(110.0);
-  EXPECT_DOUBLE_EQ(c.positive_sum(), 0.0);
-  EXPECT_DOUBLE_EQ(c.negative_sum(), 0.0);
-  EXPECT_FALSE(c.add(110.0));
-}
-
-TEST(Cusum, InvalidParamsThrow) {
-  EXPECT_THROW(Cusum(0.0, -1.0, 10.0), InvalidArgument);
-  EXPECT_THROW(Cusum(0.0, 1.0, 0.0), InvalidArgument);
-}
-
 }  // namespace
 }  // namespace hpcem

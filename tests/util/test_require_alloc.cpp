@@ -173,15 +173,12 @@ TEST(RequireAlloc, AllocatorMessages) {
 TEST(RequireAlloc, RecorderMessages) {
   Recorder r;
   r.declare("power", "kW");
-  EXPECT_EQ(message_of([&] { (void)r.channel("power", "MW"); }),
-            "Recorder::channel: unit mismatch for existing channel power");
+  EXPECT_EQ(message_of([&] { (void)r.declare("power", "MW"); }),
+            "Recorder::declare: unit mismatch for existing channel power");
   EXPECT_EQ(message_of([&] { (void)r.id("nope"); }),
             "Recorder::id: no such channel: nope");
-  const Recorder& cr = r;
-  EXPECT_EQ(message_of([&] { (void)cr.channel("nope"); }),
+  EXPECT_EQ(message_of([&] { (void)r.channel("nope"); }),
             "Recorder::channel: no such channel: nope");
-  EXPECT_EQ(message_of([&] { r.record("nope", SimTime(0.0), 1.0); }),
-            "Recorder::record: no such channel: nope");
 }
 
 TEST(RequireAlloc, ArgParserMessages) {

@@ -87,6 +87,9 @@ int main(int argc, char** argv) {
   if (args.get("csv").empty()) {
     return tools::usage_error(args, "--csv is required");
   }
+  if (args.get_int("min-segment-days") < 1) {
+    return tools::usage_error(args, "--min-segment-days must be >= 1");
+  }
 
   return tools::tool_main([&] {
     const obs::ObsSession session("hpcem_analyze");

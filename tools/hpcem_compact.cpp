@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     colstore::ShardManifest manifest;
     manifest.format_version = colstore::kFormatVersion;
     manifest.shard_count = shard_count;
-    manifest.vnodes_per_shard = ring.vnodes_per_shard();
+    manifest.vnodes_per_shard = colstore::HashRing::kVnodesPerShard;
     for (std::size_t shard = 0; shard < shard_count; ++shard) {
       std::vector<RunArtifact> artifacts;
       artifacts.reserve(by_shard[shard].size());

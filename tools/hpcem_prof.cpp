@@ -347,6 +347,9 @@ int main(int argc, char** argv) {
   if (args.get_int("request") < 0) {
     return tools::usage_error(args, "--request must be >= 0");
   }
+  if (args.get_int("top") < 0) {
+    return tools::usage_error(args, "--top must be >= 0");
+  }
 
   return tools::tool_main([&] {
     const std::string path = args.positionals().front();

@@ -71,9 +71,11 @@ int main(int argc, char** argv) {
       "hpcem_serve — emissions-query service over stored run artifacts "
       "(NDJSON requests in, NDJSON responses out)");
   args.add_option("store", "",
-                  "directory of *.artifact.json files to load (required)");
+                  "directory of *.artifact.json and/or *.hcaf files to load "
+                  "(required)");
   args.add_option("workers", "4", "executor threads");
-  args.add_option("cache-entries", "4096", "result cache capacity");
+  args.add_option("cache-entries", "4096",
+                  "result cache capacity (0 disables the cache)");
   args.add_option("max-queue", "256",
                   "pending requests before submit() blocks");
   args.add_option("once", "", "answer this one request JSON and exit");
@@ -98,6 +100,12 @@ int main(int argc, char** argv) {
   }
   if (args.get_int("workers") < 1) {
     return tools::usage_error(args, "--workers must be >= 1");
+  }
+  if (args.get_int("max-queue") < 1) {
+    return tools::usage_error(args, "--max-queue must be >= 1");
+  }
+  if (args.get_int("cache-entries") < 0) {
+    return tools::usage_error(args, "--cache-entries must be >= 0");
   }
   if (args.get_int("slow-ms") < 0) {
     return tools::usage_error(args, "--slow-ms must be >= 0");
