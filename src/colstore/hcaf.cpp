@@ -1,7 +1,6 @@
 #include "colstore/hcaf.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -36,16 +35,6 @@ struct ScenarioBlocks {
 void write_block_ref(ByteWriter& dir, const BlockRef& ref) {
   dir.u64(ref.offset);
   dir.u64(ref.count);
-}
-
-/// True when two series have bit-equal time columns (so -0.0 and 0.0 are
-/// different clocks, and the round trip stays exact).
-[[nodiscard]] bool same_times(const std::vector<Sample>& a,
-                              const std::vector<Sample>& b) {
-  return std::ranges::equal(a, b, [](const Sample& x, const Sample& y) {
-    return std::bit_cast<std::uint64_t>(x.time.sec()) ==
-           std::bit_cast<std::uint64_t>(y.time.sec());
-  });
 }
 
 /// Append one artifact's clocks and value columns to the block region: a

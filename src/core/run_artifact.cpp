@@ -1,7 +1,10 @@
 #include "core/run_artifact.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <utility>
@@ -38,7 +41,32 @@ void write_time(JsonWriter& w, std::string_view key, SimTime t) {
   w.end_object();
 }
 
-void write_channel(JsonWriter& w, const ChannelAggregate& c) {
+/// A clock some channel's "times" array has been written for, and that
+/// array's text, for the channels after it that share the clock.
+struct WrittenClock {
+  const std::vector<Sample>* series;
+  JsonWriter::Copy text;
+};
+
+void write_times(JsonWriter& w, const std::vector<Sample>& series,
+                 std::vector<WrittenClock>& clocks) {
+  w.key("times");
+  for (const WrittenClock& clock : clocks) {
+    // Bit-equal times format to equal text at the same depth.
+    if (same_times(*clock.series, series)) {
+      w.copied_value(clock.text);
+      return;
+    }
+  }
+  w.begin_copy();
+  w.begin_array();
+  for (const Sample& s : series) w.number(s.time.sec());
+  w.end_array();
+  clocks.push_back({&series, w.end_copy()});
+}
+
+void write_channel(JsonWriter& w, const ChannelAggregate& c,
+                   std::vector<WrittenClock>& clocks) {
   w.begin_object();
   write_string(w, "name", c.name);
   write_string(w, "unit", c.unit);
@@ -54,10 +82,7 @@ void write_channel(JsonWriter& w, const ChannelAggregate& c) {
   if (!c.series.empty()) {
     w.key("series");
     w.begin_object();
-    w.key("times");
-    w.begin_array();
-    for (const Sample& s : c.series) w.number(s.time.sec());
-    w.end_array();
+    write_times(w, c.series, clocks);
     w.key("values");
     w.begin_array();
     for (const Sample& s : c.series) w.number(s.value);
@@ -74,6 +99,48 @@ void write_change_point(JsonWriter& w, const ArtifactChangePoint& cp) {
   write_number(w, "mean_after_kw", cp.mean_after_kw.kw());
   w.key("detected");
   w.boolean(cp.detected);
+  w.end_object();
+}
+
+/// The one document writer: to_json_text runs it into a string,
+/// write_artifact_files into the artifact's file.
+void write_document(JsonWriter& w, const RunArtifact& a) {
+  w.begin_object();
+  write_string(w, "schema", kSchemaName);
+  write_number(w, "schema_version", RunArtifact::kSchemaVersion);
+  write_string(w, "scenario", a.scenario);
+  write_string(w, "source", a.source);
+  write_string(w, "machine", a.machine);
+  write_time(w, "window_start", a.window_start);
+  write_time(w, "window_end", a.window_end);
+  write_number(w, "replicates", static_cast<double>(a.replicates));
+
+  w.key("headline");
+  w.begin_object();
+  write_number(w, "mean_kw", a.headline.mean_kw.kw());
+  write_number(w, "mean_before_kw", a.headline.mean_before_kw.kw());
+  write_number(w, "mean_after_kw", a.headline.mean_after_kw.kw());
+  write_number(w, "mean_utilisation", a.headline.mean_utilisation);
+  write_number(w, "window_energy_kwh", a.headline.window_energy_kwh.kwh());
+  write_number(w, "completed_jobs", a.headline.completed_jobs);
+  w.end_object();
+
+  w.key("change_points");
+  w.begin_array();
+  for (const auto& cp : a.change_points) write_change_point(w, cp);
+  w.end_array();
+
+  w.key("channels");
+  w.begin_array();
+  std::vector<WrittenClock> clocks;
+  for (const auto& c : a.channels) write_channel(w, c, clocks);
+  w.end_array();
+  // The obs member is written only when metrics were collected, so a run
+  // with collection off serializes without it.
+  if (!a.obs.is_null()) {
+    w.key("obs");
+    w.value(a.obs);
+  }
   w.end_object();
 }
 
@@ -136,7 +203,35 @@ Column read_column(JsonReader& r, std::vector<Sample>& samples, Store store) {
   return col;
 }
 
-SeriesText read_series(JsonReader& r, std::size_t reserve) {
+/// The last "times" array that parsed wholly as numbers: its text and
+/// its times.  A later array with the same bytes parses to the same times.
+struct ReadClock {
+  std::string_view text;
+  std::vector<SimTime> times;
+};
+
+Column read_times(JsonReader& r, std::vector<Sample>& samples,
+                  ReadClock& clock) {
+  if (r.skip_value_text(clock.text)) {
+    const std::size_t n = clock.times.size();
+    if (samples.size() < n) samples.resize(n);
+    for (std::size_t i = 0; i < n; ++i) samples[i].time = clock.times[i];
+    return Column{.is_array = true, .size = n};
+  }
+  const std::size_t start = r.value_start();
+  const Column col =
+      read_column(r, samples, [](Sample& x, double t) { x.time = SimTime(t); });
+  if (col.is_array && col.first_non_number == std::string::npos) {
+    clock.text = r.text_from(start);
+    clock.times.resize(col.size);
+    for (std::size_t i = 0; i < col.size; ++i) {
+      clock.times[i] = samples[i].time;
+    }
+  }
+  return col;
+}
+
+SeriesText read_series(JsonReader& r, std::size_t reserve, ReadClock& clock) {
   SeriesText s;
   if (r.peek() != JsonValue::Type::kObject) {
     (void)r.value();
@@ -147,8 +242,7 @@ SeriesText read_series(JsonReader& r, std::size_t reserve) {
   std::string key;
   while (r.next_member(key)) {
     if (key == "times") {
-      s.times = read_column(r, s.samples,
-                            [](Sample& x, double t) { x.time = SimTime(t); });
+      s.times = read_times(r, s.samples, clock);
     } else if (key == "values") {
       s.values = read_column(r, s.samples,
                              [](Sample& x, double v) { x.value = v; });
@@ -176,7 +270,8 @@ std::size_t take_reserve(const JsonValue& fields, std::size_t& budget) {
   return n;
 }
 
-ChannelText read_channel(JsonReader& r, std::size_t& reserve_budget) {
+ChannelText read_channel(JsonReader& r, std::size_t& reserve_budget,
+                         ReadClock& clock) {
   ChannelText c;
   if (r.peek() != JsonValue::Type::kObject) {
     c.fields = r.value();
@@ -187,7 +282,8 @@ ChannelText read_channel(JsonReader& r, std::size_t& reserve_budget) {
   std::string key;
   while (r.next_member(key)) {
     if (key == "series") {
-      c.series = read_series(r, take_reserve(c.fields, reserve_budget));
+      c.series =
+          read_series(r, take_reserve(c.fields, reserve_budget), clock);
     } else {
       c.fields.set(std::move(key), r.value());
     }
@@ -324,42 +420,7 @@ std::string RunArtifact::to_json_text() const {
   std::size_t samples = 0;
   for (const auto& c : channels) samples += c.series.size();
   w.reserve(4096 + 64 * samples);
-  w.begin_object();
-  write_string(w, "schema", kSchemaName);
-  write_number(w, "schema_version", kSchemaVersion);
-  write_string(w, "scenario", scenario);
-  write_string(w, "source", source);
-  write_string(w, "machine", machine);
-  write_time(w, "window_start", window_start);
-  write_time(w, "window_end", window_end);
-  write_number(w, "replicates", static_cast<double>(replicates));
-
-  w.key("headline");
-  w.begin_object();
-  write_number(w, "mean_kw", headline.mean_kw.kw());
-  write_number(w, "mean_before_kw", headline.mean_before_kw.kw());
-  write_number(w, "mean_after_kw", headline.mean_after_kw.kw());
-  write_number(w, "mean_utilisation", headline.mean_utilisation);
-  write_number(w, "window_energy_kwh", headline.window_energy_kwh.kwh());
-  write_number(w, "completed_jobs", headline.completed_jobs);
-  w.end_object();
-
-  w.key("change_points");
-  w.begin_array();
-  for (const auto& cp : change_points) write_change_point(w, cp);
-  w.end_array();
-
-  w.key("channels");
-  w.begin_array();
-  for (const auto& c : channels) write_channel(w, c);
-  w.end_array();
-  // The obs member is written only when metrics were collected, so a run
-  // with collection off serializes without it.
-  if (!obs.is_null()) {
-    w.key("obs");
-    w.value(obs);
-  }
-  w.end_object();
+  write_document(w, *this);
   return std::move(w).finish();
 }
 
@@ -380,6 +441,7 @@ RunArtifact RunArtifact::from_json_text(std::string_view text) {
   JsonValue fields;
   std::vector<ChannelText> channels;
   std::size_t reserve_budget = text.size() / 4;
+  ReadClock clock;
   if (r.peek() == JsonValue::Type::kObject) {
     fields = JsonValue::object();
     r.begin_object();
@@ -389,7 +451,7 @@ RunArtifact RunArtifact::from_json_text(std::string_view text) {
         channels.clear();
         r.begin_array();
         while (r.next_element()) {
-          channels.push_back(read_channel(r, reserve_budget));
+          channels.push_back(read_channel(r, reserve_budget, clock));
         }
         fields.set(std::move(key), JsonValue::array());
       } else {
@@ -519,18 +581,45 @@ std::vector<RunArtifact> make_campaign_artifacts(
   return out;
 }
 
+bool same_times(const std::vector<Sample>& a, const std::vector<Sample>& b) {
+  return std::ranges::equal(a, b, [](const Sample& x, const Sample& y) {
+    return std::bit_cast<std::uint64_t>(x.time.sec()) ==
+           std::bit_cast<std::uint64_t>(y.time.sec());
+  });
+}
+
 std::string write_artifact_files(const RunArtifact& artifact,
                                  const std::string& basename) {
-  const auto write = [](const std::string& path,
-                        const std::string& content) {
-    std::ofstream out(path, std::ios::binary);
-    out << content;
-    if (!out) throw ParseError("write_artifact_files: cannot write " + path);
-  };
   const std::string json_path = basename + ".artifact.json";
-  write(json_path, artifact.to_json_text());
+  const std::string part_path = json_path + ".part";
+  const auto cannot_write = [](const std::string& path) {
+    return ParseError("write_artifact_files: cannot write " + path);
+  };
+  // The document streams through the writer's fixed buffer into a side
+  // file that replaces the artifact only once whole, so an encode that
+  // throws (a non-finite number) leaves no partial artifact behind.
+  std::ofstream out(part_path, std::ios::binary);
+  if (!out) throw cannot_write(json_path);
+  std::error_code ec;
+  try {
+    JsonWriter w(2, out);
+    write_document(w, artifact);
+    (void)std::move(w).finish();
+    out.close();
+  } catch (...) {
+    std::filesystem::remove(part_path, ec);
+    throw;
+  }
+  if (out) std::filesystem::rename(part_path, json_path, ec);
+  if (!out || ec) {
+    std::filesystem::remove(part_path, ec);
+    throw cannot_write(json_path);
+  }
   if (!artifact.channels.empty()) {
-    write(basename + ".aggregates.csv", artifact.to_csv());
+    const std::string csv_path = basename + ".aggregates.csv";
+    std::ofstream csv(csv_path, std::ios::binary);
+    csv << artifact.to_csv();
+    if (!csv) throw cannot_write(csv_path);
   }
   return json_path;
 }

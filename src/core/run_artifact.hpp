@@ -91,14 +91,19 @@ struct RunArtifact {
 
   /// Deterministic JSON (fixed member order, shortest round-trip
   /// numbers): equal artifacts serialize to equal bytes.  Streamed through
-  /// a JsonWriter; series samples never become JsonValues.
+  /// a JsonWriter; series samples never become JsonValues.  Each clock is
+  /// formatted once: a channel whose times are bit-equal to an earlier
+  /// channel's (`same_times`) gets that channel's "times" text again.
   [[nodiscard]] std::string to_json_text() const;
   /// Long-format CSV of the channel aggregates:
   /// channel,unit,samples,mean,min,max,integral,first_time,last_time.
   [[nodiscard]] std::string to_csv() const;
 
   /// Pulled through a JsonReader; series samples go straight into the
-  /// channels' sample vectors.  Members may come in any order, the last of
+  /// channels' sample vectors.  Each clock is parsed once: a "times" array
+  /// byte-equal to the last one that parsed wholly as numbers is stepped
+  /// over and takes that clock's times, which is what parsing it again
+  /// would give.  Members may come in any order, the last of
   /// a duplicated member wins and unknown members are ignored.  Throws
   /// ParseError on malformed JSON, a missing or mistyped member, or a count
   /// (schema_version, replicates, samples) that is not a non-negative
@@ -107,6 +112,12 @@ struct RunArtifact {
   /// times).
   [[nodiscard]] static RunArtifact from_json_text(std::string_view text);
 };
+
+/// True when two series have bit-equal times: one clock.  -0.0 and 0.0
+/// are different clocks, so a clock stored or written once round-trips
+/// exactly for every channel that shares it.
+[[nodiscard]] bool same_times(const std::vector<Sample>& a,
+                              const std::vector<Sample>& b);
 
 /// Exact streaming aggregate of one series.  With `include_series` the
 /// aggregate also carries the retained raw samples (the v3 "series"
@@ -146,8 +157,11 @@ struct RunArtifact {
     const CampaignResult& result, const std::vector<ScenarioSpec>& specs);
 
 /// Write `<basename>.artifact.json` (and, when the artifact carries channel
-/// aggregates, `<basename>.aggregates.csv`); returns the JSON path.
-/// Throws ParseError on I/O failure.
+/// aggregates, `<basename>.aggregates.csv`); returns the JSON path.  The
+/// JSON is the bytes of `to_json_text()`, streamed to the file through a
+/// fixed-size writer buffer, so the whole document is never one string;
+/// it replaces the file only once complete.  Throws ParseError on I/O
+/// failure.
 std::string write_artifact_files(const RunArtifact& artifact,
                                  const std::string& basename);
 

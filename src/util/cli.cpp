@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -107,9 +108,12 @@ double ArgParser::get_double(const std::string& name) const {
 long ArgParser::get_int(const std::string& name) const {
   const std::string& s = get(name);
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(s.c_str(), &end, 10);
   require(end != s.c_str() && *end == '\0', "ArgParser: --", name,
           " expects an integer, got: ", s);
+  require(errno != ERANGE, "ArgParser: --", name,
+          " is out of range for an integer: ", s);
   return v;
 }
 

@@ -44,6 +44,8 @@ class ArgParser {
 
   [[nodiscard]] const std::string& get(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
+  /// Throws InvalidArgument unless the value is a whole decimal integer
+  /// that fits a long.
   [[nodiscard]] long get_int(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <ostream>
 
 #include "util/error.hpp"
 
@@ -163,7 +164,19 @@ void JsonWriter::newline_pad() {
   out_.append(pad_.data(), width);
 }
 
+void JsonWriter::flush() {
+  if (copy_from_ != std::string::npos) {
+    copy_text_.append(out_, copy_from_);
+    copy_from_ = 0;
+  }
+  sink_->write(out_.data(), static_cast<std::streamsize>(out_.size()));
+  out_.clear();
+}
+
 void JsonWriter::before_value() {
+  // Every value passes here, so a sink writer's buffer passes kFlushBytes
+  // by at most one key and one scalar or copied value.
+  if (sink_ != nullptr && out_.size() >= kFlushBytes) flush();
   if (after_key_) {
     after_key_ = false;
     return;
@@ -254,9 +267,42 @@ void JsonWriter::value(const JsonValue& v) {
   }
 }
 
+void JsonWriter::begin_copy() {
+  before_value();
+  // The value's own writes must not repeat the separator just written.
+  after_key_ = true;
+  copy_text_.clear();
+  copy_from_ = out_.size();
+}
+
+JsonWriter::Copy JsonWriter::end_copy() {
+  Copy copy;
+  if (sink_ == nullptr) {
+    // An in-memory document keeps every byte: the copy is where it is.
+    copy.offset_ = copy_from_;
+    copy.size_ = out_.size() - copy_from_;
+  } else {
+    copy.text_ = std::move(copy_text_);
+    copy.text_.append(out_, copy_from_);
+  }
+  copy_from_ = std::string::npos;
+  return copy;
+}
+
+void JsonWriter::copied_value(const Copy& copy) {
+  before_value();
+  if (sink_ == nullptr) {
+    out_.append(out_, copy.offset_, copy.size_);
+  } else {
+    out_.append(copy.text_);
+  }
+}
+
 std::string JsonWriter::finish() && {
   if (indent_ > 0) out_.push_back('\n');
-  return std::move(out_);
+  if (sink_ == nullptr) return std::move(out_);
+  flush();
+  return {};
 }
 
 // ---------------------------------------------------------------------------

@@ -10,16 +10,17 @@
 // One tokenizer, one serializer.  `JsonReader` is the only tokenizer: it
 // pulls a document value by value, and `JsonValue::parse` builds its DOM
 // on it.  `JsonWriter` is the only serializer: it appends values to a
-// string as they are handed over, and `JsonValue::dump` walks the DOM
-// through it.  Codecs for large documents (the run artifact's sample
-// series) drive the reader and writer directly, so a number goes between
-// text and a `double` without a `JsonValue` in between; the rest of such
-// a document can still move as DOM subtrees (`JsonReader::value`,
-// `JsonWriter::value`).  Either way the bytes and the error texts are the
-// same.
+// string, or streams them to an ostream, as they are handed over, and
+// `JsonValue::dump` walks the DOM through it.  Codecs for large documents
+// (the run artifact's sample series) drive the reader and writer
+// directly, so a number goes between text and a `double` without a
+// `JsonValue` in between; the rest of such a document can still move as
+// DOM subtrees (`JsonReader::value`, `JsonWriter::value`).  Either way the
+// bytes and the error texts are the same.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -114,9 +115,21 @@ class JsonValue {
 /// object every value follows its `key`.  `indent` > 0 pretty-prints with
 /// that many spaces per level, 0 emits compact single-line JSON — the same
 /// bytes `JsonValue::dump` produces for the equivalent DOM.
+///
+/// Without a sink the document collects in memory and `finish` returns it.
+/// With a sink the writer hands the text to the stream in chunks of about
+/// kFlushBytes as it goes, so a large document never exists as one string;
+/// the bytes are the same either way.
 class JsonWriter {
  public:
+  /// Buffered output past which a sink writer hands its text to the sink.
+  static constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+
   explicit JsonWriter(int indent = 2) : indent_(indent) {}
+  /// Write the document to `sink`, which must outlive the writer.
+  JsonWriter(int indent, std::ostream& sink) : sink_(&sink), indent_(indent) {
+    out_.reserve(2 * kFlushBytes);
+  }
 
   void begin_object();
   void end_object();
@@ -133,18 +146,47 @@ class JsonWriter {
   /// A whole DOM subtree.
   void value(const JsonValue& v);
 
-  /// Room for `bytes` of output, so a large document is not regrown (and
-  /// recopied) as it is written.
+  /// The text of one value as this writer wrote it, to write again with
+  /// the same writer.  An in-memory writer still holds the bytes, so its
+  /// copy is only their place; a sink writer's copy holds the bytes.
+  class Copy {
+   private:
+    friend class JsonWriter;
+    /// Where the text starts, and its size, in an in-memory document.
+    std::size_t offset_ = 0;
+    std::size_t size_ = 0;
+    /// The text itself, for a sink writer, which no longer holds it.
+    std::string text_;
+  };
+  /// Start a copy of the next value; `end_copy` after the value ends it.
+  /// One copy is open at a time.
+  void begin_copy();
+  [[nodiscard]] Copy end_copy();
+  /// Write a value copied at the same depth again: the bytes its writes
+  /// would produce, without formatting it again.
+  void copied_value(const Copy& copy);
+
+  /// Room for `bytes` of output, so a large in-memory document is not
+  /// regrown (and recopied) as it is written.
   void reserve(std::size_t bytes) { out_.reserve(bytes); }
 
-  /// The finished document, newline-terminated when pretty-printing.
+  /// The finished document, newline-terminated when pretty-printing.  With
+  /// a sink the rest of the document goes to the sink and the result is
+  /// empty; the caller checks the stream's state.
   [[nodiscard]] std::string finish() &&;
 
  private:
   void before_value();
   void newline_pad();
+  /// Hand the buffered text to the sink (and to an open copy).
+  void flush();
 
   std::string out_;
+  std::ostream* sink_ = nullptr;
+  /// The open copy's flushed text (sink writers only), and the offset in
+  /// out_ where its unflushed part starts; npos when no copy is open.
+  std::string copy_text_;
+  std::size_t copy_from_ = std::string::npos;
   /// A newline and the deepest indentation written so far.
   std::string pad_ = "\n";
   int indent_;
@@ -181,6 +223,26 @@ class JsonReader {
   [[nodiscard]] double number();
   /// The next value as a DOM subtree.
   [[nodiscard]] JsonValue value();
+
+  /// Offset of the next value's first character; with `text_from` after
+  /// the value has been read, the value's exact text.
+  [[nodiscard]] std::size_t value_start() {
+    skip_ws();
+    return pos_;
+  }
+  [[nodiscard]] std::string_view text_from(std::size_t start) const {
+    return text_.substr(start, pos_ - start);
+  }
+  /// Step over the next value when its text is exactly `text`, the whole
+  /// text of an array or object (which ends at its own closing bracket);
+  /// false, with nothing consumed, otherwise.  Reading the value would
+  /// give what reading those bytes gave before.
+  [[nodiscard]] bool skip_value_text(std::string_view text) {
+    skip_ws();
+    if (text.empty() || text_.substr(pos_, text.size()) != text) return false;
+    pos_ += text.size();
+    return true;
+  }
 
   /// Require that only whitespace (and allowed comments) remains.
   void finish();

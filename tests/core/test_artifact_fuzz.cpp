@@ -1,10 +1,12 @@
 // Seeded fuzzer for the run-artifact JSON decoder.
 //
-// Each case mutates the committed ci-smoke artifact in one of seven ways:
+// Each case mutates the committed ci-smoke artifact in one of eight ways:
 // truncation, byte flips, two members swapped, a member duplicated with a
 // junk value before or after it, an out-of-range count, a decreasing
-// series time, or a string inside a numeric series array.  Every mutant
-// must:
+// series time, a string inside a numeric series array, or one clock's
+// "times" text, respelled and perhaps changed, copied into some channels
+// (so the decoder's parse-each-clock-once path and its fallback both
+// run).  Every mutant must:
 //
 //   1. never crash (sanitizers catch the rest under ASan/UBSan);
 //   2. if rejected, be rejected with a one-line error;
@@ -13,9 +15,10 @@
 //      DOM reference decoder written from the schema rules, so the
 //      streaming decoder accepts and rejects what a DOM walk would.
 //
-// Mutations whose effect is known are also checked against it: swaps and
-// junk-before duplicates decode to the pristine artifact; bad counts,
-// decreasing times and strings in arrays are rejected with their message.
+// Mutations whose effect is known are also checked against it: swaps,
+// junk-before duplicates and respelled clocks decode to the pristine
+// artifact; bad counts, decreasing times and strings in arrays are
+// rejected with their message.
 //
 // The case count scales with HPCEM_ARTIFACT_FUZZ_CASES (default 50; CI
 // runs 200 under ASan/UBSan).  Every case derives from a fixed master
@@ -23,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <iterator>
 #include <numeric>
@@ -258,7 +262,7 @@ class ArtifactFuzz : public ::testing::Test {
 
   Mutant mutate(Rng& rng) const {
     Mutant m;
-    switch (rng.uniform_int(0, 6)) {
+    switch (rng.uniform_int(0, 7)) {
       case 0: {  // truncation
         m.text = pristine_.substr(0, pick(rng, pristine_.size()));
         break;
@@ -337,6 +341,10 @@ class ArtifactFuzz : public ::testing::Test {
                           "' series times must be non-decreasing";
         break;
       }
+      case 6: {  // one clock's text in some channels
+        m = copied_clock(rng);
+        break;
+      }
       default: {  // a string inside a numeric array
         const std::size_t c =
             series_channels_[pick(rng, series_channels_.size())];
@@ -357,6 +365,73 @@ class ArtifactFuzz : public ::testing::Test {
         break;
       }
     }
+    return m;
+  }
+
+  /// The first series channel's clock, spelled anew and perhaps changed
+  /// at one element, as the "times" text of a random non-empty subset of
+  /// the series channels that share that clock.  Text repeated
+  /// byte-for-byte is what the decoder parses once.
+  Mutant copied_clock(Rng& rng) const {
+    Mutant m;
+    const auto& channels = doc_.at("channels").as_array();
+    const JsonValue& clock =
+        channels[series_channels_.front()].at("series").at("times");
+    std::vector<std::size_t> targets;
+    for (const std::size_t c : series_channels_) {
+      if (channels[c].at("series").at("times").dump(0) == clock.dump(0) &&
+          rng.bernoulli(0.5)) {
+        targets.push_back(c);
+      }
+    }
+    if (targets.empty()) targets.push_back(series_channels_.front());
+
+    const auto& times = clock.as_array();
+    const std::size_t at = 1 + pick(rng, times.size() - 1);
+    const std::int64_t change = rng.uniform_int(0, 3);
+    const char* separators[] = {",", ", ", ",\n      ", " ,\t"};
+    const std::string sep = separators[pick(rng, std::size(separators))];
+    std::string text = rng.bernoulli(0.5) ? "[" : "[\n  ";
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      double t = times[i].as_number();
+      if (i > 0) text += sep;
+      if (i == at && change == 1) {  // still non-decreasing
+        t = (times[i - 1].as_number() + t) / 2.0;
+      } else if (i == at && change == 2) {
+        t = times[i - 1].as_number() - 1.0;
+      } else if (i == at && change == 3) {
+        text += "\"x\"";
+        continue;
+      }
+      if (rng.bernoulli(0.5)) {
+        text += json_number(t);
+      } else {
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%.17e", t);
+        text += buf;
+      }
+    }
+    text += rng.bernoulli(0.5) ? "]" : "\n]";
+
+    const std::string placeholder = "@clock@";
+    JsonValue doc = doc_;
+    for (const std::size_t c : targets) {
+      doc = test::edited(doc, {"channels", std::to_string(c), "series", "times"},
+                         JsonValue(placeholder));
+    }
+    m.text = doc.dump(static_cast<int>(rng.uniform_int(0, 3)));
+    const std::string quoted = json_quote(placeholder);
+    for (std::size_t p = m.text.find(quoted); p != std::string::npos;
+         p = m.text.find(quoted, p + text.size())) {
+      m.text.replace(p, quoted.size(), text);
+    }
+    if (change == 0) m.same_as_pristine = true;
+    if (change == 2) {
+      m.rejected_with = "InvalidArgument: RunArtifact: channel '" +
+                        channels[targets.front()].at("name").as_string() +
+                        "' series times must be non-decreasing";
+    }
+    if (change == 3) m.rejected_with = "ParseError: JsonValue: not a number";
     return m;
   }
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "core/assembly.hpp"
 #include "core/report.hpp"
@@ -598,6 +599,160 @@ TEST(RunArtifactDecode, CommittedArtifactsReencodeByteForByte) {
     EXPECT_FALSE(a.channels.empty()) << file;
     EXPECT_EQ(a.to_json_text(), *text) << file;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Clocks: each is formatted and parsed once, and the file is streamed.
+
+/// Channel `name` with one series over `times`; values differ per channel.
+ChannelAggregate clocked_channel(const std::string& name,
+                                 const std::vector<double>& times) {
+  ChannelAggregate c;
+  c.name = name;
+  c.unit = "kW";
+  c.samples = times.size();
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    c.series.push_back({SimTime(times[i]),
+                        static_cast<double>(name.size() * 100 + i)});
+  }
+  return c;
+}
+
+/// Four channels on two clocks, interleaved: a and cc on one, b and dd on
+/// the other.
+RunArtifact two_clock_artifact() {
+  RunArtifact a = sample_artifact();
+  a.channels = {clocked_channel("a", {60, 120, 180}),
+                clocked_channel("b", {60, 120, 180.5}),
+                clocked_channel("cc", {60, 120, 180}),
+                clocked_channel("dd", {60, 120, 180.5})};
+  return a;
+}
+
+/// Three channels on two clocks that differ only in the sign of a zero.
+RunArtifact signed_zero_artifact() {
+  RunArtifact a = sample_artifact();
+  a.channels = {clocked_channel("neg", {-0.0, 1.0}),
+                clocked_channel("pos", {0.0, 1.0}),
+                clocked_channel("neg2", {-0.0, 1.0})};
+  return a;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+void expect_same_times(const RunArtifact& got, const RunArtifact& want) {
+  ASSERT_EQ(got.channels.size(), want.channels.size());
+  for (std::size_t c = 0; c < want.channels.size(); ++c) {
+    EXPECT_TRUE(same_times(got.channels[c].series, want.channels[c].series))
+        << want.channels[c].name;
+  }
+}
+
+TEST(RunArtifactClock, FileBytesEqualTheText) {
+  const auto ci = read_text_file(std::string(HPCEM_SOURCE_DIR) +
+                                 "/scenarios/ci/ci-smoke.artifact.json");
+  ASSERT_TRUE(ci.has_value());
+  // ci-smoke's seven channels share one clock, and its text is larger
+  // than one writer buffer.
+  ASSERT_GT(ci->size(), JsonWriter::kFlushBytes);
+  const std::string base = ::testing::TempDir() + "hpcem_clock_test";
+  for (const RunArtifact& a :
+       {RunArtifact::from_json_text(*ci), two_clock_artifact(),
+        signed_zero_artifact()}) {
+    const std::string path = write_artifact_files(a, base);
+    // Not EXPECT_EQ: a line diff of ci-smoke's 4,239 lines is costly.
+    EXPECT_TRUE(file_bytes(path) == a.to_json_text()) << a.channels.size();
+    EXPECT_FALSE(std::filesystem::exists(path + ".part"));
+    std::remove(path.c_str());
+    std::remove((base + ".aggregates.csv").c_str());
+  }
+}
+
+TEST(RunArtifactClock, SharedAndDistinctClocksRoundTrip) {
+  for (const RunArtifact& a : {two_clock_artifact(), signed_zero_artifact()}) {
+    const std::string text = a.to_json_text();
+    const RunArtifact back = RunArtifact::from_json_text(text);
+    expect_same_times(back, a);
+    EXPECT_EQ(back.to_json_text(), text);
+  }
+  // -0.0 and 0.0 are two clocks: each keeps its own spelling.
+  const std::string text = signed_zero_artifact().to_json_text();
+  const JsonValue doc = JsonValue::parse(text);
+  EXPECT_EQ(doc.at("channels").as_array()[0].at("series").at("times").dump(0),
+            "[-0,1]");
+  EXPECT_EQ(doc.at("channels").as_array()[1].at("series").at("times").dump(0),
+            "[0,1]");
+}
+
+/// `text` with the `n`th (0-based) occurrence of `from` replaced by `to`.
+std::string replace_nth(std::string text, const std::string& from,
+                        const std::string& to, std::size_t n) {
+  std::size_t at = text.find(from);
+  for (std::size_t i = 0; i < n && at != std::string::npos; ++i) {
+    at = text.find(from, at + from.size());
+  }
+  EXPECT_NE(at, std::string::npos) << from << " #" << n;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// The compact text of two_clock_artifact(): channel k's "times" is the
+/// k-th "times" array, and clock a's first element is the k-th "[60,".
+std::string compact_two_clock_text() {
+  return JsonValue::parse(two_clock_artifact().to_json_text()).dump(0);
+}
+
+TEST(RunArtifactClock, RespelledRepeatDecodesToTheSameTimes) {
+  const RunArtifact want = two_clock_artifact();
+  const std::string text = compact_two_clock_text();
+  // Channel "cc" repeats channel "a"'s clock, respelled in each way; and
+  // channel "a" respelled before a canonical repeat.
+  for (const auto& [from, to, n] :
+       std::vector<std::tuple<std::string, std::string, std::size_t>>{
+           {"[60,", "[6e1,", 2},
+           {"[60,", "[ 60 ,", 2},
+           {"[60,", "[60.0,", 2},
+           {"[60,", "[\n60,", 0},
+           {"180]", "1.8e2]", 0}}) {
+    const std::string respelled = replace_nth(text, from, to, n);
+    ASSERT_NE(respelled, text);
+    const RunArtifact got = RunArtifact::from_json_text(respelled);
+    expect_same_times(got, want);
+    EXPECT_EQ(got.to_json_text(), want.to_json_text()) << to;
+  }
+}
+
+TEST(RunArtifactClock, BadRepeatGivesTheUsualError) {
+  const std::string text = compact_two_clock_text();
+  // Channel "cc" (third "times") differs from channel "a"'s clock by one
+  // element: a string, or a time before its neighbour.
+  EXPECT_EQ(error_of(replace_nth(text, "[60,120,180]", "[60,\"x\",180]", 1)),
+            "JsonValue: not a number");
+  EXPECT_EQ(error_of(replace_nth(text, "[60,120,180]", "[60,120,59]", 1)),
+            "RunArtifact: channel 'cc' series times must be non-decreasing");
+  // A decreasing clock that parses as numbers is repeated as parsed.
+  std::string both = replace_nth(text, "[60,120,180]", "[60,120,59]", 1);
+  both = replace_nth(both, "[60,120,180]", "[60,120,59]", 0);
+  EXPECT_EQ(error_of(both),
+            "RunArtifact: channel 'a' series times must be non-decreasing");
+  // A clock with a non-number is not taken as parsed, even when repeated.
+  EXPECT_EQ(error_of(replace_nth(text, "\"times\":[60,120,180]",
+                                 "\"times\":[60,\"x\",180],"
+                                 "\"times\":[60,\"x\",180]",
+                                 0)),
+            "JsonValue: not a number");
+  // A syntax error in a repeat is reported where it is.
+  EXPECT_EQ(error_of(replace_nth(text, "[60,120,180]", "[60,120,,180]", 1)),
+            "json: expected a value at line 1, column " +
+                std::to_string(replace_nth(text, "[60,120,180]",
+                                           "[60,120,,180]", 1)
+                                   .find(",,") +
+                               2));
 }
 
 }  // namespace

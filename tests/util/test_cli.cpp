@@ -1,6 +1,8 @@
 // Tests for the CLI argument parser.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/cli.hpp"
 #include "util/error.hpp"
 
@@ -72,6 +74,23 @@ TEST(Cli, TypeValidationThrows) {
   EXPECT_THROW(p.get_int("count"), InvalidArgument);
   ASSERT_TRUE(parse(p, {"--ratio", "x"}));
   EXPECT_THROW(p.get_double("ratio"), InvalidArgument);
+}
+
+TEST(Cli, IntegersBeyondLongAreRejected) {
+  ArgParser p = make();
+  for (const char* big : {"99999999999999999999", "-99999999999999999999"}) {
+    ASSERT_TRUE(parse(p, {"--count", big}));
+    try {
+      (void)p.get_int("count");
+      ADD_FAILURE() << big;
+    } catch (const InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("ArgParser: --count is out of range for an "
+                            "integer: ") + big);
+    }
+  }
+  ASSERT_TRUE(parse(p, {"--count", "-9223372036854775808"}));
+  EXPECT_EQ(p.get_int("count"), std::numeric_limits<long>::min());
 }
 
 TEST(Cli, UndeclaredAccessAndDuplicatesThrow) {

@@ -6,6 +6,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -248,6 +251,68 @@ TEST(JsonWriter, StreamedCallsMatchTheDomDump) {
     w.end_object();
     EXPECT_EQ(std::move(w).finish(), nested_document().dump(indent))
         << "indent " << indent;
+  }
+}
+
+/// {"rows": [clock, clock, clock], "objs": [{"t": clock}, {"t": clock}]}
+/// with a clock of `n` times.  With `copy` each clock after the first at
+/// its depth is the writer's copy of that first one.
+void write_clocks(JsonWriter& w, int n, bool copy) {
+  const auto clock = [&](std::optional<JsonWriter::Copy>& first) {
+    if (first) {
+      w.copied_value(*first);
+      return;
+    }
+    if (copy) w.begin_copy();
+    w.begin_array();
+    for (int i = 0; i < n; ++i) w.number(1654041600.0 + 60.0 * i);
+    w.end_array();
+    if (copy) first = w.end_copy();
+  };
+  std::optional<JsonWriter::Copy> row;
+  std::optional<JsonWriter::Copy> member;
+  w.begin_object();
+  w.key("rows");
+  w.begin_array();
+  for (int i = 0; i < 3; ++i) clock(row);
+  w.end_array();
+  w.key("objs");
+  w.begin_array();
+  for (int i = 0; i < 2; ++i) {
+    w.begin_object();
+    w.key("t");
+    clock(member);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+}
+
+TEST(JsonWriter, SinkAndCopiesWriteTheSameBytes) {
+  for (const int indent : {0, 2, 3}) {
+    for (const int n : {0, 1, 3, 20000}) {
+      JsonWriter plain(indent);
+      write_clocks(plain, n, false);
+      const std::string want = std::move(plain).finish();
+      if (n == 20000) {
+        ASSERT_GT(want.size(), 4 * JsonWriter::kFlushBytes);
+      }
+
+      // EXPECT_TRUE, not EXPECT_EQ: gtest's line diff of two documents of
+      // 20,000 lines takes more memory than a test should.
+      JsonWriter copied(indent);
+      write_clocks(copied, n, true);
+      EXPECT_TRUE(std::move(copied).finish() == want) << indent << " " << n;
+
+      // Streamed, a copy spans flushes and the sink gets every byte.
+      for (const bool copy : {false, true}) {
+        std::ostringstream out;
+        JsonWriter streamed(indent, out);
+        write_clocks(streamed, n, copy);
+        EXPECT_EQ(std::move(streamed).finish(), "");
+        EXPECT_TRUE(out.str() == want) << indent << " " << n << " " << copy;
+      }
+    }
   }
 }
 

@@ -87,8 +87,8 @@ int main(int argc, char** argv) {
   if (args.get("csv").empty()) {
     return tools::usage_error(args, "--csv is required");
   }
-  if (args.get_int("min-segment-days") < 1) {
-    return tools::usage_error(args, "--min-segment-days must be >= 1");
+  if (!tools::int_in_range(args, "min-segment-days", 1)) {
+    return tools::kExitUsage;
   }
 
   return tools::tool_main([&] {

@@ -106,9 +106,7 @@ int main(int argc, char** argv) {
   if (args.get("out").empty()) {
     return tools::usage_error(args, "--out is required");
   }
-  if (args.get_int("shards") < 1) {
-    return tools::usage_error(args, "--shards must be >= 1");
-  }
+  if (!tools::int_in_range(args, "shards", 1)) return tools::kExitUsage;
 
   return tools::tool_main([&] {
     const obs::ObsSession session("hpcem_compact");

@@ -344,11 +344,9 @@ int main(int argc, char** argv) {
       args.get("compare").empty()) {
     return tools::usage_error(args, "--span/--metric need --compare");
   }
-  if (args.get_int("request") < 0) {
-    return tools::usage_error(args, "--request must be >= 0");
-  }
-  if (args.get_int("top") < 0) {
-    return tools::usage_error(args, "--top must be >= 0");
+  if (!tools::int_in_range(args, "request", 0) ||
+      !tools::int_in_range(args, "top", 0)) {
+    return tools::kExitUsage;
   }
 
   return tools::tool_main([&] {

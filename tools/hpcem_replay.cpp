@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   if (args.get("trace").empty()) {
     return tools::usage_error(args, "--trace is required");
   }
+  if (!tools::int_in_range(args, "seed", 0)) return tools::kExitUsage;
 
   return tools::tool_main([&] {
     const obs::ObsSession session("hpcem_replay");

@@ -43,6 +43,11 @@ namespace {
 
 using namespace hpcem;
 
+/// Most executor threads --workers may ask for.  It is checked before the
+/// pool starts any thread, so a mistyped count fails as a usage error
+/// instead of starting thousands of threads.
+constexpr long kMaxWorkers = 256;
+
 /// `*.hcaf` shard files directly inside `dir`, sorted for reproducible
 /// load order.
 std::vector<std::string> shard_paths(const std::string& dir) {
@@ -73,7 +78,8 @@ int main(int argc, char** argv) {
   args.add_option("store", "",
                   "directory of *.artifact.json and/or *.hcaf files to load "
                   "(required)");
-  args.add_option("workers", "4", "executor threads");
+  args.add_option("workers", "4",
+                  "executor threads, 1 to " + std::to_string(kMaxWorkers));
   args.add_option("cache-entries", "4096",
                   "result cache capacity (0 disables the cache)");
   args.add_option("max-queue", "256",
@@ -98,17 +104,11 @@ int main(int argc, char** argv) {
   if (args.get("store").empty()) {
     return tools::usage_error(args, "--store is required");
   }
-  if (args.get_int("workers") < 1) {
-    return tools::usage_error(args, "--workers must be >= 1");
-  }
-  if (args.get_int("max-queue") < 1) {
-    return tools::usage_error(args, "--max-queue must be >= 1");
-  }
-  if (args.get_int("cache-entries") < 0) {
-    return tools::usage_error(args, "--cache-entries must be >= 0");
-  }
-  if (args.get_int("slow-ms") < 0) {
-    return tools::usage_error(args, "--slow-ms must be >= 0");
+  if (!tools::int_in_range(args, "workers", 1, kMaxWorkers) ||
+      !tools::int_in_range(args, "max-queue", 1) ||
+      !tools::int_in_range(args, "cache-entries", 0) ||
+      !tools::int_in_range(args, "slow-ms", 0)) {
+    return tools::kExitUsage;
   }
 
   return tools::tool_main([&] {

@@ -15,6 +15,7 @@
 
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -68,6 +69,28 @@ inline constexpr int kExitUsage = 2;
   std::cerr << "error: " << message << '\n';
   std::cout << args.usage();
   return kExitUsage;
+}
+
+/// Check an integer option before the tool body runs: a value that is not
+/// an integer, or lies outside [lo, hi], is a usage error (one `error:`
+/// line, exit 2).  False, after printing that error, when it is unusable.
+[[nodiscard]] inline bool int_in_range(
+    const ArgParser& args, const std::string& name, long lo,
+    long hi = std::numeric_limits<long>::max()) {
+  std::string why;
+  try {
+    const long v = args.get_int(name);
+    if (v < lo) {
+      why = "--" + name + " must be >= " + std::to_string(lo);
+    } else if (v > hi) {
+      why = "--" + name + " must be <= " + std::to_string(hi);
+    }
+  } catch (const InvalidArgument& e) {
+    why = e.what();
+  }
+  if (why.empty()) return true;
+  (void)usage_error(args, why);
+  return false;
 }
 
 /// Run the tool body, mapping any escaping exception to one stderr line
